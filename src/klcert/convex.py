@@ -1,17 +1,21 @@
 """Shared vocabulary for finite-dimensional convex optimization.
 
 Objectives are bundles of oracles (value, least-norm subgradient, proximal
-map, gradient) acting on 1-D float64 arrays.  Indicator-type objectives take
-the value +inf; infinities are kept out of float arithmetic by the tagged
-:class:`ExtReal`.  Projectable convex sets (balls, halfspaces, affine sets
-and their intersections) live here as well, since they back both feasibility
-objectives and exact distance computations.
+map, gradient).  Value and subgradient oracles act on float64 arrays of
+shape (..., n): a 1-D point is the case without batch axes.  Values are
+floats, +inf outside the domain and never NaN; a NaN row of a subgradient
+marks an empty subdifferential.  Row i of a batched call equals the call on
+point i bit for bit, which is why the builders use `np.vecdot` and stacked
+matrix-vector products (both reproduce the 1-D BLAS results) rather than
+`x @ A.T` or `.sum(-1)` of products.  Projectable convex sets (balls,
+halfspaces, affine sets and their intersections) live here as well, since
+they back both feasibility objectives and exact distance computations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -24,86 +28,39 @@ class UnsupportedOracleError(RuntimeError):
     """Raised when an operation requires an oracle the objective lacks."""
 
 
-def as_point(x, dimension: Optional[int] = None) -> Array:
-    """Validate a point: 1-D float64 array with finite entries."""
+def as_points(x, dimension: Optional[int] = None) -> Array:
+    """Validate points: float64 array of shape (..., n) with finite entries."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"point must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point has non-finite entries")
-    if dimension is not None and arr.shape[0] != dimension:
+    if dimension is not None and arr.shape[-1] != dimension:
         raise ValueError(
-            f"dimension mismatch: expected {dimension}, got {arr.shape[0]}"
+            f"dimension mismatch: expected {dimension}, got {arr.shape[-1]}"
         )
     return arr
 
 
-# ---------------------------------------------------------------------------
-# extended reals
-# ---------------------------------------------------------------------------
+def as_point(x, dimension: Optional[int] = None) -> Array:
+    """Validate a point: 1-D float64 array with finite entries."""
+    arr = as_points(x, dimension)
+    if arr.ndim != 1:
+        raise ValueError(f"point must be 1-D, got shape {arr.shape}")
+    return arr
 
 
-@dataclass(frozen=True)
-class ExtReal:
-    """A value in (-inf, +inf].
-
-    +inf is an explicit tag, never an IEEE float operand, so differences like
-    f(x) - min f cannot silently produce NaN.
-    """
-
-    value: float = 0.0
-    infinite: bool = False
-
-    def __post_init__(self):
-        if not self.infinite and not math.isfinite(self.value):
-            raise ValueError("finite ExtReal built from a non-finite float")
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
-    def finite_value(self) -> float:
-        if self.infinite:
-            raise ValueError("ExtReal is +inf; no finite value available")
-        return self.value
-
-    def as_float(self) -> float:
-        """Collapse to a float for record keeping only (never arithmetic)."""
-        return math.inf if self.infinite else self.value
-
-    def __sub__(self, other: float) -> "ExtReal":
-        if self.infinite:
-            return EXT_INF
-        return ExtReal(self.value - float(other))
-
-    def _cmp_key(self) -> float:
-        # Used for ordering only; the tag keeps +inf out of arithmetic.
-        return math.inf if self.infinite else self.value
-
-    def __lt__(self, other) -> bool:
-        o = other._cmp_key() if isinstance(other, ExtReal) else float(other)
-        return self._cmp_key() < o
-
-    def __le__(self, other) -> bool:
-        o = other._cmp_key() if isinstance(other, ExtReal) else float(other)
-        return self._cmp_key() <= o
-
-    def __gt__(self, other) -> bool:
-        return not self.__le__(other)
-
-    def __ge__(self, other) -> bool:
-        return not self.__lt__(other)
-
-
-EXT_INF = ExtReal(0.0, infinite=True)
+def plain(v) -> float | Array:
+    """A Python float for a single point, an array for a batch."""
+    v = np.asarray(v, dtype=float)
+    return float(v) if v.ndim == 0 else v
 
 
 # ---------------------------------------------------------------------------
 # projectable convex sets
 # ---------------------------------------------------------------------------
 #
-# Each set implements project(x), distance(x) and contains(x, tol); project
-# and distance broadcast over a leading batch axis.
+# Each set implements project(x), distance(x) and contains(x, tol), all of
+# which broadcast over leading batch axes.  Ball, Halfspace and SingletonSet
+# give each batch row the bits of the single-point call.
 
 
 @dataclass(frozen=True)
@@ -134,11 +91,11 @@ class Ball:
         return self.distance(x) <= tol
 
     def boundary_normal(self, x: Array) -> Array:
-        d = x - self.center
-        n = np.linalg.norm(d)
-        if n == 0.0:
+        d = np.asarray(x, dtype=float) - self.center
+        n = np.sqrt(np.vecdot(d, d))
+        if np.any(n == 0.0):
             raise ValueError("normal undefined at the center")
-        return d / n
+        return d / n[..., None]
 
     def to_dict(self) -> dict:
         return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
@@ -158,13 +115,13 @@ class Halfspace:
 
     def project(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        slack = x @ self.normal - self.offset
+        slack = np.vecdot(x, self.normal) - self.offset
         excess = np.maximum(slack, 0.0) / (self.normal @ self.normal)
         return x - excess[..., None] * self.normal
 
     def distance(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)
-        slack = x @ self.normal - self.offset
+        slack = np.vecdot(x, self.normal) - self.offset
         return np.maximum(slack, 0.0) / np.linalg.norm(self.normal)
 
     def contains(self, x: Array, tol: float = 1e-9):
@@ -294,19 +251,10 @@ class IntersectionSet:
         return np.linalg.norm(x - self.project(x), axis=-1)
 
     def contains(self, x: Array, tol: float = 1e-9):
-        result = None
-        for s in self.sets:
-            c = np.atleast_1d(s.contains(x, tol))
-            result = c if result is None else (result & c)
-        if result.size == 1:
-            return bool(result[0])
-        return result
+        return np.logical_and.reduce([s.contains(x, tol) for s in self.sets])
 
     def to_dict(self) -> dict:
         return {"kind": "intersection", "sets": [s.to_dict() for s in self.sets]}
-
-
-_SET_KINDS = {}
 
 
 def set_from_dict(data: dict):
@@ -334,41 +282,43 @@ def set_from_dict(data: dict):
 class ConvexObjective:
     """A proper closed convex function given through oracles.
 
-    value_fn returns a float for finite values or EXT_INF for points outside
-    the domain.  subgradient_fn returns the least-norm element of the
-    subdifferential, or None when the subdifferential is empty.  prox_fn maps
-    (x, step) to argmin_z f(z) + ||z - x||^2 / (2 step).  The minimum value is
-    stored, not recomputed: tiny instances carry an exact or brute-force
-    minimum so that value gaps stay trustworthy at high accuracy.
+    value_fn maps points of shape (..., n) to floats of shape (...), +inf
+    outside the domain.  subgradient_fn returns the least-norm element of
+    the subdifferential, shape (..., n), with a row of NaN where the
+    subdifferential is empty.  prox_fn maps a 1-D point and a step to
+    argmin_z f(z) + ||z - x||^2 / (2 step).  The minimum value is stored,
+    not recomputed: tiny instances carry an exact or brute-force minimum so
+    that value gaps stay trustworthy at high accuracy.
     """
 
     dimension: int
-    value_fn: Callable[[Array], float | ExtReal]
+    value_fn: Callable[[Array], float | Array]
     min_value: float = 0.0
-    subgradient_fn: Optional[Callable[[Array], Optional[Array]]] = None
+    subgradient_fn: Optional[Callable[[Array], Array]] = None
     prox_fn: Optional[Callable[[Array, float], Array]] = None
     gradient_fn: Optional[Callable[[Array], Array]] = None
     lipschitz: Optional[float] = None
     name: str = ""
 
 
-def evaluate(obj: ConvexObjective, x) -> ExtReal:
-    """Objective value at x as an extended real."""
-    x = as_point(x, obj.dimension)
-    v = obj.value_fn(x)
-    if isinstance(v, ExtReal):
-        return v
-    return ExtReal(float(v))
+def evaluate(obj: ConvexObjective, x) -> float | Array:
+    """Objective values at the points x, +inf outside the domain."""
+    x = as_points(x, obj.dimension)
+    v = plain(obj.value_fn(x))
+    # NaN and -inf are the values that fail v > -inf
+    if not (v > -math.inf if isinstance(v, float) else (v > -math.inf).all()):
+        raise ValueError("value oracle returned NaN or -inf")
+    return v
 
 
-def value_gap(obj: ConvexObjective, x) -> ExtReal:
+def value_gap(obj: ConvexObjective, x) -> float | Array:
     """f(x) - min f, +inf outside the domain."""
     return evaluate(obj, x) - obj.min_value
 
 
-def min_norm_subgradient(obj: ConvexObjective, x) -> Optional[Array]:
-    """Least-norm subgradient at x, or None when x is outside dom(subdiff)."""
-    x = as_point(x, obj.dimension)
+def min_norm_subgradient(obj: ConvexObjective, x) -> Array:
+    """Least-norm subgradients at x; NaN rows where x is outside dom(subdiff)."""
+    x = as_points(x, obj.dimension)
     if obj.subgradient_fn is not None:
         return obj.subgradient_fn(x)
     if obj.gradient_fn is not None:
@@ -378,12 +328,11 @@ def min_norm_subgradient(obj: ConvexObjective, x) -> Optional[Array]:
     )
 
 
-def subgradient_norm(obj: ConvexObjective, x) -> float:
+def subgradient_norm(obj: ConvexObjective, x) -> float | Array:
     """||least-norm subgradient||; +inf sentinel outside dom(subdiff)."""
     g = min_norm_subgradient(obj, x)
-    if g is None:
-        return math.inf
-    return float(np.linalg.norm(g))
+    norm = np.sqrt(np.vecdot(g, g))
+    return plain(np.where(np.isnan(norm), math.inf, norm))
 
 
 def prox(obj: ConvexObjective, x, step: float) -> Array:
@@ -423,16 +372,19 @@ class CompositeObjective:
     def lipschitz(self) -> float:
         return float(self.smooth.lipschitz)
 
-    def value(self, x) -> ExtReal:
-        v = evaluate(self.nonsmooth, x)
-        if not v.is_finite:
-            return EXT_INF
-        return ExtReal(v.value + evaluate(self.smooth, x).finite_value())
+    def value(self, x) -> float | Array:
+        # the smooth part is finite everywhere, so +inf stays +inf
+        return evaluate(self.nonsmooth, x) + evaluate(self.smooth, x)
 
 
 # ---------------------------------------------------------------------------
 # standard building blocks
 # ---------------------------------------------------------------------------
+
+
+def _matvec(A: Array, x: Array) -> Array:
+    """A x for each row of x; stacked so every row keeps the 1-D BLAS bits."""
+    return (A @ x[..., None])[..., 0]
 
 
 def quadratic_objective(center, weight: float = 0.5, min_value: float = 0.0) -> ConvexObjective:
@@ -444,7 +396,7 @@ def quadratic_objective(center, weight: float = 0.5, min_value: float = 0.0) -> 
 
     def val(x):
         d = x - c
-        return w * float(d @ d) + min_value
+        return w * np.vecdot(d, d) + min_value
 
     def grad(x):
         return 2.0 * w * (x - c)
@@ -471,7 +423,7 @@ def scaled_l1(dimension: int, weight: float) -> ConvexObjective:
         raise ValueError("weight must be nonnegative")
 
     def val(x):
-        return w * float(np.abs(x).sum())
+        return w * np.abs(x).sum(axis=-1)
 
     def subgrad(x):
         # Least-norm element: weight*sign on the support, soft part off it.
@@ -491,13 +443,12 @@ def indicator(set_, dimension: int) -> ConvexObjective:
     """Indicator of a projectable convex set; prox is the projection."""
 
     def val(x):
-        return 0.0 if bool(set_.contains(x, tol=1e-12)) else EXT_INF
+        return np.where(set_.contains(x, tol=1e-12), 0.0, math.inf)
 
     def subgrad(x):
         # 0 is always the least-norm element of the normal cone on the set.
-        if bool(set_.contains(x, tol=1e-12)):
-            return np.zeros(dimension)
-        return None
+        inside = np.asarray(set_.contains(x, tol=1e-12))[..., None]
+        return np.where(inside, 0.0, np.full_like(x, math.nan))
 
     def prx(x, step):
         return set_.project(x)
@@ -517,11 +468,11 @@ def least_squares(A, y) -> ConvexObjective:
     spectral = float(np.linalg.norm(A, 2)) if A.size else 0.0
 
     def val(x):
-        r = A @ x - y
-        return 0.5 * float(r @ r)
+        r = _matvec(A, x) - y
+        return 0.5 * np.vecdot(r, r)
 
     def grad(x):
-        return A.T @ (A @ x - y)
+        return _matvec(A.T, _matvec(A, x) - y)
 
     return ConvexObjective(
         dimension=A.shape[1], value_fn=val, min_value=0.0,
@@ -534,10 +485,10 @@ def zero_objective(dimension: int) -> ConvexObjective:
     """The zero function: smooth with L = 0 and identity prox."""
     return ConvexObjective(
         dimension=dimension,
-        value_fn=lambda x: 0.0,
+        value_fn=lambda x: np.zeros(x.shape[:-1]),
         min_value=0.0,
-        gradient_fn=lambda x: np.zeros(dimension),
-        subgradient_fn=lambda x: np.zeros(dimension),
+        gradient_fn=np.zeros_like,
+        subgradient_fn=np.zeros_like,
         prox_fn=lambda x, step: x.copy(),
         lipschitz=0.0,
         name="zero",
@@ -553,11 +504,11 @@ def lasso_objective(A, y, mu: float, min_value: float = 0.0) -> ConvexObjective:
         raise ValueError("mu must be positive")
 
     def val(x):
-        r = A @ x - y
-        return 0.5 * float(r @ r) + mu * float(np.abs(x).sum())
+        r = _matvec(A, x) - y
+        return 0.5 * np.vecdot(r, r) + mu * np.abs(x).sum(axis=-1)
 
     def subgrad(x):
-        g = A.T @ (A @ x - y)
+        g = _matvec(A.T, _matvec(A, x) - y)
         out = np.where(
             x != 0.0,
             g + mu * np.sign(x),
@@ -596,8 +547,8 @@ def feasibility_objective(sets: Sequence, weights, min_value: float = 0.0) -> Co
         raise ValueError("could not infer dimension from the sets")
 
     def val(x):
-        return 0.5 * float(sum(wi * float(np.asarray(s.distance(x)) ** 2)
-                               for wi, s in zip(w, sets)))
+        return 0.5 * sum(wi * np.asarray(s.distance(x)) ** 2
+                         for wi, s in zip(w, sets))
 
     def grad(x):
         out = np.zeros_like(x)
@@ -616,7 +567,7 @@ def half_squared_distance(set_, dimension: int) -> ConvexObjective:
     """h(x) = 0.5 dist^2(x, C): smooth with gradient x - P_C(x) and L = 1."""
 
     def val(x):
-        return 0.5 * float(np.asarray(set_.distance(x)) ** 2)
+        return 0.5 * np.asarray(set_.distance(x)) ** 2
 
     def grad(x):
         return x - set_.project(x)
@@ -634,30 +585,31 @@ def alternating_objective(c1, c2, dimension: int) -> ConvexObjective:
     The least-norm subgradient needs the normal cone of C1, so C1 must be a
     Ball or a Halfspace (the only boundary geometries exposed here).
     """
-
     def val(x):
-        if not bool(c1.contains(x, tol=1e-12)):
-            return EXT_INF
-        return 0.5 * float(np.asarray(c2.distance(x)) ** 2)
+        inside = c1.contains(x, tol=1e-12)
+        return np.where(inside, 0.5 * np.asarray(c2.distance(x)) ** 2, math.inf)
 
     def subgrad(x):
-        if not bool(c1.contains(x, tol=1e-12)):
-            return None
         v = x - c2.project(x)
         # distance(x) is zero on all of C1, so detect the boundary by slack
         if isinstance(c1, Ball):
-            slack = c1.radius - np.linalg.norm(x - c1.center)
+            d = x - c1.center
+            slack = c1.radius - np.sqrt(np.vecdot(d, d))
         elif isinstance(c1, Halfspace):
-            slack = (c1.offset - x @ c1.normal) / np.linalg.norm(c1.normal)
+            slack = ((c1.offset - np.vecdot(x, c1.normal))
+                     / np.linalg.norm(c1.normal))
         else:
             raise UnsupportedOracleError(
                 "normal cone available only for Ball or Halfspace C1"
             )
-        if slack > 1e-12:
-            return v
-        n = c1.boundary_normal(x)
-        t = max(0.0, -float(v @ n))
-        return v + t * n
+        # on the boundary, add the normal-cone multiple that minimizes norm
+        boundary = np.asarray(slack <= 1e-12)
+        vb = v[boundary]
+        n = np.broadcast_to(c1.boundary_normal(x[boundary]), vb.shape)
+        t = np.maximum(0.0, -np.vecdot(vb, n))
+        v[boundary] = vb + t[..., None] * n
+        inside = np.asarray(c1.contains(x, tol=1e-12))[..., None]
+        return np.where(inside, v, math.nan)
 
     return ConvexObjective(
         dimension=dimension, value_fn=val, min_value=0.0,

@@ -252,7 +252,7 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
     grad = composite.smooth.gradient_fn
 
     iterates = [x]
-    values = [composite.value(x).as_float()]
+    values = [composite.value(x)]
     step_norms, witness_norms, step_sizes = [], [], []
     converged = False
     gx = grad(x)
@@ -266,7 +266,7 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
         gxn = grad(xn)
         witness = (x - xn) / lam - gx + gxn
         iterates.append(xn)
-        values.append(composite.value(xn).as_float())
+        values.append(composite.value(xn))
         step_norms.append(move)
         witness_norms.append(float(np.linalg.norm(witness)))
         step_sizes.append(lam)

@@ -21,12 +21,36 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from klcert.convex import ConvexObjective, subgradient_norm, value_gap
+from klcert.convex import (
+    ConvexObjective,
+    as_points,
+    plain,
+    subgradient_norm,
+    value_gap,
+)
 from klcert.regions import WholeSpace, region_from_dict
 
 
 class NonModerateResidualError(ValueError):
     """Residual has no derivable moderation constant; equivalence may fail."""
+
+
+def _libm_pow(base, exponent: float) -> np.ndarray:
+    """base ** exponent elementwise through the platform's libm pow.
+
+    np.power's SIMD loops round differently from libm on a few percent of
+    inputs; the object loop calls float.__pow__ per element, so a batch
+    gets the bits that Python floats get one at a time.
+    """
+    base = np.asarray(base, dtype=float)
+    return np.asarray(np.power(base.astype(object), float(exponent)),
+                      dtype=float)
+
+
+def _map_floats(fn, s) -> np.ndarray:
+    """fn applied to each entry of s as a Python float (for black boxes)."""
+    s = np.asarray(s, dtype=float)
+    return np.array([float(fn(v)) for v in s.ravel().tolist()]).reshape(s.shape)
 
 
 def _invert_increasing(fn, target: float, hi0: float, tol: float = 1e-12,
@@ -66,7 +90,8 @@ class Desingularizer:
     def phi(self, s: float) -> float:
         raise NotImplementedError
 
-    def phi_prime(self, s: float) -> float:
+    def phi_prime(self, s):
+        """phi' elementwise: a float for a float, an array for an array."""
         raise NotImplementedError
 
     def psi(self, alpha: float) -> float:
@@ -131,10 +156,13 @@ class PowerDesingularizer(Desingularizer):
             raise ValueError("phi needs a nonnegative argument")
         return self.scale * s ** (1.0 / self.exponent)
 
-    def phi_prime(self, s: float) -> float:
-        if s <= 0:
-            return math.inf if self.exponent > 1 else self.scale
-        return self.scale / self.exponent * s ** (1.0 / self.exponent - 1.0)
+    def phi_prime(self, s):
+        s = np.asarray(s, dtype=float)
+        out = np.full(s.shape, math.inf if self.exponent > 1 else self.scale)
+        pos = s > 0
+        out[pos] = self.scale / self.exponent * _libm_pow(
+            s[pos], 1.0 / self.exponent - 1.0)
+        return plain(out)
 
     def psi(self, alpha: float) -> float:
         if alpha < 0:
@@ -201,10 +229,10 @@ class GlobalizedDesingularizer(Desingularizer):
             return self.base.phi(s)
         return self.base.phi(self.junction) + (s - self.junction) * self.slope
 
-    def phi_prime(self, s: float) -> float:
-        if s <= self.junction:
-            return self.base.phi_prime(s)
-        return self.slope
+    def phi_prime(self, s):
+        s = np.asarray(s, dtype=float)
+        return plain(np.where(s <= self.junction, self.base.phi_prime(s),
+                              self.slope))
 
     def psi(self, alpha: float) -> float:
         if alpha < 0:
@@ -257,8 +285,8 @@ class TabulatedDesingularizer(Desingularizer):
             raise ValueError("phi needs a nonnegative argument")
         return float(self._phi_fn(s)) if s > 0 else 0.0
 
-    def phi_prime(self, s: float) -> float:
-        return float(self._phi_prime_fn(s))
+    def phi_prime(self, s):
+        return plain(_map_floats(self._phi_prime_fn, s))
 
     def psi(self, alpha: float) -> float:
         if alpha < 0:
@@ -308,14 +336,16 @@ class ErrorBoundCertificate:
         if self.form in ("power", "two-regime") and self.p < 1:
             raise ValueError("residual exponent p must be at least 1")
 
-    def residual(self, s: float) -> float:
-        if s < 0:
+    def residual(self, s):
+        """omega elementwise: a float for a float, an array for an array."""
+        s = np.asarray(s, dtype=float)
+        if np.any(s < 0):
             raise ValueError("residual needs a nonnegative argument")
         if self.form == "power":
-            return (s / self.gamma) ** (1.0 / self.p)
+            return plain(_libm_pow(s / self.gamma, 1.0 / self.p))
         if self.form == "two-regime":
-            return (s + s ** (1.0 / self.p)) / self.gamma0
-        return float(self.residual_fn(s))
+            return plain((s + _libm_pow(s, 1.0 / self.p)) / self.gamma0)
+        return plain(_map_floats(self.residual_fn, s))
 
     def to_dict(self) -> dict:
         if self.form == "general":
@@ -432,20 +462,21 @@ def extend_error_bound_globally(gamma: float, p: float, r0: float):
     return gamma0, cert
 
 
-def kl_gap(d: Desingularizer, obj: ConvexObjective, x) -> Optional[float]:
-    """phi'(f(x) - min f) * ||least-norm subgradient|| - 1, or None when x is
-    outside the certified region or value band (not a failure, just out of
-    domain).  +inf when the subdifferential is empty, which certifies
-    trivially."""
-    gap = value_gap(obj, x)
-    if not gap.is_finite:
-        return None
-    g = gap.finite_value()
-    if g <= 0.0 or g >= d.r0:
-        return None
-    if d.region is not None and not d.region.contains(np.asarray(x, dtype=float)):
-        return None
-    norm = subgradient_norm(obj, x)
-    if math.isinf(norm):
-        return math.inf
-    return d.phi_prime(g) * norm - 1.0
+def kl_gap(d: Desingularizer, obj: ConvexObjective, x):
+    """phi'(f(x) - min f) * ||least-norm subgradient|| - 1 at each point.
+
+    Points of shape (..., n) give gaps of shape (...).  A gap is NaN where
+    the point does not count: outside the domain, the value band (0, r0) or
+    the certified region (not a failure, just out of domain).  It is +inf
+    where the subdifferential is empty, which certifies trivially.
+    """
+    x = as_points(x, obj.dimension)
+    gap = np.asarray(value_gap(obj, x))
+    counts = np.isfinite(gap) & (gap > 0.0) & (gap < d.r0)
+    if d.region is not None:
+        counts &= np.asarray(d.region.contains(x))
+    norm = np.asarray(subgradient_norm(obj, x[counts]))
+    slope = np.asarray(d.phi_prime(gap[counts]))
+    out = np.full(gap.shape, math.nan)
+    out[counts] = np.where(np.isinf(norm), math.inf, slope * norm - 1.0)
+    return plain(out)

@@ -1,8 +1,8 @@
 """Stable region descriptors for certificates.
 
 A region says where a certificate is claimed to hold.  Regions know how to
-test membership and how to draw uniform samples of themselves, which is what
-the sampling-based verification checks consume.
+test membership of points of shape (..., n) and how to draw uniform samples
+of themselves, which is what the sampling-based verification checks consume.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ class L1Ball:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = 1e-9):
         x = np.asarray(x, dtype=float)
-        return float(np.abs(x).sum()) <= self.radius + tol
+        return np.abs(x).sum(axis=-1) <= self.radius + tol
 
     def sample(self, rng: np.random.Generator, dimension: int, count: int) -> Array:
         # Dirichlet magnitudes give a uniform simplex point; random signs and
@@ -52,9 +52,9 @@ class MetricBall:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
+    def contains(self, x, tol: float = 1e-9):
+        d = np.asarray(x, dtype=float) - self.center
+        return np.sqrt(np.vecdot(d, d)) <= self.radius + tol
 
     def sample(self, rng: np.random.Generator, dimension: int, count: int) -> Array:
         if dimension != self.center.shape[0]:
@@ -76,8 +76,8 @@ class MetricBall:
 class WholeSpace:
     """No geometric restriction; sampling needs an explicit anchor and scale."""
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return True
+    def contains(self, x, tol: float = 1e-9):
+        return np.ones(np.shape(x)[:-1], dtype=bool)
 
     def to_dict(self) -> dict:
         return {"kind": "whole-space"}

@@ -146,12 +146,10 @@ class CertificationReport:
 
 
 def _first_region_exit(region, iterates: np.ndarray) -> Optional[int]:
-    if region is None or isinstance(region, WholeSpace):
+    if region is None:
         return None
-    for k in range(iterates.shape[0]):
-        if not bool(region.contains(iterates[k])):
-            return k
-    return None
+    outside = ~np.asarray(region.contains(iterates))
+    return int(np.argmax(outside)) if outside.any() else None
 
 
 def check_majorization(run: DescentRun, maj: MajorantSequence,
@@ -278,19 +276,13 @@ def check_kl_sampling(d: Desingularizer, obj: ConvexObjective,
     """
     name = "kl-sampling"
     rng = np.random.default_rng(seed)
-    pts = sampler(rng, n_samples)
-    worst_gap = math.inf
-    valid = 0
-    for x in pts:
-        g = kl_gap(d, obj, x)
-        if g is None:
-            continue
-        valid += 1
-        if g < worst_gap:
-            worst_gap = g
+    gaps = kl_gap(d, obj, sampler(rng, n_samples))
+    counted = gaps[~np.isnan(gaps)]
+    valid = int(counted.size)
     if valid == 0:
         return CheckResult(name, "inconclusive", samples=0, tolerance=tol,
                            detail="no sample landed in the certified band")
+    worst_gap = float(np.min(counted))
     status = "pass" if worst_gap >= -tol else "fail"
     return CheckResult(name, status, worst_violation=-worst_gap,
                        samples=valid, tolerance=tol,
@@ -313,22 +305,13 @@ def check_error_bound_sampling(cert: ErrorBoundCertificate,
     rng = np.random.default_rng(seed)
     pts = sampler(rng, n_samples)
     dists = np.atleast_1d(solution_set.distance(pts))
-    worst = math.inf
-    valid = 0
-    for x, dist in zip(pts, dists):
-        gap = value_gap(obj, x)
-        if not gap.is_finite:
-            continue
-        g = max(gap.finite_value(), 0.0)
-        if g >= cert.r0:
-            continue
-        valid += 1
-        margin = cert.residual(g) - float(dist)
-        if margin < worst:
-            worst = margin
+    gaps = np.maximum(value_gap(obj, pts), 0.0)
+    counted = np.isfinite(gaps) & (gaps < cert.r0)
+    valid = int(np.count_nonzero(counted))
     if valid == 0:
         return CheckResult(name, "inconclusive", samples=0, tolerance=tol,
                            detail="no sample landed in the certified band")
+    worst = float(np.min(cert.residual(gaps[counted]) - dists[counted]))
     status = "pass" if worst >= -tol else "fail"
     return CheckResult(name, status, worst_violation=-worst, samples=valid,
                        tolerance=tol,

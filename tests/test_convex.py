@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klcert.convex import (
-    EXT_INF,
     AffineSet,
     Ball,
     CompositeObjective,
     ConvexObjective,
-    ExtReal,
     Halfspace,
     IntersectionSet,
     SingletonSet,
     UnsupportedOracleError,
+    alternating_objective,
     as_point,
     dykstra_projection,
     evaluate,
@@ -32,39 +31,50 @@ from klcert.convex import (
     scaled_l1,
     soft_threshold,
     subgradient_norm,
+    value_gap,
     zero_objective,
 )
+from klcert.desingularization import PowerDesingularizer, globalize, kl_gap
+from klcert.regions import MetricBall
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
-# extended reals and point validation
+# values in (-inf, +inf] and point validation
 # ---------------------------------------------------------------------------
 
 
-def test_ext_real_tags_infinity():
-    assert EXT_INF.infinite
-    assert not EXT_INF.is_finite
-    assert (EXT_INF - 5.0).infinite
-    v = ExtReal(3.0)
-    assert v.is_finite
-    assert (v - 1.0).finite_value() == 2.0
-    assert v.as_float() == 3.0
-    assert math.isinf(EXT_INF.as_float())
+def test_value_gap_is_inf_outside_domain():
+    # +inf is a plain float: subtracting min f keeps it +inf, never NaN
+    ball = indicator(Ball(np.zeros(2), 1.0), dimension=2)
+    obj = ConvexObjective(dimension=2, value_fn=ball.value_fn, min_value=5.0)
+    assert value_gap(obj, np.array([3.0, 0.0])) == math.inf
+    inside = value_gap(obj, np.array([0.5, 0.0]))
+    assert isinstance(inside, float) and inside == -5.0
+    gaps = value_gap(obj, np.array([[0.5, 0.0], [3.0, 0.0]]))
+    np.testing.assert_array_equal(gaps, [-5.0, math.inf])
 
 
-def test_ext_real_comparisons():
-    assert ExtReal(1.0) < ExtReal(2.0)
-    assert ExtReal(2.0) < EXT_INF
-    assert not (EXT_INF < ExtReal(2.0))
-    assert ExtReal(2.0) <= ExtReal(2.0)
+def test_value_gap_orders_infinity_above_finite_values():
+    obj = alternating_objective(Ball(np.zeros(2), 1.0),
+                                Halfspace(np.array([1.0, 0.0]), 0.0), 2)
+    pts = np.array([[0.5, 0.0], [2.0, 0.0], [0.9, 0.0], [0.0, 0.0]])
+    gaps = value_gap(obj, pts)
+    assert not np.any(np.isnan(gaps))
+    assert list(np.argsort(gaps)) == [3, 0, 2, 1]
+    assert np.min(gaps) == 0.0 and np.max(gaps) == math.inf
 
 
-def test_ext_real_finite_value_guards_infinity():
+def test_evaluate_rejects_nan_and_minus_inf_values():
+    for bad in (math.nan, -math.inf):
+        obj = ConvexObjective(
+            dimension=1, value_fn=lambda x, b=bad: np.full(x.shape[:-1], b))
+        with pytest.raises(ValueError):
+            evaluate(obj, np.zeros(1))
     with pytest.raises(ValueError):
-        EXT_INF.finite_value()
+        evaluate(quadratic_objective([0.0]), np.array([math.inf]))
 
 
 def test_as_point_validation():
@@ -242,9 +252,9 @@ def test_builders_are_convex_on_samples(rng):
             x = rng.normal(size=2) * 2.0
             y = rng.normal(size=2) * 2.0
             t = rng.uniform()
-            fx = evaluate(obj, x).finite_value()
-            fy = evaluate(obj, y).finite_value()
-            fm = evaluate(obj, t * x + (1 - t) * y).finite_value()
+            fx = evaluate(obj, x)
+            fy = evaluate(obj, y)
+            fm = evaluate(obj, t * x + (1 - t) * y)
             assert fm <= t * fx + (1 - t) * fy + 1e-9 * (1 + abs(fx) + abs(fy))
 
 
@@ -257,10 +267,10 @@ def test_subgradient_inequality_on_samples(rng):
             x = rng.normal(size=2) * 2.0
             y = rng.normal(size=2) * 2.0
             g = min_norm_subgradient(obj, x)
-            if g is None:
+            if np.any(np.isnan(g)):
                 continue
-            fx = evaluate(obj, x).finite_value()
-            fy = evaluate(obj, y).finite_value()
+            fx = evaluate(obj, x)
+            fy = evaluate(obj, y)
             assert fy >= fx + float(g @ (y - x)) - 1e-9 * (1 + abs(fx) + abs(fy))
 
 
@@ -275,16 +285,15 @@ def test_builder_gradients_match_finite_differences(rng):
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (evaluate(obj, x + e).finite_value()
-                      - evaluate(obj, x - e).finite_value()) / (2 * h)
+                fd = (evaluate(obj, x + e) - evaluate(obj, x - e)) / (2 * h)
                 assert abs(g[i] - fd) <= 1e-4 * (1 + abs(g[i]))
 
 
 def test_indicator_objective_values_and_prox():
     ball = Ball(np.zeros(2), 1.0)
     obj = indicator(ball, dimension=2)
-    assert evaluate(obj, np.array([0.5, 0.0])).is_finite
-    assert evaluate(obj, np.array([3.0, 0.0])).infinite
+    assert math.isfinite(evaluate(obj, np.array([0.5, 0.0])))
+    assert math.isinf(evaluate(obj, np.array([3.0, 0.0])))
     np.testing.assert_allclose(prox(obj, np.array([3.0, 0.0]), 2.0),
                                [1.0, 0.0], atol=1e-12)
     # least-norm normal-cone element on the set is 0
@@ -299,7 +308,7 @@ def test_min_norm_subgradient_requires_an_oracle():
 
 
 def test_subgradient_norm_sentinel_outside_domain():
-    # indicator subgradient oracle returns None off the set -> +inf norm
+    # indicator subgradient oracle returns a NaN row off the set -> +inf norm
     obj = indicator(Ball(np.zeros(2), 1.0), dimension=2)
     assert math.isinf(subgradient_norm(obj, np.array([5.0, 0.0])))
     assert subgradient_norm(obj, np.array([0.5, 0.0])) == 0.0
@@ -314,7 +323,7 @@ def test_composite_requires_gradient_and_prox():
     with pytest.raises(ValueError):
         CompositeObjective(smooth=smooth, nonsmooth=plain)
     comp = CompositeObjective(smooth=smooth, nonsmooth=with_prox)
-    assert comp.value(np.array([2.0])).finite_value() == pytest.approx(4.0)
+    assert comp.value(np.array([2.0])) == pytest.approx(4.0)
 
 
 def test_quadratic_lipschitz_and_least_squares_constant(rng):
@@ -323,3 +332,93 @@ def test_quadratic_lipschitz_and_least_squares_constant(rng):
     A = rng.normal(size=(4, 3))
     ls = least_squares(A, rng.normal(size=4))
     assert ls.lipschitz == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched oracles: row i of a batched call is the call on point i
+# ---------------------------------------------------------------------------
+
+_BALL = Ball(np.array([0.2, -0.1, 0.4]), 1.1)
+_HALF = Halfspace(np.array([1.0, -2.0, 0.5]), 0.3)
+
+
+def _factory_zoo() -> dict:
+    rng = np.random.default_rng(17)
+    A = rng.normal(size=(4, 3))
+    y = rng.normal(size=4)
+    return {
+        "quadratic": quadratic_objective([0.3, -0.2, 1.0], weight=0.7,
+                                         min_value=0.25),
+        "scaled-l1": scaled_l1(3, weight=0.6),
+        "indicator-ball": indicator(_BALL, 3),
+        "indicator-halfspace": indicator(_HALF, 3),
+        "least-squares": least_squares(A, y),
+        "zero": zero_objective(3),
+        "lasso": lasso_objective(A, y, mu=0.4, min_value=0.1),
+        "feasibility": feasibility_objective((_BALL, _HALF), weights=(0.3, 0.7)),
+        "half-squared-distance": half_squared_distance(_HALF, 3),
+        "alternating-ball": alternating_objective(_BALL, _HALF, 3),
+        "alternating-halfspace": alternating_objective(_HALF, _BALL, 3),
+    }
+
+
+def _probe_points() -> np.ndarray:
+    """Interior, exterior and boundary points, some with zero coordinates."""
+    rng = np.random.default_rng(23)
+    pts = rng.normal(size=(60, 3)) * 1.5
+    pts[::7, 0] = 0.0
+    pts[::13] = 0.0
+    on_ball = _BALL.project(_BALL.center + 3.0 * rng.normal(size=(10, 3)))
+    on_half = _HALF.project(rng.normal(size=(10, 3)) + 3.0 * _HALF.normal)
+    return np.concatenate([pts, on_ball, on_half])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(_factory_zoo()))
+def test_batched_oracles_match_point_calls(name):
+    obj = _factory_zoo()[name]
+    pts = _probe_points()
+    values = evaluate(obj, pts)
+    gaps = value_gap(obj, pts)
+    subgrads = min_norm_subgradient(obj, pts)
+    norms = subgradient_norm(obj, pts)
+    assert values.shape == (pts.shape[0],) and subgrads.shape == pts.shape
+    for i, x in enumerate(pts):
+        v = evaluate(obj, x)
+        assert isinstance(v, float)
+        assert _same_bits(values[i], v), (name, i)
+        assert _same_bits(gaps[i], value_gap(obj, x)), (name, i)
+        assert _same_bits(subgrads[i], min_norm_subgradient(obj, x)), (name, i)
+        assert _same_bits(norms[i], subgradient_norm(obj, x)), (name, i)
+    # any number of batch axes
+    grid = pts.reshape(2, -1, 3)
+    assert _same_bits(evaluate(obj, grid), values.reshape(2, -1))
+    assert _same_bits(min_norm_subgradient(obj, grid), subgrads.reshape(grid.shape))
+    # +inf exactly where the subdifferential is empty, never NaN
+    assert not np.any(np.isnan(gaps))
+    empty = np.isnan(subgrads)
+    assert np.array_equal(empty.any(axis=-1), empty.all(axis=-1))
+    assert np.array_equal(empty.any(axis=-1), np.isinf(values))
+    if name.startswith(("indicator", "alternating")):
+        assert 0 < np.count_nonzero(np.isinf(values)) < pts.shape[0]
+
+
+@pytest.mark.parametrize("name", sorted(_factory_zoo()))
+def test_batched_kl_gap_matches_point_calls(name):
+    obj = _factory_zoo()[name]
+    pts = _probe_points()
+    power = PowerDesingularizer(scale=1.3, exponent=2.0, r0=5.0,
+                                region=MetricBall(np.zeros(3), 2.5))
+    desingularizers = (power,
+                       PowerDesingularizer(scale=0.8, exponent=1.0),
+                       globalize(power, junction=1.0))
+    for d in desingularizers:
+        gaps = kl_gap(d, obj, pts)
+        assert gaps.shape == (pts.shape[0],)
+        for i, x in enumerate(pts):
+            assert _same_bits(gaps[i], kl_gap(d, obj, x)), (name, i)

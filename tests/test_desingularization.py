@@ -263,10 +263,10 @@ def test_kl_gap_zero_for_matched_sharp():
 def test_kl_gap_skips_minimum_and_region():
     obj = quadratic_objective(center=[0.0], weight=1.0)
     d = PowerDesingularizer(scale=1.0, exponent=2.0)
-    assert kl_gap(d, obj, np.zeros(1)) is None  # zero gap
+    assert math.isnan(kl_gap(d, obj, np.zeros(1)))  # zero gap
     d_banded = PowerDesingularizer(scale=1.0, exponent=2.0, r0=0.25)
-    assert kl_gap(d_banded, obj, np.array([1.0])) is None  # gap beyond r0
+    assert math.isnan(kl_gap(d_banded, obj, np.array([1.0])))  # gap beyond r0
     d_region = PowerDesingularizer(scale=1.0, exponent=2.0,
                                    region=MetricBall(np.zeros(1), 0.5))
-    assert kl_gap(d_region, obj, np.array([2.0])) is None  # outside region
-    assert kl_gap(d_region, obj, np.array([0.3])) is not None
+    assert math.isnan(kl_gap(d_region, obj, np.array([2.0])))  # outside region
+    assert not math.isnan(kl_gap(d_region, obj, np.array([0.3])))

@@ -10,15 +10,18 @@ from klcert.convex import (
     CompositeObjective,
     SingletonSet,
     quadratic_objective,
+    value_gap,
     zero_objective,
 )
 from klcert.descent import StepSchedule, forward_backward
 from klcert.desingularization import (
     ErrorBoundCertificate,
     PowerDesingularizer,
+    kl_gap,
     to_error_bound,
 )
 from klcert.error_bounds import uniformly_convex_profile
+from klcert.experiments import build_pipeline, load_instance, preset_configs
 from klcert.majorant import MajorantSequence, worst_case_sequence
 from klcert.regions import MetricBall, WholeSpace
 from klcert.verification import (
@@ -219,6 +222,50 @@ def test_error_bound_sampling_edge_statuses():
                                    n_samples=10, seed=0)
     assert c.status == "inconclusive"
     assert "no exact distance oracle" in c.detail
+
+
+def _pointwise_kl_sampling(d, obj, pts):
+    """The check's reference: one kl_gap call per sample."""
+    gaps = [kl_gap(d, obj, x) for x in pts]
+    counted = [g for g in gaps if not math.isnan(g)]
+    return len(counted), min(counted)
+
+
+def _pointwise_error_bound_sampling(cert, obj, dists, pts):
+    """The check's reference: one value_gap and residual call per sample."""
+    margins = []
+    for x, dist in zip(pts, dists):
+        gap = value_gap(obj, x)
+        if math.isinf(gap) or max(gap, 0.0) >= cert.r0:
+            continue
+        margins.append(cert.residual(max(gap, 0.0)) - float(dist))
+    return len(margins), min(margins)
+
+
+@pytest.mark.parametrize("config", [
+    c for p in ("tiny-lasso", "feasibility", "uniformly-convex",
+                "tight-quadratic") for c in preset_configs(p)],
+    ids=lambda c: c.name)
+def test_sampling_checks_match_pointwise_reference(config):
+    bundle = build_pipeline(load_instance(config), config)
+    d, cert = bundle.desingularizer, bundle.certificate
+    for factor in (1.0, 2.0):  # 2.0 fails the tight-quadratic certificate
+        d_f = scale_desingularizer(d, factor)
+        cert_f = scale_certificate(cert, factor)
+        pts = bundle.sampler(np.random.default_rng(4), 400)
+        valid, worst = _pointwise_kl_sampling(d_f, bundle.objective, pts)
+        c = check_kl_sampling(d_f, bundle.objective, bundle.sampler,
+                              n_samples=400, seed=4)
+        assert (c.samples, c.worst_violation) == (valid, -worst)
+
+        pts = bundle.sampler(np.random.default_rng(5), 400)
+        dists = np.atleast_1d(bundle.solution_set.distance(pts))
+        valid, worst = _pointwise_error_bound_sampling(
+            cert_f, bundle.objective, dists, pts)
+        c = check_error_bound_sampling(cert_f, bundle.objective,
+                                       bundle.solution_set, bundle.sampler,
+                                       n_samples=400, seed=5)
+        assert (c.samples, c.worst_violation) == (valid, -worst)
 
 
 def test_region_sampler_respects_geometry(rng):
