@@ -76,9 +76,7 @@ def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("empty sweep grid")
-    kwargs = {"workers": args.workers}
-    if args.steps is not None:
-        kwargs["max_steps"] = args.steps
+    kwargs = {} if args.steps is None else {"max_steps": args.steps}
     if args.seed is not None and "family" in config.instance:
         config.instance["seed"] = args.seed
     rows = sweep_relative_step(config, values, **kwargs)
@@ -146,7 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=",".join(f"{v:.1f}" for v in
                                     np.arange(0.1, 2.0, 0.1)),
                    help="comma-separated relative step sizes in (0, 2)")
-    s.add_argument("--workers", type=int, default=2)
     s.add_argument("--steps", type=int, default=None,
                    help="cap on iterations per sweep point")
     s.add_argument("--seed", type=int, default=None,

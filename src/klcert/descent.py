@@ -17,10 +17,7 @@ marked converged.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,7 +26,6 @@ import numpy as np
 from klcert.convex import (
     Array,
     CompositeObjective,
-    ConvexObjective,
     as_point,
     half_squared_distance,
     indicator,
@@ -37,7 +33,7 @@ from klcert.convex import (
     zero_objective,
 )
 from klcert.error_bounds import FeasibilityInstance, LassoInstance
-from klcert.tracefmt import write_trace
+from klcert.tracefmt import write_json
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,12 @@ def certificate_params(schedule: StepSchedule, lipschitz: float) -> DescentCerti
     return DescentCertificateParams(a=a, b=b)
 
 
+# every key of a run.json record; all of them are required on load
+RUN_FIELDS = ("schema_version", "method", "a", "b", "min_value", "converged",
+              "num_steps", "step_sizes", "step_norms", "witness_norms",
+              "iterates", "raw_values", "metadata")
+
+
 @dataclass
 class DescentRun:
     """Record of a descent trajectory and its certificate ingredients.
@@ -149,22 +151,6 @@ class DescentRun:
             return -math.inf
         return float(np.max(self.witness_norms - self.params.b * self.step_norms))
 
-    def trace_rows(self) -> list[dict]:
-        rows = []
-        gaps = self.gaps if self.min_value is not None else None
-        for k in range(len(self.raw_values)):
-            row = {"k": k}
-            if gaps is not None:
-                row["value_gap"] = float(gaps[k])
-            if k >= 1:
-                row["step_norm"] = float(self.step_norms[k - 1])
-                row["witness_norm"] = float(self.witness_norms[k - 1])
-            rows.append(row)
-        return rows
-
-    def to_csv(self, path) -> None:
-        write_trace(path, self.trace_rows())
-
     def to_metadata_dict(self) -> dict:
         return {
             "schema_version": 1,
@@ -184,43 +170,46 @@ class DescentRun:
         }
 
     def to_metadata_json(self, path) -> None:
-        payload = json.dumps(self.to_metadata_dict(), sort_keys=True, indent=2)
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(payload + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_json(path, self.to_metadata_dict())
 
     @staticmethod
     def from_metadata_dict(data: dict) -> "DescentRun":
-        iterates = np.asarray(data["iterates"], dtype=float)
-        raw = np.array([math.inf if v is None else float(v)
-                        for v in data["raw_values"]])
-        if "step_norms" in data:
-            steps = np.asarray(data["step_norms"], dtype=float)
-        elif iterates.shape[0] > 1:
-            steps = np.linalg.norm(np.diff(iterates, axis=0), axis=1)
-        else:
-            steps = np.zeros(0)
-        meta = data.get("metadata", {})
-        witness = np.asarray(data.get("witness_norms",
-                                      np.zeros_like(steps)), dtype=float)
+        """Inverse of to_metadata_dict.  Every field is required and the
+        per-step arrays must match num_steps; a malformed record raises
+        ValueError instead of being patched with defaults."""
+        missing = [key for key in RUN_FIELDS if key not in data]
+        if missing:
+            raise ValueError(f"run record lacks {', '.join(missing)}")
+        if data["schema_version"] != 1:
+            raise ValueError("unsupported run schema version")
+        try:
+            steps = int(data["num_steps"])
+            iterates = np.asarray(data["iterates"], dtype=float)
+            raw = np.array([math.inf if v is None else float(v)
+                            for v in data["raw_values"]])
+            step_norms, witness_norms, step_sizes = (
+                np.asarray(data[key], dtype=float)
+                for key in ("step_norms", "witness_norms", "step_sizes"))
+            params = DescentCertificateParams(a=float(data["a"]),
+                                              b=float(data["b"]))
+        except TypeError as exc:
+            raise ValueError(f"malformed run record: {exc}") from exc
+        if (iterates.ndim != 2 or len(iterates) != steps + 1
+                or raw.shape != (steps + 1,)
+                or any(v.shape != (steps,)
+                       for v in (step_norms, witness_norms, step_sizes))):
+            raise ValueError("run record arrays do not match num_steps")
         return DescentRun(
             method=data["method"],
-            params=DescentCertificateParams(a=float(data["a"]), b=float(data["b"])),
+            params=params,
             iterates=iterates,
             raw_values=raw,
-            step_norms=steps,
-            witness_norms=witness,
-            step_sizes=np.asarray(data["step_sizes"], dtype=float),
-            min_value=data.get("min_value"),
-            converged=bool(data.get("converged", False)),
-            metadata=meta,
+            step_norms=step_norms,
+            witness_norms=witness_norms,
+            step_sizes=step_sizes,
+            min_value=data["min_value"],
+            converged=bool(data["converged"]),
+            metadata=data["metadata"],
         )
 
 

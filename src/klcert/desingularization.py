@@ -373,15 +373,16 @@ class ErrorBoundCertificate:
 
 
 def desingularizer_from_dict(data: dict) -> Desingularizer:
+    """Inverse of to_dict; every key it writes is required (KeyError)."""
     form = data["form"]
     if form == "power":
-        region = data.get("region")
+        region = data["region"]
         return PowerDesingularizer(
             scale=float(data["scale"]),
             exponent=float(data["exponent"]),
-            r0=math.inf if data.get("r0") is None else float(data["r0"]),
+            r0=math.inf if data["r0"] is None else float(data["r0"]),
             region=region_from_dict(region) if region is not None else None,
-            ell=None if data.get("ell") is None else float(data["ell"]),
+            ell=None if data["ell"] is None else float(data["ell"]),
         )
     if form == "globalized":
         base = desingularizer_from_dict(data["base"])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
@@ -400,7 +399,7 @@ def feasibility_bound(inst: FeasibilityInstance, x0, variant: str = "barycentric
 
 
 # ---------------------------------------------------------------------------
-# profiles and exponents
+# profiles
 # ---------------------------------------------------------------------------
 
 
@@ -422,42 +421,3 @@ def uniformly_convex_profile(sigma: float, p: float, alpha0: float) -> Desingula
     scale = p * sigma ** (-1.0 / p)
     ell = (p - 1.0) * sigma * alpha0 ** (p - 2.0) / p ** (p - 1.0)
     return PowerDesingularizer(scale=scale, exponent=p, r0=math.inf, ell=ell)
-
-
-def piecewise_poly_exponent(degree: int, n: int) -> tuple[int, Fraction]:
-    """Worst-case growth data for a convex piecewise polynomial on R^n:
-    p = (degree - 1)^n + 1 and the companion exponent theta = 1 - 1/p."""
-    if degree < 1 or n < 1:
-        raise ValueError("degree and n must be positive integers")
-    p = (degree - 1) ** n + 1
-    return p, Fraction(p - 1, p)
-
-
-# ---------------------------------------------------------------------------
-# plain-text matrix IO
-# ---------------------------------------------------------------------------
-
-
-def write_matrix_text(path, matrix) -> None:
-    """Dimensions header then row-major entries, 17 significant digits."""
-    M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_matrix_text(path) -> Array:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("matrix file needs an 'm n' header line")
-        m, n = int(header[0]), int(header[1])
-        data = []
-        for line in fh:
-            if line.strip():
-                data.extend(float(tok) for tok in line.split())
-    arr = np.asarray(data, dtype=float)
-    if arr.size != m * n:
-        raise ValueError(f"expected {m * n} entries, found {arr.size}")
-    return arr.reshape(m, n)

@@ -1,12 +1,14 @@
 """End-to-end pipelines: instance -> method -> certificate -> majorant ->
-checks -> artifacts.
+checks -> artifacts, plus re-certification of stored artifacts, the
+step-size sweep and the shipped presets.
 
 A config fully determines an experiment; identical configs produce byte-
-identical artifacts (seeded sampling, sorted JSON keys, fixed-format CSV).
-The certificate block accepts two escape hatches used by the falsification
-harness: "scale_gamma" multiplies the growth constant, "override_q"
-replaces the certified rate — both exist so the check suite can prove it
-catches bad constants.
+identical artifacts (seeded sampling, sorted JSON keys, fixed-format CSV),
+all written through `klcert.tracefmt`.  The certificate block accepts two
+escape hatches used by the falsification harness: "scale_gamma" multiplies
+the growth constant, "override_q" replaces the certified rate — both exist
+so the check suite can prove it catches bad constants.  The sweep runs its
+grid of relative steps one after another in the calling thread.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -68,7 +68,7 @@ from klcert.problems import (
     lasso_from_payload,
 )
 from klcert.regions import L1Ball, WholeSpace
-from klcert.tracefmt import write_table, write_trace
+from klcert.tracefmt import TRACE_COLUMNS, write_json, write_table
 from klcert.verification import (
     CertificationReport,
     check_distance_bound,
@@ -80,20 +80,6 @@ from klcert.verification import (
     scale_certificate,
     scale_desingularizer,
 )
-
-
-def _atomic_json(path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass
@@ -122,7 +108,7 @@ class ExperimentConfig:
         }
 
     def to_json(self, path) -> None:
-        _atomic_json(path, self.to_dict())
+        write_json(path, self.to_dict())
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -434,6 +420,11 @@ def run_experiment(config: ExperimentConfig,
     return result
 
 
+# every key of a certificate.json record; all of them are required on load
+CERTIFICATE_FIELDS = ("schema_version", "desingularizer", "residual",
+                      "constants", "zeta", "q", "certificate_id")
+
+
 def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     run = result.bundle.run
@@ -448,9 +439,10 @@ def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
         "certificate.json", "report.json", "config.json")}
     result.instance.to_json(paths["instance.json"])
     run.to_metadata_json(paths["run.json"])
-    write_trace(paths["trace.csv"], merged_trace_rows(run, maj, xstar))
+    write_table(paths["trace.csv"], TRACE_COLUMNS,
+                merged_trace_rows(run, maj, xstar))
     maj.to_csv(paths["majorant.csv"])
-    _atomic_json(paths["certificate.json"], {
+    write_json(paths["certificate.json"], {
         "schema_version": 1,
         "desingularizer": result.bundle.desingularizer.to_dict(),
         "residual": result.bundle.certificate.to_dict(),
@@ -476,13 +468,19 @@ def certify_run(run_path: str, certificate_path: str,
         run = DescentRun.from_metadata_dict(json.load(fh))
     with open(certificate_path, "r", encoding="ascii") as fh:
         cert_doc = json.load(fh)
-    desing = desingularizer_from_dict(cert_doc["desingularizer"])
-    gaps = run.gaps
-    f0 = float(gaps[0])
+    missing = [key for key in CERTIFICATE_FIELDS if key not in cert_doc]
+    if missing:
+        raise ValueError(f"certificate record lacks {', '.join(missing)}")
+    if cert_doc["schema_version"] != 1:
+        raise ValueError("unsupported certificate schema version")
+    try:
+        desing = desingularizer_from_dict(cert_doc["desingularizer"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed desingularizer: {exc!r}") from exc
+    f0 = float(run.gaps[0])
     maj = worst_case_sequence(desing, f0, run.params, run.num_steps)
     report = CertificationReport(run_id=os.path.basename(run_path),
-                                 certificate_id=cert_doc.get(
-                                     "certificate_id", "stored"))
+                                 certificate_id=cert_doc["certificate_id"])
     report.add(check_majorization(run, maj, desing))
     report.add(check_distance_bound(run, maj))
     report.add(check_prox_step_domination(run, desing, maj.zeta))
@@ -500,7 +498,7 @@ SWEEP_COLUMNS = ("relative_step", "q", "certified_steps", "empirical_steps")
 
 
 def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
-                        workers: int = 2, epsilon_fraction: float = 0.5,
+                        epsilon_fraction: float = 0.5,
                         max_steps: int = 20000) -> list[dict]:
     """One row per relative step d: certified rate q(d), certified steps to
     the target gap, and the observed step count of the actual run.
@@ -523,21 +521,19 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
     f0 = inst.value(inst.x0) - min_value
     eps = epsilon_fraction * f0
 
-    def job(d_rel: float) -> dict:
+    rows = []
+    for d_rel in values:
         schedule = StepSchedule.over_lipschitz(d_rel, L)
         params = certificate_params(schedule, L)
         q = 1.0 + 2.0 * params.a * gamma_R / params.b ** 2
         certified = steps_to_epsilon(q, f0, eps)
         run = ista(inst, schedule, max(1, min(certified, max_steps)),
                    min_value=min_value)
-        gaps = run.gaps
-        below = np.nonzero(gaps <= eps)[0]
+        below = np.nonzero(run.gaps <= eps)[0]
         empirical = int(below[0]) if below.size else None
-        return {"relative_step": float(d_rel), "q": q,
-                "certified_steps": certified, "empirical_steps": empirical}
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(job, values))
+        rows.append({"relative_step": float(d_rel), "q": q,
+                     "certified_steps": certified,
+                     "empirical_steps": empirical})
     return rows
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from klcert.descent import DescentCertificateParams
 from klcert.desingularization import Desingularizer, PowerDesingularizer
-from klcert.tracefmt import write_trace
+from klcert.tracefmt import TRACE_COLUMNS, write_table
 
 
 class AssumptionViolationError(ValueError):
@@ -182,7 +182,7 @@ class MajorantSequence:
         return rows
 
     def to_csv(self, path) -> None:
-        write_trace(path, self.trace_rows())
+        write_table(path, TRACE_COLUMNS, self.trace_rows())
 
 
 def worst_case_sequence(d: Desingularizer, r0: float,
@@ -283,21 +283,3 @@ def steps_to_epsilon(q: float, f0: float, eps: float) -> int:
     while k * logq < target:
         k += 1
     return k
-
-
-def detect_regime_change(alpha: Sequence[float], rtol: float = 0.05
-                         ) -> Optional[int]:
-    """Index of the largest curvature break of log alpha_k, or None.
-
-    A globalized certificate decays arithmetically on its affine-inverse
-    branch and geometrically past the junction; the switch is a kink in
-    log alpha.  Returns the position of the largest second difference of
-    log alpha provided it exceeds rtol, else None.
-    """
-    a = np.asarray(alpha, dtype=float)
-    a = a[a > 0]
-    if a.size < 3:
-        return None
-    second = np.abs(np.diff(np.log(a), n=2))
-    k = int(np.argmax(second))
-    return k + 1 if second[k] > rtol else None

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +29,7 @@ from klcert.error_bounds import (
     LassoInstance,
     LinearSystemPair,
 )
+from klcert.tracefmt import write_json
 
 GRID_RESOLUTION = {1: 1e-3, 2: 1e-3, 3: 1e-2}
 
@@ -112,45 +111,14 @@ def lasso_polish(A: Array, y: Array, mu: float, x_start,
     return x
 
 
-def lasso_coordinate_descent(A: Array, y: Array, mu: float, x0,
-                             sweeps: int = 100000,
-                             tol: float = 1e-16) -> Array:
-    """Exact cyclic coordinate minimization of the l1 problem.
-
-    Each coordinate update is a closed-form soft threshold, so the sweep
-    limit only matters for ill-conditioned instances.  Used as a solver in
-    its own right and as an independent cross-check of the grid+polish
-    reference minima.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = as_point(x0, A.shape[1]).copy()
-    col_sq = np.einsum("ij,ij->j", A, A)
-    for _ in range(sweeps):
-        r = y - A @ x
-        delta = 0.0
-        for j in range(x.shape[0]):
-            if col_sq[j] == 0.0:
-                continue
-            rho = float(A[:, j] @ r) + col_sq[j] * x[j]
-            new = math.copysign(max(abs(rho) - mu, 0.0), rho) / col_sq[j]
-            if new != x[j]:
-                r = r - A[:, j] * (new - x[j])
-                delta = max(delta, abs(new - x[j]))
-                x[j] = new
-        if delta <= tol * max(1.0, float(np.max(np.abs(x)))):
-            break
-    return x
-
-
-def lasso_reference_minimum(A: Array, y: Array, mu: float,
-                            use_grid: bool = True) -> tuple[Array, float]:
+def lasso_reference_minimum(A: Array, y: Array, mu: float
+                            ) -> tuple[Array, float]:
     """Brute-force minimizer: dense grid (n <= 3) seeding a polish to a
     proximal fixed point.  Above n = 3 the polish runs from the origin,
     which convexity makes equally valid, just not grid-certified."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[1]
-    if use_grid and n <= 3:
+    if n <= 3:
         seed_point, _ = lasso_grid_minimum(A, y, mu)
     else:
         seed_point = np.zeros(n)
@@ -407,17 +375,7 @@ class GeneratedInstance:
         }
 
     def to_json(self, path) -> None:
-        payload = json.dumps(self.to_dict(), sort_keys=True, indent=2)
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(payload + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_json(path, self.to_dict())
 
     @staticmethod
     def from_dict(data: dict) -> "GeneratedInstance":

@@ -1,18 +1,23 @@
-"""One CSV schema for method traces and worst-case majorant traces.
+"""Artifact writers: the one atomic file writer, JSON and CSV on top of it.
 
-RFC 4180 lines (CRLF, '.' decimal separator), 17 significant digits so that
-round-tripping and byte-for-byte reproducibility hold.  Both kinds of trace
-share the columns, which makes overlay plotting trivial; writers leave the
+Every artifact goes through `_atomic_write`: the bytes land in a temporary
+file next to the target and are renamed over it, so a partial file never
+appears under the target name.  JSON is ASCII with sorted keys and a
+two-space indent.  CSV is RFC 4180 (CRLF, '.' decimal separator) with 17
+significant digits, so that round-tripping and byte-for-byte
+reproducibility hold.  Method traces and worst-case majorant traces share
+TRACE_COLUMNS, which makes overlay plotting trivial; writers leave the
 columns they do not know empty.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 import os
 import tempfile
-from typing import Optional
 
 TRACE_COLUMNS = (
     "k",
@@ -25,71 +30,49 @@ TRACE_COLUMNS = (
 )
 
 
-def format_float(v: Optional[float]) -> str:
-    if v is None:
-        return ""
-    if math.isinf(v):
-        return "inf"
-    return f"{v:.17g}"
-
-
-def write_trace(path, rows) -> None:
-    """rows: iterable of dicts keyed by TRACE_COLUMNS (missing -> empty).
-
-    Written atomically so partial files never appear under the target name.
-    """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _atomic_write(path, text: str) -> None:
+    data = text.encode("ascii")
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(TRACE_COLUMNS)
-            for row in rows:
-                out = []
-                for col in TRACE_COLUMNS:
-                    v = row.get(col)
-                    if col == "k":
-                        out.append(str(int(v)))
-                    else:
-                        out.append(format_float(v))
-                writer.writerow(out)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload: dict) -> None:
+    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_table(path, fieldnames, rows) -> None:
-    """Generic RFC-4180 table with the same float formatting as traces.
+    """rows: dicts keyed by fieldnames (missing -> empty cell).
 
-    Integer-valued cells are written without a decimal point; None becomes
-    an empty cell.  Atomic like write_trace.
+    Integer cells are written without a decimal point, None becomes an
+    empty cell and anything else is a float: "inf" when infinite (of
+    either sign), else 17 significant digits.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(fieldnames)
-            for row in rows:
-                out = []
-                for col in fieldnames:
-                    v = row.get(col)
-                    if v is None:
-                        out.append("")
-                    elif isinstance(v, bool):
-                        out.append(str(int(v)))
-                    elif isinstance(v, int):
-                        out.append(str(v))
-                    else:
-                        out.append(format_float(float(v)))
-                writer.writerow(out)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(fieldnames)
+    for row in rows:
+        out = []
+        for col in fieldnames:
+            v = row.get(col)
+            if v is None:
+                out.append("")
+            elif isinstance(v, bool):
+                out.append(str(int(v)))
+            elif isinstance(v, int):
+                out.append(str(v))
+            else:
+                v = float(v)
+                out.append("inf" if math.isinf(v) else f"{v:.17g}")
+        writer.writerow(out)
+    _atomic_write(path, buf.getvalue())
 
 
 def read_trace(path) -> list[dict]:

@@ -16,12 +16,9 @@ draws.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,6 +40,7 @@ from klcert.desingularization import (
 )
 from klcert.majorant import MajorantSequence, empirical_prox_steps
 from klcert.regions import MetricBall, WholeSpace
+from klcert.tracefmt import write_json
 
 STATUSES = ("pass", "fail", "region-violated", "skipped", "inconclusive")
 
@@ -105,17 +103,7 @@ class CertificationReport:
         }
 
     def to_json(self, path) -> None:
-        payload = json.dumps(self.to_dict(), sort_keys=True, indent=2)
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(payload + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_json(path, self.to_dict())
 
     @staticmethod
     def from_dict(data: dict) -> "CertificationReport":

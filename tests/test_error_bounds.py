@@ -2,12 +2,11 @@
 least-squares bound, feasibility constants, and growth profiles."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from klcert.convex import Ball, IntersectionSet, dykstra_projection, evaluate
+from klcert.convex import Ball, IntersectionSet, evaluate
 from klcert.error_bounds import (
     FeasibilityInstance,
     LassoInstance,
@@ -17,10 +16,7 @@ from klcert.error_bounds import (
     lasso_gamma,
     lasso_nu,
     lasso_sign_system,
-    piecewise_poly_exponent,
-    read_matrix_text,
     uniformly_convex_profile,
-    write_matrix_text,
 )
 from klcert.problems import generate_linear_system_pair
 from klcert.regions import MetricBall
@@ -261,30 +257,3 @@ def test_uniformly_convex_profile_validation():
         uniformly_convex_profile(sigma=1.0, p=1.5, alpha0=1.0)
     with pytest.raises(ValueError):
         uniformly_convex_profile(sigma=1.0, p=2.0, alpha0=0.0)
-
-
-def test_piecewise_poly_exponent_frozen():
-    assert piecewise_poly_exponent(2, 1) == (2, Fraction(1, 2))
-    assert piecewise_poly_exponent(2, 5) == (2, Fraction(1, 2))
-    assert piecewise_poly_exponent(1, 3) == (1, Fraction(0, 1))
-    assert piecewise_poly_exponent(3, 2) == (5, Fraction(4, 5))
-
-
-def test_piecewise_poly_exponent_monotone():
-    prev = 0
-    for deg in range(1, 6):
-        p, theta = piecewise_poly_exponent(deg, 2)
-        assert p >= prev
-        assert theta == Fraction(p - 1, p)
-        prev = p
-    with pytest.raises(ValueError):
-        piecewise_poly_exponent(0, 1)
-    with pytest.raises(ValueError):
-        piecewise_poly_exponent(2, 0)
-
-
-def test_matrix_text_round_trip(tmp_path):
-    m = np.array([[1.0, -2.5e-17], [3.14159, 1e300]])
-    path = tmp_path / "m.txt"
-    write_matrix_text(path, m)
-    np.testing.assert_array_equal(read_matrix_text(path), m)

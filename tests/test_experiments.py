@@ -1,16 +1,18 @@
 """End-to-end pipelines, artifacts, presets, sweep, and the command line."""
 
+import copy
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
 import pytest
 
 from klcert.cli import main
+from klcert.descent import RUN_FIELDS
 from klcert.desingularization import PowerDesingularizer
 from klcert.experiments import (
+    CERTIFICATE_FIELDS,
     PRESET_NAMES,
     SWEEP_COLUMNS,
     ExperimentConfig,
@@ -192,6 +194,52 @@ def test_certify_run_rejects_tampered_certificate(tmp_path):
     assert not report.passed
 
 
+@pytest.fixture(scope="module")
+def stored_artifacts(tmp_path_factory):
+    """run.json and certificate.json of a passing run, as parsed JSON."""
+    out = tmp_path_factory.mktemp("stored")
+    run_experiment(preset_configs("uniformly-convex")[0], out_dir=str(out))
+    assert certify_run(str(out / "run.json"),
+                       str(out / "certificate.json")).passed
+    return {name: json.loads((out / name).read_text())
+            for name in ("run.json", "certificate.json")}
+
+
+RUN_ARRAYS = ("iterates", "raw_values", "step_norms", "witness_norms",
+              "step_sizes")
+MALFORMED = (
+    [("run.json", "drop", key) for key in RUN_FIELDS]
+    + [("run.json", "truncate", key) for key in RUN_ARRAYS]
+    + [("run.json", "version", "schema_version")]
+    + [("certificate.json", "drop", key) for key in CERTIFICATE_FIELDS]
+    + [("certificate.json", "version", "schema_version")]
+    + [("certificate.json", "drop-nested", key)
+       for key in ("form", "scale", "exponent", "r0", "ell", "region")]
+)
+
+
+@pytest.mark.parametrize("artifact,edit,key", [
+    pytest.param(*case, id="-".join(case)) for case in MALFORMED])
+def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
+                                             capsys, artifact, edit, key):
+    docs = copy.deepcopy(stored_artifacts)
+    doc = docs[artifact]
+    if edit == "drop":
+        del doc[key]
+    elif edit == "drop-nested":
+        del doc["desingularizer"][key]
+    elif edit == "truncate":
+        doc[key] = doc[key][:-1]
+    else:
+        doc[key] = 2
+    for name, content in docs.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    code = main(["certify", "--run", str(tmp_path / "run.json"),
+                 "--certificate", str(tmp_path / "certificate.json")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # the step-size sweep
 # ---------------------------------------------------------------------------
@@ -200,7 +248,7 @@ def test_certify_run_rejects_tampered_certificate(tmp_path):
 def test_sweep_certifies_fastest_rate_at_half(tmp_path):
     cfg = preset_configs("tiny-lasso")[0]
     values = [0.1, 0.3, 0.5, 0.7, 1.0, 1.5]
-    rows = sweep_relative_step(cfg, values, workers=2, max_steps=50)
+    rows = sweep_relative_step(cfg, values, max_steps=50)
     assert [r["relative_step"] for r in rows] == values
     assert all(set(SWEEP_COLUMNS) <= set(r) for r in rows)
     qs = [r["q"] for r in rows]
@@ -292,3 +340,6 @@ def test_cli_error_paths(tmp_path, capsys):
                  "--certificate", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "tiny-lasso", "--workers", "2"])
+    assert exc.value.code == 2

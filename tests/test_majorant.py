@@ -11,8 +11,6 @@ from klcert.descent import DescentCertificateParams
 from klcert.desingularization import PowerDesingularizer, globalize
 from klcert.majorant import (
     AssumptionViolationError,
-    MajorantSequence,
-    detect_regime_change,
     empirical_prox_steps,
     prox_sequence,
     quadratic_complexity,
@@ -204,13 +202,3 @@ def test_steps_to_epsilon_is_tight():
         assert f0 / q ** k <= eps * (1 + 1e-12)
         if k > 0:
             assert f0 / q ** (k - 1) > eps
-
-
-def test_detect_regime_change_finds_kink():
-    arithmetic = list(np.linspace(10.0, 1.0, 10))
-    geometric = [1.0 * 0.5 ** k for k in range(1, 10)]
-    k = detect_regime_change(arithmetic + geometric)
-    assert k is not None
-    assert abs(k - 10) <= 2
-    assert detect_regime_change([2.0 ** (-j) for j in range(12)]) is None
-    assert detect_regime_change([1.0, 0.5]) is None
