@@ -15,6 +15,7 @@ from klcert.convex import (
     ConvexObjective,
     Halfspace,
     IntersectionSet,
+    NotConvergedError,
     SingletonSet,
     quadratic_objective,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "LinearSystemPair",
     "MajorantSequence",
     "NonModerateResidualError",
+    "NotConvergedError",
     "PowerDesingularizer",
     "QuadraticComplexity",
     "SingletonSet",

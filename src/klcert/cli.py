@@ -3,8 +3,9 @@
 Subcommands: generate (write an instance file), run (execute experiment
 configs or shipped presets and check their certificates), sweep (step-size
 study on an l1 instance), certify (re-check stored run artifacts).  `run`
-and `certify` exit nonzero exactly when some check fails; skipped or
-inconclusive checks never fail a run.
+and `certify` exit 1 exactly when some check fails; skipped or
+inconclusive checks never fail a run.  Bad arguments, malformed files and
+a projection that does not converge exit 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 
 import numpy as np
 
+from klcert.convex import NotConvergedError
 from klcert.experiments import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -164,7 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

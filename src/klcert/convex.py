@@ -28,6 +28,10 @@ class UnsupportedOracleError(RuntimeError):
     """Raised when an operation requires an oracle the objective lacks."""
 
 
+class NotConvergedError(RuntimeError):
+    """An iterative solver reached its cap before its stopping test held."""
+
+
 def as_points(x, dimension: Optional[int] = None) -> Array:
     """Validate points: float64 array of shape (..., n) with finite entries."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -52,6 +56,13 @@ def plain(v) -> float | Array:
     """A Python float for a single point, an array for a batch."""
     v = np.asarray(v, dtype=float)
     return float(v) if v.ndim == 0 else v
+
+
+def row_norms(v) -> Array:
+    """Euclidean norms over the last axis; entry i has the bits of
+    np.linalg.norm(v[i])."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(np.vecdot(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +223,9 @@ def dykstra_projection(
     Plain cyclic projections converge to *some* intersection point; the
     Dykstra correction terms are what make the limit the nearest one, which
     is required whenever the returned point feeds an exact distance.
-    Broadcasts over a leading batch axis.
+    Broadcasts over a leading batch axis.  Raises NotConvergedError when
+    max_cycles cycles end without meeting the stopping test, rather than
+    return a point that is not the projection.
     """
     if not sets:
         raise ValueError("need at least one set")
@@ -228,8 +241,10 @@ def dykstra_projection(
         move = np.max(np.linalg.norm(y - start, axis=-1))
         violation = max(np.max(np.atleast_1d(s.distance(y))) for s in sets)
         if move <= tol and violation <= 10 * tol:
-            break
-    return y
+            return y
+    raise NotConvergedError(
+        f"Dykstra projection did not converge in {max_cycles} cycles "
+        f"(last move {move:.3e}, violation {violation:.3e})")
 
 
 @dataclass(frozen=True)
@@ -330,8 +345,7 @@ def min_norm_subgradient(obj: ConvexObjective, x) -> Array:
 
 def subgradient_norm(obj: ConvexObjective, x) -> float | Array:
     """||least-norm subgradient||; +inf sentinel outside dom(subdiff)."""
-    g = min_norm_subgradient(obj, x)
-    norm = np.sqrt(np.vecdot(g, g))
+    norm = row_norms(min_norm_subgradient(obj, x))
     return plain(np.where(np.isnan(norm), math.inf, norm))
 
 

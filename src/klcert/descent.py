@@ -30,6 +30,7 @@ from klcert.convex import (
     half_squared_distance,
     indicator,
     prox,
+    row_norms,
     zero_objective,
 )
 from klcert.error_bounds import FeasibilityInstance, LassoInstance
@@ -136,14 +137,10 @@ class DescentRun:
 
     def h1_violation(self) -> float:
         """max_k of f(x_k) + a ||step_k||^2 - f(x_{k-1}) over finite pairs."""
-        worst = -math.inf
-        for k in range(1, len(self.raw_values)):
-            prev = self.raw_values[k - 1]
-            if math.isinf(prev):
-                continue
-            lhs = self.raw_values[k] + self.params.a * self.step_norms[k - 1] ** 2
-            worst = max(worst, lhs - prev)
-        return worst
+        prev = self.raw_values[:-1]
+        excess = (self.raw_values[1:] + self.params.a * self.step_norms ** 2
+                  - prev)[~np.isinf(prev)]
+        return float(np.max(excess, initial=-math.inf))
 
     def h2_violation(self) -> float:
         """max_k of ||w_k|| - b ||step_k||."""
@@ -160,12 +157,12 @@ class DescentRun:
             "min_value": self.min_value,
             "converged": self.converged,
             "num_steps": self.num_steps,
-            "step_sizes": [float(v) for v in self.step_sizes],
-            "step_norms": [float(v) for v in self.step_norms],
-            "witness_norms": [float(v) for v in self.witness_norms],
-            "iterates": [list(map(float, row)) for row in self.iterates],
-            "raw_values": [float(v) if not math.isinf(v) else None
-                           for v in self.raw_values],
+            "step_sizes": self.step_sizes.tolist(),
+            "step_norms": self.step_norms.tolist(),
+            "witness_norms": self.witness_norms.tolist(),
+            "iterates": self.iterates.tolist(),
+            "raw_values": np.where(np.isinf(self.raw_values), None,
+                                   self.raw_values).tolist(),
             "metadata": _jsonable(self.metadata),
         }
 
@@ -241,8 +238,7 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
     grad = composite.smooth.gradient_fn
 
     iterates = [x]
-    values = [composite.value(x)]
-    step_norms, witness_norms, step_sizes = [], [], []
+    step_norms, step_sizes = [], []
     converged = False
     gx = grad(x)
     for k in range(steps):
@@ -252,23 +248,24 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
         if move == 0.0:
             converged = True
             break
-        gxn = grad(xn)
-        witness = (x - xn) / lam - gx + gxn
         iterates.append(xn)
-        values.append(composite.value(xn))
         step_norms.append(move)
-        witness_norms.append(float(np.linalg.norm(witness)))
         step_sizes.append(lam)
-        x, gx = xn, gxn
+        x, gx = xn, grad(xn)
 
+    # w_k = (x_{k-1} - x_k) / lam_k - grad h(x_{k-1}) + grad h(x_k); the
+    # batched gradient has the bits of the calls made in the loop
+    X, lam = np.asarray(iterates), np.asarray(step_sizes)
+    G = grad(X)
+    witnesses = (X[:-1] - X[1:]) / lam[:, None] - G[:-1] + G[1:]
     return DescentRun(
         method=method,
         params=params,
-        iterates=np.asarray(iterates),
-        raw_values=np.asarray(values),
+        iterates=X,
+        raw_values=composite.value(X),
         step_norms=np.asarray(step_norms),
-        witness_norms=np.asarray(witness_norms),
-        step_sizes=np.asarray(step_sizes),
+        witness_norms=row_norms(witnesses),
+        step_sizes=lam,
         min_value=min_value,
         converged=converged,
     )
@@ -287,15 +284,15 @@ def ista(inst: LassoInstance, schedule: Optional[StepSchedule] = None,
         schedule = StepSchedule.over_lipschitz(DEFAULT_RELATIVE_STEP, L)
     run = forward_backward(inst.composite(), inst.x0, schedule, steps,
                            min_value=min_value, method="ista")
-    l1_norms = [float(np.abs(x).sum()) for x in run.iterates]
+    l1_norms = np.abs(run.iterates).sum(axis=-1)
     R = inst.radius_bound()
-    worst = max(l1_norms)
+    worst = float(np.max(l1_norms))
     if worst > R + 1e-9:
         # Guaranteed for any valid step schedule; tripping it means a bug,
         # not an unlucky instance.
         raise RuntimeError(
             f"iterate escaped the l1 ball: {worst!r} > R = {R!r}")
-    run.metadata["l1_norms"] = l1_norms
+    run.metadata["l1_norms"] = l1_norms.tolist()
     run.metadata["radius_bound"] = R
     run.metadata["lipschitz"] = L
     return run
@@ -313,8 +310,7 @@ def barycentric_projection(inst: FeasibilityInstance, x0, steps: int = 1000
     composite = CompositeObjective(smooth=f, nonsmooth=zero_objective(f.dimension))
     run = forward_backward(composite, x0, StepSchedule.constant(1.0), steps,
                            min_value=0.0, method="barycentric")
-    run.metadata["dist_to_xbar"] = [float(np.linalg.norm(x - inst.xbar))
-                                    for x in run.iterates]
+    run.metadata["dist_to_xbar"] = row_norms(run.iterates - inst.xbar).tolist()
     return run
 
 
@@ -343,8 +339,6 @@ def alternating_projection(inst: FeasibilityInstance, x0, steps: int = 1000
     run = forward_backward(composite, x0, StepSchedule.constant(1.0), steps,
                            min_value=0.0, method="alternating")
     run.metadata["projected_start"] = projected_start
-    run.metadata["dist_to_c2"] = [float(np.asarray(c2.distance(x)))
-                                  for x in run.iterates]
-    run.metadata["dist_to_xbar"] = [float(np.linalg.norm(x - inst.xbar))
-                                    for x in run.iterates]
+    run.metadata["dist_to_c2"] = c2.distance(run.iterates).tolist()
+    run.metadata["dist_to_xbar"] = row_norms(run.iterates - inst.xbar).tolist()
     return run

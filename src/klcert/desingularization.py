@@ -11,6 +11,12 @@ residuals omega(s) = (s / gamma)^(1/p) are moderate with constant c = 1/p
 same rescale works for the two-regime residual (s + s^(1/p)) / gamma0.
 Residuals without a derivable moderation constant are refused, since the
 conversion may fail for flat residuals.
+
+One calling convention covers phi, phi_prime, psi, psi_prime and the
+residual: a float gives a float, an array gives an array of the same shape,
+and entry i of a batched call has the bits of the call on entry i alone.
+Powers go through libm one element at a time (`libm_pow`), because numpy's
+SIMD power rounds differently on a few percent of inputs.
 """
 
 from __future__ import annotations
@@ -35,21 +41,52 @@ class NonModerateResidualError(ValueError):
     """Residual has no derivable moderation constant; equivalence may fail."""
 
 
-def _libm_pow(base, exponent: float) -> np.ndarray:
+def _operand(x, what: Optional[str] = None):
+    """x as a float (one point) or a float64 array (a batch).
+
+    When `what` names the function, negative entries are refused.  Python
+    floats stay floats, so the scalar recursions of the majorant (one psi'
+    call per bisection step) skip numpy's per-call overhead.
+    """
+    if type(x) is not float:
+        x = float(x) if isinstance(x, (int, float)) else plain(x)
+    if what is not None and (x < 0 if type(x) is float else (x < 0).any()):
+        raise ValueError(f"{what} needs a nonnegative argument")
+    return x
+
+
+def libm_pow(base, exponent):
     """base ** exponent elementwise through the platform's libm pow.
 
     np.power's SIMD loops round differently from libm on a few percent of
     inputs; the object loop calls float.__pow__ per element, so a batch
     gets the bits that Python floats get one at a time.
     """
-    base = np.asarray(base, dtype=float)
-    return np.asarray(np.power(base.astype(object), float(exponent)),
-                      dtype=float)
+    if isinstance(exponent, float):
+        if isinstance(base, float):
+            return float(base) ** float(exponent)
+        exponent = float(exponent)
+    else:
+        exponent = np.asarray(exponent, dtype=float).astype(object)
+    base = np.asarray(base, dtype=float).astype(object)
+    return np.asarray(np.power(base, exponent), dtype=float)
 
 
-def _map_floats(fn, s) -> np.ndarray:
+def _piecewise(x, inside, inner, outer):
+    """inner(x) where `inside` holds and outer(x) elsewhere, each branch
+    called on its own entries only; a float for a float x."""
+    if not isinstance(x, np.ndarray):
+        return inner(x) if inside else outer(x)
+    out = np.empty(x.shape)
+    out[inside] = inner(x[inside])
+    out[~inside] = outer(x[~inside])
+    return out
+
+
+def _map_floats(fn, s):
     """fn applied to each entry of s as a Python float (for black boxes)."""
-    s = np.asarray(s, dtype=float)
+    if isinstance(s, float):
+        return float(fn(s))
     return np.array([float(fn(v)) for v in s.ravel().tolist()]).reshape(s.shape)
 
 
@@ -80,29 +117,35 @@ def _invert_increasing(fn, target: float, hi0: float, tol: float = 1e-12,
 
 
 class Desingularizer:
-    """Common contract: phi, phi_prime, psi, psi_prime on [0, r0)."""
+    """Common contract: phi, phi_prime, psi, psi_prime on [0, r0).
+
+    Each acts elementwise: a float for a float, an array for an array, and
+    entry i of a batched call has the bits of the call on entry i alone.
+    """
 
     r0: float
     c: float
     region: object
     ell: Optional[float]
 
-    def phi(self, s: float) -> float:
+    def phi(self, s):
         raise NotImplementedError
 
     def phi_prime(self, s):
-        """phi' elementwise: a float for a float, an array for an array."""
         raise NotImplementedError
 
-    def psi(self, alpha: float) -> float:
+    def psi(self, alpha):
         raise NotImplementedError
 
-    def psi_prime(self, alpha: float) -> float:
+    def psi_prime(self, alpha):
         """Derivative of the inverse: 1 / phi'(psi(alpha))."""
-        if alpha == 0.0:
+        def at_zero(_):
             d = self.phi_prime(1e-300)
             return 0.0 if not math.isfinite(d) else 1.0 / d
-        return 1.0 / self.phi_prime(self.psi(alpha))
+
+        alpha = _operand(alpha)
+        return _piecewise(alpha, alpha != 0.0,
+                          lambda a: 1.0 / self.phi_prime(self.psi(a)), at_zero)
 
     def alpha0(self) -> float:
         """phi(r0); +inf when the band is unbounded and phi is."""
@@ -151,31 +194,27 @@ class PowerDesingularizer(Desingularizer):
             return 0.0  # psi' is constant, but psi'(0) != 0 still breaks (A)
         return None
 
-    def phi(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("phi needs a nonnegative argument")
-        return self.scale * s ** (1.0 / self.exponent)
+    def phi(self, s):
+        s = _operand(s, "phi")
+        return self.scale * libm_pow(s, 1.0 / self.exponent)
 
     def phi_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, math.inf if self.exponent > 1 else self.scale)
-        pos = s > 0
-        out[pos] = self.scale / self.exponent * _libm_pow(
-            s[pos], 1.0 / self.exponent - 1.0)
-        return plain(out)
+        s = _operand(s)
+        at_zero = math.inf if self.exponent > 1 else self.scale
+        return _piecewise(
+            s, s > 0,
+            lambda v: self.scale / self.exponent * libm_pow(
+                v, 1.0 / self.exponent - 1.0),
+            lambda v: at_zero)
 
-    def psi(self, alpha: float) -> float:
-        if alpha < 0:
-            raise ValueError("psi needs a nonnegative argument")
-        return (alpha / self.scale) ** self.exponent
+    def psi(self, alpha):
+        alpha = _operand(alpha, "psi")
+        return libm_pow(alpha / self.scale, self.exponent)
 
-    def psi_prime(self, alpha: float) -> float:
+    def psi_prime(self, alpha):
+        # 0^(p-1) is 0 for p > 1 and 1 for p = 1, so alpha = 0 needs no branch
         p = self.exponent
-        if alpha < 0:
-            raise ValueError("psi' needs a nonnegative argument")
-        if alpha == 0.0:
-            return 0.0 if p > 1 else 1.0 / self.scale
-        return p * alpha ** (p - 1.0) / self.scale ** p
+        return p * libm_pow(_operand(alpha, "psi'"), p - 1.0) / self.scale ** p
 
     def psi_prime_lipschitz(self, cap: float) -> Optional[float]:
         p = self.exponent
@@ -222,29 +261,27 @@ class GlobalizedDesingularizer(Desingularizer):
         self.c = base.c
         self.ell = base.psi_prime_lipschitz(self.alpha_junction)
 
-    def phi(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("phi needs a nonnegative argument")
-        if s <= self.junction:
-            return self.base.phi(s)
-        return self.base.phi(self.junction) + (s - self.junction) * self.slope
+    def phi(self, s):
+        s = _operand(s, "phi")
+        return _piecewise(
+            s, s <= self.junction, self.base.phi,
+            lambda v: self.alpha_junction + (v - self.junction) * self.slope)
 
     def phi_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        return plain(np.where(s <= self.junction, self.base.phi_prime(s),
-                              self.slope))
+        s = _operand(s)
+        return _piecewise(s, s <= self.junction, self.base.phi_prime,
+                          lambda v: self.slope)
 
-    def psi(self, alpha: float) -> float:
-        if alpha < 0:
-            raise ValueError("psi needs a nonnegative argument")
-        if alpha <= self.alpha_junction:
-            return self.base.psi(alpha)
-        return self.junction + (alpha - self.alpha_junction) / self.slope
+    def psi(self, alpha):
+        alpha = _operand(alpha, "psi")
+        return _piecewise(
+            alpha, alpha <= self.alpha_junction, self.base.psi,
+            lambda a: self.junction + (a - self.alpha_junction) / self.slope)
 
-    def psi_prime(self, alpha: float) -> float:
-        if alpha <= self.alpha_junction:
-            return self.base.psi_prime(alpha)
-        return 1.0 / self.slope
+    def psi_prime(self, alpha):
+        alpha = _operand(alpha)
+        return _piecewise(alpha, alpha <= self.alpha_junction,
+                          self.base.psi_prime, lambda a: 1.0 / self.slope)
 
     def psi_prime_lipschitz(self, cap: float) -> Optional[float]:
         # psi' is constant past the junction, so the base constant on the
@@ -280,22 +317,22 @@ class TabulatedDesingularizer(Desingularizer):
         self.region = region
         self.ell = ell
 
-    def phi(self, s: float) -> float:
-        if s < 0:
-            raise ValueError("phi needs a nonnegative argument")
-        return float(self._phi_fn(s)) if s > 0 else 0.0
+    def phi(self, s):
+        s = _operand(s, "phi")
+        return _piecewise(s, s > 0, lambda v: _map_floats(self._phi_fn, v),
+                          lambda v: 0.0)
 
     def phi_prime(self, s):
-        return plain(_map_floats(self._phi_prime_fn, s))
+        return _map_floats(self._phi_prime_fn, _operand(s))
 
-    def psi(self, alpha: float) -> float:
-        if alpha < 0:
-            raise ValueError("psi needs a nonnegative argument")
+    def psi(self, alpha):
+        alpha = _operand(alpha, "psi")
         a0 = self.alpha0()
-        if math.isfinite(a0) and alpha > a0 * (1.0 + 1e-12):
+        if math.isfinite(a0) and np.any(alpha > a0 * (1.0 + 1e-12)):
             raise ValueError("psi argument beyond phi(r0)")
         hi0 = min(self.r0, 1.0) if math.isfinite(self.r0) else 1.0
-        return _invert_increasing(self.phi, alpha, hi0)
+        return _map_floats(lambda a: _invert_increasing(self.phi, a, hi0),
+                           alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +375,12 @@ class ErrorBoundCertificate:
 
     def residual(self, s):
         """omega elementwise: a float for a float, an array for an array."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
-            raise ValueError("residual needs a nonnegative argument")
+        s = _operand(s, "residual")
         if self.form == "power":
-            return plain(_libm_pow(s / self.gamma, 1.0 / self.p))
+            return libm_pow(s / self.gamma, 1.0 / self.p)
         if self.form == "two-regime":
-            return plain((s + _libm_pow(s, 1.0 / self.p)) / self.gamma0)
-        return plain(_map_floats(self.residual_fn, s))
+            return (s + libm_pow(s, 1.0 / self.p)) / self.gamma0
+        return _map_floats(self.residual_fn, s)
 
     def to_dict(self) -> dict:
         if self.form == "general":

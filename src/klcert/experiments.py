@@ -29,6 +29,7 @@ from klcert.convex import (
     alternating_objective,
     half_squared_distance,
     quadratic_objective,
+    row_norms,
     zero_objective,
 )
 from klcert.descent import (
@@ -47,6 +48,7 @@ from klcert.desingularization import (
     PowerDesingularizer,
     desingularizer_from_dict,
     from_error_bound,
+    libm_pow,
     to_error_bound,
 )
 from klcert.error_bounds import (
@@ -112,6 +114,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        if "instance" not in data:
+            raise ValueError("config record lacks instance")
         return ExperimentConfig(
             instance=dict(data["instance"]),
             method=dict(data.get("method", {})),
@@ -267,7 +271,7 @@ def _build_tight_quadratic(gi: GeneratedInstance, method: dict
     inst, x0 = feasibility_from_payload(gi.payload)
     ball = inst.sets[0]
     n = inst.dimension
-    growth = float(gi.payload.get("growth_constant", 1.0))
+    growth = float(gi.payload["growth_constant"])
     smooth = half_squared_distance(ball, n)
     composite = CompositeObjective(smooth=smooth,
                                    nonsmooth=zero_objective(n))
@@ -323,8 +327,8 @@ def majorant_from_rate(d: Desingularizer, q: float, f0: float, params,
     """
     if q <= 1.0:
         raise ValueError("rate q must exceed 1")
-    psi_values = np.array([f0 / q ** k for k in range(steps + 1)])
-    alpha = np.array([d.phi(float(v)) for v in psi_values])
+    psi_values = f0 / libm_pow(q, np.arange(steps + 1))
+    alpha = d.phi(psi_values)
     ell = d.ell if d.ell is not None else d.psi_prime_lipschitz(float(alpha[0]))
     if ell is None:
         raise ValueError("profile has no Lipschitz constant for its inverse")
@@ -347,25 +351,39 @@ class ExperimentResult:
         return self.report.passed
 
 
+def _table_rows(count: int, columns: dict) -> list[dict]:
+    """Rows k = 0..count-1 for write_table from columns given as
+    (first row, values); a row outside a column's values gets an empty cell."""
+    cells = [range(count)]
+    for start, values in columns.values():
+        column = [None] * start + np.asarray(values).tolist()
+        cells.append(column[:count] + [None] * (count - len(column)))
+    names = ("k",) + tuple(columns)
+    return [dict(zip(names, row)) for row in zip(*cells)]
+
+
 def merged_trace_rows(run: DescentRun, maj: MajorantSequence,
                       xstar=None) -> list[dict]:
-    rows = []
-    for k in range(len(run.raw_values)):
-        row = {"k": k}
-        if run.min_value is not None and not math.isinf(run.raw_values[k]):
-            row["value_gap"] = float(run.raw_values[k]) - run.min_value
-        if k < len(maj.psi_values):
-            row["value_bound"] = float(maj.psi_values[k])
-        if k >= 1:
-            row["step_norm"] = float(run.step_norms[k - 1])
-            row["witness_norm"] = float(run.witness_norms[k - 1])
-            if k < len(maj.alpha):
-                row["distance_bound"] = maj.distance_bound(k)
-        if xstar is not None:
-            row["distance_to_xstar"] = float(
-                np.linalg.norm(np.asarray(run.iterates[k]) - xstar))
-        rows.append(row)
-    return rows
+    columns = {
+        "value_bound": (0, maj.psi_values),
+        "step_norm": (1, run.step_norms),
+        "witness_norm": (1, run.witness_norms),
+        "distance_bound": (1, maj.distance_bounds),
+    }
+    if run.min_value is not None:
+        # no gap at an infinite value (a start outside the domain)
+        columns["value_gap"] = (0, np.where(np.isinf(run.raw_values), None,
+                                            run.gaps))
+    if xstar is not None:
+        columns["distance_to_xstar"] = (0, row_norms(run.iterates - xstar))
+    return _table_rows(len(run.raw_values), columns)
+
+
+def majorant_rows(maj: MajorantSequence) -> list[dict]:
+    return _table_rows(len(maj.alpha), {
+        "value_bound": (0, maj.psi_values),
+        "distance_bound": (1, maj.distance_bounds),
+    })
 
 
 def run_experiment(config: ExperimentConfig,
@@ -441,7 +459,7 @@ def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
     run.to_metadata_json(paths["run.json"])
     write_table(paths["trace.csv"], TRACE_COLUMNS,
                 merged_trace_rows(run, maj, xstar))
-    maj.to_csv(paths["majorant.csv"])
+    write_table(paths["majorant.csv"], TRACE_COLUMNS, majorant_rows(maj))
     write_json(paths["certificate.json"], {
         "schema_version": 1,
         "desingularizer": result.bundle.desingularizer.to_dict(),

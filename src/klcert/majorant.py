@@ -24,7 +24,6 @@ import numpy as np
 
 from klcert.descent import DescentCertificateParams
 from klcert.desingularization import Desingularizer, PowerDesingularizer
-from klcert.tracefmt import TRACE_COLUMNS, write_table
 
 
 class AssumptionViolationError(ValueError):
@@ -69,21 +68,21 @@ def _assumption_ell(d: Desingularizer, alpha0: float) -> float:
     return float(ell)
 
 
-def _prox_point(psi_prime, alpha: float, step: float, max_iter: int = 200
-                ) -> float:
+def _prox_point(psi_prime, alpha: float, step: float) -> float:
     """Unique root of u + step * psi'(u) = alpha on [0, alpha].
 
     The map is strictly increasing, negative at 0 (psi'(0) = 0) and
-    nonnegative at alpha, so plain bisection converges; iteration stops
-    when the midpoint stops moving in double precision.
+    nonnegative at alpha, so plain bisection converges.  It stops when the
+    midpoint stops moving in double precision, which takes at most about
+    2100 halvings.
     """
     if alpha <= 0.0:
         return 0.0
     lo, hi = 0.0, alpha
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
+            return mid
         h = mid + step * psi_prime(mid) - alpha
         if h < 0.0:
             lo = mid
@@ -91,7 +90,6 @@ def _prox_point(psi_prime, alpha: float, step: float, max_iter: int = 200
             hi = mid
         else:
             return mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,8 @@ def quadratic_complexity(ell: float, params: DescentCertificateParams,
 
 @dataclass
 class MajorantSequence:
-    """The scalar sequence alpha_k with its profile values psi(alpha_k)."""
+    """The scalar sequence alpha_k with its profile values psi(alpha_k),
+    which bound the value gaps, and the distance bounds they imply."""
 
     zeta: float
     alpha: np.ndarray        # (K+1,)
@@ -152,37 +151,17 @@ class MajorantSequence:
     def num_steps(self) -> int:
         return len(self.alpha) - 1
 
-    def value_bound(self, k: int) -> float:
-        return float(self.psi_values[k])
-
-    def distance_bound(self, k: int) -> float:
-        """(b/a) alpha_k + sqrt(psi(alpha_{k-1}) / a), valid from k = 1."""
-        if k < 1:
-            raise ValueError("distance bound starts at k = 1")
+    @property
+    def distance_bounds(self) -> np.ndarray:
+        """(b/a) alpha_k + sqrt(psi(alpha_{k-1}) / a) for k = 1..K, at k - 1."""
         a, b = self.params.a, self.params.b
-        return (b / a) * float(self.alpha[k]) + math.sqrt(
-            max(float(self.psi_values[k - 1]), 0.0) / a)
+        return (b / a) * self.alpha[1:] + np.sqrt(
+            np.maximum(self.psi_values[:-1], 0.0) / a)
 
     def prox_residuals(self, d: Desingularizer) -> np.ndarray:
         """|alpha_{k+1} + zeta psi'(alpha_{k+1}) - alpha_k| per step."""
-        out = np.empty(self.num_steps)
-        for k in range(self.num_steps):
-            nxt = float(self.alpha[k + 1])
-            out[k] = abs(nxt + self.zeta * d.psi_prime(nxt)
-                         - float(self.alpha[k]))
-        return out
-
-    def trace_rows(self) -> list[dict]:
-        rows = []
-        for k in range(len(self.alpha)):
-            row = {"k": k, "value_bound": float(self.psi_values[k])}
-            if k >= 1:
-                row["distance_bound"] = self.distance_bound(k)
-            rows.append(row)
-        return rows
-
-    def to_csv(self, path) -> None:
-        write_table(path, TRACE_COLUMNS, self.trace_rows())
+        nxt = self.alpha[1:]
+        return np.abs(nxt + self.zeta * d.psi_prime(nxt) - self.alpha[:-1])
 
 
 def worst_case_sequence(d: Desingularizer, r0: float,
@@ -218,8 +197,7 @@ def worst_case_sequence(d: Desingularizer, r0: float,
         for _ in range(steps):
             alphas.append(_prox_point(psi_prime, alphas[-1], z))
     alpha = np.asarray(alphas)
-
-    psi_values = np.array([d.psi(float(v)) for v in alpha])
+    psi_values = d.psi(alpha)
     closed = quadratic_complexity(ell, params, f0=r0) if quadratic else None
     return MajorantSequence(zeta=z, alpha=alpha, psi_values=psi_values,
                             params=params, ell=ell, closed_form=closed)
@@ -249,22 +227,18 @@ def empirical_prox_steps(gaps: Sequence[float], d: Desingularizer,
     Certified runs satisfy s_k >= zeta while the gaps are meaningful.  A
     step is skipped when either gap is at or below gap_floor: beta is
     undefined at an exact minimum, and below the floor the subtraction
-    f(x_k) - min f is rounding noise.  Returns (indices, values).
+    f(x_k) - min f is rounding noise.  Steps with psi'(beta_k) <= 0 are
+    skipped too.  Returns (indices, values) as arrays.
     """
     g = np.asarray(gaps, dtype=float)
-    idx: list[int] = []
-    vals: list[float] = []
-    for k in range(1, len(g)):
-        if g[k] <= gap_floor or g[k - 1] <= gap_floor:
-            continue
-        beta_prev = float(d.phi(float(g[k - 1])))
-        beta_cur = float(d.phi(float(g[k])))
-        slope = float(d.psi_prime(beta_cur))
-        if slope <= 0.0:
-            continue
-        idx.append(k)
-        vals.append((beta_prev - beta_cur) / slope)
-    return idx, np.asarray(vals)
+    above = ~(g <= gap_floor)
+    beta = np.full(g.shape, math.nan)
+    beta[above] = d.phi(g[above])
+    k = np.flatnonzero(above[1:] & above[:-1]) + 1
+    slope = d.psi_prime(beta[k])
+    kept = ~(slope <= 0.0)
+    k = k[kept]
+    return k, (beta[k - 1] - beta[k]) / slope[kept]
 
 
 def steps_to_epsilon(q: float, f0: float, eps: float) -> int:

@@ -277,7 +277,10 @@ def _lens_feasibility_instance(dim: int, seed: int) -> "GeneratedInstance":
 
 
 def feasibility_from_payload(payload: dict) -> tuple[FeasibilityInstance, Array]:
-    inst = FeasibilityInstance.from_dict(payload["instance"])
+    try:
+        inst = FeasibilityInstance.from_dict(payload["instance"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed feasibility instance: {exc!r}") from exc
     return inst, np.asarray(payload["x0"], dtype=float)
 
 
@@ -355,6 +358,16 @@ def generate_linear_system_pair(dim: int = 3, num_ineq: int = 3,
 
 FAMILIES = ("lasso", "feasibility", "uniformly-convex", "tight-quadratic")
 
+# the keys of an instance.json record besides its schema version, and the
+# payload keys each family's loader reads; all of them are required on load
+INSTANCE_FIELDS = ("family", "seed", "payload")
+PAYLOAD_FIELDS = {
+    "lasso": ("A", "y", "mu", "x0", "minimizer", "min_value"),
+    "feasibility": ("instance", "x0"),
+    "uniformly-convex": ("center", "weight", "x0"),
+    "tight-quadratic": ("instance", "x0", "growth_constant"),
+}
+
 
 @dataclass(frozen=True)
 class GeneratedInstance:
@@ -379,11 +392,22 @@ class GeneratedInstance:
 
     @staticmethod
     def from_dict(data: dict) -> "GeneratedInstance":
+        """Inverse of to_dict.  Every field and every payload key the
+        family's loader reads is required; a missing one raises ValueError
+        instead of being patched with a default."""
         if data.get("schema_version") != 1:
             raise ValueError("unsupported instance schema version")
-        return GeneratedInstance(family=data["family"],
-                                 seed=int(data.get("seed", 0)),
-                                 payload=data["payload"])
+        missing = [key for key in INSTANCE_FIELDS if key not in data]
+        if missing:
+            raise ValueError(f"instance record lacks {', '.join(missing)}")
+        gi = GeneratedInstance(family=data["family"], seed=int(data["seed"]),
+                               payload=data["payload"])
+        missing = [key for key in PAYLOAD_FIELDS[gi.family]
+                   if key not in gi.payload]
+        if missing:
+            raise ValueError(
+                f"{gi.family} payload lacks {', '.join(missing)}")
+        return gi
 
     @staticmethod
     def from_json(path) -> "GeneratedInstance":

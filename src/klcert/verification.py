@@ -16,7 +16,6 @@ draws.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,6 +28,7 @@ from klcert.convex import (
     Halfspace,
     IntersectionSet,
     SingletonSet,
+    row_norms,
     value_gap,
 )
 from klcert.descent import DescentRun
@@ -133,6 +133,13 @@ class CertificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _first_max(values: np.ndarray) -> tuple[int, float]:
+    """Index and value of the first largest entry; a NaN entry never wins."""
+    values = np.where(np.isnan(values), -np.inf, values)
+    at = int(np.argmax(values))
+    return at, float(values[at])
+
+
 def _first_region_exit(region, iterates: np.ndarray) -> Optional[int]:
     if region is None:
         return None
@@ -154,17 +161,12 @@ def check_majorization(run: DescentRun, maj: MajorantSequence,
                            detail="run has no stored minimum value")
     gaps = run.gaps
     count = min(len(gaps), len(maj.psi_values))
-    exit_k = _first_region_exit(d.region, np.asarray(run.iterates)[:count])
+    exit_k = _first_region_exit(d.region, run.iterates[:count])
     upto = count if exit_k is None else exit_k
-    worst = -math.inf
-    at = -1
-    for k in range(upto):
-        v = float(gaps[k]) - float(maj.psi_values[k])
-        if v > worst:
-            worst, at = v, k
     if upto == 0:
         return CheckResult(name, "region-violated", samples=0, tolerance=tol,
                            detail="start already outside the certified region")
+    at, worst = _first_max(gaps[:upto] - maj.psi_values[:upto])
     if worst > tol:
         return CheckResult(name, "fail", worst_violation=worst, samples=upto,
                            tolerance=tol, detail=f"worst excess at k={at}")
@@ -194,21 +196,15 @@ def check_distance_bound(run: DescentRun, maj: MajorantSequence,
                                detail="run did not converge and no minimizer "
                                       "was supplied")
         xstar = run.final_point()
-    xstar = np.asarray(xstar, dtype=float)
     count = min(len(run.iterates), len(maj.alpha))
     if count < 2:
         return CheckResult(name, "skipped", tolerance=tol,
                            detail="need at least one step")
-    worst = -math.inf
-    at = -1
-    for k in range(1, count):
-        lhs = float(np.linalg.norm(np.asarray(run.iterates[k]) - xstar))
-        v = lhs - maj.distance_bound(k)
-        if v > worst:
-            worst, at = v, k
+    dist = row_norms(run.iterates[1:count] - np.asarray(xstar, dtype=float))
+    at, worst = _first_max(dist - maj.distance_bounds[:count - 1])
     status = "pass" if worst <= tol else "fail"
     return CheckResult(name, status, worst_violation=worst, samples=count - 1,
-                       tolerance=tol, detail=f"worst at k={at}")
+                       tolerance=tol, detail=f"worst at k={at + 1}")
 
 
 def check_prox_step_domination(run: DescentRun, d: Desingularizer,

@@ -14,6 +14,7 @@ from klcert.convex import (
     ConvexObjective,
     Halfspace,
     IntersectionSet,
+    NotConvergedError,
     SingletonSet,
     UnsupportedOracleError,
     alternating_objective,
@@ -163,6 +164,16 @@ def test_dykstra_finds_nearest_point_of_wedge():
             Halfspace(np.array([0.0, 1.0]), 0.0)]
     p = dykstra_projection(sets, np.array([1.0, 1.0]))
     np.testing.assert_allclose(p, [0.0, 0.0], atol=1e-8)
+
+
+def test_dykstra_raises_at_its_cycle_cap():
+    # one cycle from (1, 1) ends on a boundary point that is not the vertex
+    sets = [Halfspace(np.array([1.0, -1.0]), 0.0),
+            Halfspace(np.array([0.0, 1.0]), 0.0)]
+    with pytest.raises(NotConvergedError, match="1 cycles"):
+        dykstra_projection(sets, np.array([1.0, 1.0]), max_cycles=1)
+    with pytest.raises(NotConvergedError):
+        IntersectionSet(sets, max_cycles=1).distance(np.array([[1.0, 1.0]]))
 
 
 def test_intersection_projection_ball_halfspace_hand_case():

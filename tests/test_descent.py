@@ -9,7 +9,11 @@ import pytest
 from klcert.convex import (
     Ball,
     CompositeObjective,
+    Halfspace,
+    half_squared_distance,
+    indicator,
     least_squares,
+    prox,
     quadratic_objective,
     scaled_l1,
     zero_objective,
@@ -113,6 +117,58 @@ def test_forward_backward_inequalities_on_random_composites(rng):
         scale = 1.0 + abs(run.raw_values[0])
         assert run.h1_violation() <= 1e-9 * scale, trial
         assert run.h2_violation() <= 1e-9 * scale, trial
+
+
+def _per_step_record(composite, x0, schedule, steps):
+    """The run record's reference: one value and witness norm per step."""
+    x = np.asarray(x0, dtype=float)
+    grad = composite.smooth.gradient_fn
+    gx = grad(x)
+    values, step_norms, witness_norms = [composite.value(x)], [], []
+    for k in range(steps):
+        lam = schedule.step(k)
+        xn = prox(composite.nonsmooth, x - lam * gx, lam)
+        move = float(np.linalg.norm(xn - x))
+        if move == 0.0:
+            break
+        gxn = grad(xn)
+        values.append(composite.value(xn))
+        step_norms.append(move)
+        witness_norms.append(float(np.linalg.norm((x - xn) / lam - gx + gxn)))
+        x, gx = xn, gxn
+    return values, step_norms, witness_norms
+
+
+def test_forward_backward_record_matches_per_step_reference(rng):
+    composites = []
+    for _ in range(5):
+        n = int(rng.integers(1, 12))
+        A = rng.normal(size=(n + 2, n))
+        composites.append((CompositeObjective(
+            smooth=least_squares(A, rng.normal(size=n + 2)),
+            nonsmooth=scaled_l1(n, float(rng.uniform(0.1, 1.0)))),
+            rng.normal(size=n)))
+    # alternating projections started outside C_1: f(x_0) = +inf
+    c1, c2 = Ball(np.zeros(2), 1.0), Halfspace(np.array([1.0, 1.0]), 0.5)
+    composites.append((CompositeObjective(smooth=half_squared_distance(c2, 2),
+                                          nonsmooth=indicator(c1, 2)),
+                       np.array([3.0, 0.5])))
+    for comp, x0 in composites:
+        L = max(comp.lipschitz, 1e-3)
+        lo, hi = 0.4 / L, 1.5 / L
+        sched = StepSchedule(lambda_min=lo, lambda_max=hi,
+                             fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)
+        run = forward_backward(comp, x0, sched, steps=60)
+        values, step_norms, witness_norms = _per_step_record(comp, x0,
+                                                             sched, 60)
+        assert run.raw_values.tolist() == values
+        assert run.step_norms.tolist() == step_norms
+        assert run.witness_norms.tolist() == witness_norms
+    assert math.isinf(run.raw_values[0])
+    prev = run.raw_values[:-1]
+    h1 = max(run.raw_values[k + 1] + run.params.a * run.step_norms[k] ** 2
+             - prev[k] for k in range(run.num_steps) if math.isfinite(prev[k]))
+    assert run.h1_violation() == pytest.approx(h1, rel=1e-12, abs=1e-15)
 
 
 def test_forward_backward_values_monotone(rng):

@@ -239,6 +239,50 @@ def test_desingularizer_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# one calling convention: a float for a float, an array for an array
+# ---------------------------------------------------------------------------
+
+
+def _profile_zoo() -> dict:
+    power = PowerDesingularizer(scale=1.3, exponent=2.0, r0=5.0)
+    return {
+        "power-p2": PowerDesingularizer(scale=1.3, exponent=2.0),
+        "power-p3": PowerDesingularizer(scale=0.7, exponent=3.0, r0=4.0),
+        "globalized": globalize(power, junction=1.0),
+        "tabulated-two-regime": from_error_bound(ErrorBoundCertificate(
+            form="two-regime", p=2.0, gamma0=1.5)),
+    }
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(_profile_zoo()))
+def test_batched_profiles_match_point_calls(name):
+    d = _profile_zoo()[name]
+    rng = np.random.default_rng(29)
+    # zero, the globalized junction and its value, both sides of each
+    args = np.concatenate([[0.0, 1e-300, 1.0, d.phi(1.0), 3.0],
+                           rng.uniform(0.0, 3.0, 45),
+                           rng.exponential(1e-3, 10)])
+    for method in ("phi", "phi_prime", "psi", "psi_prime"):
+        fn = getattr(d, method)
+        batch = fn(args)
+        assert batch.shape == args.shape, (name, method)
+        for i, v in enumerate(args.tolist()):
+            point = fn(v)
+            assert isinstance(point, float), (name, method)
+            assert _same_bits(batch[i], point), (name, method, i)
+        # any number of batch axes
+        assert _same_bits(fn(args.reshape(3, -1)), batch.reshape(3, -1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        d.psi(np.array([0.5, -1e-3]))
+
+
+# ---------------------------------------------------------------------------
 # the pointwise inequality
 # ---------------------------------------------------------------------------
 

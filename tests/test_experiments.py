@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import klcert.convex
 from klcert.cli import main
 from klcert.descent import RUN_FIELDS
 from klcert.desingularization import PowerDesingularizer
@@ -23,6 +24,12 @@ from klcert.experiments import (
     run_experiment,
     sweep_relative_step,
     write_sweep,
+)
+from klcert.problems import (
+    FAMILIES,
+    INSTANCE_FIELDS,
+    PAYLOAD_FIELDS,
+    generate_instance,
 )
 from klcert.tracefmt import TRACE_COLUMNS, read_trace
 
@@ -128,13 +135,14 @@ def _hash_dir(path):
     return out
 
 
-def test_artifacts_are_complete_and_byte_stable(tmp_path):
-    cfg = preset_configs("tiny-lasso")[0]
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg, out_dir=str(d1))
-    run_experiment(cfg, out_dir=str(d2))
-    assert sorted(os.listdir(d1)) == sorted(ARTIFACTS)
-    assert _hash_dir(d1) == _hash_dir(d2)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_artifacts_are_complete_and_byte_stable(tmp_path, name):
+    for cfg in preset_configs(name):
+        d1, d2 = tmp_path / cfg.name / "a", tmp_path / cfg.name / "b"
+        run_experiment(cfg, out_dir=str(d1))
+        run_experiment(cfg, out_dir=str(d2))
+        assert sorted(os.listdir(d1)) == sorted(ARTIFACTS)
+        assert _hash_dir(d1) == _hash_dir(d2)
 
 
 def test_trace_csv_format(tmp_path):
@@ -238,6 +246,74 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
                  "--certificate", str(tmp_path / "certificate.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def stored_instances(tmp_path_factory):
+    """instance.json of every family, as parsed JSON."""
+    out = tmp_path_factory.mktemp("instances")
+    docs = {}
+    for family in FAMILIES:
+        generate_instance(family, seed=3).to_json(out / "instance.json")
+        docs[family] = json.loads((out / "instance.json").read_text())
+    return docs
+
+
+def _run_stored_instance(tmp_path, instance: dict, config: dict) -> int:
+    (tmp_path / "instance.json").write_text(json.dumps(instance))
+    config = dict(config, instance={"path": str(tmp_path / "instance.json")})
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return main(["run", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")])
+
+
+SMALL_RUN = {"name": "stored", "method": {"steps": 5},
+             "checks": {"samples": 10}}
+MALFORMED_INSTANCES = (
+    [("lasso", "drop", key) for key in ("schema_version",) + INSTANCE_FIELDS]
+    + [(family, "drop-payload", key)
+       for family, keys in PAYLOAD_FIELDS.items() for key in keys]
+    + [("feasibility", "drop-nested", "sets")]
+)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_run_accepts_stored_instances(stored_instances, tmp_path, family):
+    assert _run_stored_instance(tmp_path, stored_instances[family],
+                                SMALL_RUN) == 0
+
+
+@pytest.mark.parametrize("family,edit,key", [
+    pytest.param(*case, id="-".join(case)) for case in MALFORMED_INSTANCES])
+def test_run_rejects_malformed_instances(stored_instances, tmp_path, capsys,
+                                         family, edit, key):
+    doc = copy.deepcopy(stored_instances[family])
+    if edit == "drop":
+        del doc[key]
+    elif edit == "drop-payload":
+        del doc["payload"][key]
+    else:
+        del doc["payload"]["instance"][key]
+    assert _run_stored_instance(tmp_path, doc, SMALL_RUN) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_rejects_config_without_instance(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_RUN))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "lacks instance" in capsys.readouterr().err
+
+
+def test_run_reports_unconverged_projection(tmp_path, capsys, monkeypatch):
+    # the feasibility preset's error-bound check projects onto the
+    # intersection; one Dykstra cycle is not enough for its samples
+    real = klcert.convex.dykstra_projection
+    monkeypatch.setattr(klcert.convex, "dykstra_projection",
+                        lambda sets, x, tol, max_cycles: real(sets, x, tol, 1))
+    assert main(["run", "--preset", "feasibility", "--out",
+                 str(tmp_path)]) == 2
+    assert "did not converge" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,11 @@ def test_majorant_distance_bound_formula():
     d = PowerDesingularizer(scale=2.0, exponent=2.0)
     maj = worst_case_sequence(d, r0=1.0, params=PARAMS, steps=5)
     a, b = PARAMS.a, PARAMS.b
+    # one bound per step k = 1..5, stored at k - 1
+    assert maj.distance_bounds.shape == (5,)
     for k in range(1, 6):
         expect = (b / a) * maj.alpha[k] + math.sqrt(maj.psi_values[k - 1] / a)
-        assert maj.distance_bound(k) == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(ValueError):
-        maj.distance_bound(0)
+        assert maj.distance_bounds[k - 1] == expect
 
 
 def test_sequence_refuses_gap_beyond_validity_radius():
@@ -175,13 +175,19 @@ def test_prox_sequence_comparison_principle():
 def test_empirical_prox_steps_skips_floor_gaps():
     d = PowerDesingularizer(scale=2.0, exponent=2.0)
     idx, vals = empirical_prox_steps([1.0, 0.5, 1e-15, 0.25], d)
-    assert idx == [1]
+    assert idx.tolist() == [1]
     assert len(vals) == 1 and vals[0] > 0
     # geometric gaps give one step value per transition
     gaps = [2.0 ** (-k) for k in range(6)]
     idx, vals = empirical_prox_steps(gaps, d)
-    assert idx == [1, 2, 3, 4, 5]
+    assert idx.tolist() == [1, 2, 3, 4, 5]
     assert np.all(vals > 0)
+    # each value is the one-step formula at its own pair of gaps
+    for k, s in zip(idx, vals):
+        beta_prev, beta = d.phi(gaps[k - 1]), d.phi(gaps[k])
+        assert s == (beta_prev - beta) / d.psi_prime(beta)
+    idx, vals = empirical_prox_steps([1.0], d)
+    assert idx.size == 0 and vals.size == 0
 
 
 def test_steps_to_epsilon_frozen():

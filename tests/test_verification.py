@@ -21,8 +21,20 @@ from klcert.desingularization import (
     to_error_bound,
 )
 from klcert.error_bounds import uniformly_convex_profile
-from klcert.experiments import build_pipeline, load_instance, preset_configs
-from klcert.majorant import MajorantSequence, worst_case_sequence
+from klcert.experiments import (
+    PRESET_NAMES,
+    build_pipeline,
+    load_instance,
+    majorant_rows,
+    merged_trace_rows,
+    preset_configs,
+    run_experiment,
+)
+from klcert.majorant import (
+    MajorantSequence,
+    empirical_prox_steps,
+    worst_case_sequence,
+)
 from klcert.regions import MetricBall, WholeSpace
 from klcert.verification import (
     CertificationReport,
@@ -266,6 +278,92 @@ def test_sampling_checks_match_pointwise_reference(config):
                                        bundle.solution_set, bundle.sampler,
                                        n_samples=400, seed=5)
         assert (c.samples, c.worst_violation) == (valid, -worst)
+
+
+def _first_max_scan(pairs):
+    """The trajectory checks' reference scan: the first strict maximum."""
+    worst, at = -math.inf, -1
+    for k, v in pairs:
+        if v > worst:
+            worst, at = v, k
+    return worst, at
+
+
+def _per_step_distance_bound(maj, k):
+    a, b = maj.params.a, maj.params.b
+    return (b / a) * float(maj.alpha[k]) + math.sqrt(
+        max(float(maj.psi_values[k - 1]), 0.0) / a)
+
+
+def _per_step_trace_rows(run, maj, xstar):
+    """The trace's reference: one row built per step from scalar calls."""
+    rows = []
+    for k in range(len(run.raw_values)):
+        row = {"k": k}
+        if not math.isinf(run.raw_values[k]):
+            row["value_gap"] = float(run.raw_values[k]) - run.min_value
+        row["value_bound"] = float(maj.psi_values[k])
+        if k >= 1:
+            row["step_norm"] = float(run.step_norms[k - 1])
+            row["witness_norm"] = float(run.witness_norms[k - 1])
+            row["distance_bound"] = _per_step_distance_bound(maj, k)
+        row["distance_to_xstar"] = float(np.linalg.norm(run.iterates[k]
+                                                        - xstar))
+        rows.append(row)
+    return rows
+
+
+def _filled_cells(rows):
+    """Rows without their empty cells, which write_table leaves blank."""
+    return [{key: v for key, v in row.items() if v is not None}
+            for row in rows]
+
+
+def _per_step_prox_steps(gaps, d, gap_floor=1e-12):
+    idx, vals = [], []
+    for k in range(1, len(gaps)):
+        if gaps[k] <= gap_floor or gaps[k - 1] <= gap_floor:
+            continue
+        beta_prev, beta = d.phi(float(gaps[k - 1])), d.phi(float(gaps[k]))
+        idx.append(k)
+        vals.append((beta_prev - beta) / d.psi_prime(beta))
+    return idx, vals
+
+
+@pytest.mark.parametrize("config", [
+    c for p in PRESET_NAMES for c in preset_configs(p)], ids=lambda c: c.name)
+def test_trajectory_quantities_match_per_step_reference(config):
+    config.checks["samples"] = 10
+    result = run_experiment(config)
+    run, maj, d = result.bundle.run, result.majorant, result.bundle.desingularizer
+    xstar = result.bundle.minimizer
+    if xstar is None:
+        xstar = run.final_point()
+
+    c = check_majorization(run, maj, d)
+    worst, at = _first_max_scan(
+        (k, float(run.gaps[k]) - float(maj.psi_values[k]))
+        for k in range(c.samples))
+    assert c.worst_violation == worst
+    assert c.status != "fail" or c.detail == f"worst excess at k={at}"
+
+    c = check_distance_bound(run, maj, xstar=xstar)
+    worst, at = _first_max_scan(
+        (k, float(np.linalg.norm(run.iterates[k] - xstar))
+         - _per_step_distance_bound(maj, k))
+        for k in range(1, len(run.iterates)))
+    assert (c.worst_violation, c.detail) == (worst, f"worst at k={at}")
+
+    idx, vals = empirical_prox_steps(run.gaps, d)
+    assert (idx.tolist(), vals.tolist()) == _per_step_prox_steps(run.gaps, d)
+
+    assert _filled_cells(merged_trace_rows(run, maj, xstar)) == (
+        _per_step_trace_rows(run, maj, xstar))
+    assert _filled_cells(majorant_rows(maj)) == [
+        {"k": 0, "value_bound": float(maj.psi_values[0])}] + [
+        {"k": k, "value_bound": float(maj.psi_values[k]),
+         "distance_bound": _per_step_distance_bound(maj, k)}
+        for k in range(1, len(maj.alpha))]
 
 
 def test_region_sampler_respects_geometry(rng):
