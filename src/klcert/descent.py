@@ -189,6 +189,8 @@ class DescentRun:
                 for key in ("step_norms", "witness_norms", "step_sizes"))
             params = DescentCertificateParams(a=float(data["a"]),
                                               b=float(data["b"]))
+            min_value = (None if data["min_value"] is None
+                         else float(data["min_value"]))
         except TypeError as exc:
             raise ValueError(f"malformed run record: {exc}") from exc
         if (iterates.ndim != 2 or len(iterates) != steps + 1
@@ -196,6 +198,15 @@ class DescentRun:
                 or any(v.shape != (steps,)
                        for v in (step_norms, witness_norms, step_sizes))):
             raise ValueError("run record arrays do not match num_steps")
+        # JSON's NaN and -Infinity tokens parse to floats; a null raw value
+        # (+inf) is the only non-finite entry a run record may hold
+        if not ((raw > -math.inf).all()
+                and all(np.isfinite(v).all() for v in (
+                    iterates, step_norms, witness_norms, step_sizes))
+                and all(map(math.isfinite, (
+                    params.a, params.b,
+                    0.0 if min_value is None else min_value)))):
+            raise ValueError("run record holds a non-finite value")
         return DescentRun(
             method=data["method"],
             params=params,
@@ -204,7 +215,7 @@ class DescentRun:
             step_norms=step_norms,
             witness_norms=witness_norms,
             step_sizes=step_sizes,
-            min_value=data["min_value"],
+            min_value=min_value,
             converged=bool(data["converged"]),
             metadata=data["metadata"],
         )

@@ -6,10 +6,26 @@ minimum value can be pinned down independently of the solver under test
 geometry for feasibility and quadratic families).  Stored minima are always
 values of feasible points, so they overestimate the true minimum — the safe
 direction for every certified inequality downstream.
+
+The l1 reference minimum returns the bits of a brute force without doing
+most of its work:
+
+- The grid is scanned one slice x_0 = t at a time.  On a slice, f is a
+  lasso in the other coordinates, strongly convex when their Gram matrix
+  is, so a candidate from each sign pattern gives a rigorous floor of f on
+  the slice.  Slices whose floor exceeds a value computed in another slice
+  (by a rounding guard) are skipped; the kept slices run the same
+  arithmetic on the same shapes, in the same order, so the first minimum
+  found is the full scan's.  Without strong convexity every slice is kept.
+- The polish can end in a last-bit cycle instead of a fixed point.  A
+  Brent-style check with one saved state finds the cycle and jumps to the
+  state the loop would reach at its update cap; the caller logs a warning
+  naming the period.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +37,7 @@ from klcert.convex import (
     Array,
     Ball,
     Halfspace,
+    NotConvergedError,
     as_point,
     soft_threshold,
 )
@@ -31,7 +48,11 @@ from klcert.error_bounds import (
 )
 from klcert.tracefmt import write_json
 
+# grid step of the reference grid, per dimension
 GRID_RESOLUTION = {1: 1e-3, 2: 1e-3, 3: 1e-2}
+# update cap of the polish; an instance whose polish ends in a cycle stores
+# the cycle state reached at this cap, so the stored bits depend on it
+POLISH_CAP = 200000
 
 
 # ---------------------------------------------------------------------------
@@ -44,38 +65,51 @@ def lasso_value(A: Array, y: Array, mu: float, x: Array) -> float:
     return 0.5 * float(r @ r) + mu * float(np.abs(x).sum())
 
 
-def lasso_grid_minimum(A: Array, y: Array, mu: float,
-                       box_radius: Optional[float] = None,
-                       resolution: Optional[float] = None
-                       ) -> tuple[Array, float]:
-    """Dense-grid minimizer over the box certain to contain argmin.
+def lasso_grid_minimum(A: Array, y: Array, mu: float) -> tuple[Array, float]:
+    """First minimum, in scan order, of f on a dense grid over the box
+    certain to contain argmin.
 
-    f(0) = ||y||^2 / 2 forces ||argmin||_1 <= ||y||^2 / (2 mu), so the box
-    radius defaults to that bound.  Only for n <= 3.
+    f(0) = ||y||^2 / 2 forces ||argmin||_1 <= ||y||^2 / (2 mu), which sets
+    the box radius.  The grid is scanned one slice x_0 = t at a time.  A
+    slice is skipped when its floor (`_slice_floors`) exceeds, by a rounding
+    guard, a value computed in the slice of the lowest floor: every value
+    in it is then larger than the grid minimum, and the kept slices run the
+    same arithmetic on the same shapes, so the result is the full scan's,
+    bit for bit.  Only for n <= 3.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     n = A.shape[1]
     if n > 3:
         raise ValueError("grid oracle is limited to n <= 3")
-    if box_radius is None:
-        box_radius = float(y @ y) / (2.0 * mu)
-    if resolution is None:
-        resolution = GRID_RESOLUTION[n]
-    axis = np.arange(-box_radius, box_radius + 0.5 * resolution, resolution)
+    radius = float(y @ y) / (2.0 * mu)
+    resolution = GRID_RESOLUTION[n]
+    axis = np.arange(-radius, radius + 0.5 * resolution, resolution)
     if n == 1:
         inner = np.zeros((1, 0))
     else:
         mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
         inner = np.stack(mesh, axis=-1).reshape(-1, n - 1)
-    best_v = math.inf
-    best_x = np.zeros(n)
     pts = np.empty((inner.shape[0], n))
     pts[:, 1:] = inner
-    for first in axis:
+
+    def slice_values(first):
         pts[:, 0] = first
         r = pts @ A.T - y
-        vals = 0.5 * np.einsum("ij,ij->i", r, r) + mu * np.abs(pts).sum(axis=1)
+        return 0.5 * np.einsum("ij,ij->i", r, r) + mu * np.abs(pts).sum(axis=1)
+
+    floors = _slice_floors(A, y, mu, axis)
+    ceiling = float(slice_values(axis[np.argmin(floors)]).min())
+    # far above the rounding of a value or a floor, both sums of terms no
+    # larger than this scale
+    scale = (float(np.linalg.norm(A)) * radius * math.sqrt(n)
+             + float(np.linalg.norm(y))) ** 2
+    guard = 2e-9 * (1.0 + scale)
+    best_v = math.inf
+    best_x = np.zeros(n)
+    # written so that a NaN floor keeps its slice
+    for first in axis[~(floors > ceiling + guard)]:
+        vals = slice_values(first)
         i = int(np.argmin(vals))
         if vals[i] < best_v:
             best_v = float(vals[i])
@@ -83,47 +117,117 @@ def lasso_grid_minimum(A: Array, y: Array, mu: float,
     return best_x, best_v
 
 
-def lasso_polish(A: Array, y: Array, mu: float, x_start,
-                 max_iters: int = 200000) -> Array:
+def _slice_floors(A: Array, y: Array, mu: float, axis: Array) -> Array:
+    """Lower bounds of f on the slices {x : x_0 = t}, one per t in axis.
+
+    On a slice, x = (t, w) and f is a lasso in w with matrix B = A[:, 1:],
+    sigma-strongly convex for sigma = lambda_min(B^T B).  So at any w,
+    min f(t, .) >= f(t, w) - dist(0, d_w f(t, w))^2 / (2 sigma).  Every
+    sign pattern s of w gives a candidate, the solution of
+    B_S^T B_S w_S = B_S^T (y - t A_0) - mu s_S on S = supp(s) and 0 off S;
+    the floor is the best bound over the 3^(n-1) candidates, tight up to
+    rounding at the pattern of the slice's minimizer.  When sigma, less a
+    rounding guard, is not positive, every floor is -inf.
+    """
+    B = A[:, 1:]
+    G = B.T @ B
+    eig = np.linalg.eigvalsh(G)
+    sigma = eig[0] - 1e-12 * eig[-1] if len(eig) else math.inf
+    if not sigma > 0.0:
+        return np.full(len(axis), -math.inf)
+    patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0),
+                                               repeat=B.shape[1])))
+    w = np.zeros((len(patterns), len(axis), B.shape[1]))
+    for k, s in enumerate(patterns):
+        S = s != 0.0
+        if S.any():
+            BS = B[:, S]
+            GS = G[np.ix_(S, S)]
+            u = np.linalg.solve(GS, BS.T @ y - mu * s[S])
+            v = np.linalg.solve(GS, BS.T @ A[:, 0])
+            w[k][:, S] = u - axis[:, None] * v
+    x = np.concatenate(
+        [np.broadcast_to(axis[:, None], w.shape[:2] + (1,)), w], axis=-1)
+    r = x @ A.T - y
+    g = r @ B
+    dist = np.where(w != 0.0, np.abs(g + mu * np.sign(w)),
+                    np.maximum(np.abs(g) - mu, 0.0))
+    bounds = (0.5 * np.einsum("...i,...i", r, r) + mu * np.abs(x).sum(axis=-1)
+              - np.einsum("...i,...i", dist, dist) / (2.0 * sigma))
+    return bounds.max(axis=0)
+
+
+def lasso_polish(A: Array, y: Array, mu: float, x_start
+                 ) -> tuple[Array, Optional[int]]:
     """Drive a point to a proximal-gradient fixed point of the l1 problem.
 
     Iterates x <- soft_threshold(x - grad/L, mu/L) until the update stops
     moving in double precision; convexity makes any fixed point a global
-    minimizer, so the start only affects how long this takes.
+    minimizer, so the start only affects how long this takes.  Returns the
+    point and None, or, when the updates cycle in the last bits instead,
+    the state the loop would reach at POLISH_CAP updates and the cycle's
+    period.  Cycles are found Brent's way: one saved state, re-saved after
+    1, 2, 4, ... updates, is compared bitwise with each new state, and a
+    match p updates later makes the loop periodic with period p, so the
+    remaining updates reduce modulo p.  A cycle is found within about
+    twice the updates it takes to enter it.  Raises NotConvergedError when
+    the cap ends the loop before a stop or a found cycle.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     x = as_point(x_start, A.shape[1]).copy()
     L = float(np.linalg.norm(A, 2)) ** 2
     if L == 0.0:
-        return np.zeros_like(x)
+        return np.zeros_like(x), None
     lam = 1.0 / L
     AtA = A.T @ A
     Aty = A.T @ y
-    for _ in range(max_iters):
-        xn = soft_threshold(x - lam * (AtA @ x - Aty), lam * mu)
+
+    def update(x):
+        return soft_threshold(x - lam * (AtA @ x - Aty), lam * mu)
+
+    saved, saved_at, power = x.tobytes(), -1, 1
+    for k in range(POLISH_CAP):
+        xn = update(x)
         if np.array_equal(xn, x):
-            break
+            return x, None
         if np.max(np.abs(xn - x)) < 1e-17 * max(1.0, float(np.max(np.abs(x)))):
-            x = xn
-            break
+            return xn, None
         x = xn
-    return x
+        # x is the state after update k
+        since = k - saved_at
+        if x.tobytes() == saved:
+            for _ in range((POLISH_CAP - 1 - k) % since):
+                x = update(x)
+            return x, since
+        if since == power:
+            saved, saved_at, power = x.tobytes(), k, 2 * power
+    raise NotConvergedError(
+        f"lasso polish neither stopped nor was found to cycle in "
+        f"{POLISH_CAP} updates")
 
 
 def lasso_reference_minimum(A: Array, y: Array, mu: float
-                            ) -> tuple[Array, float]:
-    """Brute-force minimizer: dense grid (n <= 3) seeding a polish to a
-    proximal fixed point.  Above n = 3 the polish runs from the origin,
-    which convexity makes equally valid, just not grid-certified."""
+                            ) -> tuple[Array, float, Optional[int]]:
+    """Reference minimizer, its value, and the period of the polish's
+    last-bit cycle (None when the polish stops).
+
+    For n <= 3 the first minimum of a dense grid seeds a polish to a
+    proximal fixed point; above n = 3 the polish runs from the origin,
+    which convexity makes equally valid, just not grid-certified.  Both
+    take a shortcut with the same bits as the brute force: the grid skips
+    the slices x_0 = t that a strong-convexity floor puts above the grid
+    minimum (`lasso_grid_minimum`), and a polish that cycles jumps to its
+    state at the update cap (`lasso_polish`).
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[1]
     if n <= 3:
         seed_point, _ = lasso_grid_minimum(A, y, mu)
     else:
         seed_point = np.zeros(n)
-    xstar = lasso_polish(A, y, mu, seed_point)
-    return xstar, lasso_value(np.atleast_2d(A), np.atleast_1d(y), mu, xstar)
+    xstar, period = lasso_polish(A, y, mu, seed_point)
+    return xstar, lasso_value(A, np.atleast_1d(y), mu, xstar), period
 
 
 def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
@@ -153,7 +257,15 @@ def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
     if mu is None:
         mu = float(rng.uniform(0.45, 0.9) if n <= 2 else rng.uniform(0.6, 0.9))
     x0 = rng.uniform(-1.0, 1.0, n)
-    xstar, min_value = lasso_reference_minimum(A, y, mu)
+    xstar, min_value, period = lasso_reference_minimum(A, y, mu)
+    if period is not None:
+        # imported here: no other path logs, and the CLI starts without it
+        import logging
+
+        logging.getLogger("klcert").warning(
+            "lasso seed %d: the reference polish cycles with period %d in "
+            "the last bits; the stored minimizer is its state at the "
+            "%d-update cap", seed, period, POLISH_CAP)
     payload = {
         "A": A.tolist(),
         "y": y.tolist(),

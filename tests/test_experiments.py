@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -223,7 +224,15 @@ MALFORMED = (
     + [("certificate.json", "version", "schema_version")]
     + [("certificate.json", "drop-nested", key)
        for key in ("form", "scale", "exponent", "r0", "ell", "region")]
+    # a null raw value stands for +inf; every other non-finite number is
+    # malformed
+    + [("run.json", "nan", key) for key in RUN_ARRAYS + ("a", "b", "min_value")]
+    + [("run.json", "inf", key)
+       for key in ("iterates", "step_norms", "witness_norms", "step_sizes",
+                   "a", "b", "min_value")]
+    + [("run.json", "-inf", "raw_values"), ("run.json", "all-nan", "raw_values")]
 )
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
 @pytest.mark.parametrize("artifact,edit,key", [
@@ -238,6 +247,14 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
         del doc["desingularizer"][key]
     elif edit == "truncate":
         doc[key] = doc[key][:-1]
+    elif edit == "all-nan":
+        doc[key] = [math.nan] * len(doc[key])
+    elif edit in NON_FINITE and isinstance(doc[key], list):
+        # the last entry; the last coordinate of the last iterate
+        row = doc[key][-1] if key == "iterates" else doc[key]
+        row[-1] = NON_FINITE[edit]
+    elif edit in NON_FINITE:
+        doc[key] = NON_FINITE[edit]
     else:
         doc[key] = 2
     for name, content in docs.items():

@@ -1,20 +1,32 @@
 """Instance generators: determinism, stored reference minima, geometry."""
 
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from klcert.convex import Ball, evaluate, min_norm_subgradient, soft_threshold
+from klcert import problems
+from klcert.convex import (
+    Ball,
+    NotConvergedError,
+    evaluate,
+    min_norm_subgradient,
+    soft_threshold,
+)
 from klcert.descent import alternating_projection
 from klcert.problems import (
     FAMILIES,
+    GRID_RESOLUTION,
+    POLISH_CAP,
     GeneratedInstance,
     feasibility_from_payload,
     generate_instance,
     generate_linear_system_pair,
     lasso_from_payload,
+    lasso_grid_minimum,
+    lasso_polish,
     tight_quadratic_instance,
 )
 
@@ -103,6 +115,140 @@ def test_lasso_generator_shapes_and_conditioning():
     assert inst.mu > 0
     with pytest.raises(ValueError):
         generate_instance("lasso", seed=0, n=3, m=2)
+
+
+# ---------------------------------------------------------------------------
+# the pruned grid and the cycle-jumping polish against the brute force
+# ---------------------------------------------------------------------------
+
+
+def _full_grid_minimum(A, y, mu):
+    # every slice of the grid, in order: the scan the pruned grid must match
+    n = A.shape[1]
+    radius = float(y @ y) / (2.0 * mu)
+    resolution = GRID_RESOLUTION[n]
+    axis = np.arange(-radius, radius + 0.5 * resolution, resolution)
+    if n == 1:
+        inner = np.zeros((1, 0))
+    else:
+        mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
+        inner = np.stack(mesh, axis=-1).reshape(-1, n - 1)
+    best_v = math.inf
+    best_x = np.zeros(n)
+    pts = np.empty((inner.shape[0], n))
+    pts[:, 1:] = inner
+    for first in axis:
+        pts[:, 0] = first
+        r = pts @ A.T - y
+        vals = 0.5 * np.einsum("ij,ij->i", r, r) + mu * np.abs(pts).sum(axis=1)
+        i = int(np.argmin(vals))
+        if vals[i] < best_v:
+            best_v = float(vals[i])
+            best_x = pts[i].copy()
+    return best_x, best_v
+
+
+def _full_polish(A, y, mu, x, cap=POLISH_CAP):
+    # every update up to the cap: the loop the cycle jump must match
+    L = float(np.linalg.norm(A, 2)) ** 2
+    lam = 1.0 / L
+    AtA = A.T @ A
+    Aty = A.T @ y
+    x = np.array(x, dtype=float)
+    for _ in range(cap):
+        xn = soft_threshold(x - lam * (AtA @ x - Aty), lam * mu)
+        if np.array_equal(xn, x):
+            break
+        if np.max(np.abs(xn - x)) < 1e-17 * max(1.0, float(np.max(np.abs(x)))):
+            x = xn
+            break
+        x = xn
+    return x
+
+
+def _rank_deficient(equal):
+    # two equal columns: the slices' lasso is strongly convex only when
+    # column 0 is one of the pair
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((4, 3))
+    A[:, equal[1]] = A[:, equal[0]]
+    A /= float(np.linalg.norm(A, 2))
+    y = rng.standard_normal(4)
+    return A, y / float(np.linalg.norm(y)), 0.7
+
+
+REFERENCE_CASES = (
+    [pytest.param(2 + i % 2, 400 + i, id=f"seed{400 + i}") for i in range(20)]
+    + [pytest.param(1, seed, id=f"n1-seed{seed}") for seed in (0, 1, 2)]
+    + [pytest.param(None, (1, 2), id="equal-columns-1-2"),
+       pytest.param(None, (0, 1), id="equal-columns-0-1")]
+)
+
+
+@pytest.mark.parametrize("n,case", REFERENCE_CASES)
+def test_reference_minimum_matches_brute_force_bits(n, case):
+    if n is None:
+        A, y, mu = _rank_deficient(case)
+        stored = None
+    else:
+        payload = generate_instance("lasso", seed=case, n=n).payload
+        A, y, mu = (np.asarray(payload["A"]), np.asarray(payload["y"]),
+                    payload["mu"])
+        stored = np.asarray(payload["minimizer"])
+    ref_x, ref_v = _full_grid_minimum(A, y, mu)
+    grid_x, grid_v = lasso_grid_minimum(A, y, mu)
+    assert grid_x.tobytes() == ref_x.tobytes()
+    assert grid_v == ref_v
+    ref_star = _full_polish(A, y, mu, ref_x)
+    xstar, _ = lasso_polish(A, y, mu, grid_x)
+    assert xstar.tobytes() == ref_star.tobytes()
+    if stored is not None:
+        assert stored.tobytes() == ref_star.tobytes()
+
+
+def test_polish_cycle_jump_lands_on_the_cap_state(monkeypatch):
+    # seed 402 cycles with period 2 from about update 13 on: below the
+    # first cap at which the cycle is found the polish must raise, and at
+    # every cap from there on it must return the full loop's final state
+    payload = generate_instance("lasso", seed=402, n=2).payload
+    A, y, mu = (np.asarray(payload["A"]), np.asarray(payload["y"]),
+                payload["mu"])
+    start, _ = lasso_grid_minimum(A, y, mu)
+    raised = []
+    for cap in list(range(1, 40)) + [1000, 1001]:
+        monkeypatch.setattr(problems, "POLISH_CAP", cap)
+        try:
+            xstar, period = lasso_polish(A, y, mu, start)
+        except NotConvergedError:
+            raised.append(cap)
+            continue
+        assert period == 2
+        assert xstar.tobytes() == _full_polish(A, y, mu, start, cap).tobytes()
+    assert raised == list(range(1, len(raised) + 1))
+    assert 13 <= len(raised) < 30
+
+
+def test_polish_raises_when_the_cap_ends_it_unconverged(monkeypatch):
+    payload = generate_instance("lasso", seed=400, n=2).payload
+    A, y, mu = (np.asarray(payload["A"]), np.asarray(payload["y"]),
+                payload["mu"])
+    monkeypatch.setattr(problems, "POLISH_CAP", 3)
+    with pytest.raises(NotConvergedError, match="3 updates"):
+        lasso_polish(A, y, mu, np.array([5.0, -5.0]))
+
+
+def test_polish_cycle_is_reported(caplog):
+    with caplog.at_level(logging.WARNING, logger="klcert"):
+        generate_instance("lasso", seed=402, n=2)
+    (record,) = caplog.records
+    assert record.name == "klcert" and record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "seed 402" in message and "period 2" in message
+    assert f"{POLISH_CAP}-update cap" in message
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="klcert"):
+        generate_instance("lasso", seed=400, n=2)
+    assert not caplog.records
 
 
 # ---------------------------------------------------------------------------
