@@ -65,13 +65,21 @@ def row_norms(v) -> Array:
     return np.sqrt(np.vecdot(v, v))
 
 
+def _matvec(A: Array, x: Array) -> Array:
+    """A x for each row of x; stacked so every row keeps the 1-D BLAS bits."""
+    return (A @ x[..., None])[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # projectable convex sets
 # ---------------------------------------------------------------------------
 #
 # Each set implements project(x), distance(x) and contains(x, tol), all of
-# which broadcast over leading batch axes.  Ball, Halfspace and SingletonSet
-# give each batch row the bits of the single-point call.
+# which broadcast over leading batch axes.  Ball, Halfspace, AffineSet and
+# SingletonSet give each batch row the bits of the single-point call,
+# whatever the batch size; dykstra_projection relies on that when it drops
+# converged rows from its batch.  IntersectionSet does not: its batch runs
+# until the slowest row meets the stopping test.
 
 
 @dataclass(frozen=True)
@@ -170,8 +178,8 @@ class AffineSet:
 
     def project(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        resid = x @ self.matrix.T - self.rhs
-        return x - resid @ self._pinv.T
+        resid = _matvec(self.matrix, x) - self.rhs
+        return x - _matvec(self._pinv, resid)
 
     def distance(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)
@@ -212,6 +220,11 @@ class SingletonSet:
         return {"kind": "singleton", "point": self.point.tolist()}
 
 
+def _same_row_bits(a: Array, b: Array) -> Array:
+    """Per row of two (k, n) arrays: whether the rows agree to the bit."""
+    return np.all(a.view(np.int64) == b.view(np.int64), axis=-1)
+
+
 def dykstra_projection(
     sets: Sequence,
     x: Array,
@@ -223,25 +236,61 @@ def dykstra_projection(
     Plain cyclic projections converge to *some* intersection point; the
     Dykstra correction terms are what make the limit the nearest one, which
     is required whenever the returned point feeds an exact distance.
-    Broadcasts over a leading batch axis.  Raises NotConvergedError when
-    max_cycles cycles end without meeting the stopping test, rather than
-    return a point that is not the projection.
+    Broadcasts over leading batch axes; a single point is a batch of one
+    row.  Raises NotConvergedError when max_cycles cycles end without
+    meeting the stopping test, rather than return a point that is not the
+    projection.
+
+    A row whose point y and every increment come back bit for bit after a
+    whole cycle sits at an exact fixed point: a cycle is a deterministic
+    function of a row's (y, increments), since Ball, Halfspace, AffineSet
+    and SingletonSet project a batch row to the bits of the single-point
+    call.  Such a row is frozen: its y goes to the output and it leaves the
+    working batch.  Its move is 0 in every later cycle and its distances
+    never change, so a running maximum of them keeps it in the stopping
+    test's violation.  The stopping cycle and every output bit are
+    therefore those of cycling the whole batch, while the rows that settle
+    early stop costing work.  Once every row is frozen and the test still
+    fails, no later cycle can change the outcome, so NotConvergedError is
+    raised at once.
     """
     if not sets:
         raise ValueError("need at least one set")
-    y = np.asarray(x, dtype=float).copy()
+    x = np.asarray(x, dtype=float)
+    # the projections return new arrays, so y is never written in place
+    y = x.reshape(-1, x.shape[-1])
+    rows = np.arange(y.shape[0])
+    frozen_rows, frozen_ys = [], []
     increments = [np.zeros_like(y) for _ in sets]
+    frozen_violation = 0.0
     for _ in range(max_cycles):
-        start = y.copy()
+        start = y
+        fixed = np.ones(rows.shape, dtype=bool)
         for i, s in enumerate(sets):
             target = y + increments[i]
-            z = s.project(target)
-            increments[i] = target - z
-            y = z
-        move = np.max(np.linalg.norm(y - start, axis=-1))
-        violation = max(np.max(np.atleast_1d(s.distance(y))) for s in sets)
+            y = s.project(target)
+            increment = target - y
+            fixed &= _same_row_bits(increment, increments[i])
+            increments[i] = increment
+        fixed &= _same_row_bits(y, start)
+        move = np.max(np.linalg.norm(y - start, axis=-1), initial=0.0)
+        dist = np.maximum.reduce([s.distance(y) for s in sets])
+        violation = np.max(dist, initial=frozen_violation)
         if move <= tol and violation <= 10 * tol:
-            return y
+            out = np.empty(x.shape)
+            flat = out.reshape(-1, x.shape[-1])
+            flat[np.concatenate(frozen_rows + [rows])] = np.concatenate(
+                frozen_ys + [y])
+            return out
+        if fixed.any():
+            frozen_rows.append(rows[fixed])
+            frozen_ys.append(y[fixed])
+            frozen_violation = np.max(dist[fixed], initial=frozen_violation)
+            live = ~fixed
+            rows, y = rows[live], y[live]
+            increments = [inc[live] for inc in increments]
+            if not rows.size:
+                break
     raise NotConvergedError(
         f"Dykstra projection did not converge in {max_cycles} cycles "
         f"(last move {move:.3e}, violation {violation:.3e})")
@@ -394,11 +443,6 @@ class CompositeObjective:
 # ---------------------------------------------------------------------------
 # standard building blocks
 # ---------------------------------------------------------------------------
-
-
-def _matvec(A: Array, x: Array) -> Array:
-    """A x for each row of x; stacked so every row keeps the 1-D BLAS bits."""
-    return (A @ x[..., None])[..., 0]
 
 
 def quadratic_objective(center, weight: float = 0.5, min_value: float = 0.0) -> ConvexObjective:

@@ -1,6 +1,7 @@
 """Geometry and oracle layer: sets, projections, prox, objective builders."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -129,13 +130,44 @@ def test_projection_is_nearest_point_of_set():
             assert np.linalg.norm(x - px) <= np.linalg.norm(x - z) + 1e-9
 
 
-def test_ball_projection_batch_matches_rows(rng):
-    ball = Ball(center=np.array([1.0, 0.0, -1.0]), radius=0.7)
-    pts = rng.normal(size=(40, 3)) * 2.0
-    batch = ball.project(pts)
-    assert batch.shape == (40, 3)
-    for i in range(40):
-        np.testing.assert_allclose(batch[i], ball.project(pts[i]), rtol=0, atol=1e-14)
+_BALL = Ball(np.array([0.2, -0.1, 0.4]), 1.1)
+_HALF = Halfspace(np.array([1.0, -2.0, 0.5]), 0.3)
+
+
+def _set_zoo() -> dict:
+    rng = np.random.default_rng(19)
+    return {
+        "ball": _BALL,
+        "halfspace": _HALF,
+        "singleton": SingletonSet(np.array([0.3, 0.7, -0.2])),
+        "affine": AffineSet(rng.normal(size=(2, 3)), rng.normal(size=2)),
+        "intersection": IntersectionSet((_BALL, _HALF)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_set_zoo()))
+def test_set_batches_keep_point_bits(kind):
+    s = _set_zoo()[kind]
+    rng = np.random.default_rng(31)
+    pts = rng.normal(size=(80, 3)) * 2.0
+    pts[::9] = s.project(pts[::9])
+    for method in (s.project, s.distance):
+        full = method(pts)
+        one = [method(x) for x in pts]
+        for i in range(len(pts)):
+            # a point and a one-row batch take the same path
+            assert _same_bits(method(pts[i:i + 1]), np.asarray(one[i])[None])
+        perm = rng.permutation(len(pts))
+        assert _same_bits(method(pts[perm]), full[perm])
+        if kind == "intersection":
+            # Dykstra runs a batch until its slowest row meets the stopping
+            # test, so a row's last bits depend on the rows beside it
+            continue
+        for i in range(len(pts)):
+            assert _same_bits(full[i], one[i]), (kind, i)
+        for size in (1, 2, 17, 64):
+            rows = rng.choice(len(pts), size=size, replace=False)
+            assert _same_bits(method(pts[rows]), full[rows]), (kind, size)
 
 
 def test_boundary_normal_is_unit():
@@ -349,10 +381,6 @@ def test_quadratic_lipschitz_and_least_squares_constant(rng):
 # batched oracles: row i of a batched call is the call on point i
 # ---------------------------------------------------------------------------
 
-_BALL = Ball(np.array([0.2, -0.1, 0.4]), 1.1)
-_HALF = Halfspace(np.array([1.0, -2.0, 0.5]), 0.3)
-
-
 def _factory_zoo() -> dict:
     rng = np.random.default_rng(17)
     A = rng.normal(size=(4, 3))
@@ -433,3 +461,110 @@ def test_batched_kl_gap_matches_point_calls(name):
         assert gaps.shape == (pts.shape[0],)
         for i, x in enumerate(pts):
             assert _same_bits(gaps[i], kl_gap(d, obj, x)), (name, i)
+
+
+# ---------------------------------------------------------------------------
+# Dykstra: frozen rows keep the bits of cycling the whole batch
+# ---------------------------------------------------------------------------
+
+
+def _reference_dykstra(sets, x, tol=1e-12, max_cycles=5000):
+    """Dykstra's loop over the whole batch until its slowest row converges,
+    returning the projection and the number of cycles it took."""
+    y = np.asarray(x, dtype=float).copy()
+    increments = [np.zeros_like(y) for _ in sets]
+    for cycle in range(1, max_cycles + 1):
+        start = y.copy()
+        for i, s in enumerate(sets):
+            target = y + increments[i]
+            z = s.project(target)
+            increments[i] = target - z
+            y = z
+        move = np.max(np.linalg.norm(y - start, axis=-1))
+        violation = max(np.max(np.atleast_1d(s.distance(y))) for s in sets)
+        if move <= tol and violation <= 10 * tol:
+            return y, cycle
+    raise NotConvergedError(
+        f"Dykstra projection did not converge in {max_cycles} cycles "
+        f"(last move {move:.3e}, violation {violation:.3e})")
+
+
+def _lens_batch():
+    from klcert.experiments import build_pipeline, load_instance, preset_configs
+
+    config, = [c for c in preset_configs("feasibility")
+               if c.name == "feasibility-alternating"]
+    bundle = build_pipeline(load_instance(config), config)
+    pts = bundle.sampler(np.random.default_rng(6), 20000)
+    return bundle.solution_set.sets, pts, 1e-12
+
+
+def _ball_halfspaces_batch():
+    sets = (_BALL, _HALF, Halfspace(np.array([-0.5, 0.3, 1.0]), 0.1))
+    pts = np.random.default_rng(37).normal(size=(3000, 3)) * 2.0
+    return sets, pts, 1e-12
+
+
+def _affine_batch():
+    from klcert.problems import generate_linear_system_pair
+
+    system = generate_linear_system_pair(dim=3, num_ineq=3, num_eq=1, seed=0)
+    raw = system.witness + 2.0 * np.random.default_rng(41).normal(size=(400, 3))
+    pts = _reference_dykstra(system.inequality_sets(), raw, tol=1e-13)[0]
+    return system.intersection_sets(), pts, 1e-13
+
+
+@pytest.mark.parametrize(
+    "make", [_lens_batch, _ball_halfspaces_batch, _affine_batch],
+    ids=["lens", "ball-halfspaces", "affine"])
+def test_dykstra_freeze_matches_whole_batch_bits(make):
+    sets, pts, tol = make()
+    expected, cycles = _reference_dykstra(sets, pts, tol)
+    assert cycles > 3
+    got = dykstra_projection(sets, pts, tol, max_cycles=cycles)
+    assert _same_bits(got, expected)
+    # one cycle less: both raise, with the same last move and violation
+    with pytest.raises(NotConvergedError) as old:
+        _reference_dykstra(sets, pts, tol, max_cycles=cycles - 1)
+    with pytest.raises(NotConvergedError) as new:
+        dykstra_projection(sets, pts, tol, max_cycles=cycles - 1)
+    assert str(new.value) == str(old.value)
+    # single points and extra batch axes run the same loop
+    for x in pts[:5]:
+        assert _same_bits(dykstra_projection(sets, x, tol),
+                          _reference_dykstra(sets, x, tol)[0])
+    grid = pts[:40].reshape(2, 20, -1)
+    assert _same_bits(dykstra_projection(sets, grid, tol),
+                      _reference_dykstra(sets, grid, tol)[0])
+    columns = np.asfortranarray(grid.transpose(1, 0, 2))
+    assert _same_bits(dykstra_projection(sets, columns, tol),
+                      _reference_dykstra(sets, columns, tol)[0])
+
+
+@dataclass
+class _CountingSet:
+    inner: Ball
+    projections: int = 0
+
+    def project(self, x):
+        self.projections += 1
+        return self.inner.project(x)
+
+    def distance(self, x):
+        return self.inner.distance(x)
+
+
+def test_dykstra_raises_at_once_when_every_row_is_frozen():
+    # asked for zero violation, a ball projection that rounds one ulp
+    # outside the ball is a fixed point that never meets the test
+    ball = Ball(np.array([0.1, 0.2]), 0.7)
+    pts = np.random.default_rng(43).normal(size=(50, 2)) * 3.0
+    assert np.max(ball.distance(ball.project(pts))) > 0.0
+    counting = _CountingSet(ball)
+    with pytest.raises(NotConvergedError) as new:
+        dykstra_projection([counting], pts, tol=0.0, max_cycles=100)
+    with pytest.raises(NotConvergedError) as old:
+        _reference_dykstra([ball], pts, tol=0.0, max_cycles=100)
+    assert str(new.value) == str(old.value)
+    assert "100 cycles (last move 0.000e+00" in str(new.value)
+    assert counting.projections < 10
