@@ -256,6 +256,8 @@ def dykstra_projection(
     """
     if not sets:
         raise ValueError("need at least one set")
+    if max_cycles < 1:
+        raise ValueError("need at least one cycle")
     x = np.asarray(x, dtype=float)
     # the projections return new arrays, so y is never written in place
     y = x.reshape(-1, x.shape[-1])
@@ -298,7 +300,9 @@ def dykstra_projection(
 
 @dataclass(frozen=True)
 class IntersectionSet:
-    """Intersection of projectable convex sets; projection via Dykstra."""
+    """Intersection of projectable convex sets; projection via Dykstra.
+    No member is an intersection: Dykstra's freeze needs members whose
+    batch rows keep the bits of single-point calls."""
 
     sets: tuple
     tol: float = 1e-12
@@ -306,6 +310,8 @@ class IntersectionSet:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
+        if any(isinstance(s, IntersectionSet) for s in self.sets):
+            raise ValueError("an intersection cannot hold an intersection")
 
     def project(self, x: Array) -> Array:
         return dykstra_projection(self.sets, x, self.tol, self.max_cycles)

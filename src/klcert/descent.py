@@ -29,7 +29,6 @@ from klcert.convex import (
     as_point,
     half_squared_distance,
     indicator,
-    prox,
     row_norms,
     zero_objective,
 )
@@ -63,9 +62,17 @@ class StepSchedule:
 
     def step(self, k: int) -> float:
         lam = self.lambda_min if self.fn is None else float(self.fn(k))
-        if not (self.lambda_min - 1e-15 <= lam <= self.lambda_max + 1e-15):
+        if not (0.0 < lam and self.lambda_min - 1e-15 <= lam
+                <= self.lambda_max + 1e-15):
             raise ValueError(f"schedule value {lam} escapes its declared bounds")
         return lam
+
+    def sizes(self, steps: int) -> list[float]:
+        """lam_0, ..., lam_{steps-1}, every one checked against the bounds;
+        a constant schedule needs no check."""
+        if self.fn is None:
+            return [self.lambda_min] * steps
+        return [self.step(k) for k in range(steps)]
 
     @staticmethod
     def constant(lam: float) -> "StepSchedule":
@@ -241,32 +248,32 @@ def _jsonable(obj):
 def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
                      steps: int, min_value: Optional[float] = None,
                      method: str = "forward-backward") -> DescentRun:
-    """Proximal-gradient iteration with exact certificate witnesses."""
+    """Proximal-gradient iteration with exact certificate witnesses; the
+    start and the schedule are validated once, before the loop."""
     if steps < 1:
         raise ValueError("need at least one step")
     params = certificate_params(schedule, composite.lipschitz)
     x = as_point(x0, composite.dimension)
-    grad = composite.smooth.gradient_fn
+    grad, prox_fn = composite.smooth.gradient_fn, composite.nonsmooth.prox_fn
+    sizes = schedule.sizes(steps)
 
     iterates = [x]
-    step_norms, step_sizes = [], []
     converged = False
     gx = grad(x)
-    for k in range(steps):
-        lam = schedule.step(k)
-        xn = prox(composite.nonsmooth, x - lam * gx, lam)
-        move = float(np.linalg.norm(xn - x))
-        if move == 0.0:
+    for lam in sizes:
+        xn = prox_fn(x - lam * gx, lam)
+        move = xn - x
+        # ||move|| == 0.0 exactly when its sum of squares is 0.0
+        if move.dot(move) == 0.0:
             converged = True
             break
         iterates.append(xn)
-        step_norms.append(move)
-        step_sizes.append(lam)
         x, gx = xn, grad(xn)
 
     # w_k = (x_{k-1} - x_k) / lam_k - grad h(x_{k-1}) + grad h(x_k); the
-    # batched gradient has the bits of the calls made in the loop
-    X, lam = np.asarray(iterates), np.asarray(step_sizes)
+    # batched gradient has the bits of the calls made in the loop, and
+    # row_norms those of np.linalg.norm on each step
+    X, lam = np.asarray(iterates), np.asarray(sizes[:len(iterates) - 1])
     G = grad(X)
     witnesses = (X[:-1] - X[1:]) / lam[:, None] - G[:-1] + G[1:]
     return DescentRun(
@@ -274,7 +281,7 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
         params=params,
         iterates=X,
         raw_values=composite.value(X),
-        step_norms=np.asarray(step_norms),
+        step_norms=row_norms(X[1:] - X[:-1]),
         witness_norms=row_norms(witnesses),
         step_sizes=lam,
         min_value=min_value,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Optional
 
 import numpy as np
@@ -35,6 +35,8 @@ from klcert.regions import MetricBall
 # be user-supplied or sampled.
 HOFFMAN_MAX_STACKED_ROWS = 24
 HOFFMAN_MAX_DIM = 10
+# row subsets per batched SVD of the enumeration
+_BASES_PER_BATCH = 20000
 
 _RANK_TOL = 1e-10
 
@@ -96,7 +98,7 @@ class LinearSystemPair:
         return self.inequality_sets() + [AffineSet(self.E, self.e)]
 
 
-def _max_pinv_norm_over_bases(stacked: Array, batch: int = 20000) -> float:
+def _max_pinv_norm_over_bases(stacked: Array) -> float:
     """Max of 1 / sigma_min over row subsets of size rank(stacked).
 
     Any independent row subset extends to one of these maximal subsets, and
@@ -110,15 +112,7 @@ def _max_pinv_norm_over_bases(stacked: Array, batch: int = 20000) -> float:
         raise ValueError("stacked system is all zeros")
     best = 0.0
     combos = combinations(range(m), rank)
-    while True:
-        idx = []
-        for _ in range(batch):
-            nxt = next(combos, None)
-            if nxt is None:
-                break
-            idx.append(nxt)
-        if not idx:
-            break
+    while idx := list(islice(combos, _BASES_PER_BATCH)):
         sub = stacked[np.asarray(idx, dtype=int)]  # (B, rank, n)
         svals = np.linalg.svd(sub, compute_uv=False)
         smin = svals[:, -1]
@@ -131,10 +125,7 @@ def _max_pinv_norm_over_bases(stacked: Array, batch: int = 20000) -> float:
 
 
 def hoffman_constant(system: LinearSystemPair, mode: str = "exact", *,
-                     max_stacked_rows: int = HOFFMAN_MAX_STACKED_ROWS,
-                     max_dim: int = HOFFMAN_MAX_DIM,
-                     samples: int = 200, seed: int = 0,
-                     sample_scale: float = 2.0) -> tuple[float, str]:
+                     samples: int = 200, seed: int = 0) -> tuple[float, str]:
     """Hoffman constant of the pair, with an explicit bound direction.
 
     exact mode returns ("upper") the basis-enumeration bound: the maximum
@@ -143,12 +134,14 @@ def hoffman_constant(system: LinearSystemPair, mode: str = "exact", *,
     certification; it only weakens downstream constants.
 
     sampled mode returns ("lower") the best observed ratio
-    dist(x, X intersect Y) / ||E x - e|| over random points of X, with the
-    distance solved to high accuracy by Dykstra projections.
+    dist(x, X intersect Y) / ||E x - e|| over random points of X (the
+    witness plus N(0, 4 I) noise, projected onto X), with the distance
+    solved to high accuracy by Dykstra projections.
     """
     if mode == "exact":
         stacked = system.stacked()
-        if stacked.shape[0] > max_stacked_rows or system.dimension > max_dim:
+        if (stacked.shape[0] > HOFFMAN_MAX_STACKED_ROWS
+                or system.dimension > HOFFMAN_MAX_DIM):
             raise ValueError(
                 f"system too large for exact enumeration "
                 f"({stacked.shape[0]} rows, dim {system.dimension}); "
@@ -160,7 +153,7 @@ def hoffman_constant(system: LinearSystemPair, mode: str = "exact", *,
 
     rng = np.random.default_rng(seed)
     n = system.dimension
-    raw = system.witness + sample_scale * rng.standard_normal((samples, n))
+    raw = system.witness + 2.0 * rng.standard_normal((samples, n))
     if system.A.size:
         pts = dykstra_projection(system.inequality_sets(), raw, tol=1e-13)
     else:
@@ -255,18 +248,15 @@ def lasso_sign_system(inst: LassoInstance, R: Optional[float] = None) -> LinearS
     return LinearSystemPair(A=A_ineq, a=a_ineq, E=E, e=e, witness=witness)
 
 
-def lasso_nu(inst: LassoInstance, mode: str = "exact", **kwargs) -> tuple[float, str]:
+def lasso_nu(inst: LassoInstance, mode: str = "exact") -> tuple[float, str]:
     """Hoffman constant of the sign-pattern reformulation pair."""
-    n = inst.dimension
-    rows = 2 ** n + inst.A.shape[0] + 2
-    max_rows = kwargs.pop("max_stacked_rows", HOFFMAN_MAX_STACKED_ROWS)
-    if mode == "exact" and rows > max_rows:
+    rows = 2 ** inst.dimension + inst.A.shape[0] + 2
+    if mode == "exact" and rows > HOFFMAN_MAX_STACKED_ROWS:
         raise ValueError(
-            f"reformulation has {rows} stacked rows, over the cap {max_rows}; "
-            f"supply nu or use sampled mode"
+            f"reformulation has {rows} stacked rows, over the cap "
+            f"{HOFFMAN_MAX_STACKED_ROWS}; supply nu or use sampled mode"
         )
-    return hoffman_constant(lasso_sign_system(inst), mode,
-                            max_stacked_rows=max_rows, **kwargs)
+    return hoffman_constant(lasso_sign_system(inst), mode)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from klcert.desingularization import (
     to_error_bound,
 )
 from klcert.error_bounds import (
+    LassoConstants,
     feasibility_bound,
     lasso_gamma,
     lasso_nu,
@@ -162,14 +163,8 @@ def _method_steps(method: dict, default: int = 1000) -> int:
     return steps
 
 
-def _build_lasso(gi: GeneratedInstance, method: dict, cert_cfg: dict
-                 ) -> PipelineBundle:
-    inst, min_value, minimizer = lasso_from_payload(gi.payload)
-    L = inst.lipschitz
-    d_rel = float(method.get("relative_step", DEFAULT_RELATIVE_STEP))
-    schedule = StepSchedule.over_lipschitz(d_rel, L)
-    run = ista(inst, schedule, _method_steps(method), min_value=min_value)
-
+def _lasso_growth(inst, cert_cfg: dict) -> tuple[float, str, LassoConstants]:
+    """(nu, its kind, growth constants) from the certificate block's source."""
     source = cert_cfg.get("source", "computed")
     if source == "computed":
         nu, nu_kind = lasso_nu(inst, mode="exact")
@@ -179,7 +174,17 @@ def _build_lasso(gi: GeneratedInstance, method: dict, cert_cfg: dict
         raise ValueError(
             f"unknown certificate source {source!r}; growth constants need "
             "an exact (upper-bound) Hoffman constant or a supplied one")
-    consts = lasso_gamma(inst, nu)
+    return nu, nu_kind, lasso_gamma(inst, nu)
+
+
+def _build_lasso(gi: GeneratedInstance, method: dict, cert_cfg: dict
+                 ) -> PipelineBundle:
+    inst, min_value, minimizer = lasso_from_payload(gi.payload)
+    L = inst.lipschitz
+    d_rel = float(method.get("relative_step", DEFAULT_RELATIVE_STEP))
+    schedule = StepSchedule.over_lipschitz(d_rel, L)
+    run = ista(inst, schedule, _method_steps(method), min_value=min_value)
+    nu, nu_kind, consts = _lasso_growth(inst, cert_cfg)
     cert = ErrorBoundCertificate(form="power", p=2.0,
                                  gamma=2.0 * consts.gamma_R,
                                  region=L1Ball(consts.R))
@@ -205,15 +210,16 @@ def _build_feasibility(gi: GeneratedInstance, method: dict, variant: str
                        ) -> PipelineBundle:
     inst, x0 = feasibility_from_payload(gi.payload)
     steps = _method_steps(method)
+    # a nested intersection is refused here, before the run projects onto it
     if variant == "barycentric":
+        solution = IntersectionSet(inst.sets)
         run = barycentric_projection(inst, x0, steps)
         objective = inst.objective()
-        solution = IntersectionSet(inst.sets)
     elif variant == "alternating":
+        solution = IntersectionSet(inst.sets[:2])
         run = alternating_projection(inst, x0, steps)
         objective = alternating_objective(inst.sets[0], inst.sets[1],
                                           inst.dimension)
-        solution = IntersectionSet(inst.sets[:2])
     else:
         raise ValueError(f"unknown feasibility variant {variant!r}")
     start = np.asarray(run.iterates[0], dtype=float)
@@ -351,19 +357,20 @@ class ExperimentResult:
         return self.report.passed
 
 
-def _table_rows(count: int, columns: dict) -> list[dict]:
-    """Rows k = 0..count-1 for write_table from columns given as
-    (first row, values); a row outside a column's values gets an empty cell."""
+def _trace_rows(count: int, columns: dict) -> list[tuple]:
+    """Rows k = 0..count-1 in TRACE_COLUMNS order from columns given by name
+    as (first row, values); a row outside a column's values, or a column
+    not given, gets an empty cell."""
     cells = [range(count)]
-    for start, values in columns.values():
+    for name in TRACE_COLUMNS[1:]:
+        start, values = columns.get(name, (count, ()))
         column = [None] * start + np.asarray(values).tolist()
         cells.append(column[:count] + [None] * (count - len(column)))
-    names = ("k",) + tuple(columns)
-    return [dict(zip(names, row)) for row in zip(*cells)]
+    return list(zip(*cells))
 
 
 def merged_trace_rows(run: DescentRun, maj: MajorantSequence,
-                      xstar=None) -> list[dict]:
+                      xstar=None) -> list[tuple]:
     columns = {
         "value_bound": (0, maj.psi_values),
         "step_norm": (1, run.step_norms),
@@ -376,11 +383,11 @@ def merged_trace_rows(run: DescentRun, maj: MajorantSequence,
                                             run.gaps))
     if xstar is not None:
         columns["distance_to_xstar"] = (0, row_norms(run.iterates - xstar))
-    return _table_rows(len(run.raw_values), columns)
+    return _trace_rows(len(run.raw_values), columns)
 
 
-def majorant_rows(maj: MajorantSequence) -> list[dict]:
-    return _table_rows(len(maj.alpha), {
+def majorant_rows(maj: MajorantSequence) -> list[tuple]:
+    return _trace_rows(len(maj.alpha), {
         "value_bound": (0, maj.psi_values),
         "distance_bound": (1, maj.distance_bounds),
     })
@@ -516,10 +523,9 @@ SWEEP_COLUMNS = ("relative_step", "q", "certified_steps", "empirical_steps")
 
 
 def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
-                        epsilon_fraction: float = 0.5,
                         max_steps: int = 20000) -> list[dict]:
     """One row per relative step d: certified rate q(d), certified steps to
-    the target gap, and the observed step count of the actual run.
+    halve the gap, and the observed step count of the actual run.
 
     The certified q(d) = 1 + d (2 - d) gamma_R / ((d + 1)^2 L) peaks at
     d = 1/2 on any grid containing it; runs are capped at max_steps, which
@@ -530,14 +536,9 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
         raise ValueError("the step-size sweep targets the l1 family")
     inst, min_value, _ = lasso_from_payload(gi.payload)
     L = inst.lipschitz
-    cert_cfg = dict(config.certificate)
-    if cert_cfg.get("source", "computed") == "supplied":
-        nu = float(cert_cfg["nu"])
-    else:
-        nu, _ = lasso_nu(inst, mode="exact")
-    gamma_R = lasso_gamma(inst, nu).gamma_R
+    gamma_R = _lasso_growth(inst, config.certificate)[2].gamma_R
     f0 = inst.value(inst.x0) - min_value
-    eps = epsilon_fraction * f0
+    eps = 0.5 * f0
 
     rows = []
     for d_rel in values:
@@ -556,7 +557,8 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
 
 
 def write_sweep(path, rows: Sequence[dict]) -> None:
-    write_table(path, SWEEP_COLUMNS, rows)
+    write_table(path, SWEEP_COLUMNS,
+                [tuple(row[c] for c in SWEEP_COLUMNS) for row in rows])
 
 
 # ---------------------------------------------------------------------------

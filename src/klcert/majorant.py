@@ -220,18 +220,17 @@ def prox_sequence(d: Desingularizer, step_values: Sequence[float],
     return np.asarray(beta)
 
 
-def empirical_prox_steps(gaps: Sequence[float], d: Desingularizer,
-                         gap_floor: float = 1e-12):
+def empirical_prox_steps(gaps: Sequence[float], d: Desingularizer):
     """s_k = (beta_{k-1} - beta_k) / psi'(beta_k) with beta_k = phi(gap_k).
 
     Certified runs satisfy s_k >= zeta while the gaps are meaningful.  A
-    step is skipped when either gap is at or below gap_floor: beta is
+    step is skipped when either gap is at or below 1e-12: beta is
     undefined at an exact minimum, and below the floor the subtraction
     f(x_k) - min f is rounding noise.  Steps with psi'(beta_k) <= 0 are
     skipped too.  Returns (indices, values) as arrays.
     """
     g = np.asarray(gaps, dtype=float)
-    above = ~(g <= gap_floor)
+    above = ~(g <= 1e-12)
     beta = np.full(g.shape, math.nan)
     beta[above] = d.phi(g[above])
     k = np.flatnonzero(above[1:] & above[:-1]) + 1

@@ -5,15 +5,16 @@ file next to the target and are renamed over it, so a partial file never
 appears under the target name.  JSON is ASCII with sorted keys and a
 two-space indent.  CSV is RFC 4180 (CRLF, '.' decimal separator) with 17
 significant digits, so that round-tripping and byte-for-byte
-reproducibility hold.  Method traces and worst-case majorant traces share
-TRACE_COLUMNS, which makes overlay plotting trivial; writers leave the
-columns they do not know empty.
+reproducibility hold.  A table arrives as rows of cells, one tuple per row
+in the order of its field names; the writer formats each column in one pass
+and joins the cells.  Method traces and worst-case majorant traces share
+TRACE_COLUMNS, which makes overlay plotting trivial; a column a table has
+no values for is a column of empty (None) cells.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -48,31 +49,21 @@ def write_json(path, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_table(path, fieldnames, rows) -> None:
-    """rows: dicts keyed by fieldnames (missing -> empty cell).
+def _column_cells(column) -> list[str]:
+    return ["" if v is None else str(v) if type(v) is int
+            else "inf" if v == -math.inf else f"{v:.17g}" for v in column]
 
-    Integer cells are written without a decimal point, None becomes an
+
+def write_table(path, fieldnames, rows) -> None:
+    """rows: tuples of cells in fieldnames order, one per data row.
+
+    A Python int cell is written without a decimal point, None becomes an
     empty cell and anything else is a float: "inf" when infinite (of
     either sign), else 17 significant digits.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        out = []
-        for col in fieldnames:
-            v = row.get(col)
-            if v is None:
-                out.append("")
-            elif isinstance(v, bool):
-                out.append(str(int(v)))
-            elif isinstance(v, int):
-                out.append(str(v))
-            else:
-                v = float(v)
-                out.append("inf" if math.isinf(v) else f"{v:.17g}")
-        writer.writerow(out)
-    _atomic_write(path, buf.getvalue())
+    columns = [_column_cells(column) for column in zip(*rows)]
+    lines = [",".join(fieldnames), *map(",".join, zip(*columns)), ""]
+    _atomic_write(path, "\r\n".join(lines))
 
 
 def read_trace(path) -> list[dict]:

@@ -208,14 +208,14 @@ def check_distance_bound(run: DescentRun, maj: MajorantSequence,
 
 
 def check_prox_step_domination(run: DescentRun, d: Desingularizer,
-                               zeta_value: float, tol: float = 1e-9,
-                               gap_floor: float = 1e-12) -> CheckResult:
+                               zeta_value: float, tol: float = 1e-9
+                               ) -> CheckResult:
     """Empirical scalar steps s_k of the run dominate the certified zeta."""
     name = "prox-step-domination"
     if run.min_value is None:
         return CheckResult(name, "skipped", tolerance=tol,
                            detail="run has no stored minimum value")
-    _, s = empirical_prox_steps(run.gaps, d, gap_floor=gap_floor)
+    _, s = empirical_prox_steps(run.gaps, d)
     if s.size == 0:
         return CheckResult(name, "inconclusive", tolerance=tol,
                            detail="no steps above the gap floor")

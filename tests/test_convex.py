@@ -31,6 +31,7 @@ from klcert.convex import (
     prox,
     quadratic_objective,
     scaled_l1,
+    set_from_dict,
     soft_threshold,
     subgradient_norm,
     value_gap,
@@ -206,6 +207,25 @@ def test_dykstra_raises_at_its_cycle_cap():
         dykstra_projection(sets, np.array([1.0, 1.0]), max_cycles=1)
     with pytest.raises(NotConvergedError):
         IntersectionSet(sets, max_cycles=1).distance(np.array([[1.0, 1.0]]))
+
+
+def test_dykstra_refuses_a_cycle_cap_below_one():
+    sets = [Halfspace(np.array([1.0, -1.0]), 0.0)]
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="at least one cycle"):
+            dykstra_projection(sets, np.array([1.0, 1.0]), max_cycles=cap)
+        with pytest.raises(ValueError, match="at least one cycle"):
+            IntersectionSet(sets, max_cycles=cap).project(np.ones(2))
+
+
+def test_intersection_refuses_a_nested_intersection():
+    inner = IntersectionSet((_BALL, _HALF))
+    with pytest.raises(ValueError, match="cannot hold an intersection"):
+        IntersectionSet((inner, _BALL))
+    with pytest.raises(ValueError, match="cannot hold an intersection"):
+        set_from_dict({"kind": "intersection",
+                       "sets": [inner.to_dict(), _BALL.to_dict()]})
+    assert set_from_dict(inner.to_dict()).to_dict() == inner.to_dict()
 
 
 def test_intersection_projection_ball_halfspace_hand_case():

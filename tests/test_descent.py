@@ -120,55 +120,91 @@ def test_forward_backward_inequalities_on_random_composites(rng):
 
 
 def _per_step_record(composite, x0, schedule, steps):
-    """The run record's reference: one value and witness norm per step."""
+    """The run record's reference: one checked step size, prox call, value
+    and witness norm per step."""
     x = np.asarray(x0, dtype=float)
     grad = composite.smooth.gradient_fn
     gx = grad(x)
-    values, step_norms, witness_norms = [composite.value(x)], [], []
+    record = {"iterates": [x.tolist()], "raw_values": [composite.value(x)],
+              "step_sizes": [], "step_norms": [], "witness_norms": [],
+              "converged": False}
     for k in range(steps):
         lam = schedule.step(k)
         xn = prox(composite.nonsmooth, x - lam * gx, lam)
         move = float(np.linalg.norm(xn - x))
         if move == 0.0:
+            record["converged"] = True
             break
         gxn = grad(xn)
-        values.append(composite.value(xn))
-        step_norms.append(move)
-        witness_norms.append(float(np.linalg.norm((x - xn) / lam - gx + gxn)))
+        record["iterates"].append(xn.tolist())
+        record["raw_values"].append(composite.value(xn))
+        record["step_sizes"].append(lam)
+        record["step_norms"].append(move)
+        record["witness_norms"].append(
+            float(np.linalg.norm((x - xn) / lam - gx + gxn)))
         x, gx = xn, gxn
-    return values, step_norms, witness_norms
+    return record
+
+
+def _run_record(run):
+    return {"iterates": run.iterates.tolist(),
+            "raw_values": run.raw_values.tolist(),
+            "step_sizes": run.step_sizes.tolist(),
+            "step_norms": run.step_norms.tolist(),
+            "witness_norms": run.witness_norms.tolist(),
+            "converged": run.converged}
 
 
 def test_forward_backward_record_matches_per_step_reference(rng):
-    composites = []
+    cases = []
     for _ in range(5):
         n = int(rng.integers(1, 12))
         A = rng.normal(size=(n + 2, n))
-        composites.append((CompositeObjective(
+        cases.append((CompositeObjective(
             smooth=least_squares(A, rng.normal(size=n + 2)),
             nonsmooth=scaled_l1(n, float(rng.uniform(0.1, 1.0)))),
-            rng.normal(size=n)))
+            rng.normal(size=n), None))
+    # exact stops before the budget: l1 shrinkage lands on 0 after one
+    # step, and a step of 5e-171 whose squared norm underflows to 0
+    cases.append((CompositeObjective(
+        smooth=least_squares(np.eye(2), np.zeros(2)),
+        nonsmooth=scaled_l1(2, 1.0)), np.array([0.3, -0.2]), 1))
+    cases.append((CompositeObjective(
+        smooth=zero_objective(1), nonsmooth=quadratic_objective([1e-170])),
+        np.zeros(1), 0))
     # alternating projections started outside C_1: f(x_0) = +inf
     c1, c2 = Ball(np.zeros(2), 1.0), Halfspace(np.array([1.0, 1.0]), 0.5)
-    composites.append((CompositeObjective(smooth=half_squared_distance(c2, 2),
-                                          nonsmooth=indicator(c1, 2)),
-                       np.array([3.0, 0.5])))
-    for comp, x0 in composites:
+    cases.append((CompositeObjective(smooth=half_squared_distance(c2, 2),
+                                     nonsmooth=indicator(c1, 2)),
+                  np.array([3.0, 0.5]), None))
+    for comp, x0, stop in cases:
         L = max(comp.lipschitz, 1e-3)
         lo, hi = 0.4 / L, 1.5 / L
-        sched = StepSchedule(lambda_min=lo, lambda_max=hi,
-                             fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)
-        run = forward_backward(comp, x0, sched, steps=60)
-        values, step_norms, witness_norms = _per_step_record(comp, x0,
-                                                             sched, 60)
-        assert run.raw_values.tolist() == values
-        assert run.step_norms.tolist() == step_norms
-        assert run.witness_norms.tolist() == witness_norms
+        for sched in (StepSchedule.constant(lo),
+                      StepSchedule(lambda_min=lo, lambda_max=hi,
+                                   fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
+            run = forward_backward(comp, x0, sched, steps=60)
+            assert _run_record(run) == _per_step_record(comp, x0, sched, 60)
+            if stop is not None:
+                assert run.converged and run.num_steps == stop
+    # the last run: alternating projections on the varying schedule
     assert math.isinf(run.raw_values[0])
     prev = run.raw_values[:-1]
     h1 = max(run.raw_values[k + 1] + run.params.a * run.step_norms[k] ** 2
              - prev[k] for k in range(run.num_steps) if math.isfinite(prev[k]))
     assert run.h1_violation() == pytest.approx(h1, rel=1e-12, abs=1e-15)
+
+
+def test_forward_backward_refuses_an_escaping_schedule_value():
+    comp, x0 = _half_square(), np.array([1.0])
+    sched = StepSchedule(lambda_min=0.5, lambda_max=1.0,
+                         fn=lambda k: 5.0 if k == 3 else 0.5)
+    with pytest.raises(ValueError) as reference:
+        _per_step_record(comp, x0, sched, 10)
+    with pytest.raises(ValueError) as raised:
+        forward_backward(comp, x0, sched, steps=10)
+    assert str(raised.value) == str(reference.value) == (
+        "schedule value 5.0 escapes its declared bounds")
 
 
 def test_forward_backward_values_monotone(rng):

@@ -322,6 +322,16 @@ def test_run_rejects_config_without_instance(tmp_path, capsys):
     assert "lacks instance" in capsys.readouterr().err
 
 
+def test_run_rejects_a_nested_intersection(stored_instances, tmp_path,
+                                           capsys):
+    doc = copy.deepcopy(stored_instances["feasibility"])
+    sets = doc["payload"]["instance"]["sets"]
+    sets[0] = {"kind": "intersection", "sets": [sets[0], sets[1]]}
+    assert _run_stored_instance(tmp_path, doc, SMALL_RUN) == 2
+    assert "cannot hold an intersection" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_reports_unconverged_projection(tmp_path, capsys, monkeypatch):
     # the feasibility preset's error-bound check projects onto the
     # intersection; one Dykstra cycle is not enough for its samples
@@ -419,6 +429,17 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "sweep.csv").exists()
     assert "d = 0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unknown_certificate_source_exits_2(tmp_path, capsys, command):
+    cfg = preset_configs("tiny-lasso")[0]
+    cfg.certificate["source"] = "bogus"
+    cfg.to_json(tmp_path / "cfg.json")
+    assert main([command, "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "unknown certificate source 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_error_paths(tmp_path, capsys):

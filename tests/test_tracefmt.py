@@ -1,19 +1,81 @@
 """Artifact writers: exact CSV bytes, and files that appear whole or not at
 all."""
 
+import csv
+import io
 import math
 import os
 
+import numpy as np
 import pytest
 
+import klcert.cli
 from klcert import tracefmt
+from klcert.convex import row_norms
+from klcert.experiments import (
+    PRESET_NAMES,
+    SWEEP_COLUMNS,
+    preset_configs,
+    run_experiment,
+    write_sweep,
+)
 from klcert.tracefmt import TRACE_COLUMNS, read_trace, write_json, write_table
 
 ROWS = [
-    {"k": 0, "value_gap": 1.5, "value_bound": math.inf},
-    {"k": 1, "value_gap": 0.1, "step_norm": 2.0 / 3.0, "witness_norm": None},
+    (0, 1.5, math.inf, None, None, None, None),
+    (1, 0.1, None, 2.0 / 3.0, None, None, None),
 ]
-BAD_ROWS = ROWS + [{"k": 2, "value_gap": "not a number"}]
+BAD_ROWS = ROWS + [(2, "not a number", None, None, None, None, None)]
+
+
+def _reference_write_table(path, fieldnames, rows):
+    """The writer the column-wise one replaced: dict rows, one cell at a
+    time, through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(fieldnames)
+    for row in rows:
+        out = []
+        for col in fieldnames:
+            v = row.get(col)
+            if v is None:
+                out.append("")
+            elif isinstance(v, bool):
+                out.append(str(int(v)))
+            elif isinstance(v, int):
+                out.append(str(v))
+            else:
+                v = float(v)
+                out.append("inf" if math.isinf(v) else f"{v:.17g}")
+        writer.writerow(out)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(buf.getvalue())
+
+
+def _reference_table_rows(count, columns):
+    """The dict rows the trace writers used to build: (first row, values)
+    per column."""
+    cells = [range(count)]
+    for start, values in columns.values():
+        column = [None] * start + np.asarray(values).tolist()
+        cells.append(column[:count] + [None] * (count - len(column)))
+    names = ("k",) + tuple(columns)
+    return [dict(zip(names, row)) for row in zip(*cells)]
+
+
+def _reference_trace_rows(run, maj, xstar):
+    columns = {
+        "value_bound": (0, maj.psi_values),
+        "step_norm": (1, run.step_norms),
+        "witness_norm": (1, run.witness_norms),
+        "distance_bound": (1, maj.distance_bounds),
+    }
+    if run.min_value is not None:
+        columns["value_gap"] = (0, np.where(np.isinf(run.raw_values), None,
+                                            run.gaps))
+    if xstar is not None:
+        columns["distance_to_xstar"] = (0, row_norms(run.iterates - xstar))
+    return _reference_table_rows(len(run.raw_values), columns)
 
 
 def test_trace_table_bytes(tmp_path):
@@ -66,3 +128,55 @@ def test_json_is_sorted_ascii_with_trailing_newline(tmp_path):
     write_json(path, {"b": [1.0, None], "a": "x"})
     assert path.read_bytes() == (
         b'{\n  "a": "x",\n  "b": [\n    1.0,\n    null\n  ]\n}\n')
+
+
+def test_writer_matches_row_dict_reference_on_edge_cells(tmp_path):
+    cells = [None, math.inf, -math.inf, 0, 7, -3, 2 ** 53 + 1, 0.0, -0.0,
+             5e-324, 1e16, 0.1, 1.0 / 3.0, -2.5e-300, math.nan, True,
+             np.float64(0.2), np.int64(2 ** 53 + 1)]
+    # every cell in every column, next to every other kind of cell
+    rows = [tuple(cells[(i + j) % len(cells)] for j in range(4))
+            for i in range(len(cells))]
+    names = ("a", "b", "c", "d")
+    for table in (rows, rows[:1], []):
+        write_table(tmp_path / "new.csv", names, table)
+        _reference_write_table(tmp_path / "ref.csv", names,
+                               [dict(zip(names, row)) for row in table])
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+
+@pytest.mark.parametrize("config", [
+    c for p in PRESET_NAMES for c in preset_configs(p)], ids=lambda c: c.name)
+def test_preset_tables_match_row_dict_reference(config, tmp_path):
+    config.checks["samples"] = 10
+    result = run_experiment(config, out_dir=str(tmp_path / "out"))
+    run, maj = result.bundle.run, result.majorant
+    # write_artifacts' rule for the reference point of distance_to_xstar
+    xstar = result.bundle.minimizer
+    if xstar is None and (run.converged or (
+            run.num_steps > 0 and float(run.step_norms[-1]) < 1e-10)):
+        xstar = run.final_point()
+    majorant = _reference_table_rows(len(maj.alpha), {
+        "value_bound": (0, maj.psi_values),
+        "distance_bound": (1, maj.distance_bounds)})
+    for name, rows in (("trace.csv", _reference_trace_rows(run, maj, xstar)),
+                       ("majorant.csv", majorant)):
+        _reference_write_table(tmp_path / name, TRACE_COLUMNS, rows)
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / name).read_bytes()), name
+
+
+def test_default_sweep_matches_row_dict_reference(tmp_path, monkeypatch):
+    swept = []
+
+    def keep_rows(path, rows):
+        swept.append(rows)
+        write_sweep(path, rows)
+
+    monkeypatch.setattr(klcert.cli, "write_sweep", keep_rows)
+    assert klcert.cli.main(["sweep", "--preset", "tiny-lasso", "--out",
+                            str(tmp_path)]) == 0
+    _reference_write_table(tmp_path / "ref.csv", SWEEP_COLUMNS, swept[0])
+    assert ((tmp_path / "sweep.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())

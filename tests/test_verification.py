@@ -36,6 +36,7 @@ from klcert.majorant import (
     worst_case_sequence,
 )
 from klcert.regions import MetricBall, WholeSpace
+from klcert.tracefmt import TRACE_COLUMNS
 from klcert.verification import (
     CertificationReport,
     CheckResult,
@@ -314,8 +315,9 @@ def _per_step_trace_rows(run, maj, xstar):
 
 
 def _filled_cells(rows):
-    """Rows without their empty cells, which write_table leaves blank."""
-    return [{key: v for key, v in row.items() if v is not None}
+    """Rows as dicts without their empty cells, which write_table leaves
+    blank."""
+    return [{key: v for key, v in zip(TRACE_COLUMNS, row) if v is not None}
             for row in rows]
 
 
