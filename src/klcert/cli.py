@@ -4,8 +4,11 @@ Subcommands: generate (write an instance file), run (execute experiment
 configs or shipped presets and check their certificates), sweep (step-size
 study on an l1 instance), certify (re-check stored run artifacts).  `run`
 and `certify` exit 1 exactly when some check fails; skipped or
-inconclusive checks never fail a run.  Bad arguments, malformed files and
-a projection that does not converge exit 2.
+inconclusive checks never fail a run.  Everything else that stops a command
+exits 2 with one "error:" line on stderr and no traceback: bad arguments, a
+file that cannot be read, a JSON file whose top level is not an object, a
+record that lacks a field or has another schema version, a config key or
+instance key that nothing reads, and a projection that does not converge.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, NotConvergedError) as exc:
+    except (ValueError, OSError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ from klcert.convex import (
     zero_objective,
 )
 from klcert.error_bounds import FeasibilityInstance, LassoInstance
-from klcert.tracefmt import write_json
+from klcert.tracefmt import require, write_json
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,13 @@ class DescentRun:
             raise ValueError("run has no stored minimum value")
         return self.raw_values - self.min_value
 
-    def final_point(self) -> Array:
-        return self.iterates[-1]
+    def settled_point(self) -> Optional[Array]:
+        """The last iterate when the run has settled (it converged, or its
+        last step is below 1e-10), else None."""
+        if self.converged or (self.num_steps > 0
+                              and float(self.step_norms[-1]) < 1e-10):
+            return self.iterates[-1]
+        return None
 
     def h1_violation(self) -> float:
         """max_k of f(x_k) + a ||step_k||^2 - f(x_{k-1}) over finite pairs."""
@@ -170,7 +175,7 @@ class DescentRun:
             "iterates": self.iterates.tolist(),
             "raw_values": np.where(np.isinf(self.raw_values), None,
                                    self.raw_values).tolist(),
-            "metadata": _jsonable(self.metadata),
+            "metadata": self.metadata,
         }
 
     def to_metadata_json(self, path) -> None:
@@ -181,11 +186,7 @@ class DescentRun:
         """Inverse of to_metadata_dict.  Every field is required and the
         per-step arrays must match num_steps; a malformed record raises
         ValueError instead of being patched with defaults."""
-        missing = [key for key in RUN_FIELDS if key not in data]
-        if missing:
-            raise ValueError(f"run record lacks {', '.join(missing)}")
-        if data["schema_version"] != 1:
-            raise ValueError("unsupported run schema version")
+        require(data, RUN_FIELDS, "run")
         try:
             steps = int(data["num_steps"])
             iterates = np.asarray(data["iterates"], dtype=float)
@@ -226,18 +227,6 @@ class DescentRun:
             converged=bool(data["converged"]),
             metadata=data["metadata"],
         )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 # ---------------------------------------------------------------------------

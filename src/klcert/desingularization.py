@@ -181,18 +181,8 @@ class PowerDesingularizer(Desingularizer):
         self.r0 = float(r0)
         self.region = region
         self.c = 1.0 / self.exponent
-        self.ell = ell if ell is not None else self._default_ell()
-
-    def _default_ell(self) -> Optional[float]:
-        p = self.exponent
-        if p == 2.0:
-            return 2.0 / self.scale ** 2
-        if p > 2.0 and math.isfinite(self.r0):
-            a0 = self.alpha0()
-            return p * (p - 1.0) * a0 ** (p - 2.0) / self.scale ** p
-        if p == 1.0:
-            return 0.0  # psi' is constant, but psi'(0) != 0 still breaks (A)
-        return None
+        self.ell = (ell if ell is not None
+                    else self.psi_prime_lipschitz(self.alpha0()))
 
     def phi(self, s):
         s = _operand(s, "phi")
@@ -225,7 +215,7 @@ class PowerDesingularizer(Desingularizer):
                 return None
             return p * (p - 1.0) * cap ** (p - 2.0) / self.scale ** p
         if p == 1.0:
-            return 0.0
+            return 0.0  # psi' is constant, but psi'(0) != 0 still breaks (A)
         return None
 
     def to_dict(self) -> dict:
@@ -393,18 +383,6 @@ class ErrorBoundCertificate:
             "r0": None if math.isinf(self.r0) else self.r0,
             "region": self.region.to_dict() if self.region is not None else None,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ErrorBoundCertificate":
-        region = data.get("region")
-        return ErrorBoundCertificate(
-            form=data["form"],
-            p=float(data["p"]),
-            gamma=None if data.get("gamma") is None else float(data["gamma"]),
-            gamma0=None if data.get("gamma0") is None else float(data["gamma0"]),
-            r0=math.inf if data.get("r0") is None else float(data["r0"]),
-            region=region_from_dict(region) if region is not None else None,
-        )
 
 
 def desingularizer_from_dict(data: dict) -> Desingularizer:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from typing import Optional
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from klcert.convex import (
     AffineSet,
     Array,
     Halfspace,
-    IntersectionSet,
     as_point,
     dykstra_projection,
     feasibility_objective,
@@ -219,17 +217,16 @@ class LassoInstance:
                    1.0 + float(self.y @ self.y) / (2.0 * self.mu))
 
 
-def lasso_sign_system(inst: LassoInstance, R: Optional[float] = None) -> LinearSystemPair:
+def lasso_sign_system(inst: LassoInstance) -> LinearSystemPair:
     """Sign-pattern reformulation whose Hoffman constant drives the bound.
 
     Lifted variable (x, t) with t standing for ||x||_1: inequalities
     [s, -1] (x, t) <= 0 for every sign vector s (sorted lexicographically
-    over {-1, +1}^n) plus t <= R; equalities fix the least-squares image
-    [A, 0] and the weighted sum [0, mu].
+    over {-1, +1}^n) plus t <= R = inst.radius_bound(); equalities fix the
+    least-squares image [A, 0] and the weighted sum [0, mu].
     """
     n = inst.dimension
-    if R is None:
-        R = inst.radius_bound()
+    R = inst.radius_bound()
     sign_rows = np.array(sorted(product((-1.0, 1.0), repeat=n)), dtype=float)
     M = np.hstack([sign_rows, -np.ones((sign_rows.shape[0], 1))])
     top = np.zeros((1, n + 1))
@@ -321,9 +318,6 @@ class FeasibilityInstance:
     @property
     def dimension(self) -> int:
         return self.xbar.shape[0]
-
-    def intersection(self) -> IntersectionSet:
-        return IntersectionSet(self.sets)
 
     def objective(self):
         return feasibility_objective(self.sets, self.weights)

@@ -13,7 +13,6 @@ grid of relative steps one after another in the calling thread.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -71,7 +70,13 @@ from klcert.problems import (
     lasso_from_payload,
 )
 from klcert.regions import L1Ball, WholeSpace
-from klcert.tracefmt import TRACE_COLUMNS, write_json, write_table
+from klcert.tracefmt import (
+    TRACE_COLUMNS,
+    read_json,
+    require,
+    write_json,
+    write_table,
+)
 from klcert.verification import (
     CertificationReport,
     check_distance_bound,
@@ -83,6 +88,15 @@ from klcert.verification import (
     scale_certificate,
     scale_desingularizer,
 )
+
+
+# the keys each config block may hold: every one of them is read by the
+# pipeline, so any other key is a typo and is refused
+CONFIG_KEYS = {
+    "method": ("name", "steps", "relative_step"),
+    "certificate": ("source", "nu", "scale_gamma", "override_q"),
+    "checks": ("samples", "seed", "tolerance"),
+}
 
 
 @dataclass
@@ -97,6 +111,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.schema_version != 1:
             raise ValueError("unsupported config schema version")
+        if not isinstance(self.name, str):
+            raise ValueError("config name must be a string")
+        for block in ("instance",) + tuple(CONFIG_KEYS):
+            if not isinstance(getattr(self, block), dict):
+                raise ValueError(f"config {block} must be an object")
+        for block, keys in CONFIG_KEYS.items():
+            unknown = sorted(set(getattr(self, block)) - set(keys))
+            if unknown:
+                raise ValueError(
+                    f"config {block} has unknown keys {', '.join(unknown)}")
         if "path" not in self.instance and "family" not in self.instance:
             raise ValueError("instance needs either a path or a family")
 
@@ -115,26 +139,28 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        if "instance" not in data:
-            raise ValueError("config record lacks instance")
+        """Inverse of to_dict; every field but instance is optional, since
+        configs are written by hand."""
+        require(data, ("instance",), "config")
         return ExperimentConfig(
-            instance=dict(data["instance"]),
-            method=dict(data.get("method", {})),
-            certificate=dict(data.get("certificate", {})),
-            checks=dict(data.get("checks", {})),
+            instance=data["instance"],
+            method=data.get("method", {}),
+            certificate=data.get("certificate", {}),
+            checks=data.get("checks", {}),
             name=data.get("name", ""),
-            schema_version=int(data.get("schema_version", 1)),
+            schema_version=data.get("schema_version", 1),
         )
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
-        with open(path, "r", encoding="ascii") as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        return ExperimentConfig.from_dict(read_json(path))
 
 
 def load_instance(config: ExperimentConfig) -> GeneratedInstance:
     fields = dict(config.instance)
     if "path" in fields:
+        if len(fields) > 1:
+            raise ValueError("an instance read from a path takes no other keys")
         return GeneratedInstance.from_json(fields["path"])
     family = fields.pop("family")
     seed = int(fields.pop("seed", 0))
@@ -169,6 +195,7 @@ def _lasso_growth(inst, cert_cfg: dict) -> tuple[float, str, LassoConstants]:
     if source == "computed":
         nu, nu_kind = lasso_nu(inst, mode="exact")
     elif source == "supplied":
+        require(cert_cfg, ("nu",), "supplied certificate")
         nu, nu_kind = float(cert_cfg["nu"]), "supplied"
     else:
         raise ValueError(
@@ -455,9 +482,8 @@ def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
     run = result.bundle.run
     maj = result.majorant
     xstar = result.bundle.minimizer
-    if xstar is None and (run.converged or (
-            run.num_steps > 0 and float(run.step_norms[-1]) < 1e-10)):
-        xstar = run.final_point()
+    if xstar is None:
+        xstar = run.settled_point()
 
     paths = {name: os.path.join(out_dir, name) for name in (
         "instance.json", "run.json", "trace.csv", "majorant.csv",
@@ -489,15 +515,9 @@ def certify_run(run_path: str, certificate_path: str,
     domination); the sampling checks need live oracles, so they belong to
     run_experiment.
     """
-    with open(run_path, "r", encoding="ascii") as fh:
-        run = DescentRun.from_metadata_dict(json.load(fh))
-    with open(certificate_path, "r", encoding="ascii") as fh:
-        cert_doc = json.load(fh)
-    missing = [key for key in CERTIFICATE_FIELDS if key not in cert_doc]
-    if missing:
-        raise ValueError(f"certificate record lacks {', '.join(missing)}")
-    if cert_doc["schema_version"] != 1:
-        raise ValueError("unsupported certificate schema version")
+    run = DescentRun.from_metadata_dict(read_json(run_path))
+    cert_doc = read_json(certificate_path)
+    require(cert_doc, CERTIFICATE_FIELDS, "certificate")
     try:
         desing = desingularizer_from_dict(cert_doc["desingularizer"])
     except (KeyError, TypeError) as exc:

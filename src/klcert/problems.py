@@ -25,8 +25,8 @@ most of its work:
 
 from __future__ import annotations
 
+import inspect
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -46,7 +46,7 @@ from klcert.error_bounds import (
     LassoInstance,
     LinearSystemPair,
 )
-from klcert.tracefmt import write_json
+from klcert.tracefmt import read_json, require, write_json
 
 # grid step of the reference grid, per dimension
 GRID_RESOLUTION = {1: 1e-3, 2: 1e-3, 3: 1e-2}
@@ -295,9 +295,7 @@ def lasso_from_payload(payload: dict) -> tuple[LassoInstance, float, Array]:
 
 
 def generate_feasibility_instance(dim: int = 2, num_sets: int = 2,
-                                  seed: int = 0,
-                                  kinds: tuple = ("ball", "halfspace"),
-                                  geometry: str = "generic"
+                                  seed: int = 0, geometry: str = "generic"
                                   ) -> "GeneratedInstance":
     """Balls/halfspaces built around a declared inner ball B(xbar, R).
 
@@ -325,7 +323,7 @@ def generate_feasibility_instance(dim: int = 2, num_sets: int = 2,
         R = float(rng.uniform(0.3, 0.8))
         sets = []
         for i in range(num_sets):
-            kind = kinds[int(rng.integers(len(kinds)))]
+            kind = ("ball", "halfspace")[int(rng.integers(2))]
             slack = float(rng.uniform(0.05, 0.5))
             if kind == "ball":
                 direction = rng.standard_normal(dim)
@@ -468,7 +466,13 @@ def generate_linear_system_pair(dim: int = 3, num_ineq: int = 3,
 # ---------------------------------------------------------------------------
 
 
-FAMILIES = ("lasso", "feasibility", "uniformly-convex", "tight-quadratic")
+GENERATORS = {
+    "lasso": generate_lasso_instance,
+    "feasibility": generate_feasibility_instance,
+    "uniformly-convex": generate_uniformly_convex_instance,
+    "tight-quadratic": tight_quadratic_instance,
+}
+FAMILIES = tuple(GENERATORS)
 
 # the keys of an instance.json record besides its schema version, and the
 # payload keys each family's loader reads; all of them are required on load
@@ -507,34 +511,24 @@ class GeneratedInstance:
         """Inverse of to_dict.  Every field and every payload key the
         family's loader reads is required; a missing one raises ValueError
         instead of being patched with a default."""
-        if data.get("schema_version") != 1:
-            raise ValueError("unsupported instance schema version")
-        missing = [key for key in INSTANCE_FIELDS if key not in data]
-        if missing:
-            raise ValueError(f"instance record lacks {', '.join(missing)}")
+        require(data, ("schema_version",) + INSTANCE_FIELDS, "instance")
         gi = GeneratedInstance(family=data["family"], seed=int(data["seed"]),
                                payload=data["payload"])
-        missing = [key for key in PAYLOAD_FIELDS[gi.family]
-                   if key not in gi.payload]
-        if missing:
-            raise ValueError(
-                f"{gi.family} payload lacks {', '.join(missing)}")
+        require(gi.payload, PAYLOAD_FIELDS[gi.family], f"{gi.family} payload")
         return gi
 
     @staticmethod
     def from_json(path) -> "GeneratedInstance":
-        with open(path, "r", encoding="ascii") as fh:
-            return GeneratedInstance.from_dict(json.load(fh))
+        return GeneratedInstance.from_dict(read_json(path))
 
 
 def generate_instance(family: str, seed: int = 0, **dims) -> GeneratedInstance:
-    """Single entry point used by the command line."""
-    if family == "lasso":
-        return generate_lasso_instance(seed=seed, **dims)
-    if family == "feasibility":
-        return generate_feasibility_instance(seed=seed, **dims)
-    if family == "uniformly-convex":
-        return generate_uniformly_convex_instance(seed=seed, **dims)
-    if family == "tight-quadratic":
-        return tight_quadratic_instance(seed=seed, **dims)
-    raise ValueError(f"unknown family {family!r}")
+    """Single entry point used by the command line; a keyword the family's
+    generator does not take raises ValueError."""
+    if family not in GENERATORS:
+        raise ValueError(f"unknown family {family!r}")
+    generator = GENERATORS[family]
+    unknown = sorted(set(dims) - set(inspect.signature(generator).parameters))
+    if unknown:
+        raise ValueError(f"{family} instances take no {', '.join(unknown)}")
+    return generator(seed=seed, **dims)

@@ -1,9 +1,12 @@
-"""Artifact writers: the one atomic file writer, JSON and CSV on top of it.
+"""Artifact formats: the one atomic file writer, JSON and CSV on top of it,
+and the one JSON record reader.
 
 Every artifact goes through `_atomic_write`: the bytes land in a temporary
 file next to the target and are renamed over it, so a partial file never
 appears under the target name.  JSON is ASCII with sorted keys and a
-two-space indent.  CSV is RFC 4180 (CRLF, '.' decimal separator) with 17
+two-space indent; a record is read back with `read_json` and checked with
+`require`, so a malformed one raises ValueError instead of being patched
+with defaults.  CSV is RFC 4180 (CRLF, '.' decimal separator) with 17
 significant digits, so that round-tripping and byte-for-byte
 reproducibility hold.  A table arrives as rows of cells, one tuple per row
 in the order of its field names; the writer formats each column in one pass
@@ -47,6 +50,25 @@ def _atomic_write(path, text: str) -> None:
 
 def write_json(path, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def read_json(path) -> dict:
+    """The JSON object stored at path; any other top level is refused."""
+    with open(path, "r", encoding="ascii") as fh:
+        record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return record
+
+
+def require(record: dict, fields, what: str) -> None:
+    """Refuse a record that lacks any of fields, or whose schema_version,
+    when that is one of them, is not 1."""
+    if "schema_version" in fields and record.get("schema_version", 1) != 1:
+        raise ValueError(f"unsupported {what} schema version")
+    missing = [key for key in fields if key not in record]
+    if missing:
+        raise ValueError(f"{what} record lacks {', '.join(missing)}")
 
 
 def _column_cells(column) -> list[str]:

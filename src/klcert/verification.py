@@ -68,17 +68,6 @@ class CheckResult:
             "detail": self.detail,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "CheckResult":
-        return CheckResult(
-            name=data["name"],
-            status=data["status"],
-            worst_violation=data.get("worst_violation"),
-            samples=int(data.get("samples", 0)),
-            tolerance=float(data.get("tolerance", 0.0)),
-            detail=data.get("detail", ""),
-        )
-
 
 @dataclass
 class CertificationReport:
@@ -104,16 +93,6 @@ class CertificationReport:
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
-
-    @staticmethod
-    def from_dict(data: dict) -> "CertificationReport":
-        report = CertificationReport(
-            run_id=data.get("run_id", ""),
-            certificate_id=data.get("certificate_id", ""),
-        )
-        for c in data.get("checks", []):
-            report.add(CheckResult.from_dict(c))
-        return report
 
     def format_table(self) -> str:
         header = f"{'check':<28} {'status':<16} {'worst':>13} {'n':>7} {'tol':>9}"
@@ -189,13 +168,11 @@ def check_distance_bound(run: DescentRun, maj: MajorantSequence,
     """
     name = "distance-bound"
     if xstar is None:
-        settled = run.converged or (
-            run.num_steps > 0 and float(run.step_norms[-1]) < 1e-10)
-        if not settled:
-            return CheckResult(name, "skipped", tolerance=tol,
-                               detail="run did not converge and no minimizer "
-                                      "was supplied")
-        xstar = run.final_point()
+        xstar = run.settled_point()
+    if xstar is None:
+        return CheckResult(name, "skipped", tolerance=tol,
+                           detail="run did not converge and no minimizer "
+                                  "was supplied")
     count = min(len(run.iterates), len(maj.alpha))
     if count < 2:
         return CheckResult(name, "skipped", tolerance=tol,

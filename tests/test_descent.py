@@ -80,7 +80,7 @@ def test_forward_backward_hand_case():
     run = forward_backward(_half_square(), [1.0], StepSchedule.constant(1.0),
                            steps=5, min_value=0.0)
     assert run.converged
-    np.testing.assert_allclose(run.final_point(), [0.0], atol=0.0)
+    np.testing.assert_allclose(run.settled_point(), [0.0], atol=0.0)
     assert run.params.a == pytest.approx(0.5) and run.params.b == pytest.approx(2.0)
     assert run.h1_violation() == 0.0
     assert run.witness_norms[0] == 0.0

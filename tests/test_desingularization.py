@@ -217,10 +217,10 @@ def test_tabulated_validation():
 def test_certificate_serialization_round_trip():
     cert = ErrorBoundCertificate(form="power", p=2.0, gamma=3.0, r0=1.5,
                                  region=MetricBall(np.zeros(2), 2.0))
-    back = ErrorBoundCertificate.from_dict(cert.to_dict())
-    assert back.form == cert.form and back.p == cert.p
-    assert back.gamma == cert.gamma and back.r0 == cert.r0
-    assert isinstance(back.region, MetricBall)
+    doc = cert.to_dict()
+    assert (doc["form"], doc["p"], doc["gamma"], doc["r0"]) == (
+        "power", 2.0, 3.0, 1.5)
+    assert doc["region"] == cert.region.to_dict()
     with pytest.raises(ValueError):
         ErrorBoundCertificate(form="general", p=1.0,
                               residual_fn=lambda s: s).to_dict()
@@ -236,6 +236,26 @@ def test_desingularizer_serialization_round_trip():
     for s in [0.1, 0.8, 5.0]:
         assert gback.phi(s) == pytest.approx(g.phi(s), rel=1e-14)
         assert gback.phi_prime(s) == pytest.approx(g.phi_prime(s), rel=1e-14)
+
+
+def _reference_default_ell(d):
+    # the constructor's former private default, kept as an independent copy
+    p = d.exponent
+    if p == 2.0:
+        return 2.0 / d.scale ** 2
+    if p > 2.0 and math.isfinite(d.r0):
+        return p * (p - 1.0) * d.alpha0() ** (p - 2.0) / d.scale ** p
+    if p == 1.0:
+        return 0.0
+    return None
+
+
+@pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 2.5, 3.0, 4.7])
+def test_default_ell_matches_reference_bits(p):
+    for scale in (0.3, 1.0, 1.7, 25.0):
+        for r0 in (0.01, 0.5, 1.0, 7.0, math.inf):
+            d = PowerDesingularizer(scale=scale, exponent=p, r0=r0)
+            assert repr(d.ell) == repr(_reference_default_ell(d)), (scale, r0)
 
 
 # ---------------------------------------------------------------------------

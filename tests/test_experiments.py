@@ -457,3 +457,87 @@ def test_cli_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--preset", "tiny-lasso", "--workers", "2"])
     assert exc.value.code == 2
+
+
+def _config_file(tmp_path, **edits) -> str:
+    doc = dict(preset_configs("tiny-lasso")[0].to_dict(), **edits)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    return str(tmp_path / "config.json")
+
+
+def _run_config(command, **edits):
+    return lambda tmp_path: [command, "--config", _config_file(tmp_path, **edits),
+                             "--out", str(tmp_path / "out")]
+
+
+def _path_instance_with_seed(tmp_path):
+    generate_instance("lasso", seed=1).to_json(tmp_path / "i.json")
+    return _run_config("run", instance={"path": str(tmp_path / "i.json"),
+                                        "seed": 2})(tmp_path)
+
+
+# malformed inputs that must stop with one error line and exit 2; most of
+# them once ended in a traceback, or ran on with the bad key ignored
+MALFORMED_INPUTS = {
+    "supplied-certificate-without-nu-run": _run_config(
+        "run", certificate={"source": "supplied"}),
+    "supplied-certificate-without-nu-sweep": _run_config(
+        "sweep", certificate={"source": "supplied"}),
+    "unknown-instance-key": _run_config(
+        "run", instance={"family": "lasso", "n": 2, "bogus": 1}),
+    "unknown-instance-key-sweep": _run_config(
+        "sweep", instance={"family": "lasso", "n": 2, "bogus": 1}),
+    "path-instance-with-another-key": _path_instance_with_seed,
+    "generate-lasso-dim": lambda tmp_path: [
+        "generate", "--family", "lasso", "--dim", "2",
+        "--out", str(tmp_path / "i.json")],
+    "generate-uniformly-convex-m": lambda tmp_path: [
+        "generate", "--family", "uniformly-convex", "--m", "2",
+        "--out", str(tmp_path / "i.json")],
+    "config-is-a-directory": lambda tmp_path: [
+        "run", "--config", str(tmp_path), "--out", str(tmp_path / "out")],
+    "instance-path-is-a-directory": lambda tmp_path: [
+        "run", "--config", _config_file(
+            tmp_path, instance={"path": str(tmp_path)}),
+        "--out", str(tmp_path / "out")],
+    "name-not-a-string": _run_config("run", name=5),
+    "method-not-an-object": _run_config("run", method=[1]),
+    "certificate-not-an-object": _run_config("run", certificate="computed"),
+    "checks-not-an-object": _run_config("run", checks=None),
+    "instance-not-an-object": _run_config("run", instance=["lasso"]),
+    "method-key-typo": _run_config(
+        "run", method={"name": "ista", "relative_stpe": 0.5, "steps": 400}),
+    "certificate-key-typo": _run_config(
+        "run", certificate={"sorce": "computed"}),
+    "checks-key-typo": _run_config(
+        "sweep", checks={"samples": 2000, "sead": 11}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    assert main(MALFORMED_INPUTS[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("record", ["config", "instance", "run",
+                                    "certificate"])
+def test_json_list_in_place_of_a_record_exits_2(stored_artifacts, tmp_path,
+                                                capsys, record):
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("config", "instance", "run", "certificate")}
+    _config_file(tmp_path, instance={"path": str(paths["instance"])})
+    for name in ("run", "certificate"):
+        paths[name].write_text(json.dumps(stored_artifacts[f"{name}.json"]))
+    paths[record].write_text("[]")
+    if record in ("config", "instance"):
+        argv = ["run", "--config", str(paths["config"]),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["certify", "--run", str(paths["run"]),
+                "--certificate", str(paths["certificate"])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "does not hold a JSON object" in err and "Traceback" not in err

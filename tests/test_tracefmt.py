@@ -156,7 +156,7 @@ def test_preset_tables_match_row_dict_reference(config, tmp_path):
     xstar = result.bundle.minimizer
     if xstar is None and (run.converged or (
             run.num_steps > 0 and float(run.step_norms[-1]) < 1e-10)):
-        xstar = run.final_point()
+        xstar = run.iterates[-1]
     majorant = _reference_table_rows(len(maj.alpha), {
         "value_bound": (0, maj.psi_values),
         "distance_bound": (1, maj.distance_bounds)})
