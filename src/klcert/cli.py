@@ -8,7 +8,9 @@ inconclusive checks never fail a run.  Everything else that stops a command
 exits 2 with one "error:" line on stderr and no traceback: bad arguments, a
 file that cannot be read, a JSON file whose top level is not an object, a
 record that lacks a field or has another schema version, a config key or
-instance key that nothing reads, and a projection that does not converge.
+instance key that nothing reads, a value of another type than its key takes
+(never converted), a method the instance's family does not run, and a
+projection that does not converge.
 """
 
 from __future__ import annotations

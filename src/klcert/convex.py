@@ -593,7 +593,8 @@ def lasso_composite(A, y, mu: float) -> CompositeObjective:
     return CompositeObjective(smooth=h, nonsmooth=g)
 
 
-def feasibility_objective(sets: Sequence, weights, min_value: float = 0.0) -> ConvexObjective:
+def feasibility_objective(sets: Sequence, weights, dimension: int,
+                          min_value: float = 0.0) -> ConvexObjective:
     """f(x) = 0.5 * sum_i w_i dist^2(x, C_i); gradient is x - sum_i w_i P_i(x)."""
     sets = tuple(sets)
     w = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -601,14 +602,6 @@ def feasibility_objective(sets: Sequence, weights, min_value: float = 0.0) -> Co
         raise ValueError("one weight per set required")
     if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be positive and sum to one")
-    dim = None
-    for s in sets:
-        d = getattr(s, "center", getattr(s, "normal", getattr(s, "point", None)))
-        if d is not None:
-            dim = len(d)
-            break
-    if dim is None:
-        raise ValueError("could not infer dimension from the sets")
 
     def val(x):
         return 0.5 * sum(wi * np.asarray(s.distance(x)) ** 2
@@ -621,7 +614,7 @@ def feasibility_objective(sets: Sequence, weights, min_value: float = 0.0) -> Co
         return out
 
     return ConvexObjective(
-        dimension=dim, value_fn=val, min_value=min_value,
+        dimension=dimension, value_fn=val, min_value=min_value,
         gradient_fn=grad, subgradient_fn=grad, lipschitz=1.0,
         name="feasibility",
     )

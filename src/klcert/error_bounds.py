@@ -320,7 +320,7 @@ class FeasibilityInstance:
         return self.xbar.shape[0]
 
     def objective(self):
-        return feasibility_objective(self.sets, self.weights)
+        return feasibility_objective(self.sets, self.weights, self.dimension)
 
     def check_inner_ball(self, samples: int = 256, seed: int = 0,
                          tol: float = 1e-9) -> bool:

@@ -13,6 +13,7 @@ grid of relative steps one after another in the calling thread.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -74,28 +75,196 @@ from klcert.tracefmt import (
     TRACE_COLUMNS,
     read_json,
     require,
+    require_type,
     write_json,
     write_table,
 )
 from klcert.verification import (
     CertificationReport,
-    check_distance_bound,
     check_error_bound_sampling,
     check_kl_sampling,
-    check_majorization,
-    check_prox_step_domination,
     region_sampler,
     scale_certificate,
     scale_desingularizer,
+    trajectory_checks,
 )
 
 
-# the keys each config block may hold: every one of them is read by the
-# pipeline, so any other key is a typo and is refused
-CONFIG_KEYS = {
-    "method": ("name", "steps", "relative_step"),
-    "certificate": ("source", "nu", "scale_gamma", "override_q"),
-    "checks": ("samples", "seed", "tolerance"),
+@dataclass
+class PipelineBundle:
+    """Everything a family pipeline must deliver to the generic checker."""
+
+    run: DescentRun
+    desingularizer: Desingularizer
+    certificate: ErrorBoundCertificate
+    objective: ConvexObjective
+    solution_set: object
+    sampler: Callable[[np.random.Generator, int], np.ndarray]
+    minimizer: Optional[np.ndarray]
+    constants: dict
+    certificate_id: str
+
+
+def _lasso_growth(inst, config: ExperimentConfig
+                  ) -> tuple[float, str, LassoConstants]:
+    """(nu, its kind, growth constants) from the certificate block's source."""
+    source = config.setting("certificate", "source")
+    if source == "computed":
+        nu, nu_kind = lasso_nu(inst, mode="exact")
+    elif source == "supplied":
+        nu, nu_kind = config.setting("certificate", "nu"), "supplied"
+        if nu is None:
+            raise ValueError("a supplied certificate lacks nu")
+    else:
+        raise ValueError(
+            f"unknown certificate source {source!r}; growth constants need "
+            "an exact (upper-bound) Hoffman constant or a supplied one")
+    return nu, nu_kind, lasso_gamma(inst, nu)
+
+
+def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
+                 method: str, steps: int) -> PipelineBundle:
+    inst, min_value, minimizer = lasso_from_payload(gi.payload)
+    L = inst.lipschitz
+    d_rel = config.setting("method", "relative_step")
+    schedule = StepSchedule.over_lipschitz(d_rel, L)
+    run = ista(inst, schedule, steps, min_value=min_value)
+    nu, nu_kind, consts = _lasso_growth(inst, config)
+    cert = ErrorBoundCertificate(form="power", p=2.0,
+                                 gamma=2.0 * consts.gamma_R,
+                                 region=L1Ball(consts.R))
+    desing = from_error_bound(cert)
+    return PipelineBundle(
+        run=run,
+        desingularizer=desing,
+        certificate=cert,
+        objective=inst.objective(min_value=min_value),
+        solution_set=SingletonSet(minimizer),
+        sampler=region_sampler(cert.region, inst.dimension),
+        minimizer=minimizer,
+        constants={
+            "nu": nu, "nu_kind": nu_kind, "gamma_R": consts.gamma_R,
+            "kappa_R": consts.kappa_R, "R": consts.R, "lipschitz": L,
+            "relative_step": d_rel,
+        },
+        certificate_id=f"lasso-growth(gamma_R={consts.gamma_R:.6g})",
+    )
+
+
+def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
+                       variant: str, steps: int) -> PipelineBundle:
+    inst, x0 = feasibility_from_payload(gi.payload)
+    # a nested intersection is refused here, before the run projects onto it
+    if variant == "barycentric":
+        solution = IntersectionSet(inst.sets)
+        run = barycentric_projection(inst, x0, steps)
+        objective = inst.objective()
+    else:
+        solution = IntersectionSet(inst.sets[:2])
+        run = alternating_projection(inst, x0, steps)
+        objective = alternating_objective(inst.sets[0], inst.sets[1],
+                                          inst.dimension)
+    start = np.asarray(run.iterates[0], dtype=float)
+    desing = feasibility_bound(inst, start, variant)
+    cert = to_error_bound(desing)
+    return PipelineBundle(
+        run=run,
+        desingularizer=desing,
+        certificate=cert,
+        objective=objective,
+        solution_set=solution,
+        sampler=region_sampler(desing.region, inst.dimension),
+        minimizer=None,
+        constants={"M": desing.ell, "variant": variant,
+                   "start_distance": float(np.linalg.norm(start - inst.xbar)),
+                   "inner_radius": inst.R},
+        certificate_id=f"feasibility-{variant}(M={desing.ell:.6g})",
+    )
+
+
+def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
+                            method: str, steps: int) -> PipelineBundle:
+    payload = gi.payload
+    center = np.asarray(payload["center"], dtype=float)
+    weight = float(payload["weight"])
+    x0 = np.asarray(payload["x0"], dtype=float)
+    obj = quadratic_objective(center, weight=weight)
+    composite = CompositeObjective(smooth=obj,
+                                   nonsmooth=zero_objective(obj.dimension))
+    d_rel = config.setting("method", "relative_step")
+    schedule = StepSchedule.over_lipschitz(d_rel, obj.lipschitz)
+    run = forward_backward(composite, x0, schedule, steps, min_value=0.0,
+                           method="gradient")
+    # Modulus of 2-uniform convexity of w ||x - c||^2 is 2w.
+    desing = uniformly_convex_profile(sigma=2.0 * weight, p=2.0, alpha0=1.0)
+    cert = to_error_bound(desing)
+    anchor_scale = 2.0 * float(np.linalg.norm(x0 - center)) + 1.0
+    return PipelineBundle(
+        run=run,
+        desingularizer=desing,
+        certificate=cert,
+        objective=obj,
+        solution_set=SingletonSet(center),
+        sampler=region_sampler(desing.region, obj.dimension, anchor=center,
+                               scale=anchor_scale),
+        minimizer=center,
+        constants={"modulus": 2.0 * weight, "lipschitz": obj.lipschitz,
+                   "relative_step": d_rel},
+        certificate_id=f"uniformly-convex(sigma={2.0 * weight:.6g})",
+    )
+
+
+def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
+                           method: str, steps: int) -> PipelineBundle:
+    inst, x0 = feasibility_from_payload(gi.payload)
+    ball = inst.sets[0]
+    n = inst.dimension
+    growth = float(gi.payload["growth_constant"])
+    smooth = half_squared_distance(ball, n)
+    composite = CompositeObjective(smooth=smooth,
+                                   nonsmooth=zero_objective(n))
+    run = forward_backward(composite, x0, StepSchedule.constant(1.0), steps,
+                           min_value=0.0, method="projection-gradient")
+    # f = 0.5 dist^2 grows with constant exactly `growth`; the certificate
+    # below has zero slack, which is the whole point of this instance.
+    desing = PowerDesingularizer(scale=math.sqrt(2.0 / growth), exponent=2.0,
+                                 region=WholeSpace(), ell=growth)
+    cert = to_error_bound(desing)
+    anchor_scale = 1.2 * float(np.linalg.norm(x0 - ball.center))
+    return PipelineBundle(
+        run=run,
+        desingularizer=desing,
+        certificate=cert,
+        objective=smooth,
+        solution_set=ball,
+        sampler=region_sampler(WholeSpace(), n, anchor=ball.center,
+                               scale=anchor_scale),
+        minimizer=None,
+        constants={"growth_constant": growth},
+        certificate_id=f"tight-quadratic(M={growth:.6g})",
+    )
+
+
+# every key of the method, certificate and checks blocks, as (type,
+# default); a default of None for the method name and step budget means the
+# family's (PIPELINES).  Any other key is a typo, and a value of another
+# type is refused: an int passes for a float, a bool for nothing.
+SETTINGS = {
+    "method": {"name": (str, None), "steps": (int, None),
+               "relative_step": (float, DEFAULT_RELATIVE_STEP)},
+    "certificate": {"source": (str, "computed"), "nu": (float, None),
+                    "scale_gamma": (float, None),
+                    "override_q": (float, None)},
+    "checks": {"samples": (int, 2000), "seed": (int, 0)},
+}
+
+# per family: the method names its pipeline runs, the first being the
+# default; the step budget when the config sets none; the builder
+PIPELINES = {
+    "lasso": (("ista",), 1000, _build_lasso),
+    "feasibility": (("barycentric", "alternating"), 1000, _build_feasibility),
+    "uniformly-convex": (("gradient",), 1000, _build_uniformly_convex),
+    "tight-quadratic": (("projection-gradient",), 50, _build_tight_quadratic),
 }
 
 
@@ -113,16 +282,29 @@ class ExperimentConfig:
             raise ValueError("unsupported config schema version")
         if not isinstance(self.name, str):
             raise ValueError("config name must be a string")
-        for block in ("instance",) + tuple(CONFIG_KEYS):
+        for block in ("instance",) + tuple(SETTINGS):
             if not isinstance(getattr(self, block), dict):
                 raise ValueError(f"config {block} must be an object")
-        for block, keys in CONFIG_KEYS.items():
+        for block, keys in SETTINGS.items():
             unknown = sorted(set(getattr(self, block)) - set(keys))
             if unknown:
                 raise ValueError(
                     f"config {block} has unknown keys {', '.join(unknown)}")
+            for key in getattr(self, block):
+                self.setting(block, key)
         if "path" not in self.instance and "family" not in self.instance:
             raise ValueError("instance needs either a path or a family")
+
+    def setting(self, block: str, key: str, default=None):
+        """block.key, refused unless of its SETTINGS type (an int given for
+        a float comes back as a float); when left out, its SETTINGS default,
+        or default where that is None.  The blocks stay as given."""
+        kind, fallback = SETTINGS[block][key]
+        if key not in getattr(self, block):
+            return default if fallback is None else fallback
+        value = getattr(self, block)[key]
+        require_type(value, kind, f"config {block}.{key}")
+        return float(value) if kind is float else value
 
     def to_dict(self) -> dict:
         return {
@@ -161,194 +343,22 @@ def load_instance(config: ExperimentConfig) -> GeneratedInstance:
     if "path" in fields:
         if len(fields) > 1:
             raise ValueError("an instance read from a path takes no other keys")
+        require_type(fields["path"], str, "instance path")
         return GeneratedInstance.from_json(fields["path"])
-    family = fields.pop("family")
-    seed = int(fields.pop("seed", 0))
-    return generate_instance(family, seed=seed, **fields)
-
-
-@dataclass
-class PipelineBundle:
-    """Everything a family pipeline must deliver to the generic checker."""
-
-    run: DescentRun
-    desingularizer: Desingularizer
-    certificate: ErrorBoundCertificate
-    objective: ConvexObjective
-    solution_set: object
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-    minimizer: Optional[np.ndarray]
-    constants: dict
-    certificate_id: str
-
-
-def _method_steps(method: dict, default: int = 1000) -> int:
-    steps = int(method.get("steps", default))
-    if steps < 1:
-        raise ValueError("need at least one step")
-    return steps
-
-
-def _lasso_growth(inst, cert_cfg: dict) -> tuple[float, str, LassoConstants]:
-    """(nu, its kind, growth constants) from the certificate block's source."""
-    source = cert_cfg.get("source", "computed")
-    if source == "computed":
-        nu, nu_kind = lasso_nu(inst, mode="exact")
-    elif source == "supplied":
-        require(cert_cfg, ("nu",), "supplied certificate")
-        nu, nu_kind = float(cert_cfg["nu"]), "supplied"
-    else:
-        raise ValueError(
-            f"unknown certificate source {source!r}; growth constants need "
-            "an exact (upper-bound) Hoffman constant or a supplied one")
-    return nu, nu_kind, lasso_gamma(inst, nu)
-
-
-def _build_lasso(gi: GeneratedInstance, method: dict, cert_cfg: dict
-                 ) -> PipelineBundle:
-    inst, min_value, minimizer = lasso_from_payload(gi.payload)
-    L = inst.lipschitz
-    d_rel = float(method.get("relative_step", DEFAULT_RELATIVE_STEP))
-    schedule = StepSchedule.over_lipschitz(d_rel, L)
-    run = ista(inst, schedule, _method_steps(method), min_value=min_value)
-    nu, nu_kind, consts = _lasso_growth(inst, cert_cfg)
-    cert = ErrorBoundCertificate(form="power", p=2.0,
-                                 gamma=2.0 * consts.gamma_R,
-                                 region=L1Ball(consts.R))
-    desing = from_error_bound(cert)
-    return PipelineBundle(
-        run=run,
-        desingularizer=desing,
-        certificate=cert,
-        objective=inst.objective(min_value=min_value),
-        solution_set=SingletonSet(minimizer),
-        sampler=region_sampler(cert.region, inst.dimension),
-        minimizer=minimizer,
-        constants={
-            "nu": nu, "nu_kind": nu_kind, "gamma_R": consts.gamma_R,
-            "kappa_R": consts.kappa_R, "R": consts.R, "lipschitz": L,
-            "relative_step": d_rel,
-        },
-        certificate_id=f"lasso-growth(gamma_R={consts.gamma_R:.6g})",
-    )
-
-
-def _build_feasibility(gi: GeneratedInstance, method: dict, variant: str
-                       ) -> PipelineBundle:
-    inst, x0 = feasibility_from_payload(gi.payload)
-    steps = _method_steps(method)
-    # a nested intersection is refused here, before the run projects onto it
-    if variant == "barycentric":
-        solution = IntersectionSet(inst.sets)
-        run = barycentric_projection(inst, x0, steps)
-        objective = inst.objective()
-    elif variant == "alternating":
-        solution = IntersectionSet(inst.sets[:2])
-        run = alternating_projection(inst, x0, steps)
-        objective = alternating_objective(inst.sets[0], inst.sets[1],
-                                          inst.dimension)
-    else:
-        raise ValueError(f"unknown feasibility variant {variant!r}")
-    start = np.asarray(run.iterates[0], dtype=float)
-    desing = feasibility_bound(inst, start, variant)
-    cert = to_error_bound(desing)
-    return PipelineBundle(
-        run=run,
-        desingularizer=desing,
-        certificate=cert,
-        objective=objective,
-        solution_set=solution,
-        sampler=region_sampler(desing.region, inst.dimension),
-        minimizer=None,
-        constants={"M": desing.ell, "variant": variant,
-                   "start_distance": float(np.linalg.norm(start - inst.xbar)),
-                   "inner_radius": inst.R},
-        certificate_id=f"feasibility-{variant}(M={desing.ell:.6g})",
-    )
-
-
-def _build_uniformly_convex(gi: GeneratedInstance, method: dict
-                            ) -> PipelineBundle:
-    payload = gi.payload
-    center = np.asarray(payload["center"], dtype=float)
-    weight = float(payload["weight"])
-    x0 = np.asarray(payload["x0"], dtype=float)
-    obj = quadratic_objective(center, weight=weight)
-    composite = CompositeObjective(smooth=obj,
-                                   nonsmooth=zero_objective(obj.dimension))
-    d_rel = float(method.get("relative_step", DEFAULT_RELATIVE_STEP))
-    schedule = StepSchedule.over_lipschitz(d_rel, obj.lipschitz)
-    run = forward_backward(composite, x0, schedule, _method_steps(method),
-                           min_value=0.0, method="gradient")
-    # Modulus of 2-uniform convexity of w ||x - c||^2 is 2w.
-    desing = uniformly_convex_profile(sigma=2.0 * weight, p=2.0, alpha0=1.0)
-    cert = to_error_bound(desing)
-    anchor_scale = 2.0 * float(np.linalg.norm(x0 - center)) + 1.0
-    return PipelineBundle(
-        run=run,
-        desingularizer=desing,
-        certificate=cert,
-        objective=obj,
-        solution_set=SingletonSet(center),
-        sampler=region_sampler(desing.region, obj.dimension, anchor=center,
-                               scale=anchor_scale),
-        minimizer=center,
-        constants={"modulus": 2.0 * weight, "lipschitz": obj.lipschitz,
-                   "relative_step": d_rel},
-        certificate_id=f"uniformly-convex(sigma={2.0 * weight:.6g})",
-    )
-
-
-def _build_tight_quadratic(gi: GeneratedInstance, method: dict
-                           ) -> PipelineBundle:
-    inst, x0 = feasibility_from_payload(gi.payload)
-    ball = inst.sets[0]
-    n = inst.dimension
-    growth = float(gi.payload["growth_constant"])
-    smooth = half_squared_distance(ball, n)
-    composite = CompositeObjective(smooth=smooth,
-                                   nonsmooth=zero_objective(n))
-    run = forward_backward(composite, x0, StepSchedule.constant(1.0),
-                           _method_steps(method, default=50), min_value=0.0,
-                           method="projection-gradient")
-    # f = 0.5 dist^2 grows with constant exactly `growth`; the certificate
-    # below has zero slack, which is the whole point of this instance.
-    desing = PowerDesingularizer(scale=math.sqrt(2.0 / growth), exponent=2.0,
-                                 region=WholeSpace(), ell=growth)
-    cert = to_error_bound(desing)
-    anchor_scale = 1.2 * float(np.linalg.norm(x0 - ball.center))
-    return PipelineBundle(
-        run=run,
-        desingularizer=desing,
-        certificate=cert,
-        objective=smooth,
-        solution_set=ball,
-        sampler=region_sampler(WholeSpace(), n, anchor=ball.center,
-                               scale=anchor_scale),
-        minimizer=None,
-        constants={"growth_constant": growth},
-        certificate_id=f"tight-quadratic(M={growth:.6g})",
-    )
+    return generate_instance(**fields)
 
 
 def build_pipeline(gi: GeneratedInstance, config: ExperimentConfig
                    ) -> PipelineBundle:
-    method = dict(config.method)
-    name = method.get("name")
-    if gi.family == "lasso":
-        if name not in (None, "ista"):
-            raise ValueError(f"method {name!r} does not apply to this family")
-        return _build_lasso(gi, method, config.certificate)
-    if gi.family == "feasibility":
-        variant = name or "barycentric"
-        return _build_feasibility(gi, method, variant)
-    if gi.family == "uniformly-convex":
-        if name not in (None, "gradient"):
-            raise ValueError(f"method {name!r} does not apply to this family")
-        return _build_uniformly_convex(gi, method)
-    if gi.family == "tight-quadratic":
-        return _build_tight_quadratic(gi, method)
-    raise ValueError(f"unknown family {gi.family!r}")
+    methods, default_steps, build = PIPELINES[gi.family]
+    method = config.setting("method", "name", methods[0])
+    if method not in methods:
+        raise ValueError(f"method {method!r} does not apply to the {gi.family}"
+                         f" family, which runs {', '.join(methods)}")
+    steps = config.setting("method", "steps", default_steps)
+    if steps < 1:
+        raise ValueError("need at least one step")
+    return build(gi, config, method, steps)
 
 
 def majorant_from_rate(d: Desingularizer, q: float, f0: float, params,
@@ -426,44 +436,36 @@ def run_experiment(config: ExperimentConfig,
     bundle = build_pipeline(gi, config)
     run = bundle.run
 
-    cert_cfg = dict(config.certificate)
     desing = bundle.desingularizer
     cert = bundle.certificate
-    if "scale_gamma" in cert_cfg:
-        factor = float(cert_cfg["scale_gamma"])
+    factor = config.setting("certificate", "scale_gamma")
+    if factor is not None:
         desing = scale_desingularizer(desing, factor)
         cert = scale_certificate(cert, factor)
         bundle.certificate_id += f"*scaled({factor:g})"
 
-    gaps = run.gaps
-    f0 = float(gaps[0])
+    f0 = float(run.gaps[0])
     if f0 <= 0:
         raise ValueError("start is already optimal; nothing to certify")
-    if "override_q" in cert_cfg:
-        maj = majorant_from_rate(desing, float(cert_cfg["override_q"]), f0,
-                                 run.params, run.num_steps)
-        bundle.certificate_id += f"*q={float(cert_cfg['override_q']):g}"
+    q = config.setting("certificate", "override_q")
+    if q is not None:
+        maj = majorant_from_rate(desing, q, f0, run.params, run.num_steps)
+        bundle.certificate_id += f"*q={q:g}"
     else:
         maj = worst_case_sequence(desing, f0, run.params, run.num_steps)
 
-    checks_cfg = dict(config.checks)
-    samples = int(checks_cfg.get("samples", 2000))
-    seed = int(checks_cfg.get("seed", 0))
-    tol = float(checks_cfg.get("tolerance", 1e-9))
-
+    samples = config.setting("checks", "samples")
+    seed = config.setting("checks", "seed")
     report = CertificationReport(
+        checks=trajectory_checks(run, maj, desing, xstar=bundle.minimizer),
         run_id=config.name or f"{gi.family}-seed{gi.seed}",
         certificate_id=bundle.certificate_id,
     )
-    report.add(check_majorization(run, maj, desing, tol=tol))
-    report.add(check_distance_bound(run, maj, xstar=bundle.minimizer))
-    report.add(check_prox_step_domination(run, desing, maj.zeta, tol=tol))
     report.add(check_kl_sampling(desing, bundle.objective, bundle.sampler,
-                                 n_samples=samples, tol=tol, seed=seed))
+                                 n_samples=samples, seed=seed))
     report.add(check_error_bound_sampling(cert, bundle.objective,
                                           bundle.solution_set, bundle.sampler,
-                                          n_samples=samples, tol=tol,
-                                          seed=seed + 1))
+                                          n_samples=samples, seed=seed + 1))
 
     result = ExperimentResult(config=config, instance=gi, bundle=bundle,
                               majorant=maj, report=report)
@@ -511,9 +513,8 @@ def certify_run(run_path: str, certificate_path: str,
                 out_path: Optional[str] = None) -> CertificationReport:
     """Re-check stored artifacts without re-running the method.
 
-    Covers the trajectory checks (majorization, distance, scalar-step
-    domination); the sampling checks need live oracles, so they belong to
-    run_experiment.
+    Covers the trajectory checks, the same ones run_experiment makes; the
+    sampling checks need live oracles, so they belong to run_experiment.
     """
     run = DescentRun.from_metadata_dict(read_json(run_path))
     cert_doc = read_json(certificate_path)
@@ -524,11 +525,9 @@ def certify_run(run_path: str, certificate_path: str,
         raise ValueError(f"malformed desingularizer: {exc!r}") from exc
     f0 = float(run.gaps[0])
     maj = worst_case_sequence(desing, f0, run.params, run.num_steps)
-    report = CertificationReport(run_id=os.path.basename(run_path),
+    report = CertificationReport(checks=trajectory_checks(run, maj, desing),
+                                 run_id=os.path.basename(run_path),
                                  certificate_id=cert_doc["certificate_id"])
-    report.add(check_majorization(run, maj, desing))
-    report.add(check_distance_bound(run, maj))
-    report.add(check_prox_step_domination(run, desing, maj.zeta))
     if out_path is not None:
         report.to_json(out_path)
     return report
@@ -556,7 +555,7 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
         raise ValueError("the step-size sweep targets the l1 family")
     inst, min_value, _ = lasso_from_payload(gi.payload)
     L = inst.lipschitz
-    gamma_R = _lasso_growth(inst, config.certificate)[2].gamma_R
+    gamma_R = _lasso_growth(inst, config)[2].gamma_R
     f0 = inst.value(inst.x0) - min_value
     eps = 0.5 * f0
 
@@ -586,84 +585,79 @@ def write_sweep(path, rows: Sequence[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the shipped experiment batteries; every battery finishes well under a
+# minute.  The two broken-* presets are supposed to exit nonzero: they
+# demonstrate that corrupted certificates are caught, not silently passed.
+PRESETS = {
+    "tiny-lasso": [
+        {
+            "name": "tiny-lasso",
+            "instance": {"family": "lasso", "n": 2, "m": 3, "seed": 7},
+            "method": {"name": "ista", "relative_step": 0.5, "steps": 400},
+            "checks": {"samples": 2000, "seed": 11},
+        },
+    ],
+    "feasibility": [
+        {
+            "name": "feasibility-barycentric",
+            "instance": {"family": "feasibility", "dim": 2, "seed": 3},
+            "method": {"name": "barycentric", "steps": 600},
+            "checks": {"samples": 2000, "seed": 5},
+        },
+        {
+            # Thin-lens geometry: the slow zigzag regime where the
+            # certified alternating rate is actually informative.
+            "name": "feasibility-alternating",
+            "instance": {"family": "feasibility", "dim": 2, "seed": 3,
+                         "geometry": "lens"},
+            "method": {"name": "alternating", "steps": 600},
+            "checks": {"samples": 2000, "seed": 6},
+        },
+    ],
+    "uniformly-convex": [
+        {
+            "name": "uniformly-convex",
+            "instance": {"family": "uniformly-convex", "n": 3, "seed": 5},
+            "method": {"name": "gradient", "relative_step": 0.5, "steps": 300},
+            "checks": {"samples": 2000, "seed": 7},
+        },
+    ],
+    "tight-quadratic": [
+        {
+            "name": "tight-quadratic",
+            "instance": {"family": "tight-quadratic", "dim": 2, "seed": 9},
+            "method": {"steps": 50},
+            "checks": {"samples": 2000, "seed": 13},
+        },
+    ],
+    "broken-certificate": [
+        {
+            "name": "broken-certificate",
+            "instance": {"family": "tight-quadratic", "dim": 2, "seed": 9},
+            "method": {"steps": 50},
+            "certificate": {"scale_gamma": 2.0},
+            "checks": {"samples": 2000, "seed": 13},
+        },
+    ],
+    "broken-rate": [
+        {
+            # Gradient descent at relative step 1/2 contracts the gap by
+            # exactly 4 per step; a claimed rate of 6 is unachievable.
+            "name": "broken-rate",
+            "instance": {"family": "uniformly-convex", "n": 3, "seed": 5},
+            "method": {"name": "gradient", "relative_step": 0.5, "steps": 300},
+            "certificate": {"override_q": 6.0},
+            "checks": {"samples": 2000, "seed": 7},
+        },
+    ],
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
 def preset_configs(name: str) -> list[ExperimentConfig]:
-    """Shipped experiment batteries; every battery finishes well under a
-    minute.  The two broken-* presets are supposed to exit nonzero — they
-    demonstrate that corrupted certificates are caught, not silently passed.
-    """
-    presets = {
-        "tiny-lasso": [
-            {
-                "name": "tiny-lasso",
-                "instance": {"family": "lasso", "n": 2, "m": 3, "seed": 7},
-                "method": {"name": "ista", "relative_step": 0.5,
-                           "steps": 400},
-                "checks": {"samples": 2000, "seed": 11},
-            },
-        ],
-        "feasibility": [
-            {
-                "name": "feasibility-barycentric",
-                "instance": {"family": "feasibility", "dim": 2, "seed": 3},
-                "method": {"name": "barycentric", "steps": 600},
-                "checks": {"samples": 2000, "seed": 5},
-            },
-            {
-                # Thin-lens geometry: the slow zigzag regime where the
-                # certified alternating rate is actually informative.
-                "name": "feasibility-alternating",
-                "instance": {"family": "feasibility", "dim": 2, "seed": 3,
-                             "geometry": "lens"},
-                "method": {"name": "alternating", "steps": 600},
-                "checks": {"samples": 2000, "seed": 6},
-            },
-        ],
-        "uniformly-convex": [
-            {
-                "name": "uniformly-convex",
-                "instance": {"family": "uniformly-convex", "n": 3, "seed": 5},
-                "method": {"name": "gradient", "relative_step": 0.5,
-                           "steps": 300},
-                "checks": {"samples": 2000, "seed": 7},
-            },
-        ],
-        "tight-quadratic": [
-            {
-                "name": "tight-quadratic",
-                "instance": {"family": "tight-quadratic", "dim": 2,
-                             "seed": 9},
-                "method": {"steps": 50},
-                "checks": {"samples": 2000, "seed": 13},
-            },
-        ],
-        "broken-certificate": [
-            {
-                "name": "broken-certificate",
-                "instance": {"family": "tight-quadratic", "dim": 2,
-                             "seed": 9},
-                "method": {"steps": 50},
-                "certificate": {"scale_gamma": 2.0},
-                "checks": {"samples": 2000, "seed": 13},
-            },
-        ],
-        "broken-rate": [
-            {
-                # Gradient descent at relative step 1/2 contracts the gap by
-                # exactly 4 per step; a claimed rate of 6 is unachievable.
-                "name": "broken-rate",
-                "instance": {"family": "uniformly-convex", "n": 3, "seed": 5},
-                "method": {"name": "gradient", "relative_step": 0.5,
-                           "steps": 300},
-                "certificate": {"override_q": 6.0},
-                "checks": {"samples": 2000, "seed": 7},
-            },
-        ],
-    }
-    if name not in presets:
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; "
-                         f"available: {', '.join(sorted(presets))}")
-    return [ExperimentConfig.from_dict(d) for d in presets[name]]
-
-
-PRESET_NAMES = ("tiny-lasso", "feasibility", "uniformly-convex",
-                "tight-quadratic", "broken-certificate", "broken-rate")
+                         f"available: {', '.join(sorted(PRESETS))}")
+    # copies: a command may change a config's blocks
+    return [ExperimentConfig.from_dict(copy.deepcopy(d))
+            for d in PRESETS[name]]

@@ -29,7 +29,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from klcert.error_bounds import (
     LassoInstance,
     LinearSystemPair,
 )
-from klcert.tracefmt import read_json, require, write_json
+from klcert.tracefmt import read_json, require, require_type, write_json
 
 # grid step of the reference grid, per dimension
 GRID_RESOLUTION = {1: 1e-3, 2: 1e-3, 3: 1e-2}
@@ -58,11 +58,6 @@ POLISH_CAP = 200000
 # ---------------------------------------------------------------------------
 # l1-regularized least squares
 # ---------------------------------------------------------------------------
-
-
-def lasso_value(A: Array, y: Array, mu: float, x: Array) -> float:
-    r = A @ x - y
-    return 0.5 * float(r @ r) + mu * float(np.abs(x).sum())
 
 
 def lasso_grid_minimum(A: Array, y: Array, mu: float) -> tuple[Array, float]:
@@ -208,9 +203,9 @@ def lasso_polish(A: Array, y: Array, mu: float, x_start
 
 
 def lasso_reference_minimum(A: Array, y: Array, mu: float
-                            ) -> tuple[Array, float, Optional[int]]:
-    """Reference minimizer, its value, and the period of the polish's
-    last-bit cycle (None when the polish stops).
+                            ) -> tuple[Array, Optional[int]]:
+    """Reference minimizer and the period of the polish's last-bit cycle
+    (None when the polish stops).
 
     For n <= 3 the first minimum of a dense grid seeds a polish to a
     proximal fixed point; above n = 3 the polish runs from the origin,
@@ -226,8 +221,7 @@ def lasso_reference_minimum(A: Array, y: Array, mu: float
         seed_point, _ = lasso_grid_minimum(A, y, mu)
     else:
         seed_point = np.zeros(n)
-    xstar, period = lasso_polish(A, y, mu, seed_point)
-    return xstar, lasso_value(A, np.atleast_1d(y), mu, xstar), period
+    return lasso_polish(A, y, mu, seed_point)
 
 
 def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
@@ -257,7 +251,7 @@ def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
     if mu is None:
         mu = float(rng.uniform(0.45, 0.9) if n <= 2 else rng.uniform(0.6, 0.9))
     x0 = rng.uniform(-1.0, 1.0, n)
-    xstar, min_value, period = lasso_reference_minimum(A, y, mu)
+    xstar, period = lasso_reference_minimum(A, y, mu)
     if period is not None:
         # imported here: no other path logs, and the CLI starts without it
         import logging
@@ -272,7 +266,7 @@ def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
         "mu": mu,
         "x0": x0.tolist(),
         "minimizer": xstar.tolist(),
-        "min_value": min_value,
+        "min_value": LassoInstance(A, y, mu, x0).value(xstar),
         "grid_certified": n <= 3,
     }
     return GeneratedInstance(family="lasso", seed=seed, payload=payload)
@@ -512,7 +506,8 @@ class GeneratedInstance:
         family's loader reads is required; a missing one raises ValueError
         instead of being patched with a default."""
         require(data, ("schema_version",) + INSTANCE_FIELDS, "instance")
-        gi = GeneratedInstance(family=data["family"], seed=int(data["seed"]),
+        require_type(data["seed"], int, "instance seed")
+        gi = GeneratedInstance(family=data["family"], seed=data["seed"],
                                payload=data["payload"])
         require(gi.payload, PAYLOAD_FIELDS[gi.family], f"{gi.family} payload")
         return gi
@@ -523,12 +518,21 @@ class GeneratedInstance:
 
 
 def generate_instance(family: str, seed: int = 0, **dims) -> GeneratedInstance:
-    """Single entry point used by the command line; a keyword the family's
-    generator does not take raises ValueError."""
+    """Single entry point used by the command line.  The seed and every
+    keyword must be parameters of the family's generator, of the type its
+    annotation gives (None only where that is Optional); anything else
+    raises ValueError."""
+    require_type(family, str, "instance family")
     if family not in GENERATORS:
         raise ValueError(f"unknown family {family!r}")
     generator = GENERATORS[family]
-    unknown = sorted(set(dims) - set(inspect.signature(generator).parameters))
+    parameters = inspect.signature(generator, eval_str=True).parameters
+    unknown = sorted(set(dims) - set(parameters))
     if unknown:
         raise ValueError(f"{family} instances take no {', '.join(unknown)}")
+    for key, value in dict(dims, seed=seed).items():
+        annotation = parameters[key].annotation
+        kinds = get_args(annotation) or (annotation,)
+        if value is not None or type(None) not in kinds:
+            require_type(value, kinds[0], f"{family} instance {key}")
     return generator(seed=seed, **dims)

@@ -5,10 +5,10 @@ Every artifact goes through `_atomic_write`: the bytes land in a temporary
 file next to the target and are renamed over it, so a partial file never
 appears under the target name.  JSON is ASCII with sorted keys and a
 two-space indent; a record is read back with `read_json` and checked with
-`require`, so a malformed one raises ValueError instead of being patched
-with defaults.  CSV is RFC 4180 (CRLF, '.' decimal separator) with 17
-significant digits, so that round-tripping and byte-for-byte
-reproducibility hold.  A table arrives as rows of cells, one tuple per row
+`require` and `require_type`, so a malformed one raises ValueError instead
+of being patched with defaults or converted.  CSV is RFC 4180 (CRLF, '.'
+decimal separator) with 17 significant digits, so that round-tripping and
+byte-for-byte reproducibility hold.  A table arrives as rows of cells, one tuple per row
 in the order of its field names; the writer formats each column in one pass
 and joins the cells.  Method traces and worst-case majorant traces share
 TRACE_COLUMNS, which makes overlay plotting trivial; a column a table has
@@ -17,10 +17,10 @@ no values for is a column of empty (None) cells.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
+import sys
 import tempfile
 
 TRACE_COLUMNS = (
@@ -71,6 +71,18 @@ def require(record: dict, fields, what: str) -> None:
         raise ValueError(f"{what} record lacks {', '.join(missing)}")
 
 
+def require_type(value, kind: type, what: str) -> None:
+    """Refuse a value that is not of kind, never converting it: an int
+    passes where a float is expected, unless no float can hold it, and a
+    bool is always refused."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(
+            f"{what} must be {kind.__name__}, not {type(value).__name__}")
+    if kind is float and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} is beyond the range of a float")
+
+
 def _column_cells(column) -> list[str]:
     return ["" if v is None else str(v) if type(v) is int
             else "inf" if v == -math.inf else f"{v:.17g}" for v in column]
@@ -86,23 +98,3 @@ def write_table(path, fieldnames, rows) -> None:
     columns = [_column_cells(column) for column in zip(*rows)]
     lines = [",".join(fieldnames), *map(",".join, zip(*columns)), ""]
     _atomic_write(path, "\r\n".join(lines))
-
-
-def read_trace(path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            row = {}
-            for col in TRACE_COLUMNS:
-                raw = rec.get(col, "")
-                if raw == "" or raw is None:
-                    row[col] = None
-                elif col == "k":
-                    row[col] = int(raw)
-                elif raw == "inf":
-                    row[col] = math.inf
-                else:
-                    row[col] = float(raw)
-            rows.append(row)
-    return rows

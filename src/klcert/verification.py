@@ -204,6 +204,16 @@ def check_prox_step_domination(run: DescentRun, d: Desingularizer,
                               f"vs zeta = {zeta_value:.6g}")
 
 
+def trajectory_checks(run: DescentRun, maj: MajorantSequence,
+                      desing: Desingularizer, xstar=None) -> list:
+    """The checks that need only the run and its certificate, in report
+    order; `klcert run` and `klcert certify` both make them through here,
+    so they reach one verdict on the same artifacts."""
+    return [check_majorization(run, maj, desing),
+            check_distance_bound(run, maj, xstar=xstar),
+            check_prox_step_domination(run, desing, maj.zeta)]
+
+
 # ---------------------------------------------------------------------------
 # sampling checks
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def _builder_zoo(rng):
         scaled_l1(dimension=2, weight=0.6),
         least_squares(A, y),
         lasso_objective(A, y, mu=0.3),
-        feasibility_objective(sets, weights=(0.25, 0.75)),
+        feasibility_objective(sets, weights=(0.25, 0.75), dimension=2),
         half_squared_distance(Ball(np.array([1.0, 1.0]), 0.5), dimension=2),
         zero_objective(2),
     ]
@@ -414,7 +414,8 @@ def _factory_zoo() -> dict:
         "least-squares": least_squares(A, y),
         "zero": zero_objective(3),
         "lasso": lasso_objective(A, y, mu=0.4, min_value=0.1),
-        "feasibility": feasibility_objective((_BALL, _HALF), weights=(0.3, 0.7)),
+        "feasibility": feasibility_objective((_BALL, _HALF), weights=(0.3, 0.7),
+                                             dimension=3),
         "half-squared-distance": half_squared_distance(_HALF, 3),
         "alternating-ball": alternating_objective(_BALL, _HALF, 3),
         "alternating-halfspace": alternating_objective(_HALF, _BALL, 3),

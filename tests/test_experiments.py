@@ -1,6 +1,7 @@
 """End-to-end pipelines, artifacts, presets, sweep, and the command line."""
 
 import copy
+import csv
 import hashlib
 import json
 import math
@@ -32,7 +33,7 @@ from klcert.problems import (
     PAYLOAD_FIELDS,
     generate_instance,
 )
-from klcert.tracefmt import TRACE_COLUMNS, read_trace
+from klcert.tracefmt import TRACE_COLUMNS
 
 GOOD_PRESETS = ("tiny-lasso", "feasibility", "uniformly-convex",
                 "tight-quadratic")
@@ -40,6 +41,13 @@ GOOD_PRESETS = ("tiny-lasso", "feasibility", "uniformly-convex",
 
 def _failed_names(report):
     return sorted(c.name for c in report.checks if c.status == "fail")
+
+
+def _read_trace(path):
+    """trace.csv rows by column name: a float per cell, None when empty."""
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        return [{k: None if v == "" else float(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +167,7 @@ def test_trace_csv_format(tmp_path):
     # 17 significant digits survive a parse round trip
     assert f"{float(cell):.17g}" == cell
 
-    rows = read_trace(tmp_path / "trace.csv")
+    rows = _read_trace(tmp_path / "trace.csv")
     assert rows[0]["k"] == 0 and rows[0]["value_gap"] is not None
     assert rows[1]["distance_bound"] is not None
 
@@ -315,6 +323,22 @@ def test_run_rejects_malformed_instances(stored_instances, tmp_path, capsys,
     assert "error:" in capsys.readouterr().err
 
 
+def test_barycentric_run_on_affine_sets(stored_instances, tmp_path):
+    # no affine set names its dimension; the objective takes the instance's
+    doc = copy.deepcopy(stored_instances["feasibility"])
+    xbar = doc["payload"]["instance"]["xbar"]
+    doc["payload"]["instance"]["sets"] = [
+        {"kind": "affine", "matrix": [[1.0, 0.0]], "rhs": [xbar[0]]},
+        {"kind": "affine", "matrix": [[0.0, 1.0]], "rhs": [xbar[1]]}]
+    config = {"name": "affine", "method": {"name": "barycentric",
+                                           "steps": 100},
+              "checks": {"samples": 200}}
+    assert _run_stored_instance(tmp_path, doc, config) == 0
+    report = json.loads((tmp_path / "out" / "affine" / "report.json")
+                        .read_text())
+    assert [c["status"] for c in report["checks"]] == ["pass"] * 5
+
+
 def test_run_rejects_config_without_instance(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_RUN))
@@ -405,7 +429,7 @@ def test_cli_run_config_file_with_step_override(tmp_path):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--steps", "37"])
     assert code == 0
-    rows = read_trace(tmp_path / "o" / "tiny-lasso" / "trace.csv")
+    rows = _read_trace(tmp_path / "o" / "tiny-lasso" / "trace.csv")
     assert len(rows) <= 38
 
 
@@ -511,6 +535,38 @@ MALFORMED_INPUTS = {
         "run", certificate={"sorce": "computed"}),
     "checks-key-typo": _run_config(
         "sweep", checks={"samples": 2000, "sead": 11}),
+    # no tolerance key: each check keeps its own, which certify uses too
+    "checks-tolerance": _run_config(
+        "run", checks={"samples": 2000, "seed": 11, "tolerance": 1e-9}),
+    # a value of another type than its key's is refused, never converted
+    "method-steps-float": _run_config(
+        "run", method={"name": "ista", "steps": 2.7}),
+    "method-steps-string": _run_config(
+        "run", method={"name": "ista", "steps": "40"}),
+    "method-name-null": _run_config("run", method={"name": None}),
+    "certificate-scale-gamma-string": _run_config(
+        "run", certificate={"scale_gamma": "2"}),
+    "certificate-scale-gamma-beyond-float": _run_config(
+        "run", certificate={"scale_gamma": 10 ** 400}),
+    "certificate-nu-bool": _run_config(
+        "sweep", certificate={"source": "supplied", "nu": True}),
+    "checks-seed-bool": _run_config("run", checks={"seed": True}),
+    "checks-samples-string": _run_config("run", checks={"samples": "30"}),
+    "checks-samples-null": _run_config("run", checks={"samples": None}),
+    "instance-seed-bool": _run_config(
+        "run", instance={"family": "lasso", "n": 2, "seed": True}),
+    "instance-n-string": _run_config(
+        "run", instance={"family": "lasso", "n": "two"}),
+    "instance-n-string-sweep": _run_config(
+        "sweep", instance={"family": "lasso", "n": "two"}),
+    "instance-family-list": _run_config("run", instance={"family": ["lasso"]}),
+    "instance-path-number": _run_config("run", instance={"path": 0}),
+    "method-of-another-family": _run_config(
+        "run", instance={"family": "tight-quadratic", "dim": 2},
+        method={"name": "ista"}),
+    "zero-steps": lambda tmp_path: [
+        "run", "--preset", "tiny-lasso", "--steps", "0",
+        "--out", str(tmp_path / "out")],
 }
 
 

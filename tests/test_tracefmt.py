@@ -19,7 +19,7 @@ from klcert.experiments import (
     run_experiment,
     write_sweep,
 )
-from klcert.tracefmt import TRACE_COLUMNS, read_trace, write_json, write_table
+from klcert.tracefmt import TRACE_COLUMNS, write_json, write_table
 
 ROWS = [
     (0, 1.5, math.inf, None, None, None, None),
@@ -86,7 +86,9 @@ def test_trace_table_bytes(tmp_path):
         b"distance_to_xstar,distance_bound\r\n"
         b"0,1.5,inf,,,,\r\n"
         b"1,0.10000000000000001,,0.66666666666666663,,,\r\n")
-    back = read_trace(path)
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        back = [{k: None if v == "" else float(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
     assert back[0]["value_bound"] == math.inf
     assert back[1]["step_norm"] == 2.0 / 3.0
     assert back[1]["witness_norm"] is None
