@@ -258,13 +258,20 @@ SETTINGS = {
     "checks": {"samples": (int, 2000), "seed": (int, 0)},
 }
 
+# the certificate keys run_experiment reads for every family
+RESCALING = ("scale_gamma", "override_q")
+
 # per family: the method names its pipeline runs, the first being the
-# default; the step budget when the config sets none; the builder
+# default; the step budget when the config sets none; the certificate keys
+# it reads; the builder
 PIPELINES = {
-    "lasso": (("ista",), 1000, _build_lasso),
-    "feasibility": (("barycentric", "alternating"), 1000, _build_feasibility),
-    "uniformly-convex": (("gradient",), 1000, _build_uniformly_convex),
-    "tight-quadratic": (("projection-gradient",), 50, _build_tight_quadratic),
+    "lasso": (("ista",), 1000, ("source", "nu") + RESCALING, _build_lasso),
+    "feasibility": (("barycentric", "alternating"), 1000, RESCALING,
+                    _build_feasibility),
+    "uniformly-convex": (("gradient",), 1000, RESCALING,
+                         _build_uniformly_convex),
+    "tight-quadratic": (("projection-gradient",), 50, RESCALING,
+                        _build_tight_quadratic),
 }
 
 
@@ -348,16 +355,30 @@ def load_instance(config: ExperimentConfig) -> GeneratedInstance:
     return generate_instance(**fields)
 
 
-def build_pipeline(gi: GeneratedInstance, config: ExperimentConfig
-                   ) -> PipelineBundle:
-    methods, default_steps, build = PIPELINES[gi.family]
+def pipeline_settings(family: str, config: ExperimentConfig
+                      ) -> tuple[str, int]:
+    """(method, step budget) of config for family, refused unless the
+    family runs that method, the budget is at least one step and the
+    family reads every certificate key the config gives."""
+    methods, default_steps, certificate_keys, _ = PIPELINES[family]
     method = config.setting("method", "name", methods[0])
     if method not in methods:
-        raise ValueError(f"method {method!r} does not apply to the {gi.family}"
+        raise ValueError(f"method {method!r} does not apply to the {family}"
                          f" family, which runs {', '.join(methods)}")
     steps = config.setting("method", "steps", default_steps)
     if steps < 1:
         raise ValueError("need at least one step")
+    unread = sorted(set(config.certificate) - set(certificate_keys))
+    if unread:
+        raise ValueError(f"config certificate has keys the {family} family "
+                         f"does not read: {', '.join(unread)}")
+    return method, steps
+
+
+def build_pipeline(gi: GeneratedInstance, config: ExperimentConfig
+                   ) -> PipelineBundle:
+    method, steps = pipeline_settings(gi.family, config)
+    build = PIPELINES[gi.family][-1]
     return build(gi, config, method, steps)
 
 
@@ -553,6 +574,7 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
     gi = load_instance(config)
     if gi.family != "lasso":
         raise ValueError("the step-size sweep targets the l1 family")
+    pipeline_settings(gi.family, config)
     inst, min_value, _ = lasso_from_payload(gi.payload)
     L = inst.lipschitz
     gamma_R = _lasso_growth(inst, config)[2].gamma_R

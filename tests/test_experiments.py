@@ -567,6 +567,19 @@ MALFORMED_INPUTS = {
     "zero-steps": lambda tmp_path: [
         "run", "--preset", "tiny-lasso", "--steps", "0",
         "--out", str(tmp_path / "out")],
+    # source and nu feed the lasso growth constants and nothing else
+    "certificate-source-of-another-family": _run_config(
+        "run", instance={"family": "uniformly-convex", "n": 3, "seed": 5},
+        method={"name": "gradient"},
+        certificate={"source": "bogus", "nu": 3}),
+    "certificate-nu-of-another-family": _run_config(
+        "run", instance={"family": "tight-quadratic", "dim": 2},
+        method={}, certificate={"nu": 3.0}),
+    # the sweep checks its method block as run does
+    "sweep-method-of-another-family": _run_config(
+        "sweep", method={"name": "gradient"}),
+    "sweep-zero-steps": _run_config(
+        "sweep", method={"name": "ista", "steps": 0}),
 }
 
 
