@@ -23,11 +23,8 @@ from klcert.descent import (
     DescentCertificateParams,
     DescentRun,
     StepSchedule,
-    alternating_projection,
-    barycentric_projection,
     certificate_params,
     forward_backward,
-    ista,
 )
 from klcert.desingularization import (
     Desingularizer,
@@ -103,8 +100,6 @@ __all__ = [
     "QuadraticComplexity",
     "SingletonSet",
     "StepSchedule",
-    "alternating_projection",
-    "barycentric_projection",
     "certificate_params",
     "check_error_bound_sampling",
     "check_kl_sampling",
@@ -115,7 +110,6 @@ __all__ = [
     "generate_instance",
     "globalize",
     "hoffman_constant",
-    "ista",
     "kl_gap",
     "lasso_gamma",
     "lasso_nu",

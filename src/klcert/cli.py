@@ -8,9 +8,11 @@ inconclusive checks never fail a run.  Everything else that stops a command
 exits 2 with one "error:" line on stderr and no traceback: bad arguments, a
 file that cannot be read, a JSON file whose top level is not an object, a
 record that lacks a field or has another schema version, a config key or
-instance key that nothing reads, a value of another type than its key takes
-(never converted), a method the instance's family does not run, and a
-projection that does not converge.
+instance key that nothing reads (the sweep reads no rescaled constant or
+rate), a value of another type than its key or stored field takes (never
+converted), a stored number that is not finite, a method the instance's
+family does not run, a step budget or cap below one, and a projection that
+does not converge.
 """
 
 from __future__ import annotations

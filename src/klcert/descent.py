@@ -1,4 +1,11 @@
-"""Descent methods that certify their own step inequalities.
+"""The one descent method, forward-backward, certifying its own step
+inequalities.
+
+Every shipped method is a forward-backward step on some composite h + g:
+ISTA, gradient descent, projection-gradient, and averaged and alternating
+projections (unit steps on 0.5 sum_i w_i dist^2(., C_i), or on
+indicator(C_1) + 0.5 dist^2(., C_2)).  Each family's pipeline builds its
+composite, start and step schedule, and `forward_backward` runs them all.
 
 Every run records, per step, the objective value, the step norm, and the
 norm of an explicit subgradient witness, so that the two certificate
@@ -18,22 +25,13 @@ marked converged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from klcert.convex import (
-    Array,
-    CompositeObjective,
-    as_point,
-    half_squared_distance,
-    indicator,
-    row_norms,
-    zero_objective,
-)
-from klcert.error_bounds import FeasibilityInstance, LassoInstance
-from klcert.tracefmt import require, write_json
+from klcert.convex import Array, CompositeObjective, as_point, row_norms
+from klcert.tracefmt import require, require_number, require_type, write_json
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,6 @@ class StepSchedule:
         return StepSchedule.constant(d / lipschitz)
 
 
-DEFAULT_RELATIVE_STEP = 0.5
-
-
 def certificate_params(schedule: StepSchedule, lipschitz: float) -> DescentCertificateParams:
     """(a, b) implied by the schedule bounds and the smooth Lipschitz constant."""
     L = float(lipschitz)
@@ -103,10 +98,20 @@ def certificate_params(schedule: StepSchedule, lipschitz: float) -> DescentCerti
     return DescentCertificateParams(a=a, b=b)
 
 
+def _numbers(values, what: str) -> Array:
+    """values as a float array, refused unless numpy reads them with an int
+    or float dtype, which it never does with a string or a null among them,
+    or with bools alone."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold numbers, not {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 # every key of a run.json record; all of them are required on load
 RUN_FIELDS = ("schema_version", "method", "a", "b", "min_value", "converged",
               "num_steps", "step_sizes", "step_norms", "witness_norms",
-              "iterates", "raw_values", "metadata")
+              "iterates", "raw_values")
 
 
 @dataclass
@@ -126,7 +131,6 @@ class DescentRun:
     step_sizes: Array          # (T,)
     min_value: Optional[float] = None
     converged: bool = False
-    metadata: dict = field(default_factory=dict)
 
     @property
     def num_steps(self) -> int:
@@ -175,7 +179,6 @@ class DescentRun:
             "iterates": self.iterates.tolist(),
             "raw_values": np.where(np.isinf(self.raw_values), None,
                                    self.raw_values).tolist(),
-            "metadata": self.metadata,
         }
 
     def to_metadata_json(self, path) -> None:
@@ -187,18 +190,21 @@ class DescentRun:
         per-step arrays must match num_steps; a malformed record raises
         ValueError instead of being patched with defaults."""
         require(data, RUN_FIELDS, "run")
+        for key, kind in (("method", str), ("converged", bool),
+                          ("num_steps", int)):
+            require_type(data[key], kind, f"run {key}")
+        steps = data["num_steps"]
+        params = DescentCertificateParams(a=require_number(data["a"], "run a"),
+                                          b=require_number(data["b"], "run b"))
+        min_value = data["min_value"]
+        if min_value is not None:
+            min_value = require_number(min_value, "run min_value")
         try:
-            steps = int(data["num_steps"])
-            iterates = np.asarray(data["iterates"], dtype=float)
-            raw = np.array([math.inf if v is None else float(v)
-                            for v in data["raw_values"]])
-            step_norms, witness_norms, step_sizes = (
-                np.asarray(data[key], dtype=float)
-                for key in ("step_norms", "witness_norms", "step_sizes"))
-            params = DescentCertificateParams(a=float(data["a"]),
-                                              b=float(data["b"]))
-            min_value = (None if data["min_value"] is None
-                         else float(data["min_value"]))
+            iterates, step_norms, witness_norms, step_sizes = (
+                _numbers(data[key], f"run {key}") for key in (
+                    "iterates", "step_norms", "witness_norms", "step_sizes"))
+            raw = _numbers([math.inf if v is None else v
+                            for v in data["raw_values"]], "run raw_values")
         except TypeError as exc:
             raise ValueError(f"malformed run record: {exc}") from exc
         if (iterates.ndim != 2 or len(iterates) != steps + 1
@@ -210,10 +216,7 @@ class DescentRun:
         # (+inf) is the only non-finite entry a run record may hold
         if not ((raw > -math.inf).all()
                 and all(np.isfinite(v).all() for v in (
-                    iterates, step_norms, witness_norms, step_sizes))
-                and all(map(math.isfinite, (
-                    params.a, params.b,
-                    0.0 if min_value is None else min_value)))):
+                    iterates, step_norms, witness_norms, step_sizes))):
             raise ValueError("run record holds a non-finite value")
         return DescentRun(
             method=data["method"],
@@ -224,14 +227,8 @@ class DescentRun:
             witness_norms=witness_norms,
             step_sizes=step_sizes,
             min_value=min_value,
-            converged=bool(data["converged"]),
-            metadata=data["metadata"],
+            converged=data["converged"],
         )
-
-
-# ---------------------------------------------------------------------------
-# methods
-# ---------------------------------------------------------------------------
 
 
 def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
@@ -277,75 +274,3 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
         converged=converged,
     )
 
-
-def ista(inst: LassoInstance, schedule: Optional[StepSchedule] = None,
-         steps: int = 1000, min_value: Optional[float] = None) -> DescentRun:
-    """Proximal gradient on 0.5||Ax - y||^2 + mu||x||_1 started at inst.x0.
-
-    Default schedule: constant step 0.5 / L with L = ||A^T A||.  Iterates
-    stay in the l1 ball of radius inst.radius_bound(); the per-iterate l1
-    norms are recorded for auditing.
-    """
-    L = inst.lipschitz
-    if schedule is None:
-        schedule = StepSchedule.over_lipschitz(DEFAULT_RELATIVE_STEP, L)
-    run = forward_backward(inst.composite(), inst.x0, schedule, steps,
-                           min_value=min_value, method="ista")
-    l1_norms = np.abs(run.iterates).sum(axis=-1)
-    R = inst.radius_bound()
-    worst = float(np.max(l1_norms))
-    if worst > R + 1e-9:
-        # Guaranteed for any valid step schedule; tripping it means a bug,
-        # not an unlucky instance.
-        raise RuntimeError(
-            f"iterate escaped the l1 ball: {worst!r} > R = {R!r}")
-    run.metadata["l1_norms"] = l1_norms.tolist()
-    run.metadata["radius_bound"] = R
-    run.metadata["lipschitz"] = L
-    return run
-
-
-def barycentric_projection(inst: FeasibilityInstance, x0, steps: int = 1000
-                           ) -> DescentRun:
-    """Averaged projections x_+ = sum_i w_i P_i(x): unit gradient step on
-    f = 0.5 sum_i w_i dist^2(., C_i), so a = 1/2 and b = 2.
-
-    The distance to the declared center xbar is recorded per iterate; it is
-    nonincreasing (Fejer monotonicity), which keeps the run inside the
-    certificate region B(xbar, ||x0 - xbar||)."""
-    f = inst.objective()
-    composite = CompositeObjective(smooth=f, nonsmooth=zero_objective(f.dimension))
-    run = forward_backward(composite, x0, StepSchedule.constant(1.0), steps,
-                           min_value=0.0, method="barycentric")
-    run.metadata["dist_to_xbar"] = row_norms(run.iterates - inst.xbar).tolist()
-    return run
-
-
-def alternating_projection(inst: FeasibilityInstance, x0, steps: int = 1000
-                           ) -> DescentRun:
-    """Alternating projections x_+ = P_1(P_2(x)) for exactly two sets.
-
-    This is the forward-backward step with unit step size on
-    g = indicator(C_1) + 0.5 dist^2(., C_2), again a = 1/2 and b = 2.
-    A start outside C_1 is first projected onto it (recorded in metadata).
-    Exposed for two sets only: the averaged variant covers m > 2.
-    """
-    if len(inst.sets) != 2:
-        raise ValueError("alternating projections are exposed for two sets "
-                         "only; use barycentric_projection for more")
-    c1, c2 = inst.sets
-    x0 = as_point(x0, inst.dimension)
-    projected_start = False
-    if not bool(c1.contains(x0, tol=1e-12)):
-        x0 = c1.project(x0)
-        projected_start = True
-    composite = CompositeObjective(
-        smooth=half_squared_distance(c2, inst.dimension),
-        nonsmooth=indicator(c1, inst.dimension),
-    )
-    run = forward_backward(composite, x0, StepSchedule.constant(1.0), steps,
-                           min_value=0.0, method="alternating")
-    run.metadata["projected_start"] = projected_start
-    run.metadata["dist_to_c2"] = c2.distance(run.iterates).tolist()
-    run.metadata["dist_to_xbar"] = row_norms(run.iterates - inst.xbar).tolist()
-    return run

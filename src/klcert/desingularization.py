@@ -35,6 +35,7 @@ from klcert.convex import (
     value_gap,
 )
 from klcert.regions import WholeSpace, region_from_dict
+from klcert.tracefmt import require_number
 
 
 class NonModerateResidualError(ValueError):
@@ -386,20 +387,26 @@ class ErrorBoundCertificate:
 
 
 def desingularizer_from_dict(data: dict) -> Desingularizer:
-    """Inverse of to_dict; every key it writes is required (KeyError)."""
+    """Inverse of to_dict; every key it writes is required (KeyError), and
+    every number must be finite, a null r0 standing for +inf and a null ell
+    for the computed one (ValueError)."""
     form = data["form"]
     if form == "power":
-        region = data["region"]
+        region, r0, ell = data["region"], data["r0"], data["ell"]
         return PowerDesingularizer(
-            scale=float(data["scale"]),
-            exponent=float(data["exponent"]),
-            r0=math.inf if data["r0"] is None else float(data["r0"]),
+            scale=require_number(data["scale"], "desingularizer scale"),
+            exponent=require_number(data["exponent"],
+                                    "desingularizer exponent"),
+            r0=math.inf if r0 is None else require_number(
+                r0, "desingularizer r0"),
             region=region_from_dict(region) if region is not None else None,
-            ell=None if data["ell"] is None else float(data["ell"]),
+            ell=None if ell is None else require_number(
+                ell, "desingularizer ell"),
         )
     if form == "globalized":
         base = desingularizer_from_dict(data["base"])
-        return GlobalizedDesingularizer(base, float(data["junction"]))
+        return GlobalizedDesingularizer(
+            base, require_number(data["junction"], "desingularizer junction"))
     raise ValueError(f"unknown desingularizer form {form!r}")
 
 

@@ -2,6 +2,10 @@
 checks -> artifacts, plus re-certification of stored artifacts, the
 step-size sweep and the shipped presets.
 
+Each family's builder returns its problem (composite, start, step schedule,
+minimum value) and certificate pieces; `run_experiment` runs every family's
+method through one `forward_backward` call.
+
 A config fully determines an experiment; identical configs produce byte-
 identical artifacts (seeded sampling, sorted JSON keys, fixed-format CSV),
 all written through `klcert.tracefmt`.  The certificate block accepts two
@@ -27,20 +31,18 @@ from klcert.convex import (
     IntersectionSet,
     SingletonSet,
     alternating_objective,
+    as_point,
     half_squared_distance,
+    indicator,
     quadratic_objective,
     row_norms,
     zero_objective,
 )
 from klcert.descent import (
-    DEFAULT_RELATIVE_STEP,
     DescentRun,
     StepSchedule,
-    alternating_projection,
-    barycentric_projection,
     certificate_params,
     forward_backward,
-    ista,
 )
 from klcert.desingularization import (
     Desingularizer,
@@ -92,9 +94,14 @@ from klcert.verification import (
 
 @dataclass
 class PipelineBundle:
-    """Everything a family pipeline must deliver to the generic checker."""
+    """What a family pipeline hands the generic runner: its problem (one
+    forward-backward composite, its start, step schedule and minimum value)
+    and the certificate pieces the checker needs."""
 
-    run: DescentRun
+    composite: CompositeObjective
+    start: np.ndarray
+    schedule: StepSchedule
+    min_value: float
     desingularizer: Desingularizer
     certificate: ErrorBoundCertificate
     objective: ConvexObjective
@@ -103,6 +110,8 @@ class PipelineBundle:
     minimizer: Optional[np.ndarray]
     constants: dict
     certificate_id: str
+    # raises when a run leaves the region its certificate covers
+    guard: Callable[[DescentRun], None] = lambda run: None
 
 
 def _lasso_growth(inst, config: ExperimentConfig
@@ -122,20 +131,32 @@ def _lasso_growth(inst, config: ExperimentConfig
     return nu, nu_kind, lasso_gamma(inst, nu)
 
 
+def _check_l1_ball(run: DescentRun, R: float) -> None:
+    """Every iterate of a lasso run started at x0 stays in the l1 ball of
+    radius R = inst.radius_bound()."""
+    worst = float(np.max(np.abs(run.iterates).sum(axis=-1)))
+    if worst > R + 1e-9:
+        # Guaranteed for any valid step schedule; tripping it means a bug,
+        # not an unlucky instance.
+        raise RuntimeError(
+            f"iterate escaped the l1 ball: {worst!r} > R = {R!r}")
+
+
 def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
-                 method: str, steps: int) -> PipelineBundle:
+                 method: str) -> PipelineBundle:
     inst, min_value, minimizer = lasso_from_payload(gi.payload)
     L = inst.lipschitz
     d_rel = config.setting("method", "relative_step")
-    schedule = StepSchedule.over_lipschitz(d_rel, L)
-    run = ista(inst, schedule, steps, min_value=min_value)
     nu, nu_kind, consts = _lasso_growth(inst, config)
     cert = ErrorBoundCertificate(form="power", p=2.0,
                                  gamma=2.0 * consts.gamma_R,
                                  region=L1Ball(consts.R))
     desing = from_error_bound(cert)
     return PipelineBundle(
-        run=run,
+        composite=inst.composite(),
+        start=inst.x0,
+        schedule=StepSchedule.over_lipschitz(d_rel, L),
+        min_value=min_value,
         desingularizer=desing,
         certificate=cert,
         objective=inst.objective(min_value=min_value),
@@ -148,27 +169,43 @@ def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
             "relative_step": d_rel,
         },
         certificate_id=f"lasso-growth(gamma_R={consts.gamma_R:.6g})",
+        guard=lambda run: _check_l1_ball(run, consts.R),
     )
 
 
 def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
-                       variant: str, steps: int) -> PipelineBundle:
+                       variant: str) -> PipelineBundle:
+    """Averaged projections: unit gradient steps on 0.5 sum_i w_i
+    dist^2(., C_i).  Alternating projections, for exactly two sets: unit
+    forward-backward steps on indicator(C_1) + 0.5 dist^2(., C_2), started
+    in C_1.  Both have a = 1/2 and b = 2."""
     inst, x0 = feasibility_from_payload(gi.payload)
+    start = as_point(x0, inst.dimension)
     # a nested intersection is refused here, before the run projects onto it
     if variant == "barycentric":
         solution = IntersectionSet(inst.sets)
-        run = barycentric_projection(inst, x0, steps)
         objective = inst.objective()
+        composite = CompositeObjective(
+            smooth=objective, nonsmooth=zero_objective(inst.dimension))
     else:
         solution = IntersectionSet(inst.sets[:2])
-        run = alternating_projection(inst, x0, steps)
-        objective = alternating_objective(inst.sets[0], inst.sets[1],
-                                          inst.dimension)
-    start = np.asarray(run.iterates[0], dtype=float)
+        if len(inst.sets) != 2:
+            raise ValueError("alternating projections are exposed for two "
+                             "sets only; use barycentric for more")
+        c1, c2 = inst.sets
+        if not bool(c1.contains(start, tol=1e-12)):
+            start = c1.project(start)
+        composite = CompositeObjective(
+            smooth=half_squared_distance(c2, inst.dimension),
+            nonsmooth=indicator(c1, inst.dimension))
+        objective = alternating_objective(c1, c2, inst.dimension)
     desing = feasibility_bound(inst, start, variant)
     cert = to_error_bound(desing)
     return PipelineBundle(
-        run=run,
+        composite=composite,
+        start=start,
+        schedule=StepSchedule.constant(1.0),
+        min_value=0.0,
         desingularizer=desing,
         certificate=cert,
         objective=objective,
@@ -183,24 +220,23 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
 
 
 def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
-                            method: str, steps: int) -> PipelineBundle:
+                            method: str) -> PipelineBundle:
     payload = gi.payload
     center = np.asarray(payload["center"], dtype=float)
     weight = float(payload["weight"])
     x0 = np.asarray(payload["x0"], dtype=float)
     obj = quadratic_objective(center, weight=weight)
-    composite = CompositeObjective(smooth=obj,
-                                   nonsmooth=zero_objective(obj.dimension))
     d_rel = config.setting("method", "relative_step")
-    schedule = StepSchedule.over_lipschitz(d_rel, obj.lipschitz)
-    run = forward_backward(composite, x0, schedule, steps, min_value=0.0,
-                           method="gradient")
     # Modulus of 2-uniform convexity of w ||x - c||^2 is 2w.
     desing = uniformly_convex_profile(sigma=2.0 * weight, p=2.0, alpha0=1.0)
     cert = to_error_bound(desing)
     anchor_scale = 2.0 * float(np.linalg.norm(x0 - center)) + 1.0
     return PipelineBundle(
-        run=run,
+        composite=CompositeObjective(smooth=obj,
+                                     nonsmooth=zero_objective(obj.dimension)),
+        start=x0,
+        schedule=StepSchedule.over_lipschitz(d_rel, obj.lipschitz),
+        min_value=0.0,
         desingularizer=desing,
         certificate=cert,
         objective=obj,
@@ -215,16 +251,12 @@ def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
 
 
 def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
-                           method: str, steps: int) -> PipelineBundle:
+                           method: str) -> PipelineBundle:
     inst, x0 = feasibility_from_payload(gi.payload)
     ball = inst.sets[0]
     n = inst.dimension
     growth = float(gi.payload["growth_constant"])
     smooth = half_squared_distance(ball, n)
-    composite = CompositeObjective(smooth=smooth,
-                                   nonsmooth=zero_objective(n))
-    run = forward_backward(composite, x0, StepSchedule.constant(1.0), steps,
-                           min_value=0.0, method="projection-gradient")
     # f = 0.5 dist^2 grows with constant exactly `growth`; the certificate
     # below has zero slack, which is the whole point of this instance.
     desing = PowerDesingularizer(scale=math.sqrt(2.0 / growth), exponent=2.0,
@@ -232,7 +264,11 @@ def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
     cert = to_error_bound(desing)
     anchor_scale = 1.2 * float(np.linalg.norm(x0 - ball.center))
     return PipelineBundle(
-        run=run,
+        composite=CompositeObjective(smooth=smooth,
+                                     nonsmooth=zero_objective(n)),
+        start=x0,
+        schedule=StepSchedule.constant(1.0),
+        min_value=0.0,
         desingularizer=desing,
         certificate=cert,
         objective=smooth,
@@ -251,7 +287,7 @@ def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
 # type is refused: an int passes for a float, a bool for nothing.
 SETTINGS = {
     "method": {"name": (str, None), "steps": (int, None),
-               "relative_step": (float, DEFAULT_RELATIVE_STEP)},
+               "relative_step": (float, 0.5)},
     "certificate": {"source": (str, "computed"), "nu": (float, None),
                     "scale_gamma": (float, None),
                     "override_q": (float, None)},
@@ -263,7 +299,7 @@ RESCALING = ("scale_gamma", "override_q")
 
 # per family: the method names its pipeline runs, the first being the
 # default; the step budget when the config sets none; the certificate keys
-# it reads; the builder
+# it reads; the builder, which returns the problem without running it
 PIPELINES = {
     "lasso": (("ista",), 1000, ("source", "nu") + RESCALING, _build_lasso),
     "feasibility": (("barycentric", "alternating"), 1000, RESCALING,
@@ -377,9 +413,8 @@ def pipeline_settings(family: str, config: ExperimentConfig
 
 def build_pipeline(gi: GeneratedInstance, config: ExperimentConfig
                    ) -> PipelineBundle:
-    method, steps = pipeline_settings(gi.family, config)
-    build = PIPELINES[gi.family][-1]
-    return build(gi, config, method, steps)
+    method = pipeline_settings(gi.family, config)[0]
+    return PIPELINES[gi.family][-1](gi, config, method)
 
 
 def majorant_from_rate(d: Desingularizer, q: float, f0: float, params,
@@ -406,6 +441,7 @@ class ExperimentResult:
     config: ExperimentConfig
     instance: GeneratedInstance
     bundle: PipelineBundle
+    run: DescentRun
     majorant: MajorantSequence
     report: CertificationReport
     paths: dict = field(default_factory=dict)
@@ -454,8 +490,11 @@ def majorant_rows(maj: MajorantSequence) -> list[tuple]:
 def run_experiment(config: ExperimentConfig,
                    out_dir: Optional[str] = None) -> ExperimentResult:
     gi = load_instance(config)
+    method, steps = pipeline_settings(gi.family, config)
     bundle = build_pipeline(gi, config)
-    run = bundle.run
+    run = forward_backward(bundle.composite, bundle.start, bundle.schedule,
+                           steps, min_value=bundle.min_value, method=method)
+    bundle.guard(run)
 
     desing = bundle.desingularizer
     cert = bundle.certificate
@@ -489,7 +528,7 @@ def run_experiment(config: ExperimentConfig,
                                           n_samples=samples, seed=seed + 1))
 
     result = ExperimentResult(config=config, instance=gi, bundle=bundle,
-                              majorant=maj, report=report)
+                              run=run, majorant=maj, report=report)
     if out_dir is not None:
         result.paths = write_artifacts(result, out_dir)
     return result
@@ -502,7 +541,7 @@ CERTIFICATE_FIELDS = ("schema_version", "desingularizer", "residual",
 
 def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    run = result.bundle.run
+    run = result.run
     maj = result.majorant
     xstar = result.bundle.minimizer
     if xstar is None:
@@ -540,6 +579,7 @@ def certify_run(run_path: str, certificate_path: str,
     run = DescentRun.from_metadata_dict(read_json(run_path))
     cert_doc = read_json(certificate_path)
     require(cert_doc, CERTIFICATE_FIELDS, "certificate")
+    require_type(cert_doc["certificate_id"], str, "certificate id")
     try:
         desing = desingularizer_from_dict(cert_doc["desingularizer"])
     except (KeyError, TypeError) as exc:
@@ -568,16 +608,24 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
     halve the gap, and the observed step count of the actual run.
 
     The certified q(d) = 1 + d (2 - d) gamma_R / ((d + 1)^2 L) peaks at
-    d = 1/2 on any grid containing it; runs are capped at max_steps, which
-    never matters when the certified count is within budget.
+    d = 1/2 on any grid containing it; runs are capped at max_steps (at
+    least one), which never matters when the certified count is within
+    budget.  Every run goes through the l1-ball guard.  A rescaled
+    growth constant or an overridden rate is refused: one q cannot hold
+    across a grid of d.
     """
+    rescaled = sorted(set(config.certificate) & set(RESCALING))
+    if rescaled:
+        raise ValueError("the sweep does not read certificate "
+                         f"{', '.join(rescaled)}")
     gi = load_instance(config)
     if gi.family != "lasso":
         raise ValueError("the step-size sweep targets the l1 family")
     pipeline_settings(gi.family, config)
     inst, min_value, _ = lasso_from_payload(gi.payload)
     L = inst.lipschitz
-    gamma_R = _lasso_growth(inst, config)[2].gamma_R
+    consts = _lasso_growth(inst, config)[2]
+    composite = inst.composite()
     f0 = inst.value(inst.x0) - min_value
     eps = 0.5 * f0
 
@@ -585,10 +633,12 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
     for d_rel in values:
         schedule = StepSchedule.over_lipschitz(d_rel, L)
         params = certificate_params(schedule, L)
-        q = 1.0 + 2.0 * params.a * gamma_R / params.b ** 2
+        q = 1.0 + 2.0 * params.a * consts.gamma_R / params.b ** 2
         certified = steps_to_epsilon(q, f0, eps)
-        run = ista(inst, schedule, max(1, min(certified, max_steps)),
-                   min_value=min_value)
+        run = forward_backward(composite, inst.x0, schedule,
+                               min(certified, max_steps),
+                               min_value=min_value)
+        _check_l1_ball(run, consts.R)
         below = np.nonzero(run.gaps <= eps)[0]
         empirical = int(below[0]) if below.size else None
         rows.append({"relative_step": float(d_rel), "q": q,

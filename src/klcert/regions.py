@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from klcert.convex import Array, as_point
+from klcert.tracefmt import require_number
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,14 @@ class WholeSpace:
 
 
 def region_from_dict(data: dict):
+    """Inverse of to_dict; every number must be finite (ValueError)."""
     kind = data["kind"]
     if kind == "l1-ball":
-        return L1Ball(float(data["radius"]))
+        return L1Ball(require_number(data["radius"], "region radius"))
     if kind == "metric-ball":
-        return MetricBall(np.asarray(data["center"], dtype=float), float(data["radius"]))
+        center = [require_number(v, "region center") for v in data["center"]]
+        return MetricBall(np.asarray(center),
+                          require_number(data["radius"], "region radius"))
     if kind == "whole-space":
         return WholeSpace()
     raise ValueError(f"unknown region kind {kind!r}")

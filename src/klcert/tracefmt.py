@@ -13,8 +13,9 @@ lists that hold anything but numbers, are walked in Python with
 false included) or a list of non-empty such lists is encoded by the C
 encoder in one call and indented by replacing its separators, ", " and
 "], [", which no number token contains.  A record is read back with
-`read_json` and checked with `require` and `require_type`, so a malformed
-one raises ValueError instead of being patched with defaults or converted.
+`read_json` and checked with `require`, `require_type` and
+`require_number`, so a malformed one raises ValueError instead of being
+patched with defaults or converted.
 CSV is RFC 4180 (CRLF, '.' decimal separator) with 17 significant digits,
 so that round-tripping and byte-for-byte reproducibility hold.  A table
 arrives as rows of cells, one tuple per row in the order of its field
@@ -145,13 +146,23 @@ def require(record: dict, fields, what: str) -> None:
 def require_type(value, kind: type, what: str) -> None:
     """Refuse a value that is not of kind, never converting it: an int
     passes where a float is expected, unless no float can hold it, and a
-    bool is always refused."""
+    bool is refused unless kind is bool."""
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if (isinstance(value, bool) is not (kind is bool)
+            or not isinstance(value, accepted)):
         raise ValueError(
             f"{what} must be {kind.__name__}, not {type(value).__name__}")
     if kind is float and abs(value) > sys.float_info.max:
         raise ValueError(f"{what} is beyond the range of a float")
+
+
+def require_number(value, what: str) -> float:
+    """value as a float, refused unless it is a finite number (an int
+    passes, as in require_type)."""
+    require_type(value, float, what)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite")
+    return float(value)
 
 
 def _column_cells(column) -> list[str]:

@@ -28,13 +28,10 @@ from klcert.convex import (
 from klcert.descent import (
     DescentCertificateParams,
     StepSchedule,
-    alternating_projection,
-    barycentric_projection,
     forward_backward,
 )
 from klcert.desingularization import PowerDesingularizer
 from klcert.error_bounds import (
-    feasibility_bound,
     hoffman_constant,
     lasso_sign_system,
 )
@@ -188,6 +185,16 @@ def test_criterion_03_descent_inequality_certification():
 # ---------------------------------------------------------------------------
 
 
+def _pipeline_run(gi, config):
+    """The family's problem from build_pipeline, run by the one
+    forward_backward call of run_experiment, without the sampling checks."""
+    bundle = build_pipeline(gi, config)
+    run = forward_backward(bundle.composite, bundle.start, bundle.schedule,
+                           config.method["steps"], min_value=bundle.min_value)
+    bundle.guard(run)
+    return bundle, run
+
+
 def _lasso_records() -> list[dict]:
     if "lasso" in _CACHE:
         return _CACHE["lasso"]
@@ -200,8 +207,7 @@ def _lasso_records() -> list[dict]:
         )
         gi = load_instance(config)
         assert gi.payload["grid_certified"]
-        bundle = build_pipeline(gi, config)
-        run = bundle.run
+        bundle, run = _pipeline_run(gi, config)
         params = run.params
         gamma_R = float(bundle.constants["gamma_R"])
         q = 1.0 + 2.0 * params.a * gamma_R / params.b ** 2
@@ -257,14 +263,12 @@ def _feasibility_records() -> list[dict]:
         geometry = "lens" if i >= 16 else "generic"
         gi = generate_feasibility_instance(dim=2, seed=500 + i,
                                            geometry=geometry)
-        inst, x0 = feasibility_from_payload(gi.payload)
+        inst = feasibility_from_payload(gi.payload)[0]
         for variant in ("barycentric", "alternating"):
-            if variant == "barycentric":
-                run = barycentric_projection(inst, x0, 2000)
-            else:
-                run = alternating_projection(inst, x0, 2000)
-            start = np.asarray(run.iterates[0], dtype=float)
-            desing = feasibility_bound(inst, start, variant)
+            bundle, run = _pipeline_run(gi, ExperimentConfig(
+                instance={"family": "feasibility"},
+                method={"name": variant, "steps": 2000}))
+            desing = bundle.desingularizer
             M = float(desing.ell)
             records.append({
                 "label": f"feasibility(seed={500 + i}, {geometry}, {variant})",

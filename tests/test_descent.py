@@ -15,19 +15,21 @@ from klcert.convex import (
     least_squares,
     prox,
     quadratic_objective,
+    row_norms,
     scaled_l1,
     zero_objective,
 )
+from klcert.cli import main
 from klcert.descent import (
+    RUN_FIELDS,
     DescentRun,
     StepSchedule,
-    alternating_projection,
-    barycentric_projection,
     certificate_params,
     forward_backward,
-    ista,
 )
-from klcert.error_bounds import FeasibilityInstance, LassoInstance
+from klcert.error_bounds import FeasibilityInstance
+from klcert.experiments import ExperimentConfig, build_pipeline
+from klcert.problems import GeneratedInstance, generate_instance
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def test_metadata_round_trip_is_exact(rng, tmp_path):
     sched = StepSchedule.over_lipschitz(0.5, comp.lipschitz)
     run = forward_backward(comp, rng.normal(size=2), sched, steps=25,
                            min_value=0.0)
-    run.metadata["note"] = [1.0, 2.0]
+    assert sorted(run.to_metadata_dict()) == sorted(RUN_FIELDS)
     blob = json.dumps(run.to_metadata_dict(), sort_keys=True)
     back = DescentRun.from_metadata_dict(json.loads(blob))
     np.testing.assert_array_equal(back.iterates, run.iterates)
@@ -249,7 +251,6 @@ def test_metadata_round_trip_is_exact(rng, tmp_path):
     np.testing.assert_array_equal(back.witness_norms, run.witness_norms)
     np.testing.assert_array_equal(back.step_sizes, run.step_sizes)
     assert back.min_value == run.min_value
-    assert back.metadata["note"] == [1.0, 2.0]
 
     path = tmp_path / "run.json"
     run.to_metadata_json(path)
@@ -258,80 +259,99 @@ def test_metadata_round_trip_is_exact(rng, tmp_path):
 
 
 def test_infinite_start_value_survives_round_trip():
-    # alternating runs may start with f = +inf recorded as null
-    inst = _two_ball_instance()
-    x0 = np.array([3.0, 0.0])
-    run = alternating_projection(inst, x0, steps=10)
+    # alternating projections started outside C_1 record f(x_0) = +inf as
+    # null
+    c1, c2 = Ball(np.array([-0.5, 0.0]), 1.5), Ball(np.array([0.5, 0.0]), 1.5)
+    comp = CompositeObjective(smooth=half_squared_distance(c2, 2),
+                              nonsmooth=indicator(c1, 2))
+    run = forward_backward(comp, np.array([3.0, 0.0]),
+                           StepSchedule.constant(1.0), steps=10)
+    assert math.isinf(run.raw_values[0])
     blob = json.dumps(run.to_metadata_dict())
     back = DescentRun.from_metadata_dict(json.loads(blob))
     np.testing.assert_array_equal(back.raw_values, run.raw_values)
 
 
 # ---------------------------------------------------------------------------
-# concrete methods
+# the shipped methods, as run_experiment runs them
 # ---------------------------------------------------------------------------
 
 
-def _tiny_lasso(rng):
-    A = rng.normal(size=(3, 2))
-    return LassoInstance(A=A, y=rng.normal(size=3), mu=0.5,
-                         x0=rng.normal(size=2))
+def _pipeline_run(gi, method, steps):
+    """The family's problem from build_pipeline, run by the one
+    forward_backward call of run_experiment, without the sampling checks."""
+    config = ExperimentConfig(instance={"family": gi.family},
+                              method={"name": method})
+    bundle = build_pipeline(gi, config)
+    run = forward_backward(bundle.composite, bundle.start, bundle.schedule,
+                           steps, min_value=bundle.min_value, method=method)
+    bundle.guard(run)
+    return bundle, run
 
 
-def test_ista_records_audit_metadata(rng):
-    inst = _tiny_lasso(rng)
-    run = ista(inst, steps=200)
+def test_ista_iterates_stay_in_the_l1_ball():
+    bundle, run = _pipeline_run(generate_instance("lasso", seed=7, n=2, m=3),
+                                "ista", 200)
     assert run.method == "ista"
-    assert run.metadata["lipschitz"] == pytest.approx(inst.lipschitz)
-    R = run.metadata["radius_bound"]
-    assert max(run.metadata["l1_norms"]) <= R + 1e-9
-    assert len(run.metadata["l1_norms"]) == len(run.iterates)
+    R = bundle.constants["R"]
+    assert np.max(np.abs(run.iterates).sum(axis=-1)) <= R + 1e-9
 
 
-def test_ista_reaches_high_accuracy(rng):
-    inst = _tiny_lasso(rng)
-    long = ista(inst, steps=5000)
-    ref = float(min(long.raw_values))
-    run = ista(inst, steps=3000, min_value=ref)
-    assert run.gaps[-1] <= 1e-8 * (1 + abs(ref))
+def test_ista_reaches_high_accuracy():
+    bundle, run = _pipeline_run(generate_instance("lasso", seed=7, n=2, m=3),
+                                "ista", 3000)
+    # the instance's reference minimum, not the run's own best value
+    assert run.gaps[-1] <= 1e-8 * (1 + abs(bundle.min_value))
 
 
-def _two_ball_instance():
-    return FeasibilityInstance(
+XBAR = np.zeros(2)
+
+
+def _two_ball_instance(x0):
+    inst = FeasibilityInstance(
         sets=(Ball(np.array([-0.5, 0.0]), 1.5), Ball(np.array([0.5, 0.0]), 1.5)),
-        xbar=np.zeros(2), R=1.0, weights=(0.5, 0.5))
+        xbar=XBAR, R=1.0, weights=(0.5, 0.5))
+    return GeneratedInstance(family="feasibility", seed=0, payload={
+        "instance": inst.to_dict(), "x0": list(x0)})
 
 
 def test_barycentric_projection_decreases_and_stays_fejer():
-    inst = _two_ball_instance()
-    x0 = np.array([1.4, 0.8])
-    run = barycentric_projection(inst, x0, steps=400)
+    _, run = _pipeline_run(_two_ball_instance([1.4, 0.8]), "barycentric", 400)
     assert run.method == "barycentric"
-    assert run.params.a == pytest.approx(0.5) and run.params.b == pytest.approx(2.0)
+    assert (run.params.a, run.params.b) == (0.5, 2.0)
     assert np.all(np.diff(run.raw_values) <= 1e-15)
-    dist = run.metadata["dist_to_xbar"]
-    assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dist, dist[1:]))
+    # Fejer monotonicity keeps the run in B(xbar, ||x0 - xbar||)
+    assert np.all(np.diff(row_norms(run.iterates - XBAR)) <= 1e-12)
     assert run.h1_violation() <= 1e-12
     assert run.h2_violation() <= 1e-12
 
 
 def test_alternating_projection_projects_start_and_converges():
-    inst = _two_ball_instance()
-    run = alternating_projection(inst, np.array([3.0, 0.0]), steps=200)
-    assert run.metadata["projected_start"]
+    x0 = np.array([3.0, 0.0])
+    bundle, run = _pipeline_run(_two_ball_instance(x0), "alternating", 200)
+    c1, c2 = bundle.solution_set.sets
+    assert not c1.contains(x0, tol=1e-12)
+    np.testing.assert_array_equal(run.iterates[0], c1.project(x0))
+    assert np.all(c1.contains(run.iterates, tol=1e-12))
+    assert (run.params.a, run.params.b) == (0.5, 2.0)
     # after the start projection every iterate sits in C1 with finite value
-    assert np.all(np.isfinite(run.raw_values[1:]))
-    assert run.metadata["dist_to_c2"][-1] <= 1e-8
+    assert np.all(np.isfinite(run.raw_values))
+    assert np.all(np.diff(row_norms(run.iterates - XBAR)) <= 1e-12)
+    assert float(c2.distance(run.iterates[-1])) <= 1e-8
     assert run.h1_violation() <= 1e-12
     assert run.h2_violation() <= 1e-12
 
 
-def test_alternating_projection_two_sets_only():
-    inst = FeasibilityInstance(sets=(Ball(np.zeros(2), 2.0),) * 3,
-                               xbar=np.zeros(2), R=1.0,
-                               weights=(1 / 3, 1 / 3, 1 / 3))
-    with pytest.raises(ValueError, match="two sets"):
-        alternating_projection(inst, np.zeros(2))
+def test_alternating_projection_two_sets_only(tmp_path, capsys):
+    generate_instance("feasibility", seed=0, dim=2, num_sets=3).to_json(
+        tmp_path / "instance.json")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "instance": {"path": str(tmp_path / "instance.json")},
+        "method": {"name": "alternating", "steps": 5}}))
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "two sets" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exact_stationarity_stops_the_run():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import klcert.convex
+import klcert.experiments
 from klcert.cli import main
 from klcert.descent import RUN_FIELDS
 from klcert.desingularization import PowerDesingularizer
@@ -95,7 +96,7 @@ def test_shipped_presets_certify(name):
     for cfg in preset_configs(name):
         result = run_experiment(cfg)
         assert result.passed, (cfg.name, _failed_names(result.report))
-        assert result.majorant.num_steps == result.bundle.run.num_steps
+        assert result.majorant.num_steps == result.run.num_steps
 
 
 def test_broken_certificate_flips_sampling_checks():
@@ -239,8 +240,31 @@ MALFORMED = (
        for key in ("iterates", "step_norms", "witness_norms", "step_sizes",
                    "a", "b", "min_value")]
     + [("run.json", "-inf", "raw_values"), ("run.json", "all-nan", "raw_values")]
+    # a stored value of another type than its field's is refused, never
+    # converted
+    + [("run.json", "string", key)
+       for key in ("converged", "num_steps", "a", "b", "min_value")]
+    + [("run.json", "bool", key)
+       for key in ("num_steps", "a", "b", "min_value")]
+    + [("run.json", "number", key) for key in ("method", "converged")]
+    + [("run.json", "fraction", "num_steps")]
+    # numpy reads an array holding a string or a null (other than a null
+    # raw value, which stands for +inf) with neither an int nor a float dtype
+    + [("run.json", edit, key) for edit in ("string", "null")
+       for key in RUN_ARRAYS if (edit, key) != ("null", "raw_values")]
+    + [("certificate.json", "number", "certificate_id")]
+    + [("certificate.json", edit + "-nested", key)
+       for edit in ("string", "bool", "nan", "inf")
+       for key in ("scale", "exponent", "r0", "ell")
+       if (edit, key) != ("inf", "r0")]
+    + [("certificate.json", edit + "-region", key)
+       for edit in ("string", "nan") for key in ("radius", "center")]
 )
-NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+# each edit of one stored value, as a function of the value it replaces
+EDITS = {"nan": lambda v: math.nan, "inf": lambda v: math.inf,
+         "-inf": lambda v: -math.inf, "string": str, "bool": lambda v: True,
+         "number": lambda v: 5, "fraction": lambda v: v + 0.7,
+         "null": lambda v: None}
 
 
 @pytest.mark.parametrize("artifact,edit,key", [
@@ -257,12 +281,21 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
         doc[key] = doc[key][:-1]
     elif edit == "all-nan":
         doc[key] = [math.nan] * len(doc[key])
-    elif edit in NON_FINITE and isinstance(doc[key], list):
+    elif edit.endswith("-nested"):
+        nested = doc["desingularizer"]
+        nested[key] = EDITS[edit.rsplit("-", 1)[0]](nested[key])
+    elif edit.endswith("-region"):
+        # a region of either kind that holds numbers
+        bad = EDITS[edit.rsplit("-", 1)[0]](0.5)
+        doc["desingularizer"]["region"] = (
+            {"kind": "l1-ball", "radius": bad} if key == "radius" else
+            {"kind": "metric-ball", "center": [0.0, bad, 0.0], "radius": 1.0})
+    elif edit in EDITS and isinstance(doc[key], list):
         # the last entry; the last coordinate of the last iterate
         row = doc[key][-1] if key == "iterates" else doc[key]
-        row[-1] = NON_FINITE[edit]
-    elif edit in NON_FINITE:
-        doc[key] = NON_FINITE[edit]
+        row[-1] = EDITS[edit](row[-1])
+    elif edit in EDITS:
+        doc[key] = EDITS[edit](doc[key])
     else:
         doc[key] = 2
     for name, content in docs.items():
@@ -387,6 +420,23 @@ def test_sweep_certifies_fastest_rate_at_half(tmp_path):
     lines = path.read_bytes().split(b"\r\n")
     assert lines[0].decode("ascii") == ",".join(SWEEP_COLUMNS)
     assert len(lines) == len(values) + 2  # header + rows + trailing CRLF
+
+
+def test_l1_ball_guard_trips_on_the_run_and_sweep_paths(monkeypatch):
+    real = klcert.experiments.forward_backward
+
+    def escaping(*args, **kwargs):
+        run = real(*args, **kwargs)
+        run.iterates[-1] += 1e6
+        return run
+
+    monkeypatch.setattr(klcert.experiments, "forward_backward", escaping)
+    cfg = preset_configs("tiny-lasso")[0]
+    cfg.checks["samples"] = 10
+    with pytest.raises(RuntimeError, match="escaped the l1 ball"):
+        run_experiment(cfg)
+    with pytest.raises(RuntimeError, match="escaped the l1 ball"):
+        sweep_relative_step(cfg, [0.5], max_steps=5)
 
 
 def test_sweep_rejects_other_families():
@@ -580,6 +630,17 @@ MALFORMED_INPUTS = {
         "sweep", method={"name": "gradient"}),
     "sweep-zero-steps": _run_config(
         "sweep", method={"name": "ista", "steps": 0}),
+    # one rescaled growth constant or rate cannot hold across a grid of d
+    "sweep-scale-gamma": _run_config(
+        "sweep", certificate={"scale_gamma": 1000.0}),
+    "sweep-override-q": _run_config(
+        "sweep", certificate={"override_q": 6.0}),
+    "sweep-zero-step-cap": lambda tmp_path: [
+        "sweep", "--preset", "tiny-lasso", "--steps", "0",
+        "--out", str(tmp_path / "out")],
+    "sweep-negative-step-cap": lambda tmp_path: [
+        "sweep", "--preset", "tiny-lasso", "--steps", "-5",
+        "--out", str(tmp_path / "out")],
 }
 
 

@@ -15,7 +15,7 @@ from klcert.convex import (
     min_norm_subgradient,
     soft_threshold,
 )
-from klcert.descent import alternating_projection
+from klcert.experiments import ExperimentConfig, run_experiment
 from klcert.problems import (
     FAMILIES,
     GRID_RESOLUTION,
@@ -281,8 +281,12 @@ def test_lens_geometry_produces_slow_alternating_runs():
     # the start sits outside both balls, beside the lens rim
     for s in inst.sets:
         assert float(s.distance(x0)) > 1e-9
-    run = alternating_projection(inst, x0, steps=600)
-    assert run.metadata["dist_to_c2"][-1] <= 1e-9
+    config = ExperimentConfig(
+        instance={"family": "feasibility", "seed": 3, "dim": 2,
+                  "geometry": "lens"},
+        method={"name": "alternating", "steps": 600}, checks={"samples": 10})
+    run = run_experiment(config).run
+    assert float(inst.sets[1].distance(run.iterates[-1])) <= 1e-9
     assert run.num_steps > 20  # the wedge forces a long zigzag
 
 

@@ -297,7 +297,7 @@ def test_preset_json_artifacts_match_indented_reference(config, tmp_path,
 def test_preset_tables_match_row_dict_reference(config, tmp_path):
     config.checks["samples"] = 10
     result = run_experiment(config, out_dir=str(tmp_path / "out"))
-    run, maj = result.bundle.run, result.majorant
+    run, maj = result.run, result.majorant
     # write_artifacts' rule for the reference point of distance_to_xstar
     xstar = result.bundle.minimizer
     if xstar is None and (run.converged or (

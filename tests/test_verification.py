@@ -340,7 +340,7 @@ def _per_step_prox_steps(gaps, d, gap_floor=1e-12):
 def test_trajectory_quantities_match_per_step_reference(config):
     config.checks["samples"] = 10
     result = run_experiment(config)
-    run, maj, d = result.bundle.run, result.majorant, result.bundle.desingularizer
+    run, maj, d = result.run, result.majorant, result.bundle.desingularizer
     xstar = result.bundle.minimizer
     if xstar is None:
         xstar = run.iterates[-1]
