@@ -6,13 +6,14 @@ study on an l1 instance), certify (re-check stored run artifacts).  `run`
 and `certify` exit 1 exactly when some check fails; skipped or
 inconclusive checks never fail a run.  Everything else that stops a command
 exits 2 with one "error:" line on stderr and no traceback: bad arguments, a
-file that cannot be read, a JSON file whose top level is not an object, a
-record that lacks a field or has another schema version, a config key or
-instance key that nothing reads (the sweep reads no rescaled constant or
-rate), a value of another type than its key or stored field takes (never
-converted), a stored number that is not finite, a method the instance's
-family does not run, a step budget or cap below one, and a projection that
-does not converge.
+file that cannot be read (certify reads the instance.json and config.json
+beside run.json), a JSON file whose top level is not an object, a record
+that lacks a field, has another schema version or (run.json) another key,
+a config or instance key that nothing reads (the sweep reads no rescaled
+constant or rate), a value of another type than its key or stored field
+takes (never converted), a stored number that is not finite, iterates that
+are not the method's steps, a method the instance's family does not run, a
+step budget or cap below one, and a projection that does not converge.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sweep)
 
     c = sub.add_parser("certify", help="re-check stored run artifacts")
-    c.add_argument("--run", required=True, help="run metadata JSON")
+    c.add_argument("--run", required=True, help="run.json of a stored run")
     c.add_argument("--certificate", required=True, help="certificate JSON")
     c.add_argument("--out", default=None, help="report JSON path")
     c.set_defaults(func=_cmd_certify)

@@ -19,7 +19,7 @@ step sizes in [lam_lo, lam_hi], lam_hi < 2/L, the constants are
 a = 1/lam_hi - L/2 and b = 1/lam_lo + L; the witness comes exactly from the
 prox optimality inclusion, w_+ = (x - x_+)/lam - grad h(x) + grad h(x_+).
 A step of exactly zero means stationarity: the run stops there and is
-marked converged.
+marked converged.  A run is stored as its iterates; all else is derived.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from klcert.convex import Array, CompositeObjective, as_point, row_norms
-from klcert.tracefmt import require, require_number, require_type, write_json
+from klcert.tracefmt import require, write_json
 
 
 @dataclass(frozen=True)
@@ -98,20 +98,8 @@ def certificate_params(schedule: StepSchedule, lipschitz: float) -> DescentCerti
     return DescentCertificateParams(a=a, b=b)
 
 
-def _numbers(values, what: str) -> Array:
-    """values as a float array, refused unless numpy reads them with an int
-    or float dtype, which it never does with a string or a null among them,
-    or with bools alone."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must hold numbers, not {array.dtype}")
-    return array.astype(float, copy=False)
-
-
-# every key of a run.json record; all of them are required on load
-RUN_FIELDS = ("schema_version", "method", "a", "b", "min_value", "converged",
-              "num_steps", "step_sizes", "step_norms", "witness_norms",
-              "iterates", "raw_values")
+# every key of a run.json record, and the only keys it may hold
+RUN_FIELDS = ("schema_version", "iterates")
 
 
 @dataclass
@@ -164,71 +152,81 @@ class DescentRun:
             return -math.inf
         return float(np.max(self.witness_norms - self.params.b * self.step_norms))
 
+    @staticmethod
+    def from_iterates(composite: CompositeObjective, iterates: Array,
+                      step_sizes: Array, params: DescentCertificateParams,
+                      min_value: Optional[float] = None,
+                      converged: bool = False,
+                      method: str = "forward-backward",
+                      gradients: Optional[Array] = None) -> "DescentRun":
+        """The record of the run X = iterates, step k of size step_sizes[k],
+        computed in one batch; gradients, when given, is grad h(X)."""
+        # w_k = (x_{k-1} - x_k) / lam_k - grad h(x_{k-1}) + grad h(x_k); the
+        # batched gradient has the bits of the calls made in the loop, and
+        # row_norms those of np.linalg.norm on each step
+        X, lam = iterates, step_sizes
+        G = composite.smooth.gradient_fn(X) if gradients is None else gradients
+        witnesses = (X[:-1] - X[1:]) / lam[:, None] - G[:-1] + G[1:]
+        return DescentRun(
+            method=method,
+            params=params,
+            iterates=X,
+            raw_values=composite.value(X),
+            step_norms=row_norms(X[1:] - X[:-1]),
+            witness_norms=row_norms(witnesses),
+            step_sizes=lam,
+            min_value=min_value,
+            converged=converged,
+        )
+
     def to_metadata_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "method": self.method,
-            "a": self.params.a,
-            "b": self.params.b,
-            "min_value": self.min_value,
-            "converged": self.converged,
-            "num_steps": self.num_steps,
-            "step_sizes": self.step_sizes.tolist(),
-            "step_norms": self.step_norms.tolist(),
-            "witness_norms": self.witness_norms.tolist(),
-            "iterates": self.iterates.tolist(),
-            "raw_values": np.where(np.isinf(self.raw_values), None,
-                                   self.raw_values).tolist(),
-        }
+        return {"schema_version": 2, "iterates": self.iterates.tolist()}
 
     def to_metadata_json(self, path) -> None:
         write_json(path, self.to_metadata_dict())
 
     @staticmethod
-    def from_metadata_dict(data: dict) -> "DescentRun":
-        """Inverse of to_metadata_dict.  Every field is required and the
-        per-step arrays must match num_steps; a malformed record raises
-        ValueError instead of being patched with defaults."""
-        require(data, RUN_FIELDS, "run")
-        for key, kind in (("method", str), ("converged", bool),
-                          ("num_steps", int)):
-            require_type(data[key], kind, f"run {key}")
-        steps = data["num_steps"]
-        params = DescentCertificateParams(a=require_number(data["a"], "run a"),
-                                          b=require_number(data["b"], "run b"))
-        min_value = data["min_value"]
-        if min_value is not None:
-            min_value = require_number(min_value, "run min_value")
-        try:
-            iterates, step_norms, witness_norms, step_sizes = (
-                _numbers(data[key], f"run {key}") for key in (
-                    "iterates", "step_norms", "witness_norms", "step_sizes"))
-            raw = _numbers([math.inf if v is None else v
-                            for v in data["raw_values"]], "run raw_values")
-        except TypeError as exc:
-            raise ValueError(f"malformed run record: {exc}") from exc
-        if (iterates.ndim != 2 or len(iterates) != steps + 1
-                or raw.shape != (steps + 1,)
-                or any(v.shape != (steps,)
-                       for v in (step_norms, witness_norms, step_sizes))):
-            raise ValueError("run record arrays do not match num_steps")
-        # JSON's NaN and -Infinity tokens parse to floats; a null raw value
-        # (+inf) is the only non-finite entry a run record may hold
-        if not ((raw > -math.inf).all()
-                and all(np.isfinite(v).all() for v in (
-                    iterates, step_norms, witness_norms, step_sizes))):
-            raise ValueError("run record holds a non-finite value")
-        return DescentRun(
-            method=data["method"],
-            params=params,
-            iterates=iterates,
-            raw_values=raw,
-            step_norms=step_norms,
-            witness_norms=witness_norms,
-            step_sizes=step_sizes,
-            min_value=min_value,
-            converged=data["converged"],
-        )
+    def from_metadata_dict(data: dict, composite: CompositeObjective, x0,
+                           schedule: StepSchedule, steps: int,
+                           min_value: Optional[float] = None,
+                           method: str = "forward-backward") -> "DescentRun":
+        """The run forward_backward(composite, x0, schedule, steps, ...)
+        records, from the iterates of a run.json record: ValueError unless,
+        bit for bit, they begin at the start, each is the method's nonzero
+        step from the one before, and a run shorter than its budget stops
+        where the loop would."""
+        require(data, RUN_FIELDS, "run", version=2)
+        unknown = ", ".join(sorted(set(data) - set(RUN_FIELDS)))
+        if unknown:
+            raise ValueError(f"run record has unknown keys {unknown}")
+        # numpy reads no string, null or all-bool array as numbers
+        X = np.asarray(data["iterates"])
+        if (X.dtype.kind not in "iuf" or X.ndim != 2
+                or not np.isfinite(X).all()):
+            raise ValueError("run iterates must be a list of finite points")
+        X, num_steps = X.astype(float, copy=False), len(X) - 1
+        if not (0 <= num_steps <= steps and np.array_equal(
+                X[0], as_point(x0, composite.dimension))):
+            raise ValueError("run iterates must begin at the start and take "
+                             f"at most {steps} steps")
+        sizes = schedule.sizes(min(num_steps + 1, steps))
+        # row k of G has the bits of the loop's gradient call at x_k
+        lam, G = np.asarray(sizes[:num_steps]), composite.smooth.gradient_fn(X)
+        params = certificate_params(schedule, composite.lipschitz)
+        run = DescentRun.from_iterates(
+            composite, X, lam, params, min_value=min_value,
+            converged=num_steps < steps, method=method, gradients=G)
+        # every stored step is the loop's, and the loop stores no zero step
+        prox_fn = composite.nonsmooth.prox_fn
+        stepped = prox_fn(X[:-1] - lam[:, None] * G[:-1], lam[:, None])
+        if not np.array_equal(stepped, X[1:]) or (run.step_norms == 0).any():
+            raise ValueError("run iterates are not the method's steps")
+        if run.converged:
+            move = prox_fn(X[-1] - sizes[-1] * G[-1], sizes[-1]) - X[-1]
+            if move.dot(move) != 0.0:
+                raise ValueError("run stops before its budget where the "
+                                 "method still moves")
+        return run
 
 
 def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
@@ -256,21 +254,6 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
         iterates.append(xn)
         x, gx = xn, grad(xn)
 
-    # w_k = (x_{k-1} - x_k) / lam_k - grad h(x_{k-1}) + grad h(x_k); the
-    # batched gradient has the bits of the calls made in the loop, and
-    # row_norms those of np.linalg.norm on each step
-    X, lam = np.asarray(iterates), np.asarray(sizes[:len(iterates) - 1])
-    G = grad(X)
-    witnesses = (X[:-1] - X[1:]) / lam[:, None] - G[:-1] + G[1:]
-    return DescentRun(
-        method=method,
-        params=params,
-        iterates=X,
-        raw_values=composite.value(X),
-        step_norms=row_norms(X[1:] - X[:-1]),
-        witness_norms=row_norms(witnesses),
-        step_sizes=lam,
-        min_value=min_value,
-        converged=converged,
-    )
-
+    return DescentRun.from_iterates(
+        composite, np.asarray(iterates), np.asarray(sizes[:len(iterates) - 1]),
+        params, min_value=min_value, converged=converged, method=method)

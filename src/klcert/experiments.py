@@ -2,9 +2,9 @@
 checks -> artifacts, plus re-certification of stored artifacts, the
 step-size sweep and the shipped presets.
 
-Each family's builder returns its problem (composite, start, step schedule,
-minimum value) and certificate pieces; `run_experiment` runs every family's
-method through one `forward_backward` call.
+Each family's builder yields its problem (composite, start, step schedule,
+minimum value), then the certificate pieces; `run_experiment` runs every
+family's method through one `forward_backward` call.
 
 A config fully determines an experiment; identical configs produce byte-
 identical artifacts (seeded sampling, sorted JSON keys, fixed-format CSV),
@@ -21,7 +21,7 @@ import copy
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -93,15 +93,21 @@ from klcert.verification import (
 
 
 @dataclass
-class PipelineBundle:
-    """What a family pipeline hands the generic runner: its problem (one
-    forward-backward composite, its start, step schedule and minimum value)
-    and the certificate pieces the checker needs."""
+class Problem:
+    """The part of a pipeline that `certify` rebuilds: one forward-backward
+    composite, its start, step schedule and minimum value."""
 
     composite: CompositeObjective
     start: np.ndarray
     schedule: StepSchedule
     min_value: float
+
+
+@dataclass
+class PipelineBundle(Problem):
+    """What a family pipeline hands the generic runner: its problem and the
+    certificate pieces the checker needs."""
+
     desingularizer: Desingularizer
     certificate: ErrorBoundCertificate
     objective: ConvexObjective
@@ -143,20 +149,20 @@ def _check_l1_ball(run: DescentRun, R: float) -> None:
 
 
 def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
-                 method: str) -> PipelineBundle:
+                 method: str) -> Iterator[Problem]:
     inst, min_value, minimizer = lasso_from_payload(gi.payload)
     L = inst.lipschitz
     d_rel = config.setting("method", "relative_step")
+    problem = Problem(inst.composite(), inst.x0,
+                      StepSchedule.over_lipschitz(d_rel, L), min_value)
+    yield problem
     nu, nu_kind, consts = _lasso_growth(inst, config)
     cert = ErrorBoundCertificate(form="power", p=2.0,
                                  gamma=2.0 * consts.gamma_R,
                                  region=L1Ball(consts.R))
     desing = from_error_bound(cert)
-    return PipelineBundle(
-        composite=inst.composite(),
-        start=inst.x0,
-        schedule=StepSchedule.over_lipschitz(d_rel, L),
-        min_value=min_value,
+    yield PipelineBundle(
+        **vars(problem),
         desingularizer=desing,
         certificate=cert,
         objective=inst.objective(min_value=min_value),
@@ -174,7 +180,7 @@ def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
 
 
 def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
-                       variant: str) -> PipelineBundle:
+                       variant: str) -> Iterator[Problem]:
     """Averaged projections: unit gradient steps on 0.5 sum_i w_i
     dist^2(., C_i).  Alternating projections, for exactly two sets: unit
     forward-backward steps on indicator(C_1) + 0.5 dist^2(., C_2), started
@@ -199,13 +205,12 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
             smooth=half_squared_distance(c2, inst.dimension),
             nonsmooth=indicator(c1, inst.dimension))
         objective = alternating_objective(c1, c2, inst.dimension)
+    problem = Problem(composite, start, StepSchedule.constant(1.0), 0.0)
+    yield problem
     desing = feasibility_bound(inst, start, variant)
     cert = to_error_bound(desing)
-    return PipelineBundle(
-        composite=composite,
-        start=start,
-        schedule=StepSchedule.constant(1.0),
-        min_value=0.0,
+    yield PipelineBundle(
+        **vars(problem),
         desingularizer=desing,
         certificate=cert,
         objective=objective,
@@ -220,23 +225,23 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
 
 
 def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
-                            method: str) -> PipelineBundle:
+                            method: str) -> Iterator[Problem]:
     payload = gi.payload
     center = np.asarray(payload["center"], dtype=float)
     weight = float(payload["weight"])
     x0 = np.asarray(payload["x0"], dtype=float)
     obj = quadratic_objective(center, weight=weight)
     d_rel = config.setting("method", "relative_step")
+    problem = Problem(CompositeObjective(
+        smooth=obj, nonsmooth=zero_objective(obj.dimension)),
+        x0, StepSchedule.over_lipschitz(d_rel, obj.lipschitz), 0.0)
+    yield problem
     # Modulus of 2-uniform convexity of w ||x - c||^2 is 2w.
     desing = uniformly_convex_profile(sigma=2.0 * weight, p=2.0, alpha0=1.0)
     cert = to_error_bound(desing)
     anchor_scale = 2.0 * float(np.linalg.norm(x0 - center)) + 1.0
-    return PipelineBundle(
-        composite=CompositeObjective(smooth=obj,
-                                     nonsmooth=zero_objective(obj.dimension)),
-        start=x0,
-        schedule=StepSchedule.over_lipschitz(d_rel, obj.lipschitz),
-        min_value=0.0,
+    yield PipelineBundle(
+        **vars(problem),
         desingularizer=desing,
         certificate=cert,
         objective=obj,
@@ -251,24 +256,24 @@ def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
 
 
 def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
-                           method: str) -> PipelineBundle:
+                           method: str) -> Iterator[Problem]:
     inst, x0 = feasibility_from_payload(gi.payload)
     ball = inst.sets[0]
     n = inst.dimension
-    growth = float(gi.payload["growth_constant"])
     smooth = half_squared_distance(ball, n)
+    problem = Problem(CompositeObjective(smooth=smooth,
+                                         nonsmooth=zero_objective(n)),
+                      x0, StepSchedule.constant(1.0), 0.0)
+    yield problem
+    growth = float(gi.payload["growth_constant"])
     # f = 0.5 dist^2 grows with constant exactly `growth`; the certificate
     # below has zero slack, which is the whole point of this instance.
     desing = PowerDesingularizer(scale=math.sqrt(2.0 / growth), exponent=2.0,
                                  region=WholeSpace(), ell=growth)
     cert = to_error_bound(desing)
     anchor_scale = 1.2 * float(np.linalg.norm(x0 - ball.center))
-    return PipelineBundle(
-        composite=CompositeObjective(smooth=smooth,
-                                     nonsmooth=zero_objective(n)),
-        start=x0,
-        schedule=StepSchedule.constant(1.0),
-        min_value=0.0,
+    yield PipelineBundle(
+        **vars(problem),
         desingularizer=desing,
         certificate=cert,
         objective=smooth,
@@ -299,7 +304,7 @@ RESCALING = ("scale_gamma", "override_q")
 
 # per family: the method names its pipeline runs, the first being the
 # default; the step budget when the config sets none; the certificate keys
-# it reads; the builder, which returns the problem without running it
+# it reads; the builder, which yields the problem, then the bundle
 PIPELINES = {
     "lasso": (("ista",), 1000, ("source", "nu") + RESCALING, _build_lasso),
     "feasibility": (("barycentric", "alternating"), 1000, RESCALING,
@@ -414,7 +419,8 @@ def pipeline_settings(family: str, config: ExperimentConfig
 def build_pipeline(gi: GeneratedInstance, config: ExperimentConfig
                    ) -> PipelineBundle:
     method = pipeline_settings(gi.family, config)[0]
-    return PIPELINES[gi.family][-1](gi, config, method)
+    _, bundle = PIPELINES[gi.family][-1](gi, config, method)
+    return bundle
 
 
 def majorant_from_rate(d: Desingularizer, q: float, f0: float, params,
@@ -573,10 +579,12 @@ def certify_run(run_path: str, certificate_path: str,
                 out_path: Optional[str] = None) -> CertificationReport:
     """Re-check stored artifacts without re-running the method.
 
-    Covers the trajectory checks, the same ones run_experiment makes; the
-    sampling checks need live oracles, so they belong to run_experiment.
+    The run is recomputed from its stored iterates on the problem rebuilt
+    from the instance.json and config.json beside run.json.  Covers the
+    trajectory checks, the same ones run_experiment makes; the sampling
+    checks need live oracles, so they belong to run_experiment.
     """
-    run = DescentRun.from_metadata_dict(read_json(run_path))
+    record = read_json(run_path)
     cert_doc = read_json(certificate_path)
     require(cert_doc, CERTIFICATE_FIELDS, "certificate")
     require_type(cert_doc["certificate_id"], str, "certificate id")
@@ -584,6 +592,14 @@ def certify_run(run_path: str, certificate_path: str,
         desing = desingularizer_from_dict(cert_doc["desingularizer"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed desingularizer: {exc!r}") from exc
+    directory = os.path.dirname(run_path)
+    gi = GeneratedInstance.from_json(os.path.join(directory, "instance.json"))
+    config = ExperimentConfig.from_json(os.path.join(directory, "config.json"))
+    method, steps = pipeline_settings(gi.family, config)
+    problem = next(PIPELINES[gi.family][-1](gi, config, method))
+    run = DescentRun.from_metadata_dict(
+        record, problem.composite, problem.start, problem.schedule, steps,
+        min_value=problem.min_value, method=method)
     f0 = float(run.gaps[0])
     maj = worst_case_sequence(desing, f0, run.params, run.num_steps)
     report = CertificationReport(checks=trajectory_checks(run, maj, desing),
@@ -621,24 +637,21 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
     gi = load_instance(config)
     if gi.family != "lasso":
         raise ValueError("the step-size sweep targets the l1 family")
-    pipeline_settings(gi.family, config)
-    inst, min_value, _ = lasso_from_payload(gi.payload)
-    L = inst.lipschitz
-    consts = _lasso_growth(inst, config)[2]
-    composite = inst.composite()
-    f0 = inst.value(inst.x0) - min_value
+    bundle = build_pipeline(gi, config)
+    L = bundle.composite.lipschitz
+    f0 = bundle.composite.value(bundle.start) - bundle.min_value
     eps = 0.5 * f0
 
     rows = []
     for d_rel in values:
         schedule = StepSchedule.over_lipschitz(d_rel, L)
         params = certificate_params(schedule, L)
-        q = 1.0 + 2.0 * params.a * consts.gamma_R / params.b ** 2
+        q = 1.0 + 2.0 * params.a * bundle.constants["gamma_R"] / params.b ** 2
         certified = steps_to_epsilon(q, f0, eps)
-        run = forward_backward(composite, inst.x0, schedule,
+        run = forward_backward(bundle.composite, bundle.start, schedule,
                                min(certified, max_steps),
-                               min_value=min_value)
-        _check_l1_ball(run, consts.R)
+                               min_value=bundle.min_value)
+        bundle.guard(run)
         below = np.nonzero(run.gaps <= eps)[0]
         empirical = int(below[0]) if below.size else None
         rows.append({"relative_step": float(d_rel), "q": q,

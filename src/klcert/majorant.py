@@ -187,16 +187,17 @@ def worst_case_sequence(d: Desingularizer, r0: float,
     z = zeta(params.a, params.b, ell)
 
     quadratic = isinstance(d, PowerDesingularizer) and d.exponent == 2.0
-    alphas = [alpha0]
     if quadratic and not force_bisection:
-        ratio = 1.0 / (1.0 + ell * z)
-        for _ in range(steps):
-            alphas.append(alphas[-1] * ratio)
+        # alpha_{k+1} = alpha_k * ratio, multiplied in the loop's order
+        factors = np.full(steps + 1, 1.0 / (1.0 + ell * z))
+        factors[0] = alpha0
+        alpha = np.multiply.accumulate(factors)
     else:
+        alphas = [alpha0]
         psi_prime = d.psi_prime
         for _ in range(steps):
             alphas.append(_prox_point(psi_prime, alphas[-1], z))
-    alpha = np.asarray(alphas)
+        alpha = np.asarray(alphas)
     psi_values = d.psi(alpha)
     closed = quadratic_complexity(ell, params, f0=r0) if quadratic else None
     return MajorantSequence(zeta=z, alpha=alpha, psi_values=psi_values,

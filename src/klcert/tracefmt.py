@@ -133,10 +133,11 @@ def read_json(path) -> dict:
     return record
 
 
-def require(record: dict, fields, what: str) -> None:
-    """Refuse a record that lacks any of fields, or whose schema_version,
-    when that is one of them, is not 1."""
-    if "schema_version" in fields and record.get("schema_version", 1) != 1:
+def require(record: dict, fields, what: str, version: int = 1) -> None:
+    """Refuse a record that lacks any of fields, or whose schema_version
+    (1 when absent), when that is one of them, is not version."""
+    stored = record.get("schema_version", 1)
+    if "schema_version" in fields and stored != version:
         raise ValueError(f"unsupported {what} schema version")
     missing = [key for key in fields if key not in record]
     if missing:

@@ -187,6 +187,11 @@ def test_forward_backward_record_matches_per_step_reference(rng):
                                    fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
             run = forward_backward(comp, x0, sched, steps=60)
             assert _run_record(run) == _per_step_record(comp, x0, sched, 60)
+            # the stored iterates pass certify's replay, early stops too
+            back = DescentRun.from_metadata_dict(
+                json.loads(json.dumps(run.to_metadata_dict())), comp, x0,
+                sched, 60)
+            assert _run_record(back) == _run_record(run)
             if stop is not None:
                 assert run.converged and run.num_steps == stop
     # the last run: alternating projections on the varying schedule
@@ -235,41 +240,55 @@ def test_gaps_need_min_value():
 # ---------------------------------------------------------------------------
 
 
+def _assert_same_run(back, run):
+    for name in ("iterates", "raw_values", "step_norms", "witness_norms",
+                 "step_sizes"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(run, name))
+    assert (back.params, back.min_value, back.converged, back.method) == (
+        run.params, run.min_value, run.converged, run.method)
+
+
 def test_metadata_round_trip_is_exact(rng, tmp_path):
+    # run.json stores the iterates; the rest is recomputed from them and
+    # the problem, to the bit, on a constant and on a varying schedule
     A = rng.normal(size=(3, 2))
     comp = CompositeObjective(smooth=least_squares(A, rng.normal(size=3)),
                               nonsmooth=scaled_l1(2, 0.7))
-    sched = StepSchedule.over_lipschitz(0.5, comp.lipschitz)
-    run = forward_backward(comp, rng.normal(size=2), sched, steps=25,
-                           min_value=0.0)
-    assert sorted(run.to_metadata_dict()) == sorted(RUN_FIELDS)
-    blob = json.dumps(run.to_metadata_dict(), sort_keys=True)
-    back = DescentRun.from_metadata_dict(json.loads(blob))
-    np.testing.assert_array_equal(back.iterates, run.iterates)
-    np.testing.assert_array_equal(back.raw_values, run.raw_values)
-    np.testing.assert_array_equal(back.step_norms, run.step_norms)
-    np.testing.assert_array_equal(back.witness_norms, run.witness_norms)
-    np.testing.assert_array_equal(back.step_sizes, run.step_sizes)
-    assert back.min_value == run.min_value
+    x0 = rng.normal(size=2)
+    lo, hi = 0.4 / comp.lipschitz, 1.5 / comp.lipschitz
+    for sched in (StepSchedule.over_lipschitz(0.5, comp.lipschitz),
+                  StepSchedule(lambda_min=lo, lambda_max=hi,
+                               fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
+        run = forward_backward(comp, x0, sched, steps=25, min_value=0.0,
+                               method="ista")
+        assert sorted(run.to_metadata_dict()) == sorted(RUN_FIELDS)
+        blob = json.dumps(run.to_metadata_dict(), sort_keys=True)
+        back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0,
+                                             sched, 25, min_value=0.0,
+                                             method="ista")
+        _assert_same_run(back, run)
 
-    path = tmp_path / "run.json"
-    run.to_metadata_json(path)
-    again = DescentRun.from_metadata_dict(json.loads(path.read_text()))
-    np.testing.assert_array_equal(again.iterates, run.iterates)
+        path = tmp_path / "run.json"
+        run.to_metadata_json(path)
+        again = DescentRun.from_metadata_dict(json.loads(path.read_text()),
+                                              comp, x0, sched, 25,
+                                              min_value=0.0, method="ista")
+        _assert_same_run(again, run)
 
 
 def test_infinite_start_value_survives_round_trip():
-    # alternating projections started outside C_1 record f(x_0) = +inf as
-    # null
+    # alternating projections started outside C_1 have f(x_0) = +inf; the
+    # stored start is outside the domain, and the recomputed value is +inf
     c1, c2 = Ball(np.array([-0.5, 0.0]), 1.5), Ball(np.array([0.5, 0.0]), 1.5)
     comp = CompositeObjective(smooth=half_squared_distance(c2, 2),
                               nonsmooth=indicator(c1, 2))
-    run = forward_backward(comp, np.array([3.0, 0.0]),
-                           StepSchedule.constant(1.0), steps=10)
+    x0, sched = np.array([3.0, 0.0]), StepSchedule.constant(1.0)
+    run = forward_backward(comp, x0, sched, steps=10)
     assert math.isinf(run.raw_values[0])
     blob = json.dumps(run.to_metadata_dict())
-    back = DescentRun.from_metadata_dict(json.loads(blob))
-    np.testing.assert_array_equal(back.raw_values, run.raw_values)
+    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, sched,
+                                         10)
+    _assert_same_run(back, run)
 
 
 # ---------------------------------------------------------------------------

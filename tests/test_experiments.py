@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -212,44 +213,64 @@ def test_certify_run_rejects_tampered_certificate(tmp_path):
     assert not report.passed
 
 
+# the files certify reads; run.json, certificate.json and the two beside
+# run.json from which it rebuilds the problem
+CERTIFY_READS = ("run.json", "certificate.json", "instance.json",
+                 "config.json")
+
+
 @pytest.fixture(scope="module")
 def stored_artifacts(tmp_path_factory):
-    """run.json and certificate.json of a passing run, as parsed JSON."""
+    """The files certify reads of a passing run, as parsed JSON, and the
+    fields run.json held at schema 1, with the values the run has."""
     out = tmp_path_factory.mktemp("stored")
-    run_experiment(preset_configs("uniformly-convex")[0], out_dir=str(out))
+    run = run_experiment(preset_configs("uniformly-convex")[0],
+                         out_dir=str(out)).run
+    assert run.converged
     assert certify_run(str(out / "run.json"),
                        str(out / "certificate.json")).passed
-    return {name: json.loads((out / name).read_text())
-            for name in ("run.json", "certificate.json")}
+    docs = {name: json.loads((out / name).read_text())
+            for name in CERTIFY_READS}
+    docs["legacy"] = {
+        "method": run.method, "a": run.params.a, "b": run.params.b,
+        "min_value": run.min_value, "converged": run.converged,
+        "num_steps": run.num_steps, "step_sizes": run.step_sizes.tolist(),
+        "step_norms": run.step_norms.tolist(),
+        "witness_norms": run.witness_norms.tolist(),
+        "raw_values": np.where(np.isinf(run.raw_values), None,
+                               run.raw_values).tolist()}
+    return docs
 
 
+# the fields run.json held at schema 1, all derived from the iterates;
+# their cases write them beside the iterates of a schema-2 record, and
+# certify refuses them as unknown keys instead of leaving stale values
+# unchecked beside the recomputed run
+LEGACY_FIELDS = ("method", "a", "b", "min_value", "converged", "num_steps",
+                 "step_sizes", "step_norms", "witness_norms", "raw_values")
 RUN_ARRAYS = ("iterates", "raw_values", "step_norms", "witness_norms",
               "step_sizes")
 MALFORMED = (
-    [("run.json", "drop", key) for key in RUN_FIELDS]
+    [("run.json", "drop", key) for key in RUN_FIELDS + LEGACY_FIELDS]
     + [("run.json", "truncate", key) for key in RUN_ARRAYS]
     + [("run.json", "version", "schema_version")]
     + [("certificate.json", "drop", key) for key in CERTIFICATE_FIELDS]
     + [("certificate.json", "version", "schema_version")]
     + [("certificate.json", "drop-nested", key)
        for key in ("form", "scale", "exponent", "r0", "ell", "region")]
-    # a null raw value stands for +inf; every other non-finite number is
-    # malformed
     + [("run.json", "nan", key) for key in RUN_ARRAYS + ("a", "b", "min_value")]
     + [("run.json", "inf", key)
        for key in ("iterates", "step_norms", "witness_norms", "step_sizes",
                    "a", "b", "min_value")]
     + [("run.json", "-inf", "raw_values"), ("run.json", "all-nan", "raw_values")]
-    # a stored value of another type than its field's is refused, never
-    # converted
     + [("run.json", "string", key)
        for key in ("converged", "num_steps", "a", "b", "min_value")]
     + [("run.json", "bool", key)
        for key in ("num_steps", "a", "b", "min_value")]
     + [("run.json", "number", key) for key in ("method", "converged")]
     + [("run.json", "fraction", "num_steps")]
-    # numpy reads an array holding a string or a null (other than a null
-    # raw value, which stands for +inf) with neither an int nor a float dtype
+    # numpy reads an array holding a string or a null with neither an int
+    # nor a float dtype
     + [("run.json", edit, key) for edit in ("string", "null")
        for key in RUN_ARRAYS if (edit, key) != ("null", "raw_values")]
     + [("certificate.json", "number", "certificate_id")]
@@ -259,6 +280,19 @@ MALFORMED = (
        if (edit, key) != ("inf", "r0")]
     + [("certificate.json", edit + "-region", key)
        for edit in ("string", "nan") for key in ("radius", "center")]
+    # iterates that are not the method's steps: one bit off at the start,
+    # in the middle or at the end, two steps swapped, the last one stored
+    # twice (truncate drops it from this converged run)
+    + [("run.json", edit, "iterates")
+       for edit in ("flip-first", "flip-middle", "flip-last", "swap",
+                    "repeat-last")]
+    + [("run.json", "schema-1", "schema_version"),
+       ("run.json", "legacy", "fields")]
+    # the problem rebuilt from the files beside run.json is another one,
+    # or cannot be rebuilt
+    + [("config.json", "relative_step", "method"),
+       ("config.json", "steps", "method"),
+       ("instance.json", "missing", "file"), ("config.json", "missing", "file")]
 )
 # each edit of one stored value, as a function of the value it replaces
 EDITS = {"nan": lambda v: math.nan, "inf": lambda v: math.inf,
@@ -267,20 +301,44 @@ EDITS = {"nan": lambda v: math.nan, "inf": lambda v: math.inf,
          "null": lambda v: None}
 
 
+def _flip_last_bit(v: float) -> float:
+    bits = struct.unpack("<q", struct.pack("<d", v))[0] ^ 1
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 @pytest.mark.parametrize("artifact,edit,key", [
     pytest.param(*case, id="-".join(case)) for case in MALFORMED])
 def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
                                              capsys, artifact, edit, key):
     docs = copy.deepcopy(stored_artifacts)
+    legacy = docs.pop("legacy")
     doc = docs[artifact]
+    if artifact == "run.json" and (key in LEGACY_FIELDS or edit == "legacy"):
+        doc.update(legacy)
     if edit == "drop":
         del doc[key]
+    elif edit == "missing":
+        del docs[artifact]
     elif edit == "drop-nested":
         del doc["desingularizer"][key]
     elif edit == "truncate":
         doc[key] = doc[key][:-1]
     elif edit == "all-nan":
         doc[key] = [math.nan] * len(doc[key])
+    elif edit.startswith("flip-"):
+        at = {"first": 0, "middle": len(doc[key]) // 2, "last": -1}
+        row = doc[key][at[edit[5:]]]
+        row[-1] = _flip_last_bit(row[-1])
+    elif edit == "swap":
+        doc[key][1], doc[key][2] = doc[key][2], doc[key][1]
+    elif edit == "repeat-last":
+        doc[key].append(doc[key][-1])
+    elif edit == "schema-1":
+        doc[key] = 1
+    elif edit == "relative_step":
+        doc[key][edit] = 0.4
+    elif edit == "steps":
+        doc[key][edit] = 10
     elif edit.endswith("-nested"):
         nested = doc["desingularizer"]
         nested[key] = EDITS[edit.rsplit("-", 1)[0]](nested[key])
@@ -296,14 +354,27 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
         row[-1] = EDITS[edit](row[-1])
     elif edit in EDITS:
         doc[key] = EDITS[edit](doc[key])
-    else:
-        doc[key] = 2
+    elif edit == "version":
+        doc[key] += 1
     for name, content in docs.items():
         (tmp_path / name).write_text(json.dumps(content))
     code = main(["certify", "--run", str(tmp_path / "run.json"),
                  "--certificate", str(tmp_path / "certificate.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_certify_builds_no_certificate(tmp_path, monkeypatch):
+    # certify rebuilds the problem alone: no Hoffman constant is computed
+    assert main(["run", "--preset", "tiny-lasso", "--out", str(tmp_path)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("certify computed a Hoffman constant")
+
+    monkeypatch.setattr(klcert.experiments, "lasso_nu", refuse)
+    stored = tmp_path / "tiny-lasso"
+    assert main(["certify", "--run", str(stored / "run.json"),
+                 "--certificate", str(stored / "certificate.json")]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -630,6 +701,9 @@ MALFORMED_INPUTS = {
         "sweep", method={"name": "gradient"}),
     "sweep-zero-steps": _run_config(
         "sweep", method={"name": "ista", "steps": 0}),
+    # the sweep's problem has the config's schedule, though it varies it
+    "sweep-relative-step-beyond-2": _run_config(
+        "sweep", method={"relative_step": 2.5}),
     # one rescaled growth constant or rate cannot hold across a grid of d
     "sweep-scale-gamma": _run_config(
         "sweep", certificate={"scale_gamma": 1000.0}),

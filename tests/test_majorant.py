@@ -74,6 +74,26 @@ def test_closed_form_recursion_matches_bisection():
                                rtol=1e-12, atol=0)
 
 
+def _closed_form_loop(alpha0: float, ratio: float, steps: int) -> np.ndarray:
+    """The reference recursion: one multiplication per step."""
+    alphas = [alpha0]
+    for _ in range(steps):
+        alphas.append(alphas[-1] * ratio)
+    return np.asarray(alphas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=positive, a=positive, b=positive, r0=positive,
+       steps=st.integers(min_value=0, max_value=20000))
+def test_closed_form_sequence_matches_the_loop_bits(scale, a, b, r0, steps):
+    d = PowerDesingularizer(scale=scale, exponent=2.0)
+    maj = worst_case_sequence(d, r0=r0, params=DescentCertificateParams(a, b),
+                              steps=steps)
+    ratio = 1.0 / (1.0 + maj.ell * maj.zeta)
+    np.testing.assert_array_equal(
+        maj.alpha, _closed_form_loop(float(maj.alpha[0]), ratio, steps))
+
+
 def test_sequence_starts_at_phi_and_decreases():
     d = PowerDesingularizer(scale=2.0, exponent=2.0)
     maj = worst_case_sequence(d, r0=0.81, params=PARAMS, steps=25)
