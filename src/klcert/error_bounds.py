@@ -207,10 +207,6 @@ class LassoInstance:
     def composite(self):
         return lasso_composite(self.A, self.y, self.mu)
 
-    @property
-    def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.A, 2)) ** 2
-
     def radius_bound(self) -> float:
         """l1 radius R containing every descent iterate started at x0."""
         return max(self.value(self.x0) / self.mu,

@@ -12,7 +12,8 @@ all written through `klcert.tracefmt`.  The certificate block accepts two
 escape hatches used by the falsification harness: "scale_gamma" multiplies
 the growth constant, "override_q" replaces the certified rate — both exist
 so the check suite can prove it catches bad constants.  The sweep runs its
-grid of relative steps one after another in the calling thread.
+grid of relative steps one after another in the calling thread, each d only
+until its gap first halves.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ def _check_l1_ball(run: DescentRun, R: float) -> None:
 def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
                  method: str) -> Iterator[Problem]:
     inst, min_value, minimizer = lasso_from_payload(gi.payload)
-    L = inst.lipschitz
+    composite = inst.composite()
+    L = composite.lipschitz
     d_rel = config.setting("method", "relative_step")
-    problem = Problem(inst.composite(), inst.x0,
+    problem = Problem(composite, inst.x0,
                       StepSchedule.over_lipschitz(d_rel, L), min_value)
     yield problem
     nu, nu_kind, consts = _lasso_growth(inst, config)
@@ -621,15 +623,22 @@ SWEEP_COLUMNS = ("relative_step", "q", "certified_steps", "empirical_steps")
 def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
                         max_steps: int = 20000) -> list[dict]:
     """One row per relative step d: certified rate q(d), certified steps to
-    halve the gap, and the observed step count of the actual run.
+    halve the gap, and the first step k of the actual run with a gap of at
+    most half the start's, or None.
 
     The certified q(d) = 1 + d (2 - d) gamma_R / ((d + 1)^2 L) peaks at
-    d = 1/2 on any grid containing it; runs are capped at max_steps (at
-    least one), which never matters when the certified count is within
-    budget.  Every run goes through the l1-ball guard.  A rescaled
-    growth constant or an overridden rate is refused: one q cannot hold
-    across a grid of d.
+    d = 1/2 on any grid containing it.  Each run may take min(certified,
+    max_steps) steps (max_steps at least one), and it stops at its first
+    halved gap: it goes in chunks of 1, 2, 4, ... steps, each started from
+    the last iterate of the one before, until a chunk holds a halved gap,
+    ends converged or spends the budget.  The schedule is constant, so each
+    step depends only on the iterate before it and the chunks take the
+    steps of one uncut run to the bit.  Every chunk goes through the
+    l1-ball guard.  A rescaled growth constant or an overridden rate is
+    refused: one q cannot hold across a grid of d.
     """
+    if max_steps < 1:
+        raise ValueError("need at least one step")
     rescaled = sorted(set(config.certificate) & set(RESCALING))
     if rescaled:
         raise ValueError("the sweep does not read certificate "
@@ -648,12 +657,20 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
         params = certificate_params(schedule, L)
         q = 1.0 + 2.0 * params.a * bundle.constants["gamma_R"] / params.b ** 2
         certified = steps_to_epsilon(q, f0, eps)
-        run = forward_backward(bundle.composite, bundle.start, schedule,
-                               min(certified, max_steps),
-                               min_value=bundle.min_value)
-        bundle.guard(run)
-        below = np.nonzero(run.gaps <= eps)[0]
-        empirical = int(below[0]) if below.size else None
+        budget = min(certified, max_steps)
+        empirical, done, chunk, x = None, 0, 1, bundle.start
+        while done < budget:
+            run = forward_backward(bundle.composite, x, schedule,
+                                   min(chunk, budget - done),
+                                   min_value=bundle.min_value)
+            bundle.guard(run)
+            below = np.nonzero(run.gaps <= eps)[0]
+            if below.size:
+                empirical = done + int(below[0])
+                break
+            if run.converged:
+                break
+            done, chunk, x = done + run.num_steps, 2 * chunk, run.iterates[-1]
         rows.append({"relative_step": float(d_rel), "q": q,
                      "certified_steps": certified,
                      "empirical_steps": empirical})

@@ -14,13 +14,19 @@ import pytest
 import klcert.convex
 import klcert.experiments
 from klcert.cli import main
-from klcert.descent import RUN_FIELDS
+from klcert.descent import (
+    RUN_FIELDS,
+    StepSchedule,
+    certificate_params,
+    forward_backward,
+)
 from klcert.desingularization import PowerDesingularizer
 from klcert.experiments import (
     CERTIFICATE_FIELDS,
     PRESET_NAMES,
     SWEEP_COLUMNS,
     ExperimentConfig,
+    build_pipeline,
     certify_run,
     load_instance,
     majorant_from_rate,
@@ -29,6 +35,7 @@ from klcert.experiments import (
     sweep_relative_step,
     write_sweep,
 )
+from klcert.majorant import steps_to_epsilon
 from klcert.problems import (
     FAMILIES,
     INSTANCE_FIELDS,
@@ -493,6 +500,48 @@ def test_sweep_certifies_fastest_rate_at_half(tmp_path):
     assert len(lines) == len(values) + 2  # header + rows + trailing CRLF
 
 
+def _uncut_sweep_rows(config, values, max_steps):
+    """The sweep's rows from one uncut run of min(certified, max_steps)
+    steps per d, and the first index of that run with a halved gap."""
+    bundle = build_pipeline(load_instance(config), config)
+    L = bundle.composite.lipschitz
+    f0 = bundle.composite.value(bundle.start) - bundle.min_value
+    rows = []
+    for d_rel in values:
+        schedule = StepSchedule.over_lipschitz(d_rel, L)
+        params = certificate_params(schedule, L)
+        q = 1.0 + 2.0 * params.a * bundle.constants["gamma_R"] / params.b ** 2
+        certified = steps_to_epsilon(q, f0, 0.5 * f0)
+        run = forward_backward(bundle.composite, bundle.start, schedule,
+                               min(certified, max_steps),
+                               min_value=bundle.min_value)
+        below = np.nonzero(run.gaps <= 0.5 * f0)[0]
+        rows.append({"relative_step": float(d_rel), "q": q,
+                     "certified_steps": certified,
+                     "empirical_steps": int(below[0]) if below.size else None})
+    return rows
+
+
+def test_sweep_rows_match_single_runs(tmp_path):
+    # tiny-lasso and lasso-fleet's instances, each generated once
+    instances = [("tiny-lasso", preset_configs("tiny-lasso")[0].instance)]
+    instances += [(f"lasso-{400 + i}", {"family": "lasso", "n": 2 + i % 2,
+                                        "seed": 400 + i}) for i in range(20)]
+    grid = [round(0.1 * i, 1) for i in range(1, 20)]
+    unreached = 0
+    for label, instance in instances:
+        path = str(tmp_path / f"{label}.json")
+        load_instance(ExperimentConfig(instance=instance)).to_json(path)
+        config = ExperimentConfig(instance={"path": path})
+        # caps of 2, 50 and 20000 end inside a chunk of 1, 2, 4, ... steps
+        for max_steps in (1, 2, 3, 50, 20000):
+            rows = sweep_relative_step(config, grid, max_steps=max_steps)
+            assert rows == _uncut_sweep_rows(config, grid, max_steps), (
+                label, max_steps)
+            unreached += sum(r["empirical_steps"] is None for r in rows)
+    assert unreached > 0
+
+
 def test_l1_ball_guard_trips_on_the_run_and_sweep_paths(monkeypatch):
     real = klcert.experiments.forward_backward
 
@@ -508,6 +557,24 @@ def test_l1_ball_guard_trips_on_the_run_and_sweep_paths(monkeypatch):
         run_experiment(cfg)
     with pytest.raises(RuntimeError, match="escaped the l1 ball"):
         sweep_relative_step(cfg, [0.5], max_steps=5)
+
+    # an escape in a later chunk of a row: lasso seed 400 at d = 0.2 first
+    # halves its gap at step 2, in the row's second forward_backward call
+    calls = []
+
+    def escaping_second(*args, **kwargs):
+        run = real(*args, **kwargs)
+        calls.append(run)
+        if len(calls) == 2:
+            run.iterates[-1] += 1e6
+        return run
+
+    monkeypatch.setattr(klcert.experiments, "forward_backward",
+                        escaping_second)
+    cfg = ExperimentConfig(instance={"family": "lasso", "n": 2, "seed": 400})
+    with pytest.raises(RuntimeError, match="escaped the l1 ball"):
+        sweep_relative_step(cfg, [0.2])
+    assert len(calls) == 2
 
 
 def test_sweep_rejects_other_families():
