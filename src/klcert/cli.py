@@ -90,7 +90,6 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None and "family" in config.instance:
         config.instance["seed"] = args.seed
     rows = sweep_relative_step(config, values, **kwargs)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     write_sweep(path, rows)
     best = min(rows, key=lambda r: r["certified_steps"])

@@ -7,7 +7,15 @@ floats, +inf outside the domain and never NaN; a NaN row of a subgradient
 marks an empty subdifferential.  Row i of a batched call equals the call on
 point i bit for bit, which is why the builders use `np.vecdot` and stacked
 matrix-vector products (both reproduce the 1-D BLAS results) rather than
-`x @ A.T` or `.sum(-1)` of products.  Projectable convex sets (balls,
+`x @ A.T` or `.sum(-1)` of products.
+
+The objective builders give the parts of composites h + g: smooth least
+squares, quadratics and (weighted) squared distances, and nonsmooth scaled
+l1 norms, indicators and zero.  Each problem is written once, as its
+composite, and `CompositeObjective.objective` derives from it the one
+function that the descent minimizes and the checks sample: the value
+g + h, and the least-norm subgradient from grad h and the nonsmooth part's
+shifted subgradient oracle.  Projectable convex sets (balls,
 halfspaces, affine sets and their intersections) live here as well, since
 they back both feasibility objectives and exact distance computations.
 """
@@ -356,9 +364,13 @@ class ConvexObjective:
     outside the domain.  subgradient_fn returns the least-norm element of
     the subdifferential, shape (..., n), with a row of NaN where the
     subdifferential is empty.  prox_fn maps a 1-D point and a step to
-    argmin_z f(z) + ||z - x||^2 / (2 step).  The minimum value is stored,
-    not recomputed: tiny instances carry an exact or brute-force minimum so
-    that value gaps stay trustworthy at high accuracy.
+    argmin_z f(z) + ||z - x||^2 / (2 step).  shifted_subgradient_fn, given
+    by the nonsmooth parts of composites, maps points x and vectors v of the
+    same shape to the least-norm element of v + subdiff f(x), NaN rows where
+    the subdifferential is empty; with v = grad h(x) it is the least-norm
+    subgradient of h + f.  The minimum value is stored, not recomputed: tiny
+    instances carry an exact or brute-force minimum so that value gaps stay
+    trustworthy at high accuracy.
     """
 
     dimension: int
@@ -369,6 +381,7 @@ class ConvexObjective:
     gradient_fn: Optional[Callable[[Array], Array]] = None
     lipschitz: Optional[float] = None
     name: str = ""
+    shifted_subgradient_fn: Optional[Callable[[Array, Array], Array]] = None
 
 
 def evaluate(obj: ConvexObjective, x) -> float | Array:
@@ -441,9 +454,31 @@ class CompositeObjective:
     def lipschitz(self) -> float:
         return float(self.smooth.lipschitz)
 
-    def value(self, x) -> float | Array:
+    def _sum(self, x: Array) -> Array:
         # the smooth part is finite everywhere, so +inf stays +inf
-        return evaluate(self.nonsmooth, x) + evaluate(self.smooth, x)
+        return self.nonsmooth.value_fn(x) + self.smooth.value_fn(x)
+
+    def value(self, x) -> float | Array:
+        """g(x) + h(x), +inf outside the domain of g."""
+        return evaluate(ConvexObjective(self.dimension, self._sum), x)
+
+    def objective(self, min_value: float = 0.0) -> ConvexObjective:
+        """F = h + g as one objective, the function the descent minimizes:
+        its value g(x) + h(x) and its least-norm subgradient, grad h(x) plus
+        the element of subdiff g(x) nearest to -grad h(x).  ValueError when
+        g gives no shifted subgradient oracle."""
+        g = self.nonsmooth
+        if g.shifted_subgradient_fn is None:
+            raise ValueError(
+                f"the nonsmooth part {g.name or '<anonymous>'!r} gives no "
+                "least-norm subgradient of a sum (an indicator gives one for "
+                "a Ball or a Halfspace only)")
+        gradient = self.smooth.gradient_fn
+        return ConvexObjective(
+            dimension=self.dimension, value_fn=self._sum,
+            min_value=min_value,
+            subgradient_fn=lambda x: g.shifted_subgradient_fn(x, gradient(x)),
+            name=f"{self.smooth.name}+{g.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -489,22 +524,27 @@ def scaled_l1(dimension: int, weight: float) -> ConvexObjective:
     def val(x):
         return w * np.abs(x).sum(axis=-1)
 
-    def subgrad(x):
-        # Least-norm element: weight*sign on the support, soft part off it.
-        out = np.where(x != 0.0, w * np.sign(x), 0.0)
-        return out
+    def shifted(x, v):
+        # v + weight*sign on the support; off it, v plus the point of
+        # [-weight, weight] nearest to -v, which is v shrunk by weight
+        return np.where(x != 0.0, v + w * np.sign(x), soft_threshold(v, w))
 
     def prx(x, step):
         return soft_threshold(x, w * step)
 
     return ConvexObjective(
         dimension=dimension, value_fn=val, min_value=0.0,
-        subgradient_fn=subgrad, prox_fn=prx, name="l1",
+        subgradient_fn=lambda x: shifted(x, np.zeros_like(x)), prox_fn=prx,
+        name="l1", shifted_subgradient_fn=shifted,
     )
 
 
 def indicator(set_, dimension: int) -> ConvexObjective:
-    """Indicator of a projectable convex set; prox is the projection."""
+    """Indicator of a projectable convex set; prox is the projection.
+
+    The shifted subgradient needs the normal cone at the boundary, so only
+    a Ball or a Halfspace (the boundary geometries exposed here) gives one.
+    """
 
     def val(x):
         return np.where(set_.contains(x, tol=1e-12), 0.0, math.inf)
@@ -517,9 +557,29 @@ def indicator(set_, dimension: int) -> ConvexObjective:
     def prx(x, step):
         return set_.project(x)
 
+    def shifted(x, v):
+        # distance(x) is zero on all of C, so detect the boundary by slack
+        if isinstance(set_, Ball):
+            d = x - set_.center
+            slack = set_.radius - np.sqrt(np.vecdot(d, d))
+        else:
+            slack = ((set_.offset - np.vecdot(x, set_.normal))
+                     / np.linalg.norm(set_.normal))
+        inside = np.asarray(set_.contains(x, tol=1e-12))
+        out = np.where(inside[..., None], v, math.nan)
+        # on the boundary, add the normal-cone multiple that minimizes norm
+        boundary = inside & (slack <= 1e-12)
+        vb = out[boundary]
+        n = np.broadcast_to(set_.boundary_normal(x[boundary]), vb.shape)
+        t = np.maximum(0.0, -np.vecdot(vb, n))
+        out[boundary] = vb + t[..., None] * n
+        return out
+
     return ConvexObjective(
         dimension=dimension, value_fn=val, min_value=0.0,
         subgradient_fn=subgrad, prox_fn=prx, name="indicator",
+        shifted_subgradient_fn=(shifted if isinstance(set_, (Ball, Halfspace))
+                                else None),
     )
 
 
@@ -556,33 +616,7 @@ def zero_objective(dimension: int) -> ConvexObjective:
         prox_fn=lambda x, step: x.copy(),
         lipschitz=0.0,
         name="zero",
-    )
-
-
-def lasso_objective(A, y, mu: float, min_value: float = 0.0) -> ConvexObjective:
-    """f(x) = 0.5 ||A x - y||^2 + mu ||x||_1 with a least-norm subgradient oracle."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    mu = float(mu)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-
-    def val(x):
-        r = _matvec(A, x) - y
-        return 0.5 * np.vecdot(r, r) + mu * np.abs(x).sum(axis=-1)
-
-    def subgrad(x):
-        g = _matvec(A.T, _matvec(A, x) - y)
-        out = np.where(
-            x != 0.0,
-            g + mu * np.sign(x),
-            np.sign(g) * np.maximum(np.abs(g) - mu, 0.0),
-        )
-        return out
-
-    return ConvexObjective(
-        dimension=A.shape[1], value_fn=val, min_value=min_value,
-        subgradient_fn=subgrad, name="lasso",
+        shifted_subgradient_fn=lambda x, v: v,
     )
 
 
@@ -633,42 +667,4 @@ def half_squared_distance(set_, dimension: int) -> ConvexObjective:
         dimension=dimension, value_fn=val, min_value=0.0,
         gradient_fn=grad, subgradient_fn=grad, lipschitz=1.0,
         name="half-squared-distance",
-    )
-
-
-def alternating_objective(c1, c2, dimension: int) -> ConvexObjective:
-    """g(x) = indicator(C1) + 0.5 dist^2(x, C2).
-
-    The least-norm subgradient needs the normal cone of C1, so C1 must be a
-    Ball or a Halfspace (the only boundary geometries exposed here).
-    """
-    def val(x):
-        inside = c1.contains(x, tol=1e-12)
-        return np.where(inside, 0.5 * np.asarray(c2.distance(x)) ** 2, math.inf)
-
-    def subgrad(x):
-        v = x - c2.project(x)
-        # distance(x) is zero on all of C1, so detect the boundary by slack
-        if isinstance(c1, Ball):
-            d = x - c1.center
-            slack = c1.radius - np.sqrt(np.vecdot(d, d))
-        elif isinstance(c1, Halfspace):
-            slack = ((c1.offset - np.vecdot(x, c1.normal))
-                     / np.linalg.norm(c1.normal))
-        else:
-            raise UnsupportedOracleError(
-                "normal cone available only for Ball or Halfspace C1"
-            )
-        # on the boundary, add the normal-cone multiple that minimizes norm
-        boundary = np.asarray(slack <= 1e-12)
-        vb = v[boundary]
-        n = np.broadcast_to(c1.boundary_normal(x[boundary]), vb.shape)
-        t = np.maximum(0.0, -np.vecdot(vb, n))
-        v[boundary] = vb + t[..., None] * n
-        inside = np.asarray(c1.contains(x, tol=1e-12))[..., None]
-        return np.where(inside, v, math.nan)
-
-    return ConvexObjective(
-        dimension=dimension, value_fn=val, min_value=0.0,
-        subgradient_fn=subgrad, name="alternating",
     )

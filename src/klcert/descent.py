@@ -7,8 +7,9 @@ projections (unit steps on 0.5 sum_i w_i dist^2(., C_i), or on
 indicator(C_1) + 0.5 dist^2(., C_2)).  Each family's pipeline builds its
 composite, start and step schedule, and `forward_backward` runs them all.
 
-Every run records, per step, the objective value, the step norm, and the
-norm of an explicit subgradient witness, so that the two certificate
+Every run records, per step, the composite's value (the objective the
+sampling checks test, `CompositeObjective.objective`), the step norm, and
+the norm of an explicit subgradient witness, so that the two certificate
 inequalities can be audited after the fact:
 
   sufficient decrease   f(x_k) + a ||x_k - x_{k-1}||^2 <= f(x_{k-1})
@@ -20,6 +21,8 @@ a = 1/lam_hi - L/2 and b = 1/lam_lo + L; the witness comes exactly from the
 prox optimality inclusion, w_+ = (x - x_+)/lam - grad h(x) + grad h(x_+).
 A step of exactly zero means stationarity: the run stops there and is
 marked converged.  A run is stored as its iterates; all else is derived.
+It holds no method name and no step sizes: the config names the method,
+and the schedule gives the sizes.
 """
 
 from __future__ import annotations
@@ -110,13 +113,11 @@ class DescentRun:
     objectives started outside the domain; it is a record, not an operand).
     """
 
-    method: str
     params: DescentCertificateParams
     iterates: Array            # (T+1, n)
     raw_values: Array          # (T+1,)
     step_norms: Array          # (T,)
     witness_norms: Array       # (T,)
-    step_sizes: Array          # (T,)
     min_value: Optional[float] = None
     converged: bool = False
 
@@ -157,7 +158,6 @@ class DescentRun:
                       step_sizes: Array, params: DescentCertificateParams,
                       min_value: Optional[float] = None,
                       converged: bool = False,
-                      method: str = "forward-backward",
                       gradients: Optional[Array] = None) -> "DescentRun":
         """The record of the run X = iterates, step k of size step_sizes[k],
         computed in one batch; gradients, when given, is grad h(X)."""
@@ -168,13 +168,11 @@ class DescentRun:
         G = composite.smooth.gradient_fn(X) if gradients is None else gradients
         witnesses = (X[:-1] - X[1:]) / lam[:, None] - G[:-1] + G[1:]
         return DescentRun(
-            method=method,
             params=params,
             iterates=X,
             raw_values=composite.value(X),
             step_norms=row_norms(X[1:] - X[:-1]),
             witness_norms=row_norms(witnesses),
-            step_sizes=lam,
             min_value=min_value,
             converged=converged,
         )
@@ -188,8 +186,7 @@ class DescentRun:
     @staticmethod
     def from_metadata_dict(data: dict, composite: CompositeObjective, x0,
                            schedule: StepSchedule, steps: int,
-                           min_value: Optional[float] = None,
-                           method: str = "forward-backward") -> "DescentRun":
+                           min_value: Optional[float] = None) -> "DescentRun":
         """The run forward_backward(composite, x0, schedule, steps, ...)
         records, from the iterates of a run.json record: ValueError unless,
         bit for bit, they begin at the start, each is the method's nonzero
@@ -215,7 +212,7 @@ class DescentRun:
         params = certificate_params(schedule, composite.lipschitz)
         run = DescentRun.from_iterates(
             composite, X, lam, params, min_value=min_value,
-            converged=num_steps < steps, method=method, gradients=G)
+            converged=num_steps < steps, gradients=G)
         # every stored step is the loop's, and the loop stores no zero step
         prox_fn = composite.nonsmooth.prox_fn
         stepped = prox_fn(X[:-1] - lam[:, None] * G[:-1], lam[:, None])
@@ -230,8 +227,8 @@ class DescentRun:
 
 
 def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
-                     steps: int, min_value: Optional[float] = None,
-                     method: str = "forward-backward") -> DescentRun:
+                     steps: int, min_value: Optional[float] = None
+                     ) -> DescentRun:
     """Proximal-gradient iteration with exact certificate witnesses; the
     start and the schedule are validated once, before the loop."""
     if steps < 1:
@@ -256,4 +253,4 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
 
     return DescentRun.from_iterates(
         composite, np.asarray(iterates), np.asarray(sizes[:len(iterates) - 1]),
-        params, min_value=min_value, converged=converged, method=method)
+        params, min_value=min_value, converged=converged)

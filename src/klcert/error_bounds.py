@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -23,7 +24,6 @@ from klcert.convex import (
     dykstra_projection,
     feasibility_objective,
     lasso_composite,
-    lasso_objective,
     set_from_dict,
 )
 from klcert.desingularization import Desingularizer, PowerDesingularizer
@@ -197,19 +197,15 @@ class LassoInstance:
     def dimension(self) -> int:
         return self.A.shape[1]
 
-    def value(self, x) -> float:
-        r = self.A @ np.asarray(x, dtype=float) - self.y
-        return 0.5 * float(r @ r) + self.mu * float(np.abs(np.asarray(x)).sum())
-
-    def objective(self, min_value: float = 0.0):
-        return lasso_objective(self.A, self.y, self.mu, min_value=min_value)
-
+    @cached_property
     def composite(self):
+        """The problem as least squares plus scaled l1, built once: it takes
+        the spectral norm of A."""
         return lasso_composite(self.A, self.y, self.mu)
 
     def radius_bound(self) -> float:
         """l1 radius R containing every descent iterate started at x0."""
-        return max(self.value(self.x0) / self.mu,
+        return max(self.composite.value(self.x0) / self.mu,
                    1.0 + float(self.y @ self.y) / (2.0 * self.mu))
 
 

@@ -4,7 +4,9 @@ step-size sweep and the shipped presets.
 
 Each family's builder yields its problem (composite, start, step schedule,
 minimum value), then the certificate pieces; `run_experiment` runs every
-family's method through one `forward_backward` call.
+family's method through one `forward_backward` call, and its sampling
+checks test the objective derived from that same composite
+(`CompositeObjective.objective`), so no family writes its objective twice.
 
 A config fully determines an experiment; identical configs produce byte-
 identical artifacts (seeded sampling, sorted JSON keys, fixed-format CSV),
@@ -28,10 +30,8 @@ import numpy as np
 
 from klcert.convex import (
     CompositeObjective,
-    ConvexObjective,
     IntersectionSet,
     SingletonSet,
-    alternating_objective,
     as_point,
     half_squared_distance,
     indicator,
@@ -111,7 +111,6 @@ class PipelineBundle(Problem):
 
     desingularizer: Desingularizer
     certificate: ErrorBoundCertificate
-    objective: ConvexObjective
     solution_set: object
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     minimizer: Optional[np.ndarray]
@@ -152,7 +151,7 @@ def _check_l1_ball(run: DescentRun, R: float) -> None:
 def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
                  method: str) -> Iterator[Problem]:
     inst, min_value, minimizer = lasso_from_payload(gi.payload)
-    composite = inst.composite()
+    composite = inst.composite
     L = composite.lipschitz
     d_rel = config.setting("method", "relative_step")
     problem = Problem(composite, inst.x0,
@@ -167,7 +166,6 @@ def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
         **vars(problem),
         desingularizer=desing,
         certificate=cert,
-        objective=inst.objective(min_value=min_value),
         solution_set=SingletonSet(minimizer),
         sampler=region_sampler(cert.region, inst.dimension),
         minimizer=minimizer,
@@ -192,9 +190,8 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
     # a nested intersection is refused here, before the run projects onto it
     if variant == "barycentric":
         solution = IntersectionSet(inst.sets)
-        objective = inst.objective()
         composite = CompositeObjective(
-            smooth=objective, nonsmooth=zero_objective(inst.dimension))
+            smooth=inst.objective(), nonsmooth=zero_objective(inst.dimension))
     else:
         solution = IntersectionSet(inst.sets[:2])
         if len(inst.sets) != 2:
@@ -206,7 +203,6 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
         composite = CompositeObjective(
             smooth=half_squared_distance(c2, inst.dimension),
             nonsmooth=indicator(c1, inst.dimension))
-        objective = alternating_objective(c1, c2, inst.dimension)
     problem = Problem(composite, start, StepSchedule.constant(1.0), 0.0)
     yield problem
     desing = feasibility_bound(inst, start, variant)
@@ -215,7 +211,6 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
         **vars(problem),
         desingularizer=desing,
         certificate=cert,
-        objective=objective,
         solution_set=solution,
         sampler=region_sampler(desing.region, inst.dimension),
         minimizer=None,
@@ -246,7 +241,6 @@ def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
         **vars(problem),
         desingularizer=desing,
         certificate=cert,
-        objective=obj,
         solution_set=SingletonSet(center),
         sampler=region_sampler(desing.region, obj.dimension, anchor=center,
                                scale=anchor_scale),
@@ -278,7 +272,6 @@ def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
         **vars(problem),
         desingularizer=desing,
         certificate=cert,
-        objective=smooth,
         solution_set=ball,
         sampler=region_sampler(WholeSpace(), n, anchor=ball.center,
                                scale=anchor_scale),
@@ -498,10 +491,13 @@ def majorant_rows(maj: MajorantSequence) -> list[tuple]:
 def run_experiment(config: ExperimentConfig,
                    out_dir: Optional[str] = None) -> ExperimentResult:
     gi = load_instance(config)
-    method, steps = pipeline_settings(gi.family, config)
+    steps = pipeline_settings(gi.family, config)[1]
     bundle = build_pipeline(gi, config)
+    # the sampling checks test the function the run descends; a composite
+    # without a least-norm subgradient is refused here, before the run
+    objective = bundle.composite.objective(bundle.min_value)
     run = forward_backward(bundle.composite, bundle.start, bundle.schedule,
-                           steps, min_value=bundle.min_value, method=method)
+                           steps, min_value=bundle.min_value)
     bundle.guard(run)
 
     desing = bundle.desingularizer
@@ -529,11 +525,11 @@ def run_experiment(config: ExperimentConfig,
         run_id=config.name or f"{gi.family}-seed{gi.seed}",
         certificate_id=bundle.certificate_id,
     )
-    report.add(check_kl_sampling(desing, bundle.objective, bundle.sampler,
+    report.add(check_kl_sampling(desing, objective, bundle.sampler,
                                  n_samples=samples, seed=seed))
-    report.add(check_error_bound_sampling(cert, bundle.objective,
-                                          bundle.solution_set, bundle.sampler,
-                                          n_samples=samples, seed=seed + 1))
+    report.add(check_error_bound_sampling(cert, objective, bundle.solution_set,
+                                          bundle.sampler, n_samples=samples,
+                                          seed=seed + 1))
 
     result = ExperimentResult(config=config, instance=gi, bundle=bundle,
                               run=run, majorant=maj, report=report)
@@ -548,7 +544,6 @@ CERTIFICATE_FIELDS = ("schema_version", "desingularizer", "residual",
 
 
 def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
     run = result.run
     maj = result.majorant
     xstar = result.bundle.minimizer
@@ -601,7 +596,7 @@ def certify_run(run_path: str, certificate_path: str,
     problem = next(PIPELINES[gi.family][-1](gi, config, method))
     run = DescentRun.from_metadata_dict(
         record, problem.composite, problem.start, problem.schedule, steps,
-        min_value=problem.min_value, method=method)
+        min_value=problem.min_value)
     f0 = float(run.gaps[0])
     maj = worst_case_sequence(desing, f0, run.params, run.num_steps)
     report = CertificationReport(checks=trajectory_checks(run, maj, desing),

@@ -266,7 +266,7 @@ def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
         "mu": mu,
         "x0": x0.tolist(),
         "minimizer": xstar.tolist(),
-        "min_value": LassoInstance(A, y, mu, x0).value(xstar),
+        "min_value": LassoInstance(A, y, mu, x0).composite.value(xstar),
         "grid_certified": n <= 3,
     }
     return GeneratedInstance(family="lasso", seed=seed, payload=payload)
@@ -507,6 +507,7 @@ class GeneratedInstance:
         instead of being patched with a default."""
         require(data, ("schema_version",) + INSTANCE_FIELDS, "instance")
         require_type(data["seed"], int, "instance seed")
+        require_type(data["payload"], dict, "instance payload")
         gi = GeneratedInstance(family=data["family"], seed=data["seed"],
                                payload=data["payload"])
         require(gi.payload, PAYLOAD_FIELDS[gi.family], f"{gi.family} payload")

@@ -1,14 +1,15 @@
 """Artifact formats: the one atomic file writer, JSON and CSV on top of it,
 and the one JSON record reader.
 
-Every artifact goes through `_atomic_write`: the bytes land in a temporary
-file next to the target and are renamed over it, so a partial file never
-appears under the target name.  JSON is ASCII with sorted keys and a
-two-space indent, byte-equal to `json.dumps(payload, sort_keys=True,
-indent=2)` plus a newline, and refusing what that call refuses with the
-same exception.  That call runs Python's pure-Python encoder, since the C
-encoder takes no indent, so the writer builds the layout itself: dicts, and
-lists that hold anything but numbers, are walked in Python with
+Every artifact goes through `_atomic_write`: it creates the target's
+directory when missing, and the bytes land in a temporary file next to the
+target and are renamed over it, so a partial file never appears under the
+target name.  JSON is ASCII with sorted keys and a two-space indent,
+byte-equal to `json.dumps(payload, sort_keys=True, indent=2)` plus a
+newline, and refusing what that call refuses with the same exception.
+That call runs Python's pure-Python encoder, since the C encoder takes no
+indent, so the writer builds the layout itself: dicts, and lists that hold
+anything but numbers, are walked in Python with
 `json.dumps` on keys and leaves, while a list of numbers (null, true and
 false included) or a list of non-empty such lists is encoded by the C
 encoder in one call and indented by replacing its separators, ", " and
@@ -47,6 +48,7 @@ TRACE_COLUMNS = (
 def _atomic_write(path, text: str) -> None:
     data = text.encode("ascii")
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -18,14 +18,13 @@ from klcert.convex import (
     NotConvergedError,
     SingletonSet,
     UnsupportedOracleError,
-    alternating_objective,
     as_point,
     dykstra_projection,
     evaluate,
     feasibility_objective,
     half_squared_distance,
     indicator,
-    lasso_objective,
+    lasso_composite,
     least_squares,
     min_norm_subgradient,
     prox,
@@ -60,9 +59,15 @@ def test_value_gap_is_inf_outside_domain():
     np.testing.assert_array_equal(gaps, [-5.0, math.inf])
 
 
+def _alternating(c1, c2, dimension: int) -> ConvexObjective:
+    """indicator(C1) + 0.5 dist^2(., C2), the alternating-projections sum."""
+    return CompositeObjective(smooth=half_squared_distance(c2, dimension),
+                              nonsmooth=indicator(c1, dimension)).objective()
+
+
 def test_value_gap_orders_infinity_above_finite_values():
-    obj = alternating_objective(Ball(np.zeros(2), 1.0),
-                                Halfspace(np.array([1.0, 0.0]), 0.0), 2)
+    obj = _alternating(Ball(np.zeros(2), 1.0),
+                       Halfspace(np.array([1.0, 0.0]), 0.0), 2)
     pts = np.array([[0.5, 0.0], [2.0, 0.0], [0.9, 0.0], [0.0, 0.0]])
     gaps = value_gap(obj, pts)
     assert not np.any(np.isnan(gaps))
@@ -301,7 +306,7 @@ def _builder_zoo(rng):
         quadratic_objective(center=[0.2, -0.4], weight=0.8),
         scaled_l1(dimension=2, weight=0.6),
         least_squares(A, y),
-        lasso_objective(A, y, mu=0.3),
+        lasso_composite(A, y, mu=0.3).objective(),
         feasibility_objective(sets, weights=(0.25, 0.75), dimension=2),
         half_squared_distance(Ball(np.array([1.0, 1.0]), 0.5), dimension=2),
         zero_objective(2),
@@ -413,12 +418,12 @@ def _factory_zoo() -> dict:
         "indicator-halfspace": indicator(_HALF, 3),
         "least-squares": least_squares(A, y),
         "zero": zero_objective(3),
-        "lasso": lasso_objective(A, y, mu=0.4, min_value=0.1),
+        "lasso": lasso_composite(A, y, mu=0.4).objective(min_value=0.1),
         "feasibility": feasibility_objective((_BALL, _HALF), weights=(0.3, 0.7),
                                              dimension=3),
         "half-squared-distance": half_squared_distance(_HALF, 3),
-        "alternating-ball": alternating_objective(_BALL, _HALF, 3),
-        "alternating-halfspace": alternating_objective(_HALF, _BALL, 3),
+        "alternating-ball": _alternating(_BALL, _HALF, 3),
+        "alternating-halfspace": _alternating(_HALF, _BALL, 3),
     }
 
 

@@ -128,8 +128,7 @@ def _per_step_record(composite, x0, schedule, steps):
     grad = composite.smooth.gradient_fn
     gx = grad(x)
     record = {"iterates": [x.tolist()], "raw_values": [composite.value(x)],
-              "step_sizes": [], "step_norms": [], "witness_norms": [],
-              "converged": False}
+              "step_norms": [], "witness_norms": [], "converged": False}
     for k in range(steps):
         lam = schedule.step(k)
         xn = prox(composite.nonsmooth, x - lam * gx, lam)
@@ -140,7 +139,6 @@ def _per_step_record(composite, x0, schedule, steps):
         gxn = grad(xn)
         record["iterates"].append(xn.tolist())
         record["raw_values"].append(composite.value(xn))
-        record["step_sizes"].append(lam)
         record["step_norms"].append(move)
         record["witness_norms"].append(
             float(np.linalg.norm((x - xn) / lam - gx + gxn)))
@@ -151,7 +149,6 @@ def _per_step_record(composite, x0, schedule, steps):
 def _run_record(run):
     return {"iterates": run.iterates.tolist(),
             "raw_values": run.raw_values.tolist(),
-            "step_sizes": run.step_sizes.tolist(),
             "step_norms": run.step_norms.tolist(),
             "witness_norms": run.witness_norms.tolist(),
             "converged": run.converged}
@@ -241,11 +238,10 @@ def test_gaps_need_min_value():
 
 
 def _assert_same_run(back, run):
-    for name in ("iterates", "raw_values", "step_norms", "witness_norms",
-                 "step_sizes"):
+    for name in ("iterates", "raw_values", "step_norms", "witness_norms"):
         np.testing.assert_array_equal(getattr(back, name), getattr(run, name))
-    assert (back.params, back.min_value, back.converged, back.method) == (
-        run.params, run.min_value, run.converged, run.method)
+    assert (back.params, back.min_value, back.converged) == (
+        run.params, run.min_value, run.converged)
 
 
 def test_metadata_round_trip_is_exact(rng, tmp_path):
@@ -259,20 +255,18 @@ def test_metadata_round_trip_is_exact(rng, tmp_path):
     for sched in (StepSchedule.over_lipschitz(0.5, comp.lipschitz),
                   StepSchedule(lambda_min=lo, lambda_max=hi,
                                fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
-        run = forward_backward(comp, x0, sched, steps=25, min_value=0.0,
-                               method="ista")
+        run = forward_backward(comp, x0, sched, steps=25, min_value=0.0)
         assert sorted(run.to_metadata_dict()) == sorted(RUN_FIELDS)
         blob = json.dumps(run.to_metadata_dict(), sort_keys=True)
         back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0,
-                                             sched, 25, min_value=0.0,
-                                             method="ista")
+                                             sched, 25, min_value=0.0)
         _assert_same_run(back, run)
 
         path = tmp_path / "run.json"
         run.to_metadata_json(path)
         again = DescentRun.from_metadata_dict(json.loads(path.read_text()),
                                               comp, x0, sched, 25,
-                                              min_value=0.0, method="ista")
+                                              min_value=0.0)
         _assert_same_run(again, run)
 
 
@@ -303,7 +297,7 @@ def _pipeline_run(gi, method, steps):
                               method={"name": method})
     bundle = build_pipeline(gi, config)
     run = forward_backward(bundle.composite, bundle.start, bundle.schedule,
-                           steps, min_value=bundle.min_value, method=method)
+                           steps, min_value=bundle.min_value)
     bundle.guard(run)
     return bundle, run
 
@@ -311,7 +305,6 @@ def _pipeline_run(gi, method, steps):
 def test_ista_iterates_stay_in_the_l1_ball():
     bundle, run = _pipeline_run(generate_instance("lasso", seed=7, n=2, m=3),
                                 "ista", 200)
-    assert run.method == "ista"
     R = bundle.constants["R"]
     assert np.max(np.abs(run.iterates).sum(axis=-1)) <= R + 1e-9
 
@@ -336,7 +329,6 @@ def _two_ball_instance(x0):
 
 def test_barycentric_projection_decreases_and_stays_fejer():
     _, run = _pipeline_run(_two_ball_instance([1.4, 0.8]), "barycentric", 400)
-    assert run.method == "barycentric"
     assert (run.params.a, run.params.b) == (0.5, 2.0)
     assert np.all(np.diff(run.raw_values) <= 1e-15)
     # Fejer monotonicity keeps the run in B(xbar, ||x0 - xbar||)

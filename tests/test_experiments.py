@@ -231,17 +231,19 @@ def stored_artifacts(tmp_path_factory):
     """The files certify reads of a passing run, as parsed JSON, and the
     fields run.json held at schema 1, with the values the run has."""
     out = tmp_path_factory.mktemp("stored")
-    run = run_experiment(preset_configs("uniformly-convex")[0],
-                         out_dir=str(out)).run
+    result = run_experiment(preset_configs("uniformly-convex")[0],
+                            out_dir=str(out))
+    run = result.run
     assert run.converged
     assert certify_run(str(out / "run.json"),
                        str(out / "certificate.json")).passed
     docs = {name: json.loads((out / name).read_text())
             for name in CERTIFY_READS}
     docs["legacy"] = {
-        "method": run.method, "a": run.params.a, "b": run.params.b,
+        "method": "gradient", "a": run.params.a, "b": run.params.b,
         "min_value": run.min_value, "converged": run.converged,
-        "num_steps": run.num_steps, "step_sizes": run.step_sizes.tolist(),
+        "num_steps": run.num_steps,
+        "step_sizes": result.bundle.schedule.sizes(run.num_steps),
         "step_norms": run.step_norms.tolist(),
         "witness_norms": run.witness_norms.tolist(),
         "raw_values": np.where(np.isinf(run.raw_values), None,
@@ -369,6 +371,17 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
                  "--certificate", str(tmp_path / "certificate.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_certify_writes_its_report_into_a_missing_directory(tmp_path):
+    assert main(["run", "--preset", "tiny-lasso", "--out", str(tmp_path)]) == 0
+    stored = tmp_path / "tiny-lasso"
+    out = tmp_path / "fresh" / "deeper" / "report.json"
+    assert main(["certify", "--run", str(stored / "run.json"),
+                 "--certificate", str(stored / "certificate.json"),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+    assert os.listdir(out.parent) == ["report.json"]
 
 
 def test_certify_builds_no_certificate(tmp_path, monkeypatch):
@@ -688,6 +701,21 @@ def _path_instance_with_seed(tmp_path):
                                         "seed": 2})(tmp_path)
 
 
+def _stored_instance_run(tmp_path, family, edit, method):
+    """argv of a run on a stored instance of family, edited in place."""
+    doc = generate_instance(family, seed=3).to_dict()
+    edit(doc)
+    (tmp_path / "i.json").write_text(json.dumps(doc))
+    return _run_config("run", instance={"path": str(tmp_path / "i.json")},
+                       method=method)(tmp_path)
+
+
+def _first_set_affine(doc):
+    xbar = doc["payload"]["instance"]["xbar"]
+    doc["payload"]["instance"]["sets"][0] = {
+        "kind": "affine", "matrix": [[1.0, 0.0]], "rhs": [xbar[0]]}
+
+
 # malformed inputs that must stop with one error line and exit 2; most of
 # them once ended in a traceback, or ran on with the bad key ignored
 MALFORMED_INPUTS = {
@@ -700,6 +728,14 @@ MALFORMED_INPUTS = {
     "unknown-instance-key-sweep": _run_config(
         "sweep", instance={"family": "lasso", "n": 2, "bogus": 1}),
     "path-instance-with-another-key": _path_instance_with_seed,
+    "instance-payload-not-an-object": lambda tmp_path: _stored_instance_run(
+        tmp_path, "lasso", lambda doc: doc.update(payload=[1, 2]),
+        {"name": "ista"}),
+    # the sampling checks need the normal cone of C_1, which only a ball or
+    # a halfspace gives; refused before the run, not after it
+    "alternating-on-an-affine-first-set": lambda tmp_path: (
+        _stored_instance_run(tmp_path, "feasibility", _first_set_affine,
+                             {"name": "alternating", "steps": 5})),
     "generate-lasso-dim": lambda tmp_path: [
         "generate", "--family", "lasso", "--dim", "2",
         "--out", str(tmp_path / "i.json")],
@@ -791,6 +827,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_alternating_on_an_affine_first_set_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(klcert.experiments, "forward_backward", refuse)
+    argv = MALFORMED_INPUTS["alternating-on-an-affine-first-set"](tmp_path)
+    assert main(argv) == 2
+    assert "least-norm subgradient" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("record", ["config", "instance", "run",

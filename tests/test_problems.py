@@ -95,14 +95,15 @@ def test_lasso_stored_minimum_matches_coordinate_descent(seed):
     inst, min_value, minimizer = lasso_from_payload(gen.payload)
     assert gen.payload["grid_certified"]
     # the stored pair is consistent
-    assert inst.value(minimizer) == pytest.approx(min_value, abs=1e-12)
+    assert inst.composite.value(minimizer) == pytest.approx(min_value,
+                                                            abs=1e-12)
     # first-order optimality at the stored minimizer
-    g = min_norm_subgradient(inst.objective(), minimizer)
+    g = min_norm_subgradient(inst.composite.objective(), minimizer)
     assert float(np.linalg.norm(g)) <= 1e-7
     # independent solver cannot find anything lower
     for start in (inst.x0, np.zeros(inst.dimension)):
         x_cd = _coordinate_descent(inst.A, inst.y, inst.mu, start)
-        v_cd = inst.value(x_cd)
+        v_cd = inst.composite.value(x_cd)
         assert v_cd >= min_value - 1e-9
         assert v_cd <= min_value + 1e-7
 

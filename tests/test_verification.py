@@ -2,14 +2,20 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from klcert.convex import (
+    Ball,
     CompositeObjective,
+    ConvexObjective,
     SingletonSet,
+    evaluate,
+    min_norm_subgradient,
     quadratic_objective,
+    subgradient_norm,
     value_gap,
     zero_objective,
 )
@@ -23,6 +29,7 @@ from klcert.desingularization import (
 from klcert.error_bounds import uniformly_convex_profile
 from klcert.experiments import (
     PRESET_NAMES,
+    ExperimentConfig,
     build_pipeline,
     load_instance,
     majorant_rows,
@@ -265,23 +272,121 @@ def _pointwise_error_bound_sampling(cert, obj, dists, pts):
 def test_sampling_checks_match_pointwise_reference(config):
     bundle = build_pipeline(load_instance(config), config)
     d, cert = bundle.desingularizer, bundle.certificate
+    obj = bundle.composite.objective(bundle.min_value)
     for factor in (1.0, 2.0):  # 2.0 fails the tight-quadratic certificate
         d_f = scale_desingularizer(d, factor)
         cert_f = scale_certificate(cert, factor)
         pts = bundle.sampler(np.random.default_rng(4), 400)
-        valid, worst = _pointwise_kl_sampling(d_f, bundle.objective, pts)
-        c = check_kl_sampling(d_f, bundle.objective, bundle.sampler,
+        valid, worst = _pointwise_kl_sampling(d_f, obj, pts)
+        c = check_kl_sampling(d_f, obj, bundle.sampler,
                               n_samples=400, seed=4)
         assert (c.samples, c.worst_violation) == (valid, -worst)
 
         pts = bundle.sampler(np.random.default_rng(5), 400)
         dists = np.atleast_1d(bundle.solution_set.distance(pts))
         valid, worst = _pointwise_error_bound_sampling(
-            cert_f, bundle.objective, dists, pts)
-        c = check_error_bound_sampling(cert_f, bundle.objective,
+            cert_f, obj, dists, pts)
+        c = check_error_bound_sampling(cert_f, obj,
                                        bundle.solution_set, bundle.sampler,
                                        n_samples=400, seed=5)
         assert (c.samples, c.worst_violation) == (valid, -worst)
+
+
+def _reference_lasso(A, y, mu, min_value) -> ConvexObjective:
+    """0.5 ||A x - y||^2 + mu ||x||_1 written by hand in one formula, the
+    way the sampling checks' lasso objective was before it was derived
+    from the composite."""
+    A, y = np.asarray(A, dtype=float), np.asarray(y, dtype=float)
+
+    def residual(x):
+        return (A @ x[..., None])[..., 0] - y
+
+    def val(x):
+        r = residual(x)
+        return 0.5 * np.vecdot(r, r) + mu * np.abs(x).sum(axis=-1)
+
+    def subgrad(x):
+        g = (A.T @ residual(x)[..., None])[..., 0]
+        return np.where(x != 0.0, g + mu * np.sign(x),
+                        np.sign(g) * np.maximum(np.abs(g) - mu, 0.0))
+
+    return ConvexObjective(dimension=A.shape[1], value_fn=val,
+                           min_value=min_value, subgradient_fn=subgrad)
+
+
+def _reference_alternating(c1, c2, dimension) -> ConvexObjective:
+    """indicator(C1) + 0.5 dist^2(., C2) written by hand, for a Ball or a
+    Halfspace C1, the way the alternating objective was before it was
+    derived from the composite."""
+
+    def val(x):
+        inside = c1.contains(x, tol=1e-12)
+        return np.where(inside, 0.5 * np.asarray(c2.distance(x)) ** 2,
+                        math.inf)
+
+    def subgrad(x):
+        v = x - c2.project(x)
+        if isinstance(c1, Ball):
+            d = x - c1.center
+            slack = c1.radius - np.sqrt(np.vecdot(d, d))
+        else:
+            slack = ((c1.offset - np.vecdot(x, c1.normal))
+                     / np.linalg.norm(c1.normal))
+        boundary = np.asarray(slack <= 1e-12)
+        vb = v[boundary]
+        n = np.broadcast_to(c1.boundary_normal(x[boundary]), vb.shape)
+        t = np.maximum(0.0, -np.vecdot(vb, n))
+        v[boundary] = vb + t[..., None] * n
+        inside = np.asarray(c1.contains(x, tol=1e-12))[..., None]
+        return np.where(inside, v, math.nan)
+
+    return ConvexObjective(dimension=dimension, value_fn=val,
+                           subgradient_fn=subgrad)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("config", [
+    c for p in PRESET_NAMES for c in preset_configs(p)] + [
+    ExperimentConfig(name=f"lasso-{400 + i}",
+                     instance={"family": "lasso", "n": 2 + i % 2,
+                               "seed": 400 + i},
+                     checks={"seed": i}) for i in range(20)],
+    ids=lambda c: c.name)
+def test_derived_objective_matches_hand_written_references(config):
+    # the objective the sampling checks test, derived from the composite,
+    # has the bits of the hand-written objectives it replaced, on the
+    # checks' own draws, the start and the origin
+    gi = load_instance(config)
+    bundle = build_pipeline(gi, config)
+    derived = bundle.composite.objective(bundle.min_value)
+    if gi.family == "lasso":
+        reference = _reference_lasso(gi.payload["A"], gi.payload["y"],
+                                     gi.payload["mu"], bundle.min_value)
+    elif config.setting("method", "name") == "alternating":
+        reference = _reference_alternating(*bundle.solution_set.sets,
+                                           bundle.composite.dimension)
+    else:
+        # g = 0: the checks tested the smooth part alone
+        assert bundle.composite.nonsmooth.name == "zero"
+        reference = replace(bundle.composite.smooth,
+                            min_value=bundle.min_value)
+    # as many draws as the benchmark's falsify battery makes per check
+    seed = config.setting("checks", "seed")
+    pts = np.concatenate([bundle.sampler(np.random.default_rng(s), 20000)
+                          for s in (seed, seed + 1)]
+                         + [[bundle.start, np.zeros_like(bundle.start)]])
+    for oracle in (evaluate, value_gap, min_norm_subgradient,
+                   subgradient_norm):
+        assert _same_bits(oracle(derived, pts), oracle(reference, pts)), (
+            oracle.__name__)
+        for x in pts[-2:]:
+            assert _same_bits(oracle(derived, x), oracle(reference, x)), (
+                oracle.__name__)
 
 
 def _first_max_scan(pairs):
