@@ -14,11 +14,17 @@ constant or rate), a value of another type than its key or stored field
 takes (never converted), a stored number that is not finite, iterates that
 are not the method's steps, a method the instance's family does not run, a
 step budget or cap below one, and a projection that does not converge.
+
+The argument parser is built once per process, on the first call of
+`main`, and reused by every later call: a driver that calls `main` many
+times in one process (a script, the test suite, the benchmark) pays for
+argparse's set-up once.  Importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -111,6 +117,7 @@ def _cmd_certify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klcert",

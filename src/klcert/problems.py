@@ -55,6 +55,14 @@ GRID_RESOLUTION = {1: 1e-3, 2: 1e-3, 3: 1e-2}
 POLISH_CAP = 200000
 
 
+def _require_positive(value: float, name: str) -> None:
+    """Refuse a family parameter that is not a positive finite number;
+    generators call this before their first random draw, so a refusal
+    never shifts the bits of a valid seed."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"need {name} > 0 and finite, not {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # l1-regularized least squares
 # ---------------------------------------------------------------------------
@@ -239,6 +247,8 @@ def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
         m = n + 1
     if m < n:
         raise ValueError("need m >= n so the minimizer is unique")
+    if mu is not None:
+        _require_positive(mu, "mu")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     A /= max(1.0, float(np.linalg.norm(A, 2)))
@@ -302,6 +312,8 @@ def generate_feasibility_instance(dim: int = 2, num_sets: int = 2,
     — deep overlaps make alternating projections finish in a step or two,
     while the lens makes them crawl, which is the regime worth watching.
     """
+    if dim < 1:
+        raise ValueError("need dim >= 1")
     if geometry == "lens":
         return _lens_feasibility_instance(dim, seed)
     if geometry != "generic":
@@ -393,6 +405,8 @@ def tight_quadratic_instance(dim: int = 2, seed: int = 0) -> "GeneratedInstance"
     constant is exactly 1.  The matching hand certificate has zero margin
     everywhere, so any inflation of its constant must flip the sampling
     checks — the canonical falsification probe."""
+    if dim < 1:
+        raise ValueError("need dim >= 1")
     rng = np.random.default_rng(seed)
     center = rng.uniform(-1.0, 1.0, dim)
     radius = float(rng.uniform(0.4, 1.0))
@@ -418,6 +432,10 @@ def generate_uniformly_convex_instance(n: int = 3,
                                        seed: int = 0) -> "GeneratedInstance":
     """f(x) = w ||x - center||^2: 2-uniformly convex with modulus 2w and an
     exact known minimizer."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if weight is not None:
+        _require_positive(weight, "weight")
     rng = np.random.default_rng(seed)
     center = rng.uniform(-1.0, 1.0, n)
     if weight is None:

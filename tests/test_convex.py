@@ -369,6 +369,24 @@ def test_indicator_objective_values_and_prox():
     np.testing.assert_array_equal(g, np.zeros(2))
 
 
+@pytest.mark.parametrize("set_, point_at", [
+    (Ball(np.zeros(2), 1.0), lambda slack: np.array([1.0 - slack, 0.0])),
+    # a normal of norm 2: the slack is measured in distance, not in <a, x>
+    (Halfspace(np.array([2.0, 0.0]), 2.0),
+     lambda slack: np.array([1.0 - slack, 0.3])),
+], ids=["ball", "halfspace"])
+def test_indicator_shifted_subgradient_boundary_tolerance(set_, point_at):
+    # the outward normal at both points is e_1; v points inward along it
+    shifted = indicator(set_, dimension=2).shifted_subgradient_fn
+    v = np.array([[-1.0, 0.5], [-1.0, 0.5]])
+    x = np.stack([point_at(5e-13), point_at(1e-11)])
+    out = shifted(x, v)
+    # within 1e-12 of the boundary, the normal-cone step removes the
+    # inward component; 1e-11 inside, v is returned as it is
+    np.testing.assert_array_equal(out[0], [0.0, 0.5])
+    np.testing.assert_array_equal(out[1], v[1])
+
+
 def test_min_norm_subgradient_requires_an_oracle():
     obj = ConvexObjective(dimension=1, value_fn=lambda x: float(x[0] ** 2))
     with pytest.raises(UnsupportedOracleError):

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+import klcert.cli
 import klcert.convex
 import klcert.experiments
 from klcert.cli import main
@@ -682,6 +683,117 @@ def test_cli_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--preset", "tiny-lasso", "--workers", "2"])
     assert exc.value.code == 2
+
+
+# every call of main in a process parses with one parser; these check that
+# a call leaves nothing behind for the next one
+def test_cli_reuses_one_parser():
+    assert klcert.cli._build_parser() is klcert.cli._build_parser()
+
+
+def test_run_without_steps_after_a_step_override(tmp_path):
+    cfg = preset_configs("uniformly-convex")[0]
+    path = tmp_path / "cfg.json"
+    cfg.to_json(path)
+    for out, extra in (("capped", ["--steps", "3"]), ("own", [])):
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / out), *extra]) == 0
+    run_experiment(cfg, out_dir=str(tmp_path / "direct"))
+
+    def stored(out):
+        return (tmp_path / out / "uniformly-convex" / "run.json").read_bytes()
+
+    assert len(json.loads(stored("capped"))["iterates"]) == 4
+    assert stored("own") == (tmp_path / "direct" / "run.json").read_bytes()
+
+
+def test_certify_without_out_after_certify_with_out(tmp_path, capsys):
+    assert main(["run", "--preset", "uniformly-convex",
+                 "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / "uniformly-convex"
+    argv = ["certify", "--run", str(run_dir / "run.json"),
+            "--certificate", str(run_dir / "certificate.json")]
+    assert main([*argv, "--out", str(tmp_path / "recheck.json")]) == 0
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert {p: p.read_bytes()
+            for p in tmp_path.rglob("*") if p.is_file()} == files
+
+
+def test_argparse_refusal_between_calls(tmp_path):
+    def generate(name):
+        assert main(["generate", "--family", "lasso", "--seed", "3",
+                     "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name).read_bytes()
+
+    before = generate("before.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--family", "lasso", "--bogus"])
+    assert exc.value.code == 2
+    assert generate("after.json") == before
+
+
+HELP_ARGVS = (["--help"], *([command, "--help"] for command in
+                            ("generate", "run", "sweep", "certify")))
+
+
+def _printed_help(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_is_the_same_on_reuse(capsys):
+    first_use = []
+    for argv in HELP_ARGVS:
+        klcert.cli._build_parser.cache_clear()
+        first_use.append(_printed_help(argv, capsys))
+    assert first_use[0].startswith("usage: klcert ")
+    for _ in range(2):
+        assert [_printed_help(argv, capsys) for argv in HELP_ARGVS] \
+            == first_use
+
+
+# family parameters that no generator can use: each is refused by the
+# generator, before its first random draw
+BAD_FAMILY_PARAMETERS = {
+    "lasso-mu-zero": (["--family", "lasso", "--mu", "0"], "mu"),
+    "lasso-mu-negative": (["--family", "lasso", "--mu", "-1"], "mu"),
+    "lasso-mu-nan": (["--family", "lasso", "--mu", "nan"], "mu"),
+    "lasso-n-zero": (["--family", "lasso", "--n", "0"], "n"),
+    "uniformly-convex-weight-zero": (
+        ["--family", "uniformly-convex", "--weight", "0"], "weight"),
+    "uniformly-convex-weight-negative": (
+        ["--family", "uniformly-convex", "--weight", "-1"], "weight"),
+    "uniformly-convex-weight-nan": (
+        ["--family", "uniformly-convex", "--weight", "nan"], "weight"),
+    "uniformly-convex-n-zero": (
+        ["--family", "uniformly-convex", "--n", "0"], "n"),
+    "tight-quadratic-dim-zero": (
+        ["--family", "tight-quadratic", "--dim", "0"], "dim"),
+    "feasibility-dim-zero": (["--family", "feasibility", "--dim", "0"], "dim"),
+    "feasibility-lens-dim-zero": (
+        ["--family", "feasibility", "--geometry", "lens", "--dim", "0"],
+        "dim"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FAMILY_PARAMETERS)
+def test_generate_refuses_bad_family_parameters(tmp_path, capsys, case,
+                                                monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random draw was made")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    args, name = BAD_FAMILY_PARAMETERS[case]
+    out = tmp_path / "i.json"
+    assert main(["generate", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: need {name} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _config_file(tmp_path, **edits) -> str:
