@@ -192,10 +192,7 @@ class DescentRun:
         bit for bit, they begin at the start, each is the method's nonzero
         step from the one before, and a run shorter than its budget stops
         where the loop would."""
-        require(data, RUN_FIELDS, "run", version=2)
-        unknown = ", ".join(sorted(set(data) - set(RUN_FIELDS)))
-        if unknown:
-            raise ValueError(f"run record has unknown keys {unknown}")
+        require(data, RUN_FIELDS, "run", version=2, exact=True)
         # numpy reads no string, null or all-bool array as numbers
         X = np.asarray(data["iterates"])
         if (X.dtype.kind not in "iuf" or X.ndim != 2

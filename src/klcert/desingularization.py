@@ -125,7 +125,6 @@ class Desingularizer:
     """
 
     r0: float
-    c: float
     region: object
     ell: Optional[float]
 
@@ -181,7 +180,6 @@ class PowerDesingularizer(Desingularizer):
         self.exponent = float(exponent)
         self.r0 = float(r0)
         self.region = region
-        self.c = 1.0 / self.exponent
         self.ell = (ell if ell is not None
                     else self.psi_prime_lipschitz(self.alpha0()))
 
@@ -234,8 +232,7 @@ class GlobalizedDesingularizer(Desingularizer):
     """Piecewise-affine extension: phi below the junction, its tangent above.
 
     The extension is C^1 at the junction, concave, and desingularizing on the
-    whole space whenever the base was on its band; the moderation constant of
-    the base remains valid because the tangent grows no slower than c * phi.
+    whole space whenever the base was on its band.
     """
 
     def __init__(self, base: Desingularizer, junction: float):
@@ -249,7 +246,6 @@ class GlobalizedDesingularizer(Desingularizer):
             raise ValueError("base slope at the junction must be finite positive")
         self.r0 = math.inf
         self.region = base.region
-        self.c = base.c
         self.ell = base.psi_prime_lipschitz(self.alpha_junction)
 
     def phi(self, s):
@@ -288,23 +284,16 @@ class GlobalizedDesingularizer(Desingularizer):
 
 
 class TabulatedDesingularizer(Desingularizer):
-    """phi given as callables; psi recovered by bisection to 1e-12.
-
-    The moderation constant cannot be inferred from a black box, so it must
-    be supplied; without it the error-bound conversion is refused.
-    """
+    """phi given as callables; psi recovered by bisection to 1e-12."""
 
     def __init__(self, phi_fn: Callable[[float], float],
                  phi_prime_fn: Callable[[float], float],
-                 r0: float, c: float, region=None, ell: Optional[float] = None):
-        if not (0.0 < c <= 1.0):
-            raise ValueError("moderation constant must lie in (0, 1]")
+                 r0: float, region=None, ell: Optional[float] = None):
         if r0 <= 0:
             raise ValueError("r0 must be positive")
         self._phi_fn = phi_fn
         self._phi_prime_fn = phi_prime_fn
         self.r0 = float(r0)
-        self.c = float(c)
         self.region = region
         self.ell = ell
 
@@ -337,8 +326,8 @@ class ErrorBoundCertificate:
     in [0, r0).
 
     Forms: "power" with omega(s) = (s / gamma)^(1/p); "two-regime" with
-    omega(s) = (s + s^(1/p)) / gamma0; "general" wraps an arbitrary callable
-    (not serializable, refused by the conversion unless moderate).
+    omega(s) = (s + s^(1/p)) / gamma0; "general" wraps an arbitrary callable,
+    which the conversion refuses.
     """
 
     form: str
@@ -372,18 +361,6 @@ class ErrorBoundCertificate:
         if self.form == "two-regime":
             return (s + libm_pow(s, 1.0 / self.p)) / self.gamma0
         return _map_floats(self.residual_fn, s)
-
-    def to_dict(self) -> dict:
-        if self.form == "general":
-            raise ValueError("general residual certificates are not serializable")
-        return {
-            "form": self.form,
-            "p": self.p,
-            "gamma": self.gamma,
-            "gamma0": self.gamma0,
-            "r0": None if math.isinf(self.r0) else self.r0,
-            "region": self.region.to_dict() if self.region is not None else None,
-        }
 
 
 def desingularizer_from_dict(data: dict) -> Desingularizer:
@@ -439,7 +416,7 @@ def from_error_bound(cert: ErrorBoundCertificate) -> Desingularizer:
             return (p + s ** ((1.0 - p) / p)) / g0
 
         return TabulatedDesingularizer(phi_fn, phi_prime_fn, r0=cert.r0,
-                                       c=1.0 / p, region=cert.region)
+                                       region=cert.region)
     raise NonModerateResidualError(
         "residual has no derivable moderation constant; the error-bound to "
         "desingularizer equivalence may fail for flat residuals"

@@ -7,6 +7,11 @@ minimum value), then the certificate pieces; `run_experiment` runs every
 family's method through one `forward_backward` call, and its sampling
 checks test the objective derived from that same composite
 (`CompositeObjective.objective`), so no family writes its objective twice.
+`run_experiment` and `certify_run` compute the start's gap, the majorant
+and the trajectory-check report through one function, and certificate.json
+(schema 2) holds only what certify reads: the desingularizer and the
+certificate id.  zeta, q and the worst-case sequence all follow from the
+desingularizer and the step constants (a, b), so none is stored.
 
 A config fully determines an experiment; identical configs produce byte-
 identical artifacts (seeded sampling, sorted JSON keys, fixed-format CSV),
@@ -114,27 +119,25 @@ class PipelineBundle(Problem):
     solution_set: object
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     minimizer: Optional[np.ndarray]
-    constants: dict
     certificate_id: str
     # raises when a run leaves the region its certificate covers
     guard: Callable[[DescentRun], None] = lambda run: None
 
 
-def _lasso_growth(inst, config: ExperimentConfig
-                  ) -> tuple[float, str, LassoConstants]:
-    """(nu, its kind, growth constants) from the certificate block's source."""
+def _lasso_growth(inst, config: ExperimentConfig) -> LassoConstants:
+    """Growth constants from the certificate block's source."""
     source = config.setting("certificate", "source")
     if source == "computed":
-        nu, nu_kind = lasso_nu(inst, mode="exact")
+        nu = lasso_nu(inst, mode="exact")[0]
     elif source == "supplied":
-        nu, nu_kind = config.setting("certificate", "nu"), "supplied"
+        nu = config.setting("certificate", "nu")
         if nu is None:
             raise ValueError("a supplied certificate lacks nu")
     else:
         raise ValueError(
             f"unknown certificate source {source!r}; growth constants need "
             "an exact (upper-bound) Hoffman constant or a supplied one")
-    return nu, nu_kind, lasso_gamma(inst, nu)
+    return lasso_gamma(inst, nu)
 
 
 def _check_l1_ball(run: DescentRun, R: float) -> None:
@@ -152,12 +155,11 @@ def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
                  method: str) -> Iterator[Problem]:
     inst, min_value, minimizer = lasso_from_payload(gi.payload)
     composite = inst.composite
-    L = composite.lipschitz
     d_rel = config.setting("method", "relative_step")
-    problem = Problem(composite, inst.x0,
-                      StepSchedule.over_lipschitz(d_rel, L), min_value)
+    problem = Problem(composite, inst.x0, StepSchedule.over_lipschitz(
+        d_rel, composite.lipschitz), min_value)
     yield problem
-    nu, nu_kind, consts = _lasso_growth(inst, config)
+    consts = _lasso_growth(inst, config)
     cert = ErrorBoundCertificate(form="power", p=2.0,
                                  gamma=2.0 * consts.gamma_R,
                                  region=L1Ball(consts.R))
@@ -169,11 +171,6 @@ def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
         solution_set=SingletonSet(minimizer),
         sampler=region_sampler(cert.region, inst.dimension),
         minimizer=minimizer,
-        constants={
-            "nu": nu, "nu_kind": nu_kind, "gamma_R": consts.gamma_R,
-            "kappa_R": consts.kappa_R, "R": consts.R, "lipschitz": L,
-            "relative_step": d_rel,
-        },
         certificate_id=f"lasso-growth(gamma_R={consts.gamma_R:.6g})",
         guard=lambda run: _check_l1_ball(run, consts.R),
     )
@@ -214,9 +211,6 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
         solution_set=solution,
         sampler=region_sampler(desing.region, inst.dimension),
         minimizer=None,
-        constants={"M": desing.ell, "variant": variant,
-                   "start_distance": float(np.linalg.norm(start - inst.xbar)),
-                   "inner_radius": inst.R},
         certificate_id=f"feasibility-{variant}(M={desing.ell:.6g})",
     )
 
@@ -245,8 +239,6 @@ def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
         sampler=region_sampler(desing.region, obj.dimension, anchor=center,
                                scale=anchor_scale),
         minimizer=center,
-        constants={"modulus": 2.0 * weight, "lipschitz": obj.lipschitz,
-                   "relative_step": d_rel},
         certificate_id=f"uniformly-convex(sigma={2.0 * weight:.6g})",
     )
 
@@ -276,7 +268,6 @@ def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
         sampler=region_sampler(WholeSpace(), n, anchor=ball.center,
                                scale=anchor_scale),
         minimizer=None,
-        constants={"growth_constant": growth},
         certificate_id=f"tight-quadratic(M={growth:.6g})",
     )
 
@@ -445,7 +436,6 @@ class ExperimentResult:
     run: DescentRun
     majorant: MajorantSequence
     report: CertificationReport
-    paths: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -488,6 +478,26 @@ def majorant_rows(maj: MajorantSequence) -> list[tuple]:
     })
 
 
+def _trajectory_report(run: DescentRun, desing: Desingularizer, run_id: str,
+                       certificate_id: str, q: Optional[float] = None,
+                       xstar=None
+                       ) -> tuple[MajorantSequence, CertificationReport]:
+    """The majorant of run from its start's gap f0, and a report of the
+    trajectory checks against it; `run_experiment` and `certify_run` both
+    make them here.  The majorant is desing's worst-case sequence, or the
+    geometric one of rate q when q is given."""
+    f0 = float(run.gaps[0])
+    if f0 <= 0:
+        raise ValueError("start is already optimal; nothing to certify")
+    if q is not None:
+        maj = majorant_from_rate(desing, q, f0, run.params, run.num_steps)
+    else:
+        maj = worst_case_sequence(desing, f0, run.params, run.num_steps)
+    return maj, CertificationReport(
+        checks=trajectory_checks(run, maj, desing, xstar=xstar),
+        run_id=run_id, certificate_id=certificate_id)
+
+
 def run_experiment(config: ExperimentConfig,
                    out_dir: Optional[str] = None) -> ExperimentResult:
     gi = load_instance(config)
@@ -508,23 +518,15 @@ def run_experiment(config: ExperimentConfig,
         cert = scale_certificate(cert, factor)
         bundle.certificate_id += f"*scaled({factor:g})"
 
-    f0 = float(run.gaps[0])
-    if f0 <= 0:
-        raise ValueError("start is already optimal; nothing to certify")
     q = config.setting("certificate", "override_q")
     if q is not None:
-        maj = majorant_from_rate(desing, q, f0, run.params, run.num_steps)
         bundle.certificate_id += f"*q={q:g}"
-    else:
-        maj = worst_case_sequence(desing, f0, run.params, run.num_steps)
+    maj, report = _trajectory_report(
+        run, desing, config.name or f"{gi.family}-seed{gi.seed}",
+        bundle.certificate_id, q=q, xstar=bundle.minimizer)
 
     samples = config.setting("checks", "samples")
     seed = config.setting("checks", "seed")
-    report = CertificationReport(
-        checks=trajectory_checks(run, maj, desing, xstar=bundle.minimizer),
-        run_id=config.name or f"{gi.family}-seed{gi.seed}",
-        certificate_id=bundle.certificate_id,
-    )
     report.add(check_kl_sampling(desing, objective, bundle.sampler,
                                  n_samples=samples, seed=seed))
     report.add(check_error_bound_sampling(cert, objective, bundle.solution_set,
@@ -534,16 +536,17 @@ def run_experiment(config: ExperimentConfig,
     result = ExperimentResult(config=config, instance=gi, bundle=bundle,
                               run=run, majorant=maj, report=report)
     if out_dir is not None:
-        result.paths = write_artifacts(result, out_dir)
+        write_artifacts(result, out_dir)
     return result
 
 
-# every key of a certificate.json record; all of them are required on load
-CERTIFICATE_FIELDS = ("schema_version", "desingularizer", "residual",
-                      "constants", "zeta", "q", "certificate_id")
+# every key of a certificate.json record: the stored desingularizer and the
+# id are all certify reads, and no other key is accepted on load
+CERTIFICATE_FIELDS = ("schema_version", "desingularizer", "certificate_id")
 
 
 def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
+    """Write result's artifacts into out_dir; their paths, by file name."""
     run = result.run
     maj = result.majorant
     xstar = result.bundle.minimizer
@@ -559,12 +562,8 @@ def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
                 merged_trace_rows(run, maj, xstar))
     write_table(paths["majorant.csv"], TRACE_COLUMNS, majorant_rows(maj))
     write_json(paths["certificate.json"], {
-        "schema_version": 1,
+        "schema_version": 2,
         "desingularizer": result.bundle.desingularizer.to_dict(),
-        "residual": result.bundle.certificate.to_dict(),
-        "constants": result.bundle.constants,
-        "zeta": maj.zeta,
-        "q": None if maj.closed_form is None else maj.closed_form.q,
         "certificate_id": result.bundle.certificate_id,
     })
     result.report.to_json(paths["report.json"])
@@ -583,7 +582,8 @@ def certify_run(run_path: str, certificate_path: str,
     """
     record = read_json(run_path)
     cert_doc = read_json(certificate_path)
-    require(cert_doc, CERTIFICATE_FIELDS, "certificate")
+    require(cert_doc, CERTIFICATE_FIELDS, "certificate", version=2,
+            exact=True)
     require_type(cert_doc["certificate_id"], str, "certificate id")
     try:
         desing = desingularizer_from_dict(cert_doc["desingularizer"])
@@ -597,11 +597,8 @@ def certify_run(run_path: str, certificate_path: str,
     run = DescentRun.from_metadata_dict(
         record, problem.composite, problem.start, problem.schedule, steps,
         min_value=problem.min_value)
-    f0 = float(run.gaps[0])
-    maj = worst_case_sequence(desing, f0, run.params, run.num_steps)
-    report = CertificationReport(checks=trajectory_checks(run, maj, desing),
-                                 run_id=os.path.basename(run_path),
-                                 certificate_id=cert_doc["certificate_id"])
+    report = _trajectory_report(run, desing, os.path.basename(run_path),
+                                cert_doc["certificate_id"])[1]
     if out_path is not None:
         report.to_json(out_path)
     return report
@@ -650,7 +647,9 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
     for d_rel in values:
         schedule = StepSchedule.over_lipschitz(d_rel, L)
         params = certificate_params(schedule, L)
-        q = 1.0 + 2.0 * params.a * bundle.constants["gamma_R"] / params.b ** 2
+        # certificate.gamma is 2 gamma_R, so q has the bits of
+        # 1 + 2 a gamma_R / b^2
+        q = 1.0 + params.a * bundle.certificate.gamma / params.b ** 2
         certified = steps_to_epsilon(q, f0, eps)
         budget = min(certified, max_steps)
         empirical, done, chunk, x = None, 0, 1, bundle.start

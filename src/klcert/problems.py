@@ -311,10 +311,13 @@ def generate_feasibility_instance(dim: int = 2, num_sets: int = 2,
     boundaries meet at a shallow wedge, with the start beside the wedge rim
     — deep overlaps make alternating projections finish in a step or two,
     while the lens makes them crawl, which is the regime worth watching.
+    A lens refuses any num_sets but 2.
     """
     if dim < 1:
         raise ValueError("need dim >= 1")
     if geometry == "lens":
+        if num_sets != 2:
+            raise ValueError("need num_sets = 2 for a lens, which is two balls")
         return _lens_feasibility_instance(dim, seed)
     if geometry != "generic":
         raise ValueError(f"unknown geometry {geometry!r}")

@@ -135,15 +135,21 @@ def read_json(path) -> dict:
     return record
 
 
-def require(record: dict, fields, what: str, version: int = 1) -> None:
-    """Refuse a record that lacks any of fields, or whose schema_version
-    (1 when absent), when that is one of them, is not version."""
+def require(record: dict, fields, what: str, version: int = 1,
+            exact: bool = False) -> None:
+    """Refuse a record that lacks any of fields, whose schema_version (1
+    when absent), when that is one of them, is not version, or, when exact,
+    that holds any other key."""
     stored = record.get("schema_version", 1)
     if "schema_version" in fields and stored != version:
         raise ValueError(f"unsupported {what} schema version")
     missing = [key for key in fields if key not in record]
     if missing:
         raise ValueError(f"{what} record lacks {', '.join(missing)}")
+    unknown = sorted(set(record) - set(fields)) if exact else ()
+    if unknown:
+        raise ValueError(
+            f"{what} record has unknown keys {', '.join(unknown)}")
 
 
 def require_type(value, kind: type, what: str) -> None:

@@ -209,8 +209,8 @@ def _lasso_records() -> list[dict]:
         assert gi.payload["grid_certified"]
         bundle, run = _pipeline_run(gi, config)
         params = run.params
-        gamma_R = float(bundle.constants["gamma_R"])
-        q = 1.0 + 2.0 * params.a * gamma_R / params.b ** 2
+        # the certificate's gamma is 2 gamma_R
+        q = 1.0 + params.a * bundle.certificate.gamma / params.b ** 2
         maj = worst_case_sequence(bundle.desingularizer, float(run.gaps[0]),
                                   params, steps=1)
         records.append({

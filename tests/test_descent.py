@@ -305,7 +305,7 @@ def _pipeline_run(gi, method, steps):
 def test_ista_iterates_stay_in_the_l1_ball():
     bundle, run = _pipeline_run(generate_instance("lasso", seed=7, n=2, m=3),
                                 "ista", 200)
-    R = bundle.constants["R"]
+    R = bundle.certificate.region.radius
     assert np.max(np.abs(run.iterates).sum(axis=-1)) <= R + 1e-9
 
 

@@ -204,26 +204,11 @@ def test_general_residual_is_refused():
 def test_tabulated_validation():
     with pytest.raises(ValueError):
         TabulatedDesingularizer(phi_fn=math.sqrt, phi_prime_fn=lambda s: 0.5 / math.sqrt(s),
-                                r0=1.0, c=0.0)
-    with pytest.raises(ValueError):
-        TabulatedDesingularizer(phi_fn=math.sqrt, phi_prime_fn=lambda s: 0.5 / math.sqrt(s),
-                                r0=1.0, c=1.5)
+                                r0=0.0)
     d = TabulatedDesingularizer(phi_fn=math.sqrt, phi_prime_fn=lambda s: 0.5 / math.sqrt(s),
-                                r0=1.0, c=0.5)
+                                r0=1.0)
     with pytest.raises(ValueError):
         d.psi(math.sqrt(1.0) * 1.5)  # beyond phi(r0)
-
-
-def test_certificate_serialization_round_trip():
-    cert = ErrorBoundCertificate(form="power", p=2.0, gamma=3.0, r0=1.5,
-                                 region=MetricBall(np.zeros(2), 2.0))
-    doc = cert.to_dict()
-    assert (doc["form"], doc["p"], doc["gamma"], doc["r0"]) == (
-        "power", 2.0, 3.0, 1.5)
-    assert doc["region"] == cert.region.to_dict()
-    with pytest.raises(ValueError):
-        ErrorBoundCertificate(form="general", p=1.0,
-                              residual_fn=lambda s: s).to_dict()
 
 
 def test_desingularizer_serialization_round_trip():
