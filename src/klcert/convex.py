@@ -124,9 +124,6 @@ class Ball:
             raise ValueError("normal undefined at the center")
         return d / n[..., None]
 
-    def to_dict(self) -> dict:
-        return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -156,13 +153,6 @@ class Halfspace:
 
     def boundary_normal(self, x: Array) -> Array:
         return self.normal / np.linalg.norm(self.normal)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "halfspace",
-            "normal": self.normal.tolist(),
-            "offset": self.offset,
-        }
 
 
 @dataclass(frozen=True)
@@ -196,13 +186,6 @@ class AffineSet:
     def contains(self, x: Array, tol: float = 1e-9):
         return self.distance(x) <= tol
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "affine",
-            "matrix": self.matrix.tolist(),
-            "rhs": self.rhs.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class SingletonSet:
@@ -223,9 +206,6 @@ class SingletonSet:
 
     def contains(self, x: Array, tol: float = 1e-9):
         return self.distance(x) <= tol
-
-    def to_dict(self) -> dict:
-        return {"kind": "singleton", "point": self.point.tolist()}
 
 
 def _same_row_bits(a: Array, b: Array) -> Array:
@@ -331,25 +311,6 @@ class IntersectionSet:
     def contains(self, x: Array, tol: float = 1e-9):
         return np.logical_and.reduce([s.contains(x, tol) for s in self.sets])
 
-    def to_dict(self) -> dict:
-        return {"kind": "intersection", "sets": [s.to_dict() for s in self.sets]}
-
-
-def set_from_dict(data: dict):
-    kind = data["kind"]
-    if kind == "ball":
-        return Ball(np.asarray(data["center"], dtype=float), float(data["radius"]))
-    if kind == "halfspace":
-        return Halfspace(np.asarray(data["normal"], dtype=float), float(data["offset"]))
-    if kind == "affine":
-        return AffineSet(np.asarray(data["matrix"], dtype=float),
-                         np.asarray(data["rhs"], dtype=float))
-    if kind == "singleton":
-        return SingletonSet(np.asarray(data["point"], dtype=float))
-    if kind == "intersection":
-        return IntersectionSet(tuple(set_from_dict(d) for d in data["sets"]))
-    raise ValueError(f"unknown set kind {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # objectives
@@ -363,8 +324,11 @@ class ConvexObjective:
     value_fn maps points of shape (..., n) to floats of shape (...), +inf
     outside the domain.  subgradient_fn returns the least-norm element of
     the subdifferential, shape (..., n), with a row of NaN where the
-    subdifferential is empty.  prox_fn maps a 1-D point and a step to
-    argmin_z f(z) + ||z - x||^2 / (2 step).  shifted_subgradient_fn, given
+    subdifferential is empty.  prox_fn maps a point x and a step to
+    argmin_z f(z) + ||z - x||^2 / (2 step): a 1-D point and a float step
+    in the descent loop, and a (T, n) batch with a (T, 1) array of steps
+    when `DescentRun.from_metadata_dict` replays stored iterates, each row
+    with the bits of the single-point call.  shifted_subgradient_fn, given
     by the nonsmooth parts of composites, maps points x and vectors v of the
     same shape to the least-norm element of v + subdiff f(x), NaN rows where
     the subdifferential is empty; with v = grad h(x) it is the least-norm

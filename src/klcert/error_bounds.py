@@ -24,7 +24,6 @@ from klcert.convex import (
     dykstra_projection,
     feasibility_objective,
     lasso_composite,
-    set_from_dict,
 )
 from klcert.desingularization import Desingularizer, PowerDesingularizer
 from klcert.regions import MetricBall
@@ -123,15 +122,16 @@ def _max_pinv_norm_over_bases(stacked: Array) -> float:
 
 
 def hoffman_constant(system: LinearSystemPair, mode: str = "exact", *,
-                     samples: int = 200, seed: int = 0) -> tuple[float, str]:
-    """Hoffman constant of the pair, with an explicit bound direction.
+                     samples: int = 200, seed: int = 0) -> float:
+    """Hoffman constant of the pair, an upper bound in exact mode and a
+    lower bound in sampled mode.
 
-    exact mode returns ("upper") the basis-enumeration bound: the maximum
+    exact mode returns the basis-enumeration bound: the maximum
     over full-rank row subsets of the stacked system of the norm of the
     associated least-squares solution operator.  Overestimation is safe for
     certification; it only weakens downstream constants.
 
-    sampled mode returns ("lower") the best observed ratio
+    sampled mode returns the best observed ratio
     dist(x, X intersect Y) / ||E x - e|| over random points of X (the
     witness plus N(0, 4 I) noise, projected onto X), with the distance
     solved to high accuracy by Dykstra projections.
@@ -145,7 +145,7 @@ def hoffman_constant(system: LinearSystemPair, mode: str = "exact", *,
                 f"({stacked.shape[0]} rows, dim {system.dimension}); "
                 f"use sampled mode or supply the constant"
             )
-        return _max_pinv_norm_over_bases(stacked), "upper"
+        return _max_pinv_norm_over_bases(stacked)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -164,7 +164,7 @@ def hoffman_constant(system: LinearSystemPair, mode: str = "exact", *,
     proj = dykstra_projection(system.intersection_sets(), pts, tol=1e-13)
     dist = np.linalg.norm(pts - proj, axis=1)
     ratio = dist / resid[keep]
-    return float(np.max(ratio)), "lower"
+    return float(np.max(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def lasso_sign_system(inst: LassoInstance) -> LinearSystemPair:
     return LinearSystemPair(A=A_ineq, a=a_ineq, E=E, e=e, witness=witness)
 
 
-def lasso_nu(inst: LassoInstance, mode: str = "exact") -> tuple[float, str]:
+def lasso_nu(inst: LassoInstance, mode: str = "exact") -> float:
     """Hoffman constant of the sign-pattern reformulation pair."""
     rows = 2 ** inst.dimension + inst.A.shape[0] + 2
     if mode == "exact" and rows > HOFFMAN_MAX_STACKED_ROWS:
@@ -251,21 +251,17 @@ def lasso_nu(inst: LassoInstance, mode: str = "exact") -> tuple[float, str]:
 @dataclass(frozen=True)
 class LassoConstants:
     """Quadratic-growth certificate f - min f >= 2 gamma_R dist^2 on the
-    l1 ball of radius R, plus the reciprocal packaging kappa_R."""
+    l1 ball of radius R."""
 
     gamma_R: float
     R: float
-    kappa_R: float
-    nu: float
 
 
 def lasso_gamma(inst: LassoInstance, nu: float) -> LassoConstants:
     """Growth constants from the Hoffman constant of the reformulation.
 
     With G = R ||A|| + ||y||:
-      kappa_R = nu^2 (2 R mu + 6 G R ||A|| + 2 G^2 + 2)
       gamma_R = 1 / (4 nu^2 (1 + mu R + G (4 R ||A|| + ||y||)))
-    and the two satisfy 2 gamma_R kappa_R = 1 exactly.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -273,9 +269,8 @@ def lasso_gamma(inst: LassoInstance, nu: float) -> LassoConstants:
     norm_A = float(np.linalg.norm(inst.A, 2))
     norm_y = float(np.linalg.norm(inst.y))
     G = R * norm_A + norm_y
-    kappa = nu ** 2 * (2.0 * R * inst.mu + 6.0 * G * R * norm_A + 2.0 * G ** 2 + 2.0)
     gamma = 1.0 / (4.0 * nu ** 2 * (1.0 + inst.mu * R + G * (4.0 * R * norm_A + norm_y)))
-    return LassoConstants(gamma_R=gamma, R=R, kappa_R=kappa, nu=nu)
+    return LassoConstants(gamma_R=gamma, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -325,23 +320,6 @@ class FeasibilityInstance:
             if not np.all(np.atleast_1d(s.distance(pts)) <= tol):
                 return False
         return True
-
-    def to_dict(self) -> dict:
-        return {
-            "sets": [s.to_dict() for s in self.sets],
-            "xbar": self.xbar.tolist(),
-            "R": self.R,
-            "weights": self.weights.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "FeasibilityInstance":
-        return FeasibilityInstance(
-            sets=tuple(set_from_dict(d) for d in data["sets"]),
-            xbar=np.asarray(data["xbar"], dtype=float),
-            R=float(data["R"]),
-            weights=np.asarray(data["weights"], dtype=float),
-        )
 
 
 def feasibility_bound(inst: FeasibilityInstance, x0, variant: str = "barycentric"

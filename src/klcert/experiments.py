@@ -34,6 +34,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from klcert.convex import (
+    Ball,
     CompositeObjective,
     IntersectionSet,
     SingletonSet,
@@ -60,7 +61,9 @@ from klcert.desingularization import (
     to_error_bound,
 )
 from klcert.error_bounds import (
+    FeasibilityInstance,
     LassoConstants,
+    LassoInstance,
     feasibility_bound,
     lasso_gamma,
     lasso_nu,
@@ -72,12 +75,7 @@ from klcert.majorant import (
     worst_case_sequence,
     zeta,
 )
-from klcert.problems import (
-    GeneratedInstance,
-    feasibility_from_payload,
-    generate_instance,
-    lasso_from_payload,
-)
+from klcert.problems import GeneratedInstance, generate_instance
 from klcert.regions import L1Ball, WholeSpace
 from klcert.tracefmt import (
     TRACE_COLUMNS,
@@ -128,7 +126,7 @@ def _lasso_growth(inst, config: ExperimentConfig) -> LassoConstants:
     """Growth constants from the certificate block's source."""
     source = config.setting("certificate", "source")
     if source == "computed":
-        nu = lasso_nu(inst, mode="exact")[0]
+        nu = lasso_nu(inst, mode="exact")
     elif source == "supplied":
         nu = config.setting("certificate", "nu")
         if nu is None:
@@ -153,11 +151,13 @@ def _check_l1_ball(run: DescentRun, R: float) -> None:
 
 def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
                  method: str) -> Iterator[Problem]:
-    inst, min_value, minimizer = lasso_from_payload(gi.payload)
+    v = gi.values()
+    inst = LassoInstance(v["A"], v["y"], v["mu"], v["x0"])
+    minimizer = as_point(v["minimizer"], inst.dimension)
     composite = inst.composite
     d_rel = config.setting("method", "relative_step")
     problem = Problem(composite, inst.x0, StepSchedule.over_lipschitz(
-        d_rel, composite.lipschitz), min_value)
+        d_rel, composite.lipschitz), v["min_value"])
     yield problem
     consts = _lasso_growth(inst, config)
     cert = ErrorBoundCertificate(form="power", p=2.0,
@@ -182,9 +182,9 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
     dist^2(., C_i).  Alternating projections, for exactly two sets: unit
     forward-backward steps on indicator(C_1) + 0.5 dist^2(., C_2), started
     in C_1.  Both have a = 1/2 and b = 2."""
-    inst, x0 = feasibility_from_payload(gi.payload)
-    start = as_point(x0, inst.dimension)
-    # a nested intersection is refused here, before the run projects onto it
+    v = gi.values()
+    inst = FeasibilityInstance(v["sets"], v["xbar"], v["R"], v["weights"])
+    start = as_point(v["x0"], inst.dimension)
     if variant == "barycentric":
         solution = IntersectionSet(inst.sets)
         composite = CompositeObjective(
@@ -217,10 +217,8 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
 
 def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
                             method: str) -> Iterator[Problem]:
-    payload = gi.payload
-    center = np.asarray(payload["center"], dtype=float)
-    weight = float(payload["weight"])
-    x0 = np.asarray(payload["x0"], dtype=float)
+    v = gi.values()
+    center, weight, x0 = v["center"], v["weight"], v["x0"]
     obj = quadratic_objective(center, weight=weight)
     d_rel = config.setting("method", "relative_step")
     problem = Problem(CompositeObjective(
@@ -245,17 +243,18 @@ def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
 
 def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
                            method: str) -> Iterator[Problem]:
-    inst, x0 = feasibility_from_payload(gi.payload)
-    ball = inst.sets[0]
-    n = inst.dimension
+    v = gi.values()
+    ball = Ball(v["center"], v["radius"])
+    x0 = v["x0"]
+    n = ball.center.shape[0]
     smooth = half_squared_distance(ball, n)
     problem = Problem(CompositeObjective(smooth=smooth,
                                          nonsmooth=zero_objective(n)),
                       x0, StepSchedule.constant(1.0), 0.0)
     yield problem
-    growth = float(gi.payload["growth_constant"])
-    # f = 0.5 dist^2 grows with constant exactly `growth`; the certificate
-    # below has zero slack, which is the whole point of this instance.
+    # f = 0.5 dist^2 grows with constant exactly 1; the certificate below
+    # has zero slack, which is the whole point of this instance.
+    growth = 1.0
     desing = PowerDesingularizer(scale=math.sqrt(2.0 / growth), exponent=2.0,
                                  region=WholeSpace(), ell=growth)
     cert = to_error_bound(desing)

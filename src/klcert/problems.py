@@ -7,6 +7,12 @@ geometry for feasibility and quadratic families).  Stored minima are always
 values of feasible points, so they overestimate the true minimum — the safe
 direction for every certified inequality downstream.
 
+This module alone knows the instance.json format (schema 2): `PAYLOADS`
+gives each family's payload keys and what each holds, and every builder
+reads its payload, generated or stored, through `GeneratedInstance.values()`,
+which refuses a missing or extra key at any level, a leaf that is not a
+finite number and a ragged matrix (ValueError naming the key).
+
 The l1 reference minimum returns the bits of a brute force without doing
 most of its work:
 
@@ -41,12 +47,14 @@ from klcert.convex import (
     as_point,
     soft_threshold,
 )
-from klcert.error_bounds import (
-    FeasibilityInstance,
-    LassoInstance,
-    LinearSystemPair,
+from klcert.error_bounds import LassoInstance, LinearSystemPair
+from klcert.tracefmt import (
+    read_json,
+    require,
+    require_number,
+    require_type,
+    write_json,
 )
-from klcert.tracefmt import read_json, require, require_type, write_json
 
 # grid step of the reference grid, per dimension
 GRID_RESOLUTION = {1: 1e-3, 2: 1e-3, 3: 1e-2}
@@ -277,20 +285,8 @@ def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
         "x0": x0.tolist(),
         "minimizer": xstar.tolist(),
         "min_value": LassoInstance(A, y, mu, x0).composite.value(xstar),
-        "grid_certified": n <= 3,
     }
     return GeneratedInstance(family="lasso", seed=seed, payload=payload)
-
-
-def lasso_from_payload(payload: dict) -> tuple[LassoInstance, float, Array]:
-    inst = LassoInstance(
-        A=np.asarray(payload["A"], dtype=float),
-        y=np.asarray(payload["y"], dtype=float),
-        mu=float(payload["mu"]),
-        x0=np.asarray(payload["x0"], dtype=float),
-    )
-    return inst, float(payload["min_value"]), np.asarray(payload["minimizer"],
-                                                         dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +342,6 @@ def generate_feasibility_instance(dim: int = 2, num_sets: int = 2,
                 sets.append(Halfspace(normal, float(normal @ xbar) + R + slack))
         w = rng.uniform(0.5, 1.5, num_sets)
         w /= w.sum()
-        inst = FeasibilityInstance(sets=tuple(sets), xbar=xbar, R=R, weights=w)
 
         x0 = None
         for _ in range(64):
@@ -365,9 +360,7 @@ def generate_feasibility_instance(dim: int = 2, num_sets: int = 2,
                 x0 = candidate
                 break
         if x0 is not None:
-            payload = {"instance": inst.to_dict(), "x0": x0.tolist()}
-            return GeneratedInstance(family="feasibility", seed=seed,
-                                     payload=payload)
+            return _feasibility_instance(seed, sets, xbar, R, w, x0)
     raise RuntimeError("could not place a start with a positive gap")
 
 
@@ -384,30 +377,26 @@ def _lens_feasibility_instance(dim: int, seed: int) -> "GeneratedInstance":
     e /= max(float(np.linalg.norm(e)), 1e-12)
     sets = (Ball(xbar - a * e, a + R), Ball(xbar + a * e, a + R))
     w = rng.uniform(0.5, 1.5, 2)
-    inst = FeasibilityInstance(sets=sets, xbar=xbar, R=R,
-                               weights=w / w.sum())
     f = rng.standard_normal(dim)
     f -= (f @ e) * e
     f /= max(float(np.linalg.norm(f)), 1e-12)
     rim = math.sqrt(2.0 * a * R + R * R)  # transverse rim radius
     x0 = xbar + (rim + R * float(rng.uniform(0.5, 1.5))) * f
-    payload = {"instance": inst.to_dict(), "x0": x0.tolist()}
+    return _feasibility_instance(seed, sets, xbar, R, w / w.sum(), x0)
+
+
+def _feasibility_instance(seed: int, sets, xbar: Array, R: float,
+                          weights: Array, x0: Array) -> "GeneratedInstance":
+    payload = {"sets": [_set_record(s) for s in sets], "xbar": xbar.tolist(),
+               "R": R, "weights": weights.tolist(), "x0": x0.tolist()}
     return GeneratedInstance(family="feasibility", seed=seed, payload=payload)
 
 
-def feasibility_from_payload(payload: dict) -> tuple[FeasibilityInstance, Array]:
-    try:
-        inst = FeasibilityInstance.from_dict(payload["instance"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed feasibility instance: {exc!r}") from exc
-    return inst, np.asarray(payload["x0"], dtype=float)
-
-
 def tight_quadratic_instance(dim: int = 2, seed: int = 0) -> "GeneratedInstance":
-    """Two copies of one ball: f = 0.5 dist(., C)^2, whose quadratic growth
-    constant is exactly 1.  The matching hand certificate has zero margin
-    everywhere, so any inflation of its constant must flip the sampling
-    checks — the canonical falsification probe."""
+    """One ball C: f = 0.5 dist(., C)^2, whose quadratic growth constant is
+    exactly 1.  The matching hand certificate has zero margin everywhere,
+    so any inflation of its constant must flip the sampling checks — the
+    canonical falsification probe."""
     if dim < 1:
         raise ValueError("need dim >= 1")
     rng = np.random.default_rng(seed)
@@ -416,11 +405,7 @@ def tight_quadratic_instance(dim: int = 2, seed: int = 0) -> "GeneratedInstance"
     direction = rng.standard_normal(dim)
     direction /= max(float(np.linalg.norm(direction)), 1e-12)
     x0 = center + radius * float(rng.uniform(1.5, 3.0)) * direction
-    ball = Ball(center, radius)
-    inst = FeasibilityInstance(sets=(ball, ball), xbar=center, R=radius,
-                               weights=np.array([0.5, 0.5]))
-    payload = {"instance": inst.to_dict(), "x0": x0.tolist(),
-               "growth_constant": 1.0}
+    payload = {"center": center.tolist(), "radius": radius, "x0": x0.tolist()}
     return GeneratedInstance(family="tight-quadratic", seed=seed,
                              payload=payload)
 
@@ -450,7 +435,6 @@ def generate_uniformly_convex_instance(n: int = 3,
         "center": center.tolist(),
         "weight": weight,
         "x0": x0.tolist(),
-        "min_value": 0.0,
     }
     return GeneratedInstance(family="uniformly-convex", seed=seed,
                              payload=payload)
@@ -489,15 +473,73 @@ GENERATORS = {
 }
 FAMILIES = tuple(GENERATORS)
 
-# the keys of an instance.json record besides its schema version, and the
-# payload keys each family's loader reads; all of them are required on load
+# the keys of an instance.json record besides its schema version
 INSTANCE_FIELDS = ("family", "seed", "payload")
-PAYLOAD_FIELDS = {
-    "lasso": ("A", "y", "mu", "x0", "minimizer", "min_value"),
-    "feasibility": ("instance", "x0"),
-    "uniformly-convex": ("center", "weight", "x0"),
-    "tight-quadratic": ("instance", "x0", "growth_constant"),
+# what a payload key holds: a finite number, a list of them, a non-empty
+# list of equally long such lists, or a list of set records
+NUMBER, VECTOR, MATRIX, SETS = "number", "vector", "matrix", "sets"
+# every payload key of each family, with what it holds
+PAYLOADS = {
+    "lasso": {"A": MATRIX, "y": VECTOR, "mu": NUMBER, "x0": VECTOR,
+              "minimizer": VECTOR, "min_value": NUMBER},
+    "feasibility": {"sets": SETS, "xbar": VECTOR, "R": NUMBER,
+                    "weights": VECTOR, "x0": VECTOR},
+    "uniformly-convex": {"center": VECTOR, "weight": NUMBER, "x0": VECTOR},
+    "tight-quadratic": {"center": VECTOR, "radius": NUMBER, "x0": VECTOR},
 }
+# per set kind: the set it reads as, and its keys besides "kind", in the
+# order of the set's fields
+SET_RECORDS = {
+    "ball": (Ball, {"center": VECTOR, "radius": NUMBER}),
+    "halfspace": (Halfspace, {"normal": VECTOR, "offset": NUMBER}),
+}
+
+
+def _set_record(s: Ball | Halfspace) -> dict:
+    kind = "ball" if isinstance(s, Ball) else "halfspace"
+    return {"kind": kind, **{key: np.asarray(getattr(s, key)).tolist()
+                             for key in SET_RECORDS[kind][1]}}
+
+
+def _check_numbers(values: list, what: str) -> None:
+    """Refuse any entry that is not a finite number (named only then)."""
+    for i, v in enumerate(values):
+        if type(v) is not float or not math.isfinite(v):
+            require_number(v, f"{what}[{i}]")
+
+
+def _read(value, kind: str, what: str):
+    """value as kind holds it, a float, an array or a tuple of sets; a
+    value of another shape or type is refused (ValueError naming what),
+    never converted."""
+    if kind == NUMBER:
+        return require_number(value, what)
+    require_type(value, list, what)
+    if kind == VECTOR:
+        _check_numbers(value, what)
+        return np.array(value, dtype=float)
+    if kind == MATRIX:
+        for i, row in enumerate(value):
+            where = f"{what}[{i}]"
+            require_type(row, list, where)
+            _check_numbers(row, where)
+        if not value or len({len(row) for row in value}) != 1:
+            raise ValueError(f"{what} must be a list of rows of one length")
+        return np.array(value, dtype=float)
+    sets = []
+    for i, record in enumerate(value):
+        where = f"{what}[{i}]"
+        require_type(record, dict, where)
+        require(record, ("kind",), where)
+        kind = record["kind"]
+        if not (isinstance(kind, str) and kind in SET_RECORDS):
+            raise ValueError(f"{where} has unknown kind {kind!r}; a set is "
+                             f"a {' or a '.join(SET_RECORDS)}")
+        cls, fields = SET_RECORDS[kind]
+        require(record, ("kind", *fields), where, exact=True)
+        sets.append(cls(*(_read(record[key], fields[key], f"{where} {key}")
+                          for key in fields)))
+    return tuple(sets)
 
 
 @dataclass(frozen=True)
@@ -512,7 +554,7 @@ class GeneratedInstance:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "family": self.family,
             "seed": self.seed,
             "payload": self.payload,
@@ -521,18 +563,28 @@ class GeneratedInstance:
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
 
+    def values(self) -> dict:
+        """The payload read as PAYLOADS gives it, by key: floats, arrays
+        and tuples of sets.  Any other key, shape or leaf is refused
+        (ValueError naming the key), never converted."""
+        kinds = PAYLOADS[self.family]
+        what = f"{self.family} payload"
+        require(self.payload, tuple(kinds), what, exact=True)
+        return {key: _read(self.payload[key], kind, f"{what} {key}")
+                for key, kind in kinds.items()}
+
     @staticmethod
     def from_dict(data: dict) -> "GeneratedInstance":
-        """Inverse of to_dict.  Every field and every payload key the
-        family's loader reads is required; a missing one raises ValueError
-        instead of being patched with a default."""
-        require(data, ("schema_version",) + INSTANCE_FIELDS, "instance")
+        """Inverse of to_dict: a schema-2 record with exactly its fields, a
+        family name, an integer seed and an object payload, or ValueError.
+        values() checks the payload when a builder reads it."""
+        require(data, ("schema_version",) + INSTANCE_FIELDS, "instance",
+                version=2, exact=True)
+        require_type(data["family"], str, "instance family")
         require_type(data["seed"], int, "instance seed")
         require_type(data["payload"], dict, "instance payload")
-        gi = GeneratedInstance(family=data["family"], seed=data["seed"],
-                               payload=data["payload"])
-        require(gi.payload, PAYLOAD_FIELDS[gi.family], f"{gi.family} payload")
-        return gi
+        return GeneratedInstance(family=data["family"], seed=data["seed"],
+                                 payload=data["payload"])
 
     @staticmethod
     def from_json(path) -> "GeneratedInstance":

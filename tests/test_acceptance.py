@@ -32,6 +32,8 @@ from klcert.descent import (
 )
 from klcert.desingularization import PowerDesingularizer
 from klcert.error_bounds import (
+    FeasibilityInstance,
+    LassoInstance,
     hoffman_constant,
     lasso_sign_system,
 )
@@ -50,11 +52,9 @@ from klcert.majorant import (
     zeta,
 )
 from klcert.problems import (
-    feasibility_from_payload,
     generate_feasibility_instance,
     generate_lasso_instance,
     generate_linear_system_pair,
-    lasso_from_payload,
 )
 
 GOOD_PRESETS = ("tiny-lasso", "feasibility", "uniformly-convex",
@@ -200,13 +200,14 @@ def _lasso_records() -> list[dict]:
         return _CACHE["lasso"]
     records = []
     for i in range(20):
-        n = 2 + (i % 2)  # grid-certified reference minimum needs n <= 3
+        n = 2 + (i % 2)
         config = ExperimentConfig(
             instance={"family": "lasso", "n": n, "seed": 400 + i},
             method={"name": "ista", "relative_step": 0.5, "steps": 2000},
         )
         gi = load_instance(config)
-        assert gi.payload["grid_certified"]
+        # the reference minimum is grid-certified for n <= 3
+        assert len(gi.values()["x0"]) <= 3
         bundle, run = _pipeline_run(gi, config)
         params = run.params
         # the certificate's gamma is 2 gamma_R
@@ -263,7 +264,8 @@ def _feasibility_records() -> list[dict]:
         geometry = "lens" if i >= 16 else "generic"
         gi = generate_feasibility_instance(dim=2, seed=500 + i,
                                            geometry=geometry)
-        inst = feasibility_from_payload(gi.payload)[0]
+        v = gi.values()
+        inst = FeasibilityInstance(v["sets"], v["xbar"], v["R"], v["weights"])
         for variant in ("barycentric", "alternating"):
             bundle, run = _pipeline_run(gi, ExperimentConfig(
                 instance={"family": "feasibility"},
@@ -378,19 +380,18 @@ def test_criterion_07_sampling_and_constant_bounds():
         pair = generate_linear_system_pair(dim=dim, num_ineq=2 + seed % 2,
                                            num_eq=1 + seed % 2,
                                            seed=700 + seed)
-        upper, upper_kind = hoffman_constant(pair, mode="exact")
-        lower, lower_kind = hoffman_constant(pair, mode="sampled",
-                                             samples=200, seed=seed)
-        assert upper_kind == "upper" and lower_kind == "lower"
+        upper = hoffman_constant(pair, mode="exact")
+        lower = hoffman_constant(pair, mode="sampled", samples=200, seed=seed)
         assert lower <= upper * (1.0 + 1e-9) + 1e-12, f"system seed {seed}"
         systems += 1
     for i in range(3):
         gi = generate_lasso_instance(n=2, seed=400 + i)
-        inst, _, _ = lasso_from_payload(gi.payload)
-        system = lasso_sign_system(inst)
-        upper, _ = hoffman_constant(system, mode="exact")
-        lower, _ = hoffman_constant(system, mode="sampled", samples=120,
-                                    seed=800 + i)
+        v = gi.values()
+        system = lasso_sign_system(LassoInstance(v["A"], v["y"], v["mu"],
+                                                 v["x0"]))
+        upper = hoffman_constant(system, mode="exact")
+        lower = hoffman_constant(system, mode="sampled", samples=120,
+                                 seed=800 + i)
         assert lower <= upper * (1.0 + 1e-9) + 1e-12, f"sign system {i}"
         systems += 1
 

@@ -30,7 +30,6 @@ from klcert.convex import (
     prox,
     quadratic_objective,
     scaled_l1,
-    set_from_dict,
     soft_threshold,
     subgradient_norm,
     value_gap,
@@ -227,10 +226,6 @@ def test_intersection_refuses_a_nested_intersection():
     inner = IntersectionSet((_BALL, _HALF))
     with pytest.raises(ValueError, match="cannot hold an intersection"):
         IntersectionSet((inner, _BALL))
-    with pytest.raises(ValueError, match="cannot hold an intersection"):
-        set_from_dict({"kind": "intersection",
-                       "sets": [inner.to_dict(), _BALL.to_dict()]})
-    assert set_from_dict(inner.to_dict()).to_dict() == inner.to_dict()
 
 
 def test_intersection_projection_ball_halfspace_hand_case():

@@ -27,7 +27,6 @@ from klcert.descent import (
     certificate_params,
     forward_backward,
 )
-from klcert.error_bounds import FeasibilityInstance
 from klcert.experiments import ExperimentConfig, build_pipeline
 from klcert.problems import GeneratedInstance, generate_instance
 
@@ -320,11 +319,11 @@ XBAR = np.zeros(2)
 
 
 def _two_ball_instance(x0):
-    inst = FeasibilityInstance(
-        sets=(Ball(np.array([-0.5, 0.0]), 1.5), Ball(np.array([0.5, 0.0]), 1.5)),
-        xbar=XBAR, R=1.0, weights=(0.5, 0.5))
+    balls = [{"kind": "ball", "center": [c, 0.0], "radius": 1.5}
+             for c in (-0.5, 0.5)]
     return GeneratedInstance(family="feasibility", seed=0, payload={
-        "instance": inst.to_dict(), "x0": list(x0)})
+        "sets": balls, "xbar": XBAR.tolist(), "R": 1.0,
+        "weights": [0.5, 0.5], "x0": list(x0)})
 
 
 def test_barycentric_projection_decreases_and_stays_fejer():

@@ -39,16 +39,15 @@ def _eq_only(E, e=None):
 
 
 def test_hoffman_frozen_scalars():
-    nu, kind = hoffman_constant(_eq_only([[1.0]]))
-    assert kind == "upper"
+    nu = hoffman_constant(_eq_only([[1.0]]))
     assert nu == pytest.approx(1.0, rel=1e-14)
-    nu, _ = hoffman_constant(_eq_only([[2.0]]))
+    nu = hoffman_constant(_eq_only([[2.0]]))
     assert nu == pytest.approx(0.5, rel=1e-14)
 
 
 def test_hoffman_frozen_diagonal():
     # single full-rank subset; 1/sigma_min of diag(2, 4) is 1/2
-    nu, _ = hoffman_constant(_eq_only(np.diag([2.0, 4.0])))
+    nu = hoffman_constant(_eq_only(np.diag([2.0, 4.0])))
     assert nu == pytest.approx(0.5, rel=1e-14)
 
 
@@ -58,16 +57,15 @@ def test_hoffman_frozen_golden_ratio():
     sys = LinearSystemPair(A=np.array([[-1.0, 0.0]]), a=np.array([0.0]),
                            E=np.array([[1.0, 1.0]]), e=np.array([1.0]),
                            witness=np.array([0.5, 0.5]))
-    nu, _ = hoffman_constant(sys)
+    nu = hoffman_constant(sys)
     assert nu == pytest.approx(GOLDEN, rel=1e-12)
 
 
 def test_hoffman_sampled_lower_bounds_exact_upper():
     for seed in range(6):
         sys = generate_linear_system_pair(dim=3, num_ineq=3, num_eq=1, seed=seed)
-        upper, ku = hoffman_constant(sys, mode="exact")
-        lower, kl = hoffman_constant(sys, mode="sampled", samples=100, seed=seed)
-        assert ku == "upper" and kl == "lower"
+        upper = hoffman_constant(sys, mode="exact")
+        lower = hoffman_constant(sys, mode="sampled", samples=100, seed=seed)
         assert lower <= upper * (1 + 1e-9), (seed, lower, upper)
 
 
@@ -112,8 +110,7 @@ def test_lasso_sign_system_shape_and_nu():
     # 2^1 sign rows + the radius row; equalities [A, 0] and [0, mu]
     assert sys.A.shape == (3, 2)
     assert sys.E.shape == (2, 2)
-    nu, kind = lasso_nu(inst)
-    assert kind == "upper"
+    nu = lasso_nu(inst)
     # worst pair stacks a sign row against an axis row: golden ratio again
     assert nu == pytest.approx(GOLDEN, rel=1e-12)
 
@@ -123,11 +120,11 @@ def test_lasso_gamma_frozen_hand_case():
     inst = _unit_lasso()
     consts = lasso_gamma(inst, nu=1.0)
     assert consts.gamma_R == pytest.approx(1.0 / 80.0, rel=1e-14)
-    assert consts.kappa_R == pytest.approx(40.0, rel=1e-14)
     assert consts.R == pytest.approx(1.5, rel=1e-14)
 
 
-def test_lasso_gamma_kappa_reciprocal_identity():
+def test_lasso_gamma_scales_as_inverse_nu_squared():
+    # gamma_R nu^2 depends on the instance alone, and R is its radius bound
     rng = np.random.default_rng(2)
     for _ in range(25):
         n = int(rng.integers(1, 4))
@@ -135,8 +132,11 @@ def test_lasso_gamma_kappa_reciprocal_identity():
         inst = LassoInstance(A=rng.normal(size=(m, n)), y=rng.normal(size=m),
                              mu=float(rng.uniform(0.3, 2.0)),
                              x0=rng.normal(size=n) * 0.5)
-        consts = lasso_gamma(inst, nu=float(rng.uniform(0.2, 5.0)))
-        assert 2.0 * consts.gamma_R * consts.kappa_R == pytest.approx(1.0, rel=1e-12)
+        nu = float(rng.uniform(0.2, 5.0))
+        consts = lasso_gamma(inst, nu=nu)
+        assert consts.gamma_R * nu ** 2 == pytest.approx(
+            lasso_gamma(inst, nu=1.0).gamma_R, rel=1e-12)
+        assert consts.R == inst.radius_bound()
 
 
 def test_lasso_nu_row_cap():
@@ -225,14 +225,6 @@ def test_feasibility_growth_inequality_on_samples():
     margin = np.array([d.phi(g) for g in gaps]) - dists
     keep = gaps > 1e-15
     assert np.min(margin[keep]) >= -1e-9
-
-
-def test_feasibility_instance_round_trip():
-    inst = _frozen_feasibility()
-    back = FeasibilityInstance.from_dict(inst.to_dict())
-    assert back.R == inst.R
-    np.testing.assert_array_equal(back.xbar, inst.xbar)
-    np.testing.assert_array_equal(back.weights, inst.weights)
 
 
 # ---------------------------------------------------------------------------

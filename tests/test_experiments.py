@@ -40,7 +40,7 @@ from klcert.majorant import steps_to_epsilon
 from klcert.problems import (
     FAMILIES,
     INSTANCE_FIELDS,
-    PAYLOAD_FIELDS,
+    PAYLOADS,
     generate_instance,
 )
 from klcert.tracefmt import TRACE_COLUMNS
@@ -478,8 +478,8 @@ SMALL_RUN = {"name": "stored", "method": {"steps": 5},
 MALFORMED_INSTANCES = (
     [("lasso", "drop", key) for key in ("schema_version",) + INSTANCE_FIELDS]
     + [(family, "drop-payload", key)
-       for family, keys in PAYLOAD_FIELDS.items() for key in keys]
-    + [("feasibility", "drop-nested", "sets")]
+       for family, keys in PAYLOADS.items() for key in keys]
+    + [("feasibility", "drop-nested", "kind")]
 )
 
 
@@ -499,25 +499,9 @@ def test_run_rejects_malformed_instances(stored_instances, tmp_path, capsys,
     elif edit == "drop-payload":
         del doc["payload"][key]
     else:
-        del doc["payload"]["instance"][key]
+        del doc["payload"]["sets"][0][key]
     assert _run_stored_instance(tmp_path, doc, SMALL_RUN) == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_barycentric_run_on_affine_sets(stored_instances, tmp_path):
-    # no affine set names its dimension; the objective takes the instance's
-    doc = copy.deepcopy(stored_instances["feasibility"])
-    xbar = doc["payload"]["instance"]["xbar"]
-    doc["payload"]["instance"]["sets"] = [
-        {"kind": "affine", "matrix": [[1.0, 0.0]], "rhs": [xbar[0]]},
-        {"kind": "affine", "matrix": [[0.0, 1.0]], "rhs": [xbar[1]]}]
-    config = {"name": "affine", "method": {"name": "barycentric",
-                                           "steps": 100},
-              "checks": {"samples": 200}}
-    assert _run_stored_instance(tmp_path, doc, config) == 0
-    report = json.loads((tmp_path / "out" / "affine" / "report.json")
-                        .read_text())
-    assert [c["status"] for c in report["checks"]] == ["pass"] * 5
 
 
 def test_run_rejects_config_without_instance(tmp_path, capsys):
@@ -529,12 +513,110 @@ def test_run_rejects_config_without_instance(tmp_path, capsys):
 
 def test_run_rejects_a_nested_intersection(stored_instances, tmp_path,
                                            capsys):
+    # a set record is a ball or a halfspace, so an intersection is refused
+    # as a kind, with any other
     doc = copy.deepcopy(stored_instances["feasibility"])
-    sets = doc["payload"]["instance"]["sets"]
+    sets = doc["payload"]["sets"]
     sets[0] = {"kind": "intersection", "sets": [sets[0], sets[1]]}
     assert _run_stored_instance(tmp_path, doc, SMALL_RUN) == 2
-    assert "cannot hold an intersection" in capsys.readouterr().err
+    assert "unknown kind 'intersection'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def stored_runs(tmp_path_factory):
+    """The directory of a short passing run of each family, by family; the
+    feasibility instance is a lens, whose sets are both balls."""
+    out = tmp_path_factory.mktemp("runs")
+    dims = {"lasso": {"n": 2, "m": 3}, "feasibility": {"geometry": "lens"}}
+    for family in FAMILIES:
+        config = ExperimentConfig(
+            instance={"family": family, "seed": 3, **dims.get(family, {})},
+            method={"steps": 5}, checks={"samples": 10})
+        run_experiment(config, out_dir=str(out / family))
+        stored = out / family / "run.json"
+        assert certify_run(str(stored),
+                           str(out / family / "certificate.json")).passed
+    return out
+
+
+def _set_payload(**values):
+    return lambda doc: doc["payload"].update(values)
+
+
+# instance.json edits that run and certify refuse alike, with one error
+# line naming the key: (family, edit of the parsed record, key named)
+TAMPERED_INSTANCES = {
+    "mu-string": ("lasso", _set_payload(mu="0.5"), "payload mu"),
+    "mu-null": ("lasso", _set_payload(mu=None), "payload mu"),
+    "A-entry-string": ("lasso", lambda doc: doc["payload"]["A"][0].__setitem__(
+        0, "0.5"), "payload A[0][0]"),
+    "A-ragged": ("lasso", lambda doc: doc["payload"]["A"][1].pop(),
+                 "payload A"),
+    "A-not-a-list": ("lasso", _set_payload(A=1.0), "payload A"),
+    "radius-string": ("feasibility", lambda doc: doc["payload"]["sets"][0]
+                      .update(radius="1.5"), "payload sets[0] radius"),
+    "radius-infinity": ("feasibility", lambda doc: doc["payload"]["sets"][0]
+                        .update(radius=math.inf), "payload sets[0] radius"),
+    "R-bool": ("feasibility", _set_payload(R=True), "payload R"),
+    "weight-nan": ("uniformly-convex", _set_payload(weight=math.nan),
+                   "payload weight"),
+    "x0-entry-null": ("tight-quadratic", lambda doc: doc["payload"]["x0"]
+                      .__setitem__(0, None), "payload x0[0]"),
+    "unknown-top-level-key": ("lasso", lambda doc: doc.update(bogus=1),
+                              "bogus"),
+    # keys that no pipeline reads, which schema 1 held
+    "lasso-grid-certified": ("lasso", _set_payload(grid_certified=True),
+                             "grid_certified"),
+    "uniformly-convex-min-value": ("uniformly-convex",
+                                   _set_payload(min_value=0.0), "min_value"),
+    "tight-quadratic-growth-constant": (
+        "tight-quadratic", _set_payload(growth_constant=1.0),
+        "growth_constant"),
+    "unknown-set-key": ("feasibility", lambda doc: doc["payload"]["sets"][1]
+                        .update(bogus=1), "sets[1] record has unknown keys"),
+    "affine-set": ("feasibility", lambda doc: doc["payload"]["sets"]
+                   .__setitem__(0, {"kind": "affine", "matrix": [[1.0, 0.0]],
+                                    "rhs": [0.0]}), "sets[0]"),
+    "schema-1": ("lasso", lambda doc: doc.update(schema_version=1),
+                 "schema version"),
+}
+
+
+def _tampered_instance(stored_runs, tmp_path, case) -> str:
+    """A copy of the stored run of the case's family, its instance.json
+    edited; the key the refusal must name."""
+    family, edit, named = TAMPERED_INSTANCES[case]
+    for name in CERTIFY_READS:
+        doc = json.loads((stored_runs / family / name).read_text())
+        if name == "instance.json":
+            edit(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+    return named
+
+
+def _one_error_line(err: str, named: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
+
+
+@pytest.mark.parametrize("case", TAMPERED_INSTANCES)
+def test_run_refuses_tampered_instance_json(stored_runs, tmp_path, capsys,
+                                            case):
+    named = _tampered_instance(stored_runs, tmp_path, case)
+    doc = json.loads((tmp_path / "instance.json").read_text())
+    assert _run_stored_instance(tmp_path, doc, SMALL_RUN) == 2
+    _one_error_line(capsys.readouterr().err, named)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", TAMPERED_INSTANCES)
+def test_certify_refuses_tampered_instance_json(stored_runs, tmp_path, capsys,
+                                                case):
+    named = _tampered_instance(stored_runs, tmp_path, case)
+    assert main(["certify", "--run", str(tmp_path / "run.json"),
+                 "--certificate", str(tmp_path / "certificate.json")]) == 2
+    _one_error_line(capsys.readouterr().err, named)
 
 
 def test_run_reports_unconverged_projection(tmp_path, capsys, monkeypatch):
@@ -884,8 +966,8 @@ def _stored_instance_run(tmp_path, family, edit, method):
 
 
 def _first_set_affine(doc):
-    xbar = doc["payload"]["instance"]["xbar"]
-    doc["payload"]["instance"]["sets"][0] = {
+    xbar = doc["payload"]["xbar"]
+    doc["payload"]["sets"][0] = {
         "kind": "affine", "matrix": [[1.0, 0.0]], "rhs": [xbar[0]]}
 
 
@@ -904,8 +986,8 @@ MALFORMED_INPUTS = {
     "instance-payload-not-an-object": lambda tmp_path: _stored_instance_run(
         tmp_path, "lasso", lambda doc: doc.update(payload=[1, 2]),
         {"name": "ista"}),
-    # the sampling checks need the normal cone of C_1, which only a ball or
-    # a halfspace gives; refused before the run, not after it
+    # a set is a ball or a halfspace, whose normal cone the sampling checks
+    # of alternating projections need; refused before the run
     "alternating-on-an-affine-first-set": lambda tmp_path: (
         _stored_instance_run(tmp_path, "feasibility", _first_set_affine,
                              {"name": "alternating", "steps": 5})),
@@ -1014,7 +1096,7 @@ def test_alternating_on_an_affine_first_set_is_refused_before_the_run(
     monkeypatch.setattr(klcert.experiments, "forward_backward", refuse)
     argv = MALFORMED_INPUTS["alternating-on-an-affine-first-set"](tmp_path)
     assert main(argv) == 2
-    assert "least-norm subgradient" in capsys.readouterr().err
+    assert "unknown kind 'affine'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("record", ["config", "instance", "run",

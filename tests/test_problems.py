@@ -15,20 +15,35 @@ from klcert.convex import (
     min_norm_subgradient,
     soft_threshold,
 )
+from klcert.error_bounds import FeasibilityInstance, LassoInstance
 from klcert.experiments import ExperimentConfig, run_experiment
 from klcert.problems import (
     FAMILIES,
     GRID_RESOLUTION,
+    PAYLOADS,
     POLISH_CAP,
+    SET_RECORDS,
     GeneratedInstance,
-    feasibility_from_payload,
     generate_instance,
     generate_linear_system_pair,
-    lasso_from_payload,
     lasso_grid_minimum,
     lasso_polish,
     tight_quadratic_instance,
 )
+
+
+def _lasso(gen):
+    """The instance, minimum value and minimizer a lasso payload holds."""
+    v = gen.values()
+    return (LassoInstance(v["A"], v["y"], v["mu"], v["x0"]), v["min_value"],
+            v["minimizer"])
+
+
+def _feasibility(gen):
+    """The instance and start a feasibility payload holds."""
+    v = gen.values()
+    return (FeasibilityInstance(v["sets"], v["xbar"], v["R"], v["weights"]),
+            v["x0"])
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +71,23 @@ def test_instance_json_round_trip(family, tmp_path):
     assert back.payload == inst.payload
 
 
+@pytest.mark.parametrize("family,dims", [
+    ("lasso", {}), ("feasibility", {}), ("feasibility", {"geometry": "lens"}),
+    ("uniformly-convex", {}), ("tight-quadratic", {})])
+def test_generators_write_exactly_their_payload_keys(family, dims):
+    gen = generate_instance(family, seed=3, **dims)
+    assert set(gen.payload) == set(PAYLOADS[family])
+    for record in gen.payload.get("sets", ()):
+        assert set(record) == {"kind", *SET_RECORDS[record["kind"]][1]}
+    assert set(gen.values()) == set(PAYLOADS[family])
+
+
 def test_unknown_family_is_rejected():
     with pytest.raises(ValueError, match="unknown family"):
         generate_instance("typo", seed=0)
     with pytest.raises(ValueError, match="unsupported instance schema"):
-        GeneratedInstance.from_dict({"schema_version": 2, "family": "lasso",
-                                     "payload": {}})
+        GeneratedInstance.from_dict({"schema_version": 1, "family": "lasso",
+                                     "seed": 0, "payload": {}})
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +118,9 @@ def _coordinate_descent(A, y, mu, x, sweeps=4000):
 @pytest.mark.parametrize("seed", range(5))
 def test_lasso_stored_minimum_matches_coordinate_descent(seed):
     gen = generate_instance("lasso", seed=seed, n=2, m=3)
-    inst, min_value, minimizer = lasso_from_payload(gen.payload)
-    assert gen.payload["grid_certified"]
+    inst, min_value, minimizer = _lasso(gen)
+    # the reference minimum is grid-certified for n <= 3
+    assert inst.dimension <= 3
     # the stored pair is consistent
     assert inst.composite.value(minimizer) == pytest.approx(min_value,
                                                             abs=1e-12)
@@ -110,7 +137,7 @@ def test_lasso_stored_minimum_matches_coordinate_descent(seed):
 
 def test_lasso_generator_shapes_and_conditioning():
     gen = generate_instance("lasso", seed=1, n=3, m=5)
-    inst, _, _ = lasso_from_payload(gen.payload)
+    inst, _, _ = _lasso(gen)
     assert inst.A.shape == (5, 3)
     assert np.linalg.norm(inst.A, 2) <= 1.0 + 1e-12
     assert inst.mu > 0
@@ -260,7 +287,7 @@ def test_polish_cycle_is_reported(caplog):
 def test_generic_feasibility_has_inner_ball_and_positive_gap():
     for seed in range(12):
         gen = generate_instance("feasibility", seed=seed, dim=2)
-        inst, x0 = feasibility_from_payload(gen.payload)
+        inst, x0 = _feasibility(gen)
         assert inst.check_inner_ball(), seed
         gap = evaluate(inst.objective(), x0)
         assert gap > 1e-12, seed
@@ -275,7 +302,7 @@ def test_feasibility_generation_survives_many_seeds():
 
 def test_lens_geometry_produces_slow_alternating_runs():
     gen = generate_instance("feasibility", seed=3, dim=2, geometry="lens")
-    inst, x0 = feasibility_from_payload(gen.payload)
+    inst, x0 = _feasibility(gen)
     assert len(inst.sets) == 2
     assert all(isinstance(s, Ball) for s in inst.sets)
     assert inst.check_inner_ball()
@@ -302,13 +329,8 @@ def test_lens_geometry_unknown_name_rejected():
 
 
 def test_tight_quadratic_growth_is_exactly_one():
-    gen = tight_quadratic_instance(dim=2, seed=9)
-    assert gen.payload["growth_constant"] == 1.0
-    inst, x0 = feasibility_from_payload(gen.payload)
-    ball = inst.sets[0]
-    # two copies of one ball
-    np.testing.assert_array_equal(inst.sets[1].center, ball.center)
-    assert inst.sets[1].radius == ball.radius
+    v = tight_quadratic_instance(dim=2, seed=9).values()
+    ball, x0 = Ball(v["center"], v["radius"]), v["x0"]
     assert float(ball.distance(x0)) > 0
     # f = 0.5 dist^2 makes sqrt(2 f) = dist with zero slack everywhere
     rng = np.random.default_rng(1)
@@ -325,7 +347,7 @@ def test_tight_quadratic_growth_is_exactly_one():
 def test_uniformly_convex_instance_payload():
     gen = generate_instance("uniformly-convex", seed=5, n=3)
     p = gen.payload
-    assert p["weight"] > 0 and p["min_value"] == 0.0
+    assert p["weight"] > 0
     assert len(p["center"]) == 3 and len(p["x0"]) == 3
     assert np.linalg.norm(np.array(p["x0"]) - np.array(p["center"])) > 0.1
 
