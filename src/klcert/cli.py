@@ -11,7 +11,8 @@ beside run.json), a JSON file whose top level is not an object, a record
 that lacks a field, has another schema version or (run.json) another key,
 a config or instance key that nothing reads (the sweep reads no rescaled
 constant or rate), a value of another type than its key or stored field
-takes (never converted), a stored number that is not finite, iterates that
+takes (never converted), a stored or config number that is not finite,
+a feasibility set of another dimension than its instance, iterates that
 are not the method's steps, a method the instance's family does not run, a
 step budget or cap below one, and a projection that does not converge.
 

@@ -102,6 +102,10 @@ class Ball:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
 
+    @property
+    def dimension(self) -> int:
+        return self.center.shape[0]
+
     def project(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         d = x - self.center
@@ -136,6 +140,10 @@ class Halfspace:
         object.__setattr__(self, "normal", as_point(self.normal))
         if np.linalg.norm(self.normal) == 0.0:
             raise ValueError("normal must be nonzero")
+
+    @property
+    def dimension(self) -> int:
+        return self.normal.shape[0]
 
     def project(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)

@@ -280,8 +280,9 @@ def lasso_gamma(inst: LassoInstance, nu: float) -> LassoConstants:
 
 @dataclass(frozen=True)
 class FeasibilityInstance:
-    """Projectable sets with a declared interior ball B(xbar, R) inside the
-    intersection, plus barycentric weights."""
+    """Balls and halfspaces, each in the dimension of xbar, with a declared
+    interior ball B(xbar, R) inside the intersection, plus barycentric
+    weights."""
 
     sets: tuple
     xbar: Array
@@ -294,6 +295,11 @@ class FeasibilityInstance:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if len(sets) < 2:
             raise ValueError("need at least two sets")
+        for i, s in enumerate(sets):
+            if s.dimension != xbar.shape[0]:
+                raise ValueError(
+                    f"sets[{i}] is a {type(s).__name__.lower()} in dimension "
+                    f"{s.dimension}, but xbar is in dimension {xbar.shape[0]}")
         if self.R <= 0:
             raise ValueError("inner radius must be positive")
         if w.shape[0] != len(sets) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:

@@ -81,6 +81,7 @@ from klcert.tracefmt import (
     TRACE_COLUMNS,
     read_json,
     require,
+    require_number,
     require_type,
     write_json,
     write_table,
@@ -330,14 +331,18 @@ class ExperimentConfig:
 
     def setting(self, block: str, key: str, default=None):
         """block.key, refused unless of its SETTINGS type (an int given for
-        a float comes back as a float); when left out, its SETTINGS default,
-        or default where that is None.  The blocks stay as given."""
+        a float comes back as a float, and a float must be finite); when
+        left out, its SETTINGS default, or default where that is None.  The
+        blocks stay as given."""
         kind, fallback = SETTINGS[block][key]
         if key not in getattr(self, block):
             return default if fallback is None else fallback
         value = getattr(self, block)[key]
-        require_type(value, kind, f"config {block}.{key}")
-        return float(value) if kind is float else value
+        what = f"config {block}.{key}"
+        if kind is float:
+            return require_number(value, what)
+        require_type(value, kind, what)
+        return value
 
     def to_dict(self) -> dict:
         return {
@@ -441,40 +446,29 @@ class ExperimentResult:
         return self.report.passed
 
 
-def _trace_rows(count: int, columns: dict) -> list[tuple]:
-    """Rows k = 0..count-1 in TRACE_COLUMNS order from columns given by name
-    as (first row, values); a row outside a column's values, or a column
-    not given, gets an empty cell."""
-    cells = [range(count)]
-    for name in TRACE_COLUMNS[1:]:
-        start, values = columns.get(name, (count, ()))
-        column = [None] * start + np.asarray(values).tolist()
-        cells.append(column[:count] + [None] * (count - len(column)))
-    return list(zip(*cells))
-
-
-def merged_trace_rows(run: DescentRun, maj: MajorantSequence,
-                      xstar=None) -> list[tuple]:
+def trace_columns(run: DescentRun, maj: MajorantSequence,
+                  xstar=None) -> dict:
+    """trace.csv's columns by name, as write_table takes them: (first row,
+    values), one row per iterate."""
     columns = {
-        "value_bound": (0, maj.psi_values),
-        "step_norm": (1, run.step_norms),
-        "witness_norm": (1, run.witness_norms),
-        "distance_bound": (1, maj.distance_bounds),
+        "k": (0, range(len(run.raw_values))),
+        "value_bound": (0, maj.psi_values.tolist()),
+        "step_norm": (1, run.step_norms.tolist()),
+        "witness_norm": (1, run.witness_norms.tolist()),
+        "distance_bound": (1, maj.distance_bounds.tolist()),
     }
     if run.min_value is not None:
         # no gap at an infinite value (a start outside the domain)
         columns["value_gap"] = (0, np.where(np.isinf(run.raw_values), None,
-                                            run.gaps))
+                                            run.gaps).tolist())
     if xstar is not None:
-        columns["distance_to_xstar"] = (0, row_norms(run.iterates - xstar))
-    return _trace_rows(len(run.raw_values), columns)
+        columns["distance_to_xstar"] = (
+            0, row_norms(run.iterates - xstar).tolist())
+    return columns
 
 
-def majorant_rows(maj: MajorantSequence) -> list[tuple]:
-    return _trace_rows(len(maj.alpha), {
-        "value_bound": (0, maj.psi_values),
-        "distance_bound": (1, maj.distance_bounds),
-    })
+# the columns of majorant.csv that hold values; they equal trace.csv's
+MAJORANT_COLUMNS = ("k", "value_bound", "distance_bound")
 
 
 def _trajectory_report(run: DescentRun, desing: Desingularizer, run_id: str,
@@ -557,9 +551,13 @@ def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
         "certificate.json", "report.json", "config.json")}
     result.instance.to_json(paths["instance.json"])
     run.to_metadata_json(paths["run.json"])
-    write_table(paths["trace.csv"], TRACE_COLUMNS,
-                merged_trace_rows(run, maj, xstar))
-    write_table(paths["majorant.csv"], TRACE_COLUMNS, majorant_rows(maj))
+    # the majorant has one entry per iterate, so majorant.csv writes the
+    # cells of trace.csv's majorant columns again rather than format them
+    rows = range(len(run.raw_values))
+    cells = write_table(paths["trace.csv"], TRACE_COLUMNS, rows,
+                        trace_columns(run, maj, xstar))
+    write_table(paths["majorant.csv"], TRACE_COLUMNS, rows,
+                {name: (0, cells[name]) for name in MAJORANT_COLUMNS})
     write_json(paths["certificate.json"], {
         "schema_version": 2,
         "desingularizer": result.bundle.desingularizer.to_dict(),
@@ -671,8 +669,8 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
 
 
 def write_sweep(path, rows: Sequence[dict]) -> None:
-    write_table(path, SWEEP_COLUMNS,
-                [tuple(row[c] for c in SWEEP_COLUMNS) for row in rows])
+    write_table(path, SWEEP_COLUMNS, rows,
+                {c: (0, [row[c] for row in rows]) for c in SWEEP_COLUMNS})
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,15 @@ encoder in one call and indented by replacing its separators, ", " and
 patched with defaults or converted.
 CSV is RFC 4180 (CRLF, '.' decimal separator) with 17 significant digits,
 so that round-tripping and byte-for-byte reproducibility hold.  A table
-arrives as rows of cells, one tuple per row in the order of its field
-names; the writer formats each column in one pass, a column of floats in
-one printf-style call, and joins the cells.  Method traces and worst-case
-majorant traces share TRACE_COLUMNS, which makes overlay plotting trivial;
-a column a table has no values for is a column of empty (None) cells.
+arrives as columns, each as (first row, values) by field name, and no row
+is built: the writer formats each column in one pass, a column of floats
+in one printf-style call whatever its empty leading cells, and joins the
+lines once, at the end.  It returns the cells it wrote, by field name,
+and writes cells given as strings as they are, so a second table that
+shares columns with the first writes their cells without formatting them
+again.  Method traces and worst-case majorant traces share TRACE_COLUMNS,
+which makes overlay plotting trivial; a column a table has no values for
+is a column of empty cells.
 """
 
 from __future__ import annotations
@@ -155,14 +159,16 @@ def require(record: dict, fields, what: str, version: int = 1,
 def require_type(value, kind: type, what: str) -> None:
     """Refuse a value that is not of kind, never converting it: an int
     passes where a float is expected, unless no float can hold it, and a
-    bool is refused unless kind is bool."""
+    bool is refused unless kind is bool.  An infinite float is refused as
+    not finite; require_number refuses NaN too."""
     accepted = (int, float) if kind is float else kind
     if (isinstance(value, bool) is not (kind is bool)
             or not isinstance(value, accepted)):
         raise ValueError(
             f"{what} must be {kind.__name__}, not {type(value).__name__}")
     if kind is float and abs(value) > sys.float_info.max:
-        raise ValueError(f"{what} is beyond the range of a float")
+        raise ValueError(f"{what} is not finite" if isinstance(value, float)
+                         else f"{what} is beyond the range of a float")
 
 
 def require_number(value, what: str) -> float:
@@ -174,23 +180,41 @@ def require_number(value, what: str) -> float:
     return float(value)
 
 
-def _column_cells(column) -> list[str]:
-    if set(map(type, column)) == {float}:
-        # a column of floats is formatted by one printf-style call, without
-        # a per-cell check; only an infinite cell can read "-inf"
-        text = "\n".join(["%.17g"] * len(column)) % tuple(column)
+def _cells(values) -> list[str]:
+    """The cells of values: strings as they are, a list of floats by one
+    printf-style call, and any other list one cell at a time."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        # only an infinite cell can read "-inf"
+        text = "\n".join(["%.17g"] * len(values)) % tuple(values)
         return text.replace("-inf", "inf").split("\n")
+    if kinds <= {str}:
+        return list(values)
     return ["" if v is None else str(v) if type(v) is int
-            else "inf" if v == -math.inf else f"{v:.17g}" for v in column]
+            else "inf" if v == -math.inf else f"{v:.17g}" for v in values]
 
 
-def write_table(path, fieldnames, rows) -> None:
-    """rows: tuples of cells in fieldnames order, one per data row.
+def write_table(path, fieldnames, rows, columns: dict) -> dict:
+    """Write a table of len(rows) data rows (rows may be range(count));
+    return its cells, a list of strings per field name.
 
-    A Python int cell is written without a decimal point, None becomes an
-    empty cell and anything else is a float: "inf" when infinite (of
-    either sign), else 17 significant digits.
+    columns maps a field name to (first row, values): the field's cells
+    from row `first` on are those of values, as far as the table reaches,
+    and its other cells are empty, as is every cell of a field columns
+    does not name.  A Python
+    int is written without a decimal point, None as an empty cell, a
+    string as it is (so cells this writer returned can be written again)
+    and anything else as a float: "inf" when infinite (of either sign),
+    else 17 significant digits.
     """
-    columns = [_column_cells(column) for column in zip(*rows)]
-    lines = [",".join(fieldnames), *map(",".join, zip(*columns)), ""]
-    _atomic_write(path, "\r\n".join(lines))
+    count = len(rows)
+    table = []
+    for name in fieldnames:
+        first, values = columns.get(name, (count, ()))
+        first = min(first, count)
+        cells = [""] * first + _cells(values[:count - first])
+        cells += [""] * (count - len(cells))
+        table.append(cells)
+    _atomic_write(path, "\r\n".join(
+        [",".join(fieldnames), *map(",".join, zip(*table)), ""]))
+    return dict(zip(fieldnames, table))

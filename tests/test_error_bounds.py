@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from klcert.convex import Ball, IntersectionSet, evaluate
+from klcert.convex import Ball, Halfspace, IntersectionSet, evaluate
 from klcert.error_bounds import (
     FeasibilityInstance,
     LassoInstance,
@@ -198,6 +198,11 @@ def test_feasibility_instance_validation():
     with pytest.raises(ValueError):
         FeasibilityInstance(sets=(Ball(np.zeros(2), 1.0),) * 2,
                             xbar=np.zeros(2), R=1.0, weights=(0.9, 0.2))
+    with pytest.raises(ValueError, match=r"sets\[1\] is a halfspace in "
+                       "dimension 3, but xbar is in dimension 2"):
+        FeasibilityInstance(sets=(Ball(np.zeros(2), 1.0),
+                                  Halfspace(np.ones(3), 1.0)),
+                            xbar=np.zeros(2), R=0.5, weights=(0.5, 0.5))
 
 
 def test_inner_ball_check():

@@ -557,10 +557,19 @@ TAMPERED_INSTANCES = {
     "radius-string": ("feasibility", lambda doc: doc["payload"]["sets"][0]
                       .update(radius="1.5"), "payload sets[0] radius"),
     "radius-infinity": ("feasibility", lambda doc: doc["payload"]["sets"][0]
-                        .update(radius=math.inf), "payload sets[0] radius"),
+                        .update(radius=math.inf),
+                        "payload sets[0] radius is not finite"),
+    # a set of another dimension than xbar's would broadcast, or end in a
+    # NumPy error
+    "center-too-short": ("feasibility", lambda doc: doc["payload"]["sets"][0]
+                         .update(center=doc["payload"]["sets"][0]["center"]
+                                 [:1]), "sets[0] is a ball in dimension 1"),
+    "center-too-long": ("feasibility", lambda doc: doc["payload"]["sets"][1]
+                        ["center"].append(0.0),
+                        "sets[1] is a ball in dimension 3"),
     "R-bool": ("feasibility", _set_payload(R=True), "payload R"),
     "weight-nan": ("uniformly-convex", _set_payload(weight=math.nan),
-                   "payload weight"),
+                   "payload weight is not finite"),
     "x0-entry-null": ("tight-quadratic", lambda doc: doc["payload"]["x0"]
                       .__setitem__(0, None), "payload x0[0]"),
     "unknown-top-level-key": ("lasso", lambda doc: doc.update(bogus=1),
@@ -602,7 +611,11 @@ def _one_error_line(err: str, named: str) -> None:
 
 @pytest.mark.parametrize("case", TAMPERED_INSTANCES)
 def test_run_refuses_tampered_instance_json(stored_runs, tmp_path, capsys,
-                                            case):
+                                            monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(klcert.experiments, "forward_backward", refuse)
     named = _tampered_instance(stored_runs, tmp_path, case)
     doc = json.loads((tmp_path / "instance.json").read_text())
     assert _run_stored_instance(tmp_path, doc, SMALL_RUN) == 2
@@ -1078,6 +1091,21 @@ MALFORMED_INPUTS = {
         "sweep", "--preset", "tiny-lasso", "--steps", "-5",
         "--out", str(tmp_path / "out")],
 }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("block, key", [
+    ("method", "relative_step"), ("certificate", "nu"),
+    ("certificate", "scale_gamma"), ("certificate", "override_q")])
+def test_run_refuses_a_non_finite_setting(tmp_path, capsys, block, key,
+                                          value):
+    # json reads NaN and Infinity; every comparison with NaN is false, so
+    # an override_q of NaN would pass every check
+    assert main(_run_config("run", **{block: {key: value}})(tmp_path)) == 2
+    _one_error_line(capsys.readouterr().err,
+                    f"config {block}.{key} is not finite")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)

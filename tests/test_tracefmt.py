@@ -25,11 +25,15 @@ from klcert.experiments import (
 )
 from klcert.tracefmt import TRACE_COLUMNS, write_json, write_table
 
-ROWS = [
-    (0, 1.5, math.inf, None, None, None, None),
-    (1, 0.1, None, 2.0 / 3.0, None, None, None),
-]
-BAD_ROWS = ROWS + [(2, "not a number", None, None, None, None, None)]
+# (first row, values) per column; the other columns are empty
+COLUMNS = {
+    "k": (0, [0, 1]),
+    "value_gap": (0, [1.5, 0.1]),
+    "value_bound": (0, [math.inf]),
+    "step_norm": (1, [2.0 / 3.0]),
+}
+BAD_COLUMNS = dict(COLUMNS, k=(0, [0, 1, 2]),
+                   value_gap=(0, [1.5, 0.1, "not a number"]))
 
 
 def _reference_write_table(path, fieldnames, rows):
@@ -54,6 +58,16 @@ def _reference_write_table(path, fieldnames, rows):
         writer.writerow(out)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(buf.getvalue())
+
+
+def _column_rows(count, columns):
+    """The dict rows of a table given by columns as write_table takes
+    them."""
+    rows = [{} for _ in range(count)]
+    for name, (first, values) in columns.items():
+        for k, v in enumerate(values[:max(count - first, 0)], start=first):
+            rows[k][name] = v
+    return rows
 
 
 def _reference_table_rows(count, columns):
@@ -84,12 +98,18 @@ def _reference_trace_rows(run, maj, xstar):
 
 def test_trace_table_bytes(tmp_path):
     path = tmp_path / "trace.csv"
-    write_table(path, TRACE_COLUMNS, ROWS)
+    cells = write_table(path, TRACE_COLUMNS, range(2), COLUMNS)
     assert path.read_bytes() == (
         b"k,value_gap,value_bound,step_norm,witness_norm,"
         b"distance_to_xstar,distance_bound\r\n"
         b"0,1.5,inf,,,,\r\n"
         b"1,0.10000000000000001,,0.66666666666666663,,,\r\n")
+    assert cells == {"k": ["0", "1"],
+                     "value_gap": ["1.5", "0.10000000000000001"],
+                     "value_bound": ["inf", ""],
+                     "step_norm": ["", "0.66666666666666663"],
+                     "witness_norm": ["", ""], "distance_to_xstar": ["", ""],
+                     "distance_bound": ["", ""]}
     with open(path, "r", encoding="ascii", newline="") as fh:
         back = [{k: None if v == "" else float(v) for k, v in row.items()}
                 for row in csv.DictReader(fh)]
@@ -100,16 +120,17 @@ def test_trace_table_bytes(tmp_path):
 
 def test_failed_csv_write_creates_no_target(tmp_path):
     with pytest.raises(ValueError):
-        write_table(tmp_path / "trace.csv", TRACE_COLUMNS, BAD_ROWS)
+        write_table(tmp_path / "trace.csv", TRACE_COLUMNS, range(3),
+                    BAD_COLUMNS)
     assert os.listdir(tmp_path) == []
 
 
 def test_failed_csv_write_keeps_existing_target(tmp_path):
     path = tmp_path / "trace.csv"
-    write_table(path, TRACE_COLUMNS, ROWS)
+    write_table(path, TRACE_COLUMNS, range(2), COLUMNS)
     before = path.read_bytes()
     with pytest.raises(ValueError):
-        write_table(path, TRACE_COLUMNS, BAD_ROWS)
+        write_table(path, TRACE_COLUMNS, range(3), BAD_COLUMNS)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["trace.csv"]
 
@@ -156,13 +177,44 @@ def test_writer_matches_row_dict_reference_on_edge_cells(tmp_path):
         plain[:-1] + [None],
     ]
     names = tuple(f"c{j}" for j in range(len(columns)))
-    rows = list(zip(*columns))
-    for table in (rows, rows[:1], rows[-1:], []):
-        write_table(tmp_path / "new.csv", names, table)
+    for first, last in ((0, count), (0, 1), (count - 1, count), (0, 0),
+                        (3, count)):
+        # rows first..last-1 of every column, starting at row first
+        table = {name: (first, column[first:last])
+                 for name, column in zip(names, columns)}
+        write_table(tmp_path / "new.csv", names, range(last), table)
         _reference_write_table(tmp_path / "ref.csv", names,
-                               [dict(zip(names, row)) for row in table])
+                               _column_rows(last, table))
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
+
+
+# float cells the printf-style call formats: subnormals, -0.0, nan, +-inf
+FLOAT_CELLS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-310, math.nan,
+                                  math.inf, -math.inf]))
+CELLS = st.one_of(st.none(), st.booleans(), st.integers(), FLOAT_CELLS)
+COLUMN = st.tuples(st.integers(0, 3), st.one_of(
+    st.lists(FLOAT_CELLS, max_size=6), st.lists(st.integers(), max_size=6),
+    st.lists(CELLS, max_size=6)))
+
+
+# two columns at least: csv.writer quotes a row that is one empty cell
+@given(st.integers(0, 6), st.lists(COLUMN, min_size=2, max_size=4))
+@settings(max_examples=200, derandomize=True)
+def test_table_matches_row_dict_reference(tmp_path_factory, count, columns):
+    base = tmp_path_factory.getbasetemp()
+    names = tuple(f"c{j}" for j in range(len(columns)))
+    table = dict(zip(names, columns))
+    cells = write_table(base / "new.csv", names, range(count), table)
+    _reference_write_table(base / "ref.csv", names,
+                           _column_rows(count, table))
+    written = (base / "new.csv").read_bytes()
+    assert written == (base / "ref.csv").read_bytes()
+    # the cells it returns, written again, give the same bytes
+    write_table(base / "again.csv", names, range(count),
+                {name: (0, cells[name]) for name in names})
+    assert (base / "again.csv").read_bytes() == written
 
 
 def _reference_json(payload) -> bytes:

@@ -28,14 +28,14 @@ from klcert.desingularization import (
 )
 from klcert.error_bounds import uniformly_convex_profile
 from klcert.experiments import (
+    MAJORANT_COLUMNS,
     PRESET_NAMES,
     ExperimentConfig,
     build_pipeline,
     load_instance,
-    majorant_rows,
-    merged_trace_rows,
     preset_configs,
     run_experiment,
+    trace_columns,
 )
 from klcert.majorant import (
     MajorantSequence,
@@ -422,11 +422,17 @@ def _per_step_trace_rows(run, maj, xstar):
     return rows
 
 
-def _filled_cells(rows):
-    """Rows as dicts without their empty cells, which write_table leaves
-    blank."""
-    return [{key: v for key, v in zip(TRACE_COLUMNS, row) if v is not None}
-            for row in rows]
+def _filled_cells(columns, names=TRACE_COLUMNS):
+    """The rows of trace columns (first row, values) by name, as dicts of
+    the named columns' cells without the empty ones, which write_table
+    leaves blank."""
+    rows = [{} for _ in columns["k"][1]]
+    for name in names:
+        first, values = columns.get(name, (0, ()))
+        for k, v in enumerate(values, start=first):
+            if v is not None:
+                rows[k][name] = v
+    return rows
 
 
 def _per_step_prox_steps(gaps, d, gap_floor=1e-12):
@@ -467,9 +473,10 @@ def test_trajectory_quantities_match_per_step_reference(config):
     idx, vals = empirical_prox_steps(run.gaps, d)
     assert (idx.tolist(), vals.tolist()) == _per_step_prox_steps(run.gaps, d)
 
-    assert _filled_cells(merged_trace_rows(run, maj, xstar)) == (
-        _per_step_trace_rows(run, maj, xstar))
-    assert _filled_cells(majorant_rows(maj)) == [
+    columns = trace_columns(run, maj, xstar)
+    assert _filled_cells(columns) == _per_step_trace_rows(run, maj, xstar)
+    # majorant.csv writes these columns' cells again
+    assert _filled_cells(columns, MAJORANT_COLUMNS) == [
         {"k": 0, "value_bound": float(maj.psi_values[0])}] + [
         {"k": k, "value_bound": float(maj.psi_values[k]),
          "distance_bound": _per_step_distance_bound(maj, k)}
