@@ -8,13 +8,15 @@ inconclusive checks never fail a run.  Everything else that stops a command
 exits 2 with one "error:" line on stderr and no traceback: bad arguments, a
 file that cannot be read (certify reads the instance.json and config.json
 beside run.json), a JSON file whose top level is not an object, a record
-that lacks a field, has another schema version or (run.json) another key,
-a config or instance key that nothing reads (the sweep reads no rescaled
-constant or rate), a value of another type than its key or stored field
-takes (never converted), a stored or config number that is not finite,
-a feasibility set of another dimension than its instance, iterates that
-are not the method's steps, a method the instance's family does not run, a
-step budget or cap below one, and a projection that does not converge.
+that lacks a field, has another schema version or another key (at any
+level: a desingularizer's region among them), or another desingularizer
+form or region or set kind, a config or instance key that nothing reads
+(the sweep reads no rescaled constant or rate), a value of another type
+than its key or stored field takes (never converted), a stored or config
+number that is not finite, a feasibility set or certificate region of
+another dimension than its instance, iterates that are not the method's
+steps, a method the instance's family does not run, a step budget or cap
+below one, and a projection that does not converge.
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call: a driver that calls `main` many

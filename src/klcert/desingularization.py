@@ -17,6 +17,7 @@ residual: a float gives a float, an array gives an array of the same shape,
 and entry i of a batched call has the bits of the call on entry i alone.
 Powers go through libm one element at a time (`libm_pow`), because numpy's
 SIMD power rounds differently on a few percent of inputs.
+`DESINGULARIZERS` gives certificate.json's record of each stored form.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from klcert.convex import (
     subgradient_norm,
     value_gap,
 )
-from klcert.regions import WholeSpace, region_from_dict
-from klcert.tracefmt import require_number
+from klcert.regions import REGIONS, WholeSpace
+from klcert.tracefmt import NUMBER, Nullable, Records
 
 
 class NonModerateResidualError(ValueError):
@@ -157,9 +158,6 @@ class Desingularizer:
         """Lipschitz constant of psi' on [0, cap], or None when unavailable."""
         return self.ell
 
-    def to_dict(self) -> dict:
-        raise ValueError(f"{type(self).__name__} is not serializable")
-
 
 class PowerDesingularizer(Desingularizer):
     """phi(s) = scale * s^(1/p) with p >= 1; psi(a) = (a / scale)^p.
@@ -217,16 +215,6 @@ class PowerDesingularizer(Desingularizer):
             return 0.0  # psi' is constant, but psi'(0) != 0 still breaks (A)
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "form": "power",
-            "scale": self.scale,
-            "exponent": self.exponent,
-            "r0": None if math.isinf(self.r0) else self.r0,
-            "ell": self.ell,
-            "region": self.region.to_dict() if self.region is not None else None,
-        }
-
 
 class GlobalizedDesingularizer(Desingularizer):
     """Piecewise-affine extension: phi below the junction, its tangent above.
@@ -274,13 +262,6 @@ class GlobalizedDesingularizer(Desingularizer):
         # psi' is constant past the junction, so the base constant on the
         # truncated interval bounds the whole thing.
         return self.base.psi_prime_lipschitz(min(cap, self.alpha_junction))
-
-    def to_dict(self) -> dict:
-        return {
-            "form": "globalized",
-            "junction": self.junction,
-            "base": self.base.to_dict(),
-        }
 
 
 class TabulatedDesingularizer(Desingularizer):
@@ -363,28 +344,17 @@ class ErrorBoundCertificate:
         return _map_floats(self.residual_fn, s)
 
 
-def desingularizer_from_dict(data: dict) -> Desingularizer:
-    """Inverse of to_dict; every key it writes is required (KeyError), and
-    every number must be finite, a null r0 standing for +inf and a null ell
-    for the computed one (ValueError)."""
-    form = data["form"]
-    if form == "power":
-        region, r0, ell = data["region"], data["r0"], data["ell"]
-        return PowerDesingularizer(
-            scale=require_number(data["scale"], "desingularizer scale"),
-            exponent=require_number(data["exponent"],
-                                    "desingularizer exponent"),
-            r0=math.inf if r0 is None else require_number(
-                r0, "desingularizer r0"),
-            region=region_from_dict(region) if region is not None else None,
-            ell=None if ell is None else require_number(
-                ell, "desingularizer ell"),
-        )
-    if form == "globalized":
-        base = desingularizer_from_dict(data["base"])
-        return GlobalizedDesingularizer(
-            base, require_number(data["junction"], "desingularizer junction"))
-    raise ValueError(f"unknown desingularizer form {form!r}")
+# per form: the desingularizer a certificate.json record reads as, and its
+# keys besides "form"; a null r0 stands for +inf, a null ell for the one
+# the constructor computes and a null region for none, and a globalized
+# record's base is itself a desingularizer record
+DESINGULARIZERS = Records("form", {
+    "power": (PowerDesingularizer, {
+        "scale": NUMBER, "exponent": NUMBER, "r0": Nullable(NUMBER, math.inf),
+        "ell": Nullable(NUMBER), "region": Nullable(REGIONS)}),
+})
+DESINGULARIZERS.kinds["globalized"] = (
+    GlobalizedDesingularizer, {"junction": NUMBER, "base": DESINGULARIZERS})
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,10 +52,10 @@ from klcert.descent import (
     forward_backward,
 )
 from klcert.desingularization import (
+    DESINGULARIZERS,
     Desingularizer,
     ErrorBoundCertificate,
     PowerDesingularizer,
-    desingularizer_from_dict,
     from_error_bound,
     libm_pow,
     to_error_bound,
@@ -76,15 +76,17 @@ from klcert.majorant import (
     zeta,
 )
 from klcert.problems import GeneratedInstance, generate_instance
-from klcert.regions import L1Ball, WholeSpace
+from klcert.regions import L1Ball, MetricBall, WholeSpace
 from klcert.tracefmt import (
     TRACE_COLUMNS,
     read_json,
+    read_value,
     require,
     require_number,
     require_type,
     write_json,
     write_table,
+    write_value,
 )
 from klcert.verification import (
     CertificationReport,
@@ -345,14 +347,7 @@ class ExperimentConfig:
         return value
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "instance": self.instance,
-            "method": self.method,
-            "certificate": self.certificate,
-            "checks": self.checks,
-        }
+        return asdict(self)
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
@@ -560,7 +555,8 @@ def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
                 {name: (0, cells[name]) for name in MAJORANT_COLUMNS})
     write_json(paths["certificate.json"], {
         "schema_version": 2,
-        "desingularizer": result.bundle.desingularizer.to_dict(),
+        "desingularizer": write_value(result.bundle.desingularizer,
+                                      DESINGULARIZERS),
         "certificate_id": result.bundle.certificate_id,
     })
     result.report.to_json(paths["report.json"])
@@ -582,15 +578,17 @@ def certify_run(run_path: str, certificate_path: str,
     require(cert_doc, CERTIFICATE_FIELDS, "certificate", version=2,
             exact=True)
     require_type(cert_doc["certificate_id"], str, "certificate id")
-    try:
-        desing = desingularizer_from_dict(cert_doc["desingularizer"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed desingularizer: {exc!r}") from exc
+    desing = read_value(cert_doc["desingularizer"], DESINGULARIZERS,
+                        "certificate desingularizer")
     directory = os.path.dirname(run_path)
     gi = GeneratedInstance.from_json(os.path.join(directory, "instance.json"))
     config = ExperimentConfig.from_json(os.path.join(directory, "config.json"))
     method, steps = pipeline_settings(gi.family, config)
     problem = next(PIPELINES[gi.family][-1](gi, config, method))
+    region, dimension = desing.region, len(problem.start)
+    if isinstance(region, MetricBall) and region.dimension != dimension:
+        raise ValueError(f"certificate region center is in dimension "
+                         f"{region.dimension}, not the instance's {dimension}")
     run = DescentRun.from_metadata_dict(
         record, problem.composite, problem.start, problem.schedule, steps,
         min_value=problem.min_value)

@@ -8,10 +8,11 @@ values of feasible points, so they overestimate the true minimum — the safe
 direction for every certified inequality downstream.
 
 This module alone knows the instance.json format (schema 2): `PAYLOADS`
-gives each family's payload keys and what each holds, and every builder
-reads its payload, generated or stored, through `GeneratedInstance.values()`,
-which refuses a missing or extra key at any level, a leaf that is not a
-finite number and a ragged matrix (ValueError naming the key).
+gives each family's payload keys and what each holds, `SET_RECORDS` the
+set kinds, and every builder reads its payload, generated or stored,
+through `GeneratedInstance.values()` with `tracefmt`'s record reader, which
+refuses a missing or extra key at any level, a leaf that is not a finite
+number and a ragged matrix (ValueError naming the key).
 
 The l1 reference minimum returns the bits of a brute force without doing
 most of its work:
@@ -49,11 +50,17 @@ from klcert.convex import (
 )
 from klcert.error_bounds import LassoInstance, LinearSystemPair
 from klcert.tracefmt import (
+    MATRIX,
+    NUMBER,
+    VECTOR,
+    Listed,
+    Records,
+    read_fields,
     read_json,
     require,
-    require_number,
     require_type,
     write_json,
+    write_value,
 )
 
 # grid step of the reference grid, per dimension
@@ -387,7 +394,7 @@ def _lens_feasibility_instance(dim: int, seed: int) -> "GeneratedInstance":
 
 def _feasibility_instance(seed: int, sets, xbar: Array, R: float,
                           weights: Array, x0: Array) -> "GeneratedInstance":
-    payload = {"sets": [_set_record(s) for s in sets], "xbar": xbar.tolist(),
+    payload = {"sets": write_value(sets, SETS), "xbar": xbar.tolist(),
                "R": R, "weights": weights.tolist(), "x0": x0.tolist()}
     return GeneratedInstance(family="feasibility", seed=seed, payload=payload)
 
@@ -475,9 +482,12 @@ FAMILIES = tuple(GENERATORS)
 
 # the keys of an instance.json record besides its schema version
 INSTANCE_FIELDS = ("family", "seed", "payload")
-# what a payload key holds: a finite number, a list of them, a non-empty
-# list of equally long such lists, or a list of set records
-NUMBER, VECTOR, MATRIX, SETS = "number", "vector", "matrix", "sets"
+# per set kind: the set it reads as, and its keys besides "kind"
+SET_RECORDS = {
+    "ball": (Ball, {"center": VECTOR, "radius": NUMBER}),
+    "halfspace": (Halfspace, {"normal": VECTOR, "offset": NUMBER}),
+}
+SETS = Listed(Records("kind", SET_RECORDS))
 # every payload key of each family, with what it holds
 PAYLOADS = {
     "lasso": {"A": MATRIX, "y": VECTOR, "mu": NUMBER, "x0": VECTOR,
@@ -487,59 +497,6 @@ PAYLOADS = {
     "uniformly-convex": {"center": VECTOR, "weight": NUMBER, "x0": VECTOR},
     "tight-quadratic": {"center": VECTOR, "radius": NUMBER, "x0": VECTOR},
 }
-# per set kind: the set it reads as, and its keys besides "kind", in the
-# order of the set's fields
-SET_RECORDS = {
-    "ball": (Ball, {"center": VECTOR, "radius": NUMBER}),
-    "halfspace": (Halfspace, {"normal": VECTOR, "offset": NUMBER}),
-}
-
-
-def _set_record(s: Ball | Halfspace) -> dict:
-    kind = "ball" if isinstance(s, Ball) else "halfspace"
-    return {"kind": kind, **{key: np.asarray(getattr(s, key)).tolist()
-                             for key in SET_RECORDS[kind][1]}}
-
-
-def _check_numbers(values: list, what: str) -> None:
-    """Refuse any entry that is not a finite number (named only then)."""
-    for i, v in enumerate(values):
-        if type(v) is not float or not math.isfinite(v):
-            require_number(v, f"{what}[{i}]")
-
-
-def _read(value, kind: str, what: str):
-    """value as kind holds it, a float, an array or a tuple of sets; a
-    value of another shape or type is refused (ValueError naming what),
-    never converted."""
-    if kind == NUMBER:
-        return require_number(value, what)
-    require_type(value, list, what)
-    if kind == VECTOR:
-        _check_numbers(value, what)
-        return np.array(value, dtype=float)
-    if kind == MATRIX:
-        for i, row in enumerate(value):
-            where = f"{what}[{i}]"
-            require_type(row, list, where)
-            _check_numbers(row, where)
-        if not value or len({len(row) for row in value}) != 1:
-            raise ValueError(f"{what} must be a list of rows of one length")
-        return np.array(value, dtype=float)
-    sets = []
-    for i, record in enumerate(value):
-        where = f"{what}[{i}]"
-        require_type(record, dict, where)
-        require(record, ("kind",), where)
-        kind = record["kind"]
-        if not (isinstance(kind, str) and kind in SET_RECORDS):
-            raise ValueError(f"{where} has unknown kind {kind!r}; a set is "
-                             f"a {' or a '.join(SET_RECORDS)}")
-        cls, fields = SET_RECORDS[kind]
-        require(record, ("kind", *fields), where, exact=True)
-        sets.append(cls(*(_read(record[key], fields[key], f"{where} {key}")
-                          for key in fields)))
-    return tuple(sets)
 
 
 @dataclass(frozen=True)
@@ -567,11 +524,8 @@ class GeneratedInstance:
         """The payload read as PAYLOADS gives it, by key: floats, arrays
         and tuples of sets.  Any other key, shape or leaf is refused
         (ValueError naming the key), never converted."""
-        kinds = PAYLOADS[self.family]
-        what = f"{self.family} payload"
-        require(self.payload, tuple(kinds), what, exact=True)
-        return {key: _read(self.payload[key], kind, f"{what} {key}")
-                for key, kind in kinds.items()}
+        return read_fields(self.payload, PAYLOADS[self.family],
+                           f"{self.family} payload")
 
     @staticmethod
     def from_dict(data: dict) -> "GeneratedInstance":

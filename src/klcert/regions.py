@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from klcert.convex import Array, as_point
-from klcert.tracefmt import require_number
+from klcert.tracefmt import NUMBER, VECTOR, Records
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,6 @@ class L1Ball:
         radial = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dimension)
         return self.radius * radial * signs * mags
 
-    def to_dict(self) -> dict:
-        return {"kind": "l1-ball", "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class MetricBall:
@@ -53,24 +50,21 @@ class MetricBall:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
 
+    @property
+    def dimension(self) -> int:
+        return self.center.shape[0]
+
     def contains(self, x, tol: float = 1e-9):
         d = np.asarray(x, dtype=float) - self.center
         return np.sqrt(np.vecdot(d, d)) <= self.radius + tol
 
     def sample(self, rng: np.random.Generator, dimension: int, count: int) -> Array:
-        if dimension != self.center.shape[0]:
+        if dimension != self.dimension:
             raise ValueError("dimension does not match the center")
         g = rng.standard_normal((count, dimension))
         g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
         radial = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dimension)
         return self.center + self.radius * radial * g
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "metric-ball",
-            "center": self.center.tolist(),
-            "radius": self.radius,
-        }
 
 
 @dataclass(frozen=True)
@@ -80,19 +74,11 @@ class WholeSpace:
     def contains(self, x, tol: float = 1e-9):
         return np.ones(np.shape(x)[:-1], dtype=bool)
 
-    def to_dict(self) -> dict:
-        return {"kind": "whole-space"}
 
-
-def region_from_dict(data: dict):
-    """Inverse of to_dict; every number must be finite (ValueError)."""
-    kind = data["kind"]
-    if kind == "l1-ball":
-        return L1Ball(require_number(data["radius"], "region radius"))
-    if kind == "metric-ball":
-        center = [require_number(v, "region center") for v in data["center"]]
-        return MetricBall(np.asarray(center),
-                          require_number(data["radius"], "region radius"))
-    if kind == "whole-space":
-        return WholeSpace()
-    raise ValueError(f"unknown region kind {kind!r}")
+# per region kind: the region a certificate.json record reads as, and its
+# keys besides "kind"
+REGIONS = Records("kind", {
+    "l1-ball": (L1Ball, {"radius": NUMBER}),
+    "metric-ball": (MetricBall, {"center": VECTOR, "radius": NUMBER}),
+    "whole-space": (WholeSpace, {}),
+})

@@ -1,5 +1,5 @@
 """Artifact formats: the one atomic file writer, JSON and CSV on top of it,
-and the one JSON record reader.
+and the one JSON record reader and writer.
 
 Every artifact goes through `_atomic_write`: it creates the target's
 directory when missing, and the bytes land in a temporary file next to the
@@ -16,7 +16,10 @@ encoder in one call and indented by replacing its separators, ", " and
 "], [", which no number token contains.  A record is read back with
 `read_json` and checked with `require`, `require_type` and
 `require_number`, so a malformed one raises ValueError instead of being
-patched with defaults or converted.
+patched with defaults or converted.  A record whose keys a table gives,
+instance.json's payload and certificate.json's desingularizer, is read by
+`read_value` with exactly its keys at every level and written by
+`write_value`.
 CSV is RFC 4180 (CRLF, '.' decimal separator) with 17 significant digits,
 so that round-tripping and byte-for-byte reproducibility hold.  A table
 arrives as columns, each as (first row, values) by field name, and no row
@@ -37,6 +40,9 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
+
+import numpy as np
 
 TRACE_COLUMNS = (
     "k",
@@ -178,6 +184,91 @@ def require_number(value, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} is not finite")
     return float(value)
+
+
+# what a record key holds: a finite number, a list of them, a non-empty
+# list of equally long such lists, or one of the three specs below
+NUMBER, VECTOR, MATRIX = "number", "vector", "matrix"
+# records told apart by their tag key: kinds maps each tag value to the
+# class such a record reads as, which takes its other keys as keyword
+# arguments and keeps them as attributes, and to what each of those holds
+Records = namedtuple("Records", "tag kinds")
+# a list whose entries each hold what entry gives
+Listed = namedtuple("Listed", "entry")
+# what held gives, or null standing for means
+Nullable = namedtuple("Nullable", "held means", defaults=(None,))
+
+
+def _check_numbers(values: list, what: str) -> None:
+    """Refuse any entry that is not a finite number (named only then)."""
+    for i, v in enumerate(values):
+        if type(v) is not float or not math.isfinite(v):
+            require_number(v, f"{what}[{i}]")
+
+
+def read_fields(record: dict, fields: dict, what: str, tag: tuple = ()
+                ) -> dict:
+    """The keys of record read as fields gives them, by key; record must
+    hold exactly these keys and those of tag."""
+    require(record, (*tag, *fields), what, exact=True)
+    return {key: read_value(record[key], held, f"{what} {key}")
+            for key, held in fields.items()}
+
+
+def read_value(value, held, what: str):
+    """value as held gives it: a float, an array, an object of a Records
+    class, a tuple or a Nullable's meaning.  Any other shape, type, kind or
+    key, at any level, is refused (ValueError naming what), never
+    converted."""
+    if isinstance(held, Nullable):
+        return held.means if value is None else read_value(
+            value, held.held, what)
+    if held == NUMBER:
+        return require_number(value, what)
+    if isinstance(held, Records):
+        require_type(value, dict, what)
+        require(value, (held.tag,), what)
+        kind = value[held.tag]
+        if not (isinstance(kind, str) and kind in held.kinds):
+            raise ValueError(f"{what} has unknown {held.tag} {kind!r}, not "
+                             f"one of {', '.join(held.kinds)}")
+        cls, fields = held.kinds[kind]
+        return cls(**read_fields(value, fields, what, (held.tag,)))
+    require_type(value, list, what)
+    if isinstance(held, Listed):
+        return tuple(read_value(v, held.entry, f"{what}[{i}]")
+                     for i, v in enumerate(value))
+    if held == VECTOR:
+        _check_numbers(value, what)
+        return np.array(value, dtype=float)
+    for i, row in enumerate(value):
+        where = f"{what}[{i}]"
+        require_type(row, list, where)
+        _check_numbers(row, where)
+    if not value or len({len(row) for row in value}) != 1:
+        raise ValueError(f"{what} must be a list of rows of one length")
+    return np.array(value, dtype=float)
+
+
+def write_value(value, held):
+    """The JSON value that read_value reads as value; a record's keys come
+    from the attributes of those names.  An object of no kind in the table
+    is refused (ValueError)."""
+    if isinstance(held, Nullable):
+        null = value is None if held.means is None else value == held.means
+        if null:
+            return None
+        held = held.held
+    if isinstance(held, Records):
+        for kind, (cls, fields) in held.kinds.items():
+            if type(value) is cls:
+                return {held.tag: kind, **{
+                    key: write_value(getattr(value, key), fields[key])
+                    for key in fields}}
+        raise ValueError(f"{type(value).__name__} has no record")
+    if isinstance(held, Listed):
+        return [write_value(v, held.entry) for v in value]
+    return np.asarray(value).tolist()
 
 
 def _cells(values) -> list[str]:

@@ -16,7 +16,7 @@ draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,14 +59,7 @@ class CheckResult:
             raise ValueError(f"unknown status {self.status!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "worst_violation": self.worst_violation,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass

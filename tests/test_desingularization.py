@@ -1,5 +1,6 @@
 """Desingularizing profiles, error-bound certificates, and conversions."""
 
+import json
 import math
 
 import numpy as np
@@ -9,19 +10,20 @@ from hypothesis import strategies as st
 
 from klcert.convex import quadratic_objective, scaled_l1
 from klcert.desingularization import (
+    DESINGULARIZERS,
     ErrorBoundCertificate,
     GlobalizedDesingularizer,
     NonModerateResidualError,
     PowerDesingularizer,
     TabulatedDesingularizer,
-    desingularizer_from_dict,
     extend_error_bound_globally,
     from_error_bound,
     globalize,
     kl_gap,
     to_error_bound,
 )
-from klcert.regions import MetricBall, WholeSpace
+from klcert.regions import L1Ball, MetricBall, WholeSpace
+from klcert.tracefmt import read_value, write_value
 
 scales = st.floats(min_value=1e-3, max_value=1e3)
 exponents = st.floats(min_value=1.0, max_value=6.0)
@@ -211,16 +213,43 @@ def test_tabulated_validation():
         d.psi(math.sqrt(1.0) * 1.5)  # beyond phi(r0)
 
 
+# each record's keys that hold null
+ROUND_TRIPS = {
+    "l1-ball": (PowerDesingularizer(scale=1.7, exponent=3.0, r0=2.0,
+                                    region=L1Ball(1.25)), ()),
+    "metric-ball": (PowerDesingularizer(
+        scale=0.9, exponent=2.0, ell=0.3,
+        region=MetricBall(np.array([0.1, -0.35, 2.0]), 0.7)), ("r0",)),
+    # psi' has no Lipschitz constant on [0, inf) for p = 2.5
+    "whole-space": (PowerDesingularizer(scale=1.3, exponent=2.5,
+                                        region=WholeSpace()), ("ell", "r0")),
+    "null-region": (PowerDesingularizer(scale=1.1, exponent=2.0),
+                    ("r0", "region")),
+    "globalized": (globalize(PowerDesingularizer(
+        scale=1.0, exponent=2.0, r0=2.0,
+        region=MetricBall(np.array([0.5, -0.25]), 1.5)), junction=0.8), ()),
+}
+
+
 def test_desingularizer_serialization_round_trip():
-    d = PowerDesingularizer(scale=1.7, exponent=3.0, r0=2.0)
-    back = desingularizer_from_dict(d.to_dict())
-    for s in [0.1, 0.5, 1.9]:
-        assert back.phi(s) == pytest.approx(d.phi(s), rel=1e-14)
-    g = globalize(PowerDesingularizer(scale=1.0, exponent=2.0, r0=2.0), junction=0.8)
-    gback = desingularizer_from_dict(g.to_dict())
-    for s in [0.1, 0.8, 5.0]:
-        assert gback.phi(s) == pytest.approx(g.phi(s), rel=1e-14)
-        assert gback.phi_prime(s) == pytest.approx(g.phi_prime(s), rel=1e-14)
+    for name, (d, nulls) in ROUND_TRIPS.items():
+        record = write_value(d, DESINGULARIZERS)
+        assert tuple(sorted(k for k, v in record.items()
+                            if v is None)) == nulls, name
+        back = read_value(json.loads(json.dumps(record)), DESINGULARIZERS,
+                          name)
+        assert type(back) is type(d), name
+        assert write_value(back, DESINGULARIZERS) == record, name
+        for s in [0.0, 0.1, 0.5, 0.8, 1.9, 5.0]:
+            assert back.phi(s) == d.phi(s), (name, s)
+            assert back.phi_prime(s) == d.phi_prime(s), (name, s)
+            assert back.psi(s) == d.psi(s), (name, s)
+
+
+def test_only_tabled_desingularizers_are_written():
+    with pytest.raises(ValueError, match="has no record"):
+        write_value(TabulatedDesingularizer(math.sqrt, math.sqrt, r0=1.0),
+                    DESINGULARIZERS)
 
 
 def _reference_default_ell(d):

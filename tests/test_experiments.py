@@ -21,7 +21,7 @@ from klcert.descent import (
     certificate_params,
     forward_backward,
 )
-from klcert.desingularization import PowerDesingularizer
+from klcert.desingularization import DESINGULARIZERS, PowerDesingularizer
 from klcert.experiments import (
     CERTIFICATE_FIELDS,
     PRESET_NAMES,
@@ -43,7 +43,7 @@ from klcert.problems import (
     PAYLOADS,
     generate_instance,
 )
-from klcert.tracefmt import TRACE_COLUMNS
+from klcert.tracefmt import TRACE_COLUMNS, write_value
 
 GOOD_PRESETS = ("tiny-lasso", "feasibility", "uniformly-convex",
                 "tight-quadratic")
@@ -188,7 +188,8 @@ def test_certificate_artifact_contents(tmp_path):
     doc = json.loads((tmp_path / "certificate.json").read_text())
     assert set(doc) == {"schema_version", "desingularizer", "certificate_id"}
     assert doc["schema_version"] == 2
-    assert doc["desingularizer"] == result.bundle.desingularizer.to_dict()
+    assert doc["desingularizer"] == write_value(result.bundle.desingularizer,
+                                                DESINGULARIZERS)
     assert doc["certificate_id"] == result.bundle.certificate_id
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True
@@ -270,6 +271,22 @@ LEGACY_FIELDS = ("method", "a", "b", "min_value", "converged", "num_steps",
 LEGACY_CERTIFICATE_FIELDS = ("residual", "constants", "zeta", "q")
 RUN_ARRAYS = ("iterates", "raw_values", "step_norms", "witness_norms",
               "step_sizes")
+# certificate.json records whose refusal names a key: an unknown key in
+# the desingularizer, its region and a globalized record's base, an unknown
+# region kind or desingularizer form, a region without one of its keys, a
+# region or desingularizer that is not an object, and a metric-ball center
+# shorter or longer than the instance's dimension
+NAMED_MALFORMED = (
+    [("certificate.json", "extra-" + where, "bogus")
+     for where in ("desingularizer", "region", "base")]
+    + [("certificate.json", "unknown-region", "kind"),
+       ("certificate.json", "unknown-form", "form")]
+    + [("certificate.json", "drop-region", key)
+       for key in ("kind", "radius", "center")]
+    + [("certificate.json", "list", key)
+       for key in ("region", "desingularizer")]
+    + [("certificate.json", edit, "center") for edit in ("short", "long")]
+)
 MALFORMED = (
     [("run.json", "drop", key) for key in RUN_FIELDS + LEGACY_FIELDS]
     + [("run.json", "truncate", key) for key in RUN_ARRAYS]
@@ -303,6 +320,7 @@ MALFORMED = (
        if (edit, key) != ("inf", "r0")]
     + [("certificate.json", edit + "-region", key)
        for edit in ("string", "nan") for key in ("radius", "center")]
+    + NAMED_MALFORMED
     # iterates that are not the method's steps: one bit off at the start,
     # in the middle or at the end, two steps swapped, the last one stored
     # twice (truncate drops it from this converged run)
@@ -372,12 +390,40 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
     elif edit.endswith("-nested"):
         nested = doc["desingularizer"]
         nested[key] = EDITS[edit.rsplit("-", 1)[0]](nested[key])
-    elif edit.endswith("-region"):
-        # a region of either kind that holds numbers
-        bad = EDITS[edit.rsplit("-", 1)[0]](0.5)
-        doc["desingularizer"]["region"] = (
-            {"kind": "l1-ball", "radius": bad} if key == "radius" else
-            {"kind": "metric-ball", "center": [0.0, bad, 0.0], "radius": 1.0})
+    elif edit == "extra-desingularizer":
+        doc["desingularizer"]["bogus"] = 1
+    elif edit == "unknown-form":
+        doc["desingularizer"]["form"] = "spline"
+    elif edit == "extra-base":
+        doc["desingularizer"] = {"form": "globalized", "junction": 1.0,
+                                 "base": dict(doc["desingularizer"], bogus=1)}
+    elif edit == "list":
+        nested = doc["desingularizer"]
+        if key == "region":
+            nested[key] = [{"kind": "whole-space"}]
+        else:
+            doc[key] = [nested]
+    elif edit.endswith("-region") or key == "center":
+        # a metric ball in the stored run's dimension, 3, edited
+        region = {"kind": "metric-ball", "center": [0.0, 0.5, 0.0],
+                  "radius": 1.0}
+        if edit == "extra-region":
+            region["bogus"] = 1
+        elif edit == "unknown-region":
+            region["kind"] = "hexagon"
+        elif edit == "drop-region":
+            del region[key]
+        elif edit == "short":
+            region["center"] = [0.0]
+        elif edit == "long":
+            region["center"] = [0.0, 0.5, 0.0, 0.0]
+        elif key == "radius":
+            # a region of either kind that holds numbers
+            region = {"kind": "l1-ball",
+                      "radius": EDITS[edit.rsplit("-", 1)[0]](0.5)}
+        else:
+            region["center"][1] = EDITS[edit.rsplit("-", 1)[0]](0.5)
+        doc["desingularizer"]["region"] = region
     elif edit in EDITS and isinstance(doc[key], list):
         # the last entry; the last coordinate of the last iterate
         row = doc[key][-1] if key == "iterates" else doc[key]
@@ -391,7 +437,8 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
     code = main(["certify", "--run", str(tmp_path / "run.json"),
                  "--certificate", str(tmp_path / "certificate.json")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    named = key if (artifact, edit, key) in NAMED_MALFORMED else ""
+    _one_error_line(capsys.readouterr().err, named)
 
 
 def _bits(checks) -> str:
