@@ -86,8 +86,9 @@ def _matvec(A: Array, x: Array) -> Array:
 # which broadcast over leading batch axes.  Ball, Halfspace, AffineSet and
 # SingletonSet give each batch row the bits of the single-point call,
 # whatever the batch size; dykstra_projection relies on that when it drops
-# converged rows from its batch.  IntersectionSet does not: its batch runs
-# until the slowest row meets the stopping test.
+# from its batch the rows at a fixed point or on a 2-cycle, and when it
+# measures distances for only some rows.  IntersectionSet does not: its
+# batch runs until the slowest row meets the stopping test.
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,30 @@ class SingletonSet:
 
 
 def _same_row_bits(a: Array, b: Array) -> Array:
-    """Per row of two (k, n) arrays: whether the rows agree to the bit."""
-    return np.all(a.view(np.int64) == b.view(np.int64), axis=-1)
+    """Per row of two (k, n) arrays: whether the rows agree to the bit.
+    One column at a time: n elementwise comparisons of the int64 views cost
+    less than a reduction over a short last axis."""
+    a, b = a.view(np.int64), b.view(np.int64)
+    same = np.ones(a.shape[0], dtype=bool)
+    for j in range(a.shape[1]):
+        same &= a[:, j] == b[:, j]
+    return same
+
+
+def _same_state(y: Array, increments, earlier) -> Array:
+    """Per row: whether y and every increment equal an earlier
+    (y, increments) to the bit."""
+    same = _same_row_bits(y, earlier[0])
+    for increment, old in zip(increments, earlier[1]):
+        if not same.any():
+            break
+        same &= _same_row_bits(increment, old)
+    return same
+
+
+def _max_distance(sets: Sequence, y: Array) -> Array:
+    """Per row of y: its largest distance to a member set."""
+    return np.maximum.reduce([s.distance(y) for s in sets])
 
 
 def dykstra_projection(
@@ -237,18 +260,23 @@ def dykstra_projection(
     meeting the stopping test, rather than return a point that is not the
     projection.
 
-    A row whose point y and every increment come back bit for bit after a
-    whole cycle sits at an exact fixed point: a cycle is a deterministic
-    function of a row's (y, increments), since Ball, Halfspace, AffineSet
-    and SingletonSet project a batch row to the bits of the single-point
-    call.  Such a row is frozen: its y goes to the output and it leaves the
-    working batch.  Its move is 0 in every later cycle and its distances
-    never change, so a running maximum of them keeps it in the stopping
-    test's violation.  The stopping cycle and every output bit are
-    therefore those of cycling the whole batch, while the rows that settle
-    early stop costing work.  Once every row is frozen and the test still
-    fails, no later cycle can change the outcome, so NotConvergedError is
-    raised at once.
+    A cycle is a deterministic function of a row's state (y, increments),
+    since Ball, Halfspace, AffineSet and SingletonSet project a batch row
+    to the bits of the single-point call.  So a row whose state comes back
+    bit for bit after one cycle sits at an exact fixed point, and a row
+    whose state comes back after two cycles alternates between two states
+    for ever.  Such a row is frozen: it leaves the working batch with its y
+    of each cycle parity, and the output takes the one of the stopping
+    cycle's parity.  Its move in every later cycle is its move of this
+    one (0 at a fixed point; the norm of v and of -v in a 2-cycle), and
+    its distances alternate with its y, so running maxima of them, one per
+    parity, keep it in the stopping test.  The distances of the live rows
+    are computed only on a cycle whose move passes tol, and on the cycle a
+    row freezes.  The stopping cycle, every output bit and the error
+    message are therefore those of cycling the whole batch, while the rows
+    that settle early stop costing work.  Once every row is frozen, only
+    the next cycle can still meet the test: if it does not, no later one
+    will, and NotConvergedError is raised at once.
     """
     if not sets:
         raise ValueError("need at least one set")
@@ -258,37 +286,78 @@ def dykstra_projection(
     # the projections return new arrays, so y is never written in place
     y = x.reshape(-1, x.shape[-1])
     rows = np.arange(y.shape[0])
-    frozen_rows, frozen_ys = [], []
-    increments = [np.zeros_like(y) for _ in sets]
-    frozen_violation = 0.0
-    for _ in range(max_cycles):
-        start = y
-        fixed = np.ones(rows.shape, dtype=bool)
-        for i, s in enumerate(sets):
-            target = y + increments[i]
+    # one array of zeros serves every set: increments are replaced, never
+    # written in place
+    increments = [np.zeros_like(y)] * len(sets)
+    # the live rows' state two cycles back, and the frozen rows' y for
+    # even and for odd cycles, their move and their largest distances
+    earlier = None
+    frozen_rows, frozen_ys = [], ([], [])
+    frozen_move, frozen_violation = 0.0, [0.0, 0.0]
+
+    def output(parity):
+        out = np.empty(x.shape)
+        flat = out.reshape(-1, x.shape[-1])
+        flat[np.concatenate(frozen_rows + [rows])] = np.concatenate(
+            frozen_ys[parity] + [y])
+        return out
+
+    for cycle in range(1, max_cycles + 1):
+        parity = cycle % 2
+        start, previous = y, increments
+        increments = []
+        for s, increment in zip(sets, previous):
+            target = y + increment
             y = s.project(target)
-            increment = target - y
-            fixed &= _same_row_bits(increment, increments[i])
-            increments[i] = increment
-        fixed &= _same_row_bits(y, start)
-        move = np.max(np.linalg.norm(y - start, axis=-1), initial=0.0)
-        dist = np.maximum.reduce([s.distance(y) for s in sets])
-        violation = np.max(dist, initial=frozen_violation)
-        if move <= tol and violation <= 10 * tol:
-            out = np.empty(x.shape)
-            flat = out.reshape(-1, x.shape[-1])
-            flat[np.concatenate(frozen_rows + [rows])] = np.concatenate(
-                frozen_ys + [y])
-            return out
-        if fixed.any():
-            frozen_rows.append(rows[fixed])
-            frozen_ys.append(y[fixed])
-            frozen_violation = np.max(dist[fixed], initial=frozen_violation)
-            live = ~fixed
-            rows, y = rows[live], y[live]
+            increments.append(target - y)
+        fixed = _same_state(y, increments, (start, previous))
+        cycling = (_same_state(y, increments, earlier) if earlier
+                   else np.zeros_like(fixed))
+        # the input state is not held for the whole batch: a row that comes
+        # back to it is caught a cycle later, against cycle 1's
+        earlier = (start, previous) if cycle > 1 else None
+        del previous
+        freeze = fixed | cycling
+        if freeze.any():
+            two = cycling[freeze]
+            now, two_start = y[freeze], start[cycling]
+            frozen_rows.append(rows[freeze])
+            live = ~freeze
+            rows, y, start = rows[live], y[live], start[live]
             increments = [inc[live] for inc in increments]
-            if not rows.size:
-                break
+            if earlier:
+                earlier = (start, [inc[live] for inc in earlier[1]])
+            # the frozen rows' y and distances on cycles of this parity and
+            # of the other: a fixed row's own, a 2-cycle row's start's
+            d_now = _max_distance(sets, now)
+            then, d_then = now, d_now
+            if two.any():
+                then, d_then = now.copy(), d_now.copy()
+                then[two] = two_start
+                d_then[two] = _max_distance(sets, two_start)
+                frozen_move = np.linalg.norm(now[two] - two_start, axis=-1
+                                             ).max(initial=frozen_move)
+            frozen_ys[parity].append(now)
+            frozen_ys[1 - parity].append(then)
+            frozen_violation[parity] = d_now.max(
+                initial=frozen_violation[parity])
+            frozen_violation[1 - parity] = d_then.max(
+                initial=frozen_violation[1 - parity])
+        move = np.linalg.norm(y - start, axis=-1).max(initial=frozen_move)
+        if move <= tol:
+            violation = _max_distance(sets, y).max(
+                initial=frozen_violation[parity])
+            if violation <= 10 * tol:
+                return output(parity)
+        if not rows.size:
+            # every row is frozen: the move stays and the violation
+            # alternates, so only the next cycle can still stop
+            if (cycle < max_cycles and move <= tol
+                    and frozen_violation[1 - parity] <= 10 * tol):
+                return output(1 - parity)
+            break
+    violation = _max_distance(sets, y).max(
+        initial=frozen_violation[max_cycles % 2])
     raise NotConvergedError(
         f"Dykstra projection did not converge in {max_cycles} cycles "
         f"(last move {move:.3e}, violation {violation:.3e})")

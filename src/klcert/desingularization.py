@@ -74,6 +74,14 @@ def libm_pow(base, exponent):
     return np.asarray(np.power(base, exponent), dtype=float)
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent in Python floats, +inf where it overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def _piecewise(x, inside, inner, outer):
     """inner(x) where `inside` holds and outer(x) elsewhere, each branch
     called on its own entries only; a float for a float x."""
@@ -174,6 +182,10 @@ class PowerDesingularizer(Desingularizer):
             raise ValueError("exponent must be at least 1")
         if r0 <= 0:
             raise ValueError("r0 must be positive")
+        if not 0.0 < _power(float(scale), float(exponent)) < math.inf:
+            # psi' divides by scale ** exponent
+            raise ValueError(f"desingularizer scale ** exponent ({scale:g} ** "
+                             f"{exponent:g}) is beyond the range of a float")
         self.scale = float(scale)
         self.exponent = float(exponent)
         self.r0 = float(r0)
@@ -210,7 +222,13 @@ class PowerDesingularizer(Desingularizer):
         if p > 2.0:
             if not math.isfinite(cap):
                 return None
-            return p * (p - 1.0) * cap ** (p - 2.0) / self.scale ** p
+            ell = p * (p - 1.0) * _power(cap, p - 2.0) / self.scale ** p
+            if not math.isfinite(ell):
+                raise ValueError(
+                    f"desingularizer exponent {p:g} with scale "
+                    f"{self.scale:g} puts the Lipschitz constant of psi' on "
+                    f"[0, {cap:g}] beyond the range of a float")
+            return ell
         if p == 1.0:
             return 0.0  # psi' is constant, but psi'(0) != 0 still breaks (A)
         return None

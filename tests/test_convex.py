@@ -18,6 +18,7 @@ from klcert.convex import (
     NotConvergedError,
     SingletonSet,
     UnsupportedOracleError,
+    _same_row_bits,
     as_point,
     dykstra_projection,
     evaluate,
@@ -584,9 +585,11 @@ def test_dykstra_freeze_matches_whole_batch_bits(make):
 class _CountingSet:
     inner: Ball
     projections: int = 0
+    rows: int = 0
 
     def project(self, x):
         self.projections += 1
+        self.rows += x.shape[0]
         return self.inner.project(x)
 
     def distance(self, x):
@@ -607,3 +610,120 @@ def test_dykstra_raises_at_once_when_every_row_is_frozen():
     assert str(new.value) == str(old.value)
     assert "100 cycles (last move 0.000e+00" in str(new.value)
     assert counting.projections < 10
+
+
+def _settled_rows(sets, x, cycles):
+    """Cycle the whole batch `cycles` times (at least 3): the rows whose
+    (y, increments) equal, to the bit, those of one cycle before (fixed
+    points) and those of two cycles before but not one (2-cycles)."""
+    y = np.asarray(x, dtype=float).copy()
+    increments = [np.zeros_like(y) for _ in sets]
+    states = []
+    for _ in range(cycles):
+        for i, s in enumerate(sets):
+            target = y + increments[i]
+            y = s.project(target)
+            increments[i] = target - y
+        states.append(np.concatenate([y] + increments, axis=-1).view(np.int64))
+    fixed = np.all(states[-1] == states[-2], axis=-1)
+    return fixed, np.all(states[-1] == states[-3], axis=-1) & ~fixed
+
+
+def test_dykstra_drops_rows_on_a_2_cycle():
+    sets, pts, tol = _lens_batch()
+    expected, cycles = _reference_dykstra(sets, pts, tol)
+    counting = [_CountingSet(s) for s in sets]
+    got = dykstra_projection(counting, pts, tol, max_cycles=cycles)
+    assert _same_bits(got, expected)
+    # cycling the whole batch projects 232584 rows onto each ball
+    assert all(c.rows < 100000 for c in counting), [c.rows for c in counting]
+    # a cap on either parity raises the whole batch's message
+    for cap in (cycles - 1, cycles - 2):
+        with pytest.raises(NotConvergedError) as old:
+            _reference_dykstra(sets, pts, tol, max_cycles=cap)
+        with pytest.raises(NotConvergedError) as new:
+            dykstra_projection(sets, pts, tol, max_cycles=cap)
+        assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("cap", [100, 101])
+def test_dykstra_raises_at_once_when_every_row_is_fixed_or_on_a_2_cycle(cap):
+    sets, pts, _ = _lens_batch()
+    fixed, two = _settled_rows(sets, pts[:3000], 8)
+    assert fixed.any() and two.any()
+    pts = pts[:3000][fixed | two]
+    counting = [_CountingSet(s) for s in sets]
+    with pytest.raises(NotConvergedError) as new:
+        dykstra_projection(counting, pts, tol=0.0, max_cycles=cap)
+    with pytest.raises(NotConvergedError) as old:
+        _reference_dykstra(sets, pts, tol=0.0, max_cycles=cap)
+    assert str(new.value) == str(old.value)
+    assert f"{cap} cycles" in str(new.value)
+    assert all(c.projections <= 8 for c in counting)
+
+
+# 0.0 and -0.0, a quiet NaN and one with another payload, 1 and the
+# smallest subnormal: entries that compare equal as floats but not as
+# bits, or unequal as floats but equal as bits
+_BIT_POOL = np.array([0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001,
+                      0x3FF0000000000000, 1], dtype=np.uint64).view(float)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_same_row_bits_matches_a_row_reduction(n):
+    def reference(a, b):
+        return np.all(a.view(np.int64) == b.view(np.int64), axis=-1)
+
+    rng = np.random.default_rng(n)
+    a = _BIT_POOL[rng.integers(0, _BIT_POOL.size, size=(400, n))]
+    b = a.copy()
+    changed = rng.random(a.shape) < 0.1
+    b[changed] = _BIT_POOL[rng.integers(0, _BIT_POOL.size, changed.sum())]
+    same = _same_row_bits(a, b)
+    assert same.dtype == bool and np.array_equal(same, reference(a, b))
+    assert same.any() and not same.all()
+    assert _same_row_bits(a[:0], b[:0]).shape == (0,)
+    # rows that differ only in the sign of a zero, or a NaN's payload
+    for k in range(n):
+        for left, right in ((0, 1), (2, 3)):
+            x, y = a[:1].copy(), a[:1].copy()
+            x[0, k], y[0, k] = _BIT_POOL[left], _BIT_POOL[right]
+            assert not _same_row_bits(x, y)[0]
+            assert _same_row_bits(x, x.copy())[0]
+
+
+@dataclass
+class _MapSet:
+    """A stand-in member set: any row-wise map as its projection, and any
+    distance, so that a test can set up a cycle that no convex set gives."""
+    project: object
+    distance: object
+
+
+def test_dykstra_stops_on_the_cycle_after_every_row_froze():
+    # row 0 enters a 2-cycle between -g and g, and only the point -g is at
+    # distance 1; row 1 moves by 2 on cycle 2 and is fixed from then on.
+    # Every row is frozen on cycle 3, whose violation is 1, and the whole
+    # batch stops on cycle 4, when both moves are at most tol
+    g = 2.0 ** -42
+
+    def project_a(v):
+        return np.where(np.abs(v) < 1, 0.0, np.where(v == 96.0, 98.0, v))
+
+    def project_b(v):
+        near = np.where(v > 0, g, -g)
+        return np.where(np.abs(v) < 1, near, np.where(
+            v == 100.0, 96.0, np.where(v == 102.0, 98.0, v)))
+
+    sets = [_MapSet(project_a, lambda y: np.zeros(y.shape[0])),
+            _MapSet(project_b, lambda y: np.where(y[:, 0] == -g, 1.0, 0.0))]
+    pts = np.array([[0.5], [100.0]])
+    expected, cycles = _reference_dykstra(sets, pts)
+    assert cycles == 4 and _same_bits(expected, np.array([[g], [98.0]]))
+    assert _same_bits(dykstra_projection(sets, pts), expected)
+    with pytest.raises(NotConvergedError) as old:
+        _reference_dykstra(sets, pts, max_cycles=3)
+    with pytest.raises(NotConvergedError) as new:
+        dykstra_projection(sets, pts, max_cycles=3)
+    assert str(new.value) == str(old.value)
+    assert "violation 1.000e+00" in str(new.value)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_power_profile_validation():
         PowerDesingularizer(scale=1.0, exponent=0.5)
     with pytest.raises(ValueError):
         PowerDesingularizer(scale=1.0, exponent=2.0, r0=-1.0)
+
+
+@pytest.mark.parametrize("scale,exponent,r0,ell,message", [
+    # psi' divides by scale ** exponent, which overflows or underflows
+    (1.4675, 1e6, 4.0, None, "scale ** exponent"),
+    (1.4675, 1e6, 4.0, 1.0, "scale ** exponent"),
+    (0.5, 1e6, 4.0, None, "scale ** exponent"),
+    # scale ** exponent holds, but the default ell on [0, alpha0] does not
+    (0.5, 1000.0, 1e308, None, "Lipschitz constant of psi'"),
+])
+def test_power_profile_refuses_float_overflow(scale, exponent, r0, ell,
+                                              message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PowerDesingularizer(scale, exponent, r0=r0, ell=ell)
 
 
 # ---------------------------------------------------------------------------

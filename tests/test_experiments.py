@@ -274,8 +274,9 @@ RUN_ARRAYS = ("iterates", "raw_values", "step_norms", "witness_norms",
 # certificate.json records whose refusal names a key: an unknown key in
 # the desingularizer, its region and a globalized record's base, an unknown
 # region kind or desingularizer form, a region without one of its keys, a
-# region or desingularizer that is not an object, and a metric-ball center
-# shorter or longer than the instance's dimension
+# region or desingularizer that is not an object, a metric-ball center
+# shorter or longer than the instance's dimension, and an exponent whose
+# power of the scale overflows a float
 NAMED_MALFORMED = (
     [("certificate.json", "extra-" + where, "bogus")
      for where in ("desingularizer", "region", "base")]
@@ -286,6 +287,7 @@ NAMED_MALFORMED = (
     + [("certificate.json", "list", key)
        for key in ("region", "desingularizer")]
     + [("certificate.json", edit, "center") for edit in ("short", "long")]
+    + [("certificate.json", "overflow", "exponent")]
 )
 MALFORMED = (
     [("run.json", "drop", key) for key in RUN_FIELDS + LEGACY_FIELDS]
@@ -392,6 +394,9 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
         nested[key] = EDITS[edit.rsplit("-", 1)[0]](nested[key])
     elif edit == "extra-desingularizer":
         doc["desingularizer"]["bogus"] = 1
+    elif edit == "overflow":
+        # scale ** exponent is beyond the range of a float
+        doc["desingularizer"].update(exponent=1e6, r0=4.0, ell=None)
     elif edit == "unknown-form":
         doc["desingularizer"]["form"] = "spline"
     elif edit == "extra-base":
