@@ -14,9 +14,10 @@ form or region or set kind, a config or instance key that nothing reads
 (the sweep reads no rescaled constant or rate), a value of another type
 than its key or stored field takes (never converted), a stored or config
 number that is not finite, a feasibility set or certificate region of
-another dimension than its instance, iterates that are not the method's
-steps, a method the instance's family does not run, a step budget or cap
-below one, and a projection that does not converge.
+another dimension than its instance, run iterates that are not the strict
+base64 text of finite float64 points in the problem's dimension or not the
+method's steps, a method the instance's family does not run, a step budget
+or cap below one, and a projection that does not converge.
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call: a driver that calls `main` many

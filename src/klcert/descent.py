@@ -22,11 +22,15 @@ prox optimality inclusion, w_+ = (x - x_+)/lam - grad h(x) + grad h(x_+).
 A step of exactly zero means stationarity: the run stops there and is
 marked converged.  A run is stored as its iterates; all else is derived.
 It holds no method name and no step sizes: the config names the method,
-and the schedule gives the sizes.
+and the schedule gives the sizes.  run.json (schema 3) holds the iterates
+as the strict base64 text of their row-major little-endian float64 bytes,
+beside their dimension: the exact bits `certify` replays, read without
+parsing number text.  trace.csv is the readable per-step record.
 """
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from klcert.convex import Array, CompositeObjective, as_point, row_norms
-from klcert.tracefmt import require, write_json
+from klcert.tracefmt import require, require_type, write_json
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,9 @@ def certificate_params(schedule: StepSchedule, lipschitz: float) -> DescentCerti
 
 
 # every key of a run.json record, and the only keys it may hold
-RUN_FIELDS = ("schema_version", "iterates")
+RUN_FIELDS = ("schema_version", "dimension", "iterates")
+# the stored iterates' bytes: float64, little-endian on every host
+ITERATE_DTYPE = "<f8"
 
 
 @dataclass
@@ -178,7 +184,9 @@ class DescentRun:
         )
 
     def to_metadata_dict(self) -> dict:
-        return {"schema_version": 2, "iterates": self.iterates.tolist()}
+        raw = self.iterates.astype(ITERATE_DTYPE, copy=False).tobytes()
+        return {"schema_version": 3, "dimension": self.iterates.shape[1],
+                "iterates": base64.b64encode(raw).decode("ascii")}
 
     def to_metadata_json(self, path) -> None:
         write_json(path, self.to_metadata_dict())
@@ -192,14 +200,30 @@ class DescentRun:
         bit for bit, they begin at the start, each is the method's nonzero
         step from the one before, and a run shorter than its budget stops
         where the loop would."""
-        require(data, RUN_FIELDS, "run", version=2, exact=True)
-        # numpy reads no string, null or all-bool array as numbers
-        X = np.asarray(data["iterates"])
-        if (X.dtype.kind not in "iuf" or X.ndim != 2
-                or not np.isfinite(X).all()):
-            raise ValueError("run iterates must be a list of finite points")
-        X, num_steps = X.astype(float, copy=False), len(X) - 1
-        if not (0 <= num_steps <= steps and np.array_equal(
+        require(data, RUN_FIELDS, "run", version=3, exact=True)
+        dimension, text = data["dimension"], data["iterates"]
+        require_type(dimension, int, "run dimension")
+        if dimension != composite.dimension:
+            raise ValueError(f"run dimension is {dimension}, not the "
+                             f"problem's {composite.dimension}")
+        require_type(text, str, "run iterates")
+        # validate=True refuses characters outside the alphabet, and the
+        # re-encoding the rest: surplus padding, and stray bits in the last
+        # digit, so one text alone stands for the bytes
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:  # binascii.Error, or a character beyond ASCII
+            raw = b""
+        if not raw or len(raw) % (8 * dimension) or (
+                base64.b64encode(raw).decode("ascii") != text):
+            raise ValueError("run iterates must be the base64 text of one or "
+                             f"more float64 points in dimension {dimension}")
+        X = np.frombuffer(raw, ITERATE_DTYPE).reshape(-1, dimension)
+        if not np.isfinite(X).all():
+            raise ValueError("run iterates must be finite")
+        # frombuffer's view is read-only: the run keeps a native copy
+        X, num_steps = X.astype(float), len(X) - 1
+        if not (num_steps <= steps and np.array_equal(
                 X[0], as_point(x0, composite.dimension))):
             raise ValueError("run iterates must begin at the start and take "
                              f"at most {steps} steps")

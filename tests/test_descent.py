@@ -1,5 +1,6 @@
 """Descent runs and their recorded step inequalities."""
 
+import base64
 import json
 import math
 
@@ -126,7 +127,8 @@ def _per_step_record(composite, x0, schedule, steps):
     x = np.asarray(x0, dtype=float)
     grad = composite.smooth.gradient_fn
     gx = grad(x)
-    record = {"iterates": [x.tolist()], "raw_values": [composite.value(x)],
+    rows = [x]
+    record = {"raw_values": [composite.value(x)],
               "step_norms": [], "witness_norms": [], "converged": False}
     for k in range(steps):
         lam = schedule.step(k)
@@ -136,17 +138,21 @@ def _per_step_record(composite, x0, schedule, steps):
             record["converged"] = True
             break
         gxn = grad(xn)
-        record["iterates"].append(xn.tolist())
+        rows.append(xn)
         record["raw_values"].append(composite.value(xn))
         record["step_norms"].append(move)
         record["witness_norms"].append(
             float(np.linalg.norm((x - xn) / lam - gx + gxn)))
         x, gx = xn, gxn
+    # run.json's iterates: base64 of the rows' little-endian float64 bytes,
+    # so records compare bit for bit (-0.0 is not 0.0)
+    record["iterates"] = base64.b64encode(
+        np.array(rows, dtype="<f8").tobytes()).decode("ascii")
     return record
 
 
 def _run_record(run):
-    return {"iterates": run.iterates.tolist(),
+    return {"iterates": run.to_metadata_dict()["iterates"],
             "raw_values": run.raw_values.tolist(),
             "step_norms": run.step_norms.tolist(),
             "witness_norms": run.witness_norms.tolist(),
@@ -255,8 +261,10 @@ def test_metadata_round_trip_is_exact(rng, tmp_path):
                   StepSchedule(lambda_min=lo, lambda_max=hi,
                                fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
         run = forward_backward(comp, x0, sched, steps=25, min_value=0.0)
-        assert sorted(run.to_metadata_dict()) == sorted(RUN_FIELDS)
-        blob = json.dumps(run.to_metadata_dict(), sort_keys=True)
+        doc = run.to_metadata_dict()
+        assert sorted(doc) == sorted(RUN_FIELDS)
+        assert (doc["schema_version"], doc["dimension"]) == (3, 2)
+        blob = json.dumps(doc, sort_keys=True)
         back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0,
                                              sched, 25, min_value=0.0)
         _assert_same_run(back, run)
@@ -267,6 +275,64 @@ def test_metadata_round_trip_is_exact(rng, tmp_path):
                                               comp, x0, sched, 25,
                                               min_value=0.0)
         _assert_same_run(again, run)
+
+
+def _int64_view(X):
+    return np.asarray(X, dtype=float).view(np.int64)
+
+
+def test_metadata_round_trip_keeps_negative_zero_and_subnormals():
+    # the start holds a subnormal, and shrinkage sends it to -0.0: both
+    # come back with their bits, and the replay matches them bit for bit
+    comp = CompositeObjective(smooth=least_squares(np.eye(2), np.zeros(2)),
+                              nonsmooth=scaled_l1(2, 0.1))
+    x0, sched = np.array([0.5, -1e-310]), StepSchedule.constant(0.5)
+    run = forward_backward(comp, x0, sched, steps=40)
+    X = run.iterates
+    assert np.any((X == 0.0) & np.signbit(X))
+    assert np.any((X != 0.0) & (np.abs(X) < np.finfo(float).tiny))
+    blob = json.dumps(run.to_metadata_dict())
+    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, sched,
+                                         40)
+    np.testing.assert_array_equal(_int64_view(back.iterates), _int64_view(X))
+    _assert_same_run(back, run)
+
+
+def test_metadata_iterates_are_little_endian_float64():
+    # pinned bytes: 1.0, -0.0, the least subnormal and -2.5, row by row,
+    # each as 8 little-endian bytes, whatever the host's byte order
+    X = np.array([[1.0, -0.0], [5e-324, -2.5]])
+    text = "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAABMA="
+    run = DescentRun(params=certificate_params(StepSchedule.constant(1.0),
+                                               1.0),
+                     iterates=X, raw_values=np.zeros(2),
+                     step_norms=np.zeros(1), witness_norms=np.zeros(1))
+    assert run.to_metadata_dict() == {"schema_version": 3, "dimension": 2,
+                                      "iterates": text}
+    # README's one-line decode
+    back = np.frombuffer(base64.b64decode(text), "<f8").reshape(-1, 2)
+    np.testing.assert_array_equal(_int64_view(back), _int64_view(X))
+
+
+def test_metadata_refuses_iterates_text_with_stray_padding_bits():
+    # two points in dimension 1 are 16 bytes, whose text ends in "==": its
+    # last digit's low bit is padding, so setting it gives a text that
+    # decodes to the same bytes, which only the exact text may encode
+    comp, x0 = _half_square(), np.array([1.0])
+    sched = StepSchedule.constant(0.5)
+    run = forward_backward(comp, x0, sched, steps=1)
+    doc = run.to_metadata_dict()
+    text = doc["iterates"]
+    assert text.endswith("==")
+    alphabet = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                "0123456789+/")
+    last = alphabet[alphabet.index(text[-3]) ^ 1]
+    stray = text[:-3] + last + "=="
+    assert base64.b64decode(stray, validate=True) == base64.b64decode(text)
+    DescentRun.from_metadata_dict(doc, comp, x0, sched, 1)
+    with pytest.raises(ValueError, match="base64"):
+        DescentRun.from_metadata_dict(dict(doc, iterates=stray), comp, x0,
+                                      sched, 1)
 
 
 def test_infinite_start_value_survives_round_trip():

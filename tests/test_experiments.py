@@ -1,5 +1,6 @@
 """End-to-end pipelines, artifacts, presets, sweep, and the command line."""
 
+import base64
 import copy
 import csv
 import hashlib
@@ -17,6 +18,7 @@ import klcert.experiments
 from klcert.cli import main
 from klcert.descent import (
     RUN_FIELDS,
+    DescentRun,
     StepSchedule,
     certificate_params,
     forward_backward,
@@ -51,6 +53,16 @@ GOOD_PRESETS = ("tiny-lasso", "feasibility", "uniformly-convex",
 
 def _failed_names(report):
     return sorted(c.name for c in report.checks if c.status == "fail")
+
+
+def _stored_iterates(doc: dict) -> np.ndarray:
+    """A run.json record's iterates, decoded as README shows."""
+    raw = base64.b64decode(doc["iterates"], validate=True)
+    return np.frombuffer(raw, "<f8").reshape(-1, doc["dimension"])
+
+
+def _encoded(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _read_trace(path):
@@ -164,6 +176,44 @@ def test_artifacts_are_complete_and_byte_stable(tmp_path, name):
         assert _hash_dir(d1) == _hash_dir(d2)
 
 
+def _int64_view(X):
+    return np.asarray(X, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_json_holds_the_iterates_bit_for_bit(tmp_path, name):
+    for cfg in preset_configs(name):
+        run = run_experiment(cfg, out_dir=str(tmp_path / cfg.name)).run
+        doc = json.loads((tmp_path / cfg.name / "run.json").read_text())
+        assert sorted(doc) == sorted(RUN_FIELDS)
+        assert (doc["schema_version"], doc["dimension"]) == (
+            3, run.iterates.shape[1])
+        np.testing.assert_array_equal(_int64_view(_stored_iterates(doc)),
+                                      _int64_view(run.iterates))
+
+
+def test_long_run_json_is_bit_exact_and_compact(tmp_path):
+    # a 5000-step run in dimension 3, as long-trajectory in perfbench runs
+    cfg = ExperimentConfig(
+        name="long", instance={"family": "uniformly-convex", "n": 3,
+                               "seed": 5},
+        method={"name": "gradient", "relative_step": 0.005, "steps": 5000},
+        checks={"samples": 50, "seed": 7})
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    run, bundle, path = result.run, result.bundle, tmp_path / "run.json"
+    assert run.iterates.shape == (5001, 3)
+    doc = json.loads(path.read_text())
+    np.testing.assert_array_equal(_int64_view(_stored_iterates(doc)),
+                                  _int64_view(run.iterates))
+    back = DescentRun.from_metadata_dict(doc, bundle.composite, bundle.start,
+                                         bundle.schedule, 5000)
+    np.testing.assert_array_equal(_int64_view(back.iterates),
+                                  _int64_view(run.iterates))
+    # base64 takes 4/3 byte per byte of float64, and the keys about 60
+    # bytes; number text needs about 20 bytes per coordinate, not 32/3
+    assert path.stat().st_size < 8 * 3 * 5001 * 4 / 3 + 200
+
+
 def test_trace_csv_format(tmp_path):
     cfg = preset_configs("tiny-lasso")[0]
     run_experiment(cfg, out_dir=str(tmp_path))
@@ -261,7 +311,7 @@ def stored_artifacts(tmp_path_factory):
 
 
 # the fields run.json held at schema 1, all derived from the iterates;
-# their cases write them beside the iterates of a schema-2 record, and
+# their cases write them beside the iterates of a schema-3 record, and
 # certify refuses them as unknown keys instead of leaving stale values
 # unchecked beside the recomputed run
 LEGACY_FIELDS = ("method", "a", "b", "min_value", "converged", "num_steps",
@@ -289,10 +339,27 @@ NAMED_MALFORMED = (
     + [("certificate.json", edit, "center") for edit in ("short", "long")]
     + [("certificate.json", "overflow", "exponent")]
 )
+# run.json records whose refusal names a key: a missing or an extra key,
+# a dimension that is not an int (a string, a null, a bool or 3.0) or not
+# the problem's, and iterates that are not one string of strict base64 of
+# one or more float64 points: null, a list (schema 2's form under schema
+# 3), empty text, text and bytes that ITERATE_TEXT_EDITS break
+RUN_NAMED_MALFORMED = (
+    [("run.json", "drop", key) for key in ("dimension", "iterates")]
+    + [("run.json", "extra", "bogus")]
+    + [("run.json", edit, "dimension")
+       for edit in ("string", "null", "bool", "float", "plus-one",
+                    "minus-one")]
+    + [("run.json", edit, "iterates")
+       for edit in ("null", "as-list", "empty", "byte-short", "byte-long",
+                    "short-row", "pad-extra", "pad-inside", "whitespace",
+                    "non-ascii")]
+)
 MALFORMED = (
-    [("run.json", "drop", key) for key in RUN_FIELDS + LEGACY_FIELDS]
+    [("run.json", "drop", key) for key in ("schema_version",) + LEGACY_FIELDS]
     + [("run.json", "truncate", key) for key in RUN_ARRAYS]
-    + [("run.json", "version", "schema_version")]
+    + [("run.json", "version", "schema_version"),
+       ("run.json", "schema-2", "schema_version")]
     + [("certificate.json", "drop", key)
        for key in CERTIFICATE_FIELDS + LEGACY_CERTIFICATE_FIELDS]
     + [("certificate.json", "version", "schema_version"),
@@ -304,17 +371,19 @@ MALFORMED = (
     + [("run.json", "inf", key)
        for key in ("iterates", "step_norms", "witness_norms", "step_sizes",
                    "a", "b", "min_value")]
-    + [("run.json", "-inf", "raw_values"), ("run.json", "all-nan", "raw_values")]
+    + [("run.json", "-inf", key) for key in ("raw_values", "iterates")]
+    + [("run.json", "all-nan", "raw_values")]
     + [("run.json", "string", key)
        for key in ("converged", "num_steps", "a", "b", "min_value")]
     + [("run.json", "bool", key)
        for key in ("num_steps", "a", "b", "min_value")]
     + [("run.json", "number", key) for key in ("method", "converged")]
     + [("run.json", "fraction", "num_steps")]
-    # numpy reads an array holding a string or a null with neither an int
-    # nor a float dtype
+    # the stored arrays as a string or a null: for the iterates, the
+    # list form's JSON text, which is not base64, and null (named)
     + [("run.json", edit, key) for edit in ("string", "null")
-       for key in RUN_ARRAYS if (edit, key) != ("null", "raw_values")]
+       for key in RUN_ARRAYS
+       if (edit, key) not in (("null", "raw_values"), ("null", "iterates"))]
     + [("certificate.json", "number", "certificate_id")]
     + [("certificate.json", edit + "-nested", key)
        for edit in ("string", "bool", "nan", "inf")
@@ -323,6 +392,7 @@ MALFORMED = (
     + [("certificate.json", edit + "-region", key)
        for edit in ("string", "nan") for key in ("radius", "center")]
     + NAMED_MALFORMED
+    + RUN_NAMED_MALFORMED
     # iterates that are not the method's steps: one bit off at the start,
     # in the middle or at the end, two steps swapped, the last one stored
     # twice (truncate drops it from this converged run)
@@ -341,7 +411,26 @@ MALFORMED = (
 EDITS = {"nan": lambda v: math.nan, "inf": lambda v: math.inf,
          "-inf": lambda v: -math.inf, "string": str, "bool": lambda v: True,
          "number": lambda v: 5, "fraction": lambda v: v + 0.7,
-         "null": lambda v: None}
+         "null": lambda v: None, "float": float,
+         "plus-one": lambda v: v + 1, "minus-one": lambda v: v - 1}
+# each edit of run.json's iterates text that makes it other than the one
+# strict base64 text of whole float64 points: no bytes, a byte short or
+# long, one coordinate short of a point, padding where the bytes need
+# none, padding inside the text, MIME line breaks and a non-ASCII digit
+ITERATE_TEXT_EDITS = {
+    "empty": lambda text: "",
+    "byte-short": lambda text: _encoded(base64.b64decode(text)[:-1]),
+    "byte-long": lambda text: _encoded(base64.b64decode(text) + b"\0"),
+    "short-row": lambda text: _encoded(base64.b64decode(text)[:-8]),
+    "pad-extra": lambda text: text + "==",
+    "pad-inside": lambda text: text[:4] + "=" + text[4:],
+    "whitespace": lambda text: base64.encodebytes(
+        base64.b64decode(text)).decode("ascii"),
+    "non-ascii": lambda text: text[:-1] + "\u00e9",
+}
+# edits of the decoded iterates, re-encoded after the edit
+ITERATE_ROW_EDITS = ("truncate", "nan", "inf", "-inf", "flip-first",
+                     "flip-middle", "flip-last", "swap", "repeat-last")
 
 
 def _flip_last_bit(v: float) -> float:
@@ -359,6 +448,10 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
     doc = docs[artifact]
     if artifact == "run.json" and (key in LEGACY_FIELDS or edit == "legacy"):
         doc.update(legacy)
+    rows_edited = artifact == "run.json" and key == "iterates" and (
+        edit in ITERATE_ROW_EDITS)
+    if rows_edited:
+        doc[key] = _stored_iterates(doc).tolist()
     if artifact == "certificate.json" and (
             key in LEGACY_CERTIFICATE_FIELDS or edit == "schema-1"):
         # a schema-1 record, or a schema-2 one with all stale fields but key
@@ -383,6 +476,18 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
         doc[key].append(doc[key][-1])
     elif edit == "schema-1":
         doc[key] = 1
+    elif edit == "schema-2":
+        # the list form run.json held at schema 2
+        docs[artifact] = {"schema_version": 2,
+                          "iterates": _stored_iterates(doc).tolist()}
+    elif edit == "as-list":
+        doc[key] = _stored_iterates(doc).tolist()
+    elif edit == "extra":
+        doc[key] = 1
+    elif edit in ITERATE_TEXT_EDITS:
+        doc[key] = ITERATE_TEXT_EDITS[edit](doc[key])
+    elif (edit, key) == ("string", "iterates"):
+        doc[key] = json.dumps(_stored_iterates(doc).tolist())
     elif edit == "stale":
         doc[key] = 2.0
     elif edit == "relative_step":
@@ -437,12 +542,15 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
         doc[key] = EDITS[edit](doc[key])
     elif edit == "version":
         doc[key] += 1
+    if rows_edited:
+        doc[key] = _encoded(np.array(doc[key], dtype="<f8").tobytes())
     for name, content in docs.items():
         (tmp_path / name).write_text(json.dumps(content))
     code = main(["certify", "--run", str(tmp_path / "run.json"),
                  "--certificate", str(tmp_path / "certificate.json")])
     assert code == 2
-    named = key if (artifact, edit, key) in NAMED_MALFORMED else ""
+    named = key if (artifact, edit, key) in (
+        NAMED_MALFORMED + RUN_NAMED_MALFORMED) else ""
     _one_error_line(capsys.readouterr().err, named)
 
 
@@ -907,7 +1015,7 @@ def test_run_without_steps_after_a_step_override(tmp_path):
     def stored(out):
         return (tmp_path / out / "uniformly-convex" / "run.json").read_bytes()
 
-    assert len(json.loads(stored("capped"))["iterates"]) == 4
+    assert len(_stored_iterates(json.loads(stored("capped")))) == 4
     assert stored("own") == (tmp_path / "direct" / "run.json").read_bytes()
 
 
