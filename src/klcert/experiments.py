@@ -447,18 +447,18 @@ def trace_columns(run: DescentRun, maj: MajorantSequence,
     values), one row per iterate."""
     columns = {
         "k": (0, range(len(run.raw_values))),
-        "value_bound": (0, maj.psi_values.tolist()),
-        "step_norm": (1, run.step_norms.tolist()),
-        "witness_norm": (1, run.witness_norms.tolist()),
-        "distance_bound": (1, maj.distance_bounds.tolist()),
+        "value_bound": (0, maj.psi_values),
+        "step_norm": (1, run.step_norms),
+        "witness_norm": (1, run.witness_norms),
+        "distance_bound": (1, maj.distance_bounds),
     }
     if run.min_value is not None:
-        # no gap at an infinite value (a start outside the domain)
-        columns["value_gap"] = (0, np.where(np.isinf(run.raw_values), None,
-                                            run.gaps).tolist())
+        # no gap at an infinite value: only the start's can be (a start
+        # outside the domain)
+        first = int(math.isinf(run.raw_values[0]))
+        columns["value_gap"] = (first, run.gaps[first:])
     if xstar is not None:
-        columns["distance_to_xstar"] = (
-            0, row_norms(run.iterates - xstar).tolist())
+        columns["distance_to_xstar"] = (0, row_norms(run.iterates - xstar))
     return columns
 
 

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +17,20 @@ from hypothesis import strategies as st
 
 import klcert.cli
 from klcert import descent, experiments, problems, tracefmt, verification
-from klcert.convex import row_norms
+from klcert.convex import (
+    Ball,
+    CompositeObjective,
+    half_squared_distance,
+    indicator,
+    row_norms,
+)
+from klcert.descent import StepSchedule, forward_backward
 from klcert.experiments import (
     PRESET_NAMES,
     SWEEP_COLUMNS,
     preset_configs,
     run_experiment,
+    trace_columns,
     write_sweep,
 )
 from klcert.tracefmt import TRACE_COLUMNS, write_json, write_table
@@ -157,39 +167,87 @@ def test_json_is_sorted_ascii_with_trailing_newline(tmp_path):
         b'{\n  "a": "x",\n  "b": [\n    1.0,\n    null\n  ]\n}\n')
 
 
+# float columns this long take the vectorized kernel: lengths on either side
+# of the crossover, and that of a 5000-step trace
+CROSSOVER = tracefmt._KERNEL_MIN_CELLS
+LONG = (CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 5001)
+
+
 def test_writer_matches_row_dict_reference_on_edge_cells(tmp_path):
     cells = [None, math.inf, -math.inf, 0, 7, -3, 2 ** 53 + 1, 0.0, -0.0,
              5e-324, 1e16, 0.1, 1.0 / 3.0, -2.5e-300, math.nan, True,
              np.float64(0.2), np.int64(2 ** 53 + 1)]
-    count = len(cells)
+    floats = [v for v in cells if type(v) is float]
     special = [-math.inf, math.nan, -0.0, math.inf, 5e-324]
-    plain = [i / 7.0 for i in range(count)]
-    columns = [
-        # every cell in every column, next to every other kind of cell
-        *([cells[(i + j) % count] for i in range(count)] for j in range(4)),
-        # all-float columns, formatted without a per-cell type check
-        [special[i % len(special)] for i in range(count)],
-        plain,
-        # one odd cell in an otherwise all-float column, first or last
-        [2 ** 53 + 1] + plain[1:],
-        plain[:-1] + [2 ** 53 + 1],
-        [None] + plain[1:],
-        plain[:-1] + [None],
-    ]
-    names = tuple(f"c{j}" for j in range(len(columns)))
-    for first, last in ((0, count), (0, 1), (count - 1, count), (0, 0),
-                        (3, count)):
-        # rows first..last-1 of every column, starting at row first
-        table = {name: (first, column[first:last])
-                 for name, column in zip(names, columns)}
-        write_table(tmp_path / "new.csv", names, range(last), table)
-        _reference_write_table(tmp_path / "ref.csv", names,
-                               _column_rows(last, table))
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "ref.csv").read_bytes())
+    for count in (len(cells), *LONG):
+        plain = [i / 7.0 for i in range(count)]
+        # every float edge cell inside an otherwise plain float column
+        spread = list(plain)
+        for i, v in enumerate(floats):
+            spread[(2 * i + 1) * count // (2 * len(floats))] = v
+        floating = [[special[i % len(special)] for i in range(count)], plain,
+                    spread]
+        columns = [
+            # every cell in every column, next to every other kind of cell
+            *([cells[(i + j) % len(cells)] for i in range(count)]
+              for j in range(4)),
+            # all-float columns, formatted without a per-cell type check,
+            # as lists and as the arrays trace_columns gives
+            *floating,
+            *map(np.array, floating),
+            # one odd cell in an otherwise all-float column, first or last
+            [2 ** 53 + 1] + plain[1:],
+            plain[:-1] + [2 ** 53 + 1],
+            [None] + plain[1:],
+            plain[:-1] + [None],
+        ]
+        names = tuple(f"c{j}" for j in range(len(columns)))
+        for first, last in ((0, count), (0, 1), (count - 1, count), (0, 0),
+                            (3, count)):
+            # rows first..last-1 of every column, starting at row first
+            table = {name: (first, column[first:last])
+                     for name, column in zip(names, columns)}
+            write_table(tmp_path / "new.csv", names, range(last), table)
+            _reference_write_table(tmp_path / "ref.csv", names,
+                                   _column_rows(last, table))
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes()), (count, first)
 
 
-# float cells the printf-style call formats: subnormals, -0.0, nan, +-inf
+def test_float_kernel_matches_printf():
+    """The kernel writes '%.17g' % v ("inf" for either infinity) for 2^20
+    random bit patterns of random sign, 64 at each of the 2048 exponents
+    and the rest at exponents in the kernel's range [1e-240, 1e240]; for
+    the double nearest every 10^k and its neighbours up to 2 ulps away, of
+    both signs; for exact ties of the 17th digit; and for zeros,
+    subnormals, the largest doubles, infinities and nan."""
+    rng = np.random.default_rng(20261019)
+    count, every = 1 << 20, 64 * 2048
+    # biased exponents 226..1820 are 2^-797..2^797, inside [1e-240, 1e240]
+    exponents = np.concatenate([np.arange(every) % 2048, rng.integers(
+        226, 1821, count - every)]).astype(np.uint64)
+    bits = (rng.integers(0, 1 << 52, count, dtype=np.uint64)
+            | exponents << np.uint64(52)
+            | rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63))
+    # the double nearest 10^k, by an int division, which rounds correctly
+    powers = np.array([float(10 ** k) for k in range(309)]
+                      + [1 / 10 ** k for k in range(1, 324)])
+    near = np.add.outer(powers.view(np.int64), np.arange(-2, 3))
+    near = near[near > 0].view(np.float64)
+    # m / 2^18 has 18 digits after the point, the last a 5
+    ties = np.arange(100001, 160001, 2) / 2.0 ** 18
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 1e308,
+             sys.float_info.max, math.inf, math.nan]
+    values = np.concatenate([bits.view(np.float64), near, -near, ties,
+                             -ties, edges, np.negative(edges)])
+    # one %-format call for all cells, then "inf" for -inf
+    expected = ("%.17g\n" * len(values) % tuple(values.tolist())).split()
+    expected = ["inf" if cell == "-inf" else cell for cell in expected]
+    assert tracefmt._format_floats(values) == expected
+
+
+# float cells that printf and the kernel format: subnormals, -0.0, nan,
+# +-inf
 FLOAT_CELLS = st.one_of(
     st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-310, math.nan,
                                   math.inf, -math.inf]))
@@ -199,8 +257,24 @@ COLUMN = st.tuples(st.integers(0, 3), st.one_of(
     st.lists(CELLS, max_size=6)))
 
 
+def _long_column(length, cells, as_array):
+    """length floats of either sign spread in log over [1e-300, 1e300],
+    with cells inside, as a list or an array."""
+    column = np.geomspace(1e-300, 1e300, length)
+    column[::3] *= -1
+    for i, v in enumerate(cells):
+        column[(2 * i + 1) * length // (2 * len(cells))] = v
+    return column if as_array else column.tolist()
+
+
+LONG_COLUMN = st.builds(
+    lambda first, *made: (first, _long_column(*made)), st.integers(0, 3),
+    st.sampled_from(LONG), st.lists(FLOAT_CELLS, max_size=6), st.booleans())
+
+
 # two columns at least: csv.writer quotes a row that is one empty cell
-@given(st.integers(0, 6), st.lists(COLUMN, min_size=2, max_size=4))
+@given(st.one_of(st.integers(0, 6), st.sampled_from((CROSSOVER + 4, 5004))),
+       st.lists(st.one_of(COLUMN, LONG_COLUMN), min_size=2, max_size=4))
 @settings(max_examples=200, derandomize=True)
 def test_table_matches_row_dict_reference(tmp_path_factory, count, columns):
     base = tmp_path_factory.getbasetemp()
@@ -363,6 +437,33 @@ def test_preset_tables_match_row_dict_reference(config, tmp_path):
         _reference_write_table(tmp_path / name, TRACE_COLUMNS, rows)
         assert ((tmp_path / "out" / name).read_bytes()
                 == (tmp_path / name).read_bytes()), name
+
+
+def test_trace_of_a_start_outside_the_domain_leaves_its_gap_empty(tmp_path):
+    # alternating projections between tangent balls, started outside C_1:
+    # f(x_0) = +inf, then a slow approach to the touching point, so the
+    # float columns take the kernel
+    c1 = Ball(np.array([-1.0, 0.0]), 1.0)
+    c2 = Ball(np.array([1.0, 0.0]), 1.0)
+    comp = CompositeObjective(smooth=half_squared_distance(c2, 2),
+                              nonsmooth=indicator(c1, 2))
+    run = forward_backward(comp, np.array([-3.0, 1.0]),
+                           StepSchedule.constant(1.0), CROSSOVER,
+                           min_value=0.0)
+    assert math.isinf(run.raw_values[0]) and run.num_steps == CROSSOVER
+    maj = SimpleNamespace(psi_values=1.0 / np.arange(1, CROSSOVER + 2),
+                          distance_bounds=np.sqrt(np.arange(1, CROSSOVER + 1)))
+    xstar = np.zeros(2)
+    columns = trace_columns(run, maj, xstar)
+    assert columns["value_gap"][0] == 1
+    write_table(tmp_path / "trace.csv", TRACE_COLUMNS,
+                range(CROSSOVER + 1), columns)
+    _reference_write_table(tmp_path / "ref.csv", TRACE_COLUMNS,
+                           _reference_trace_rows(run, maj, xstar))
+    assert ((tmp_path / "trace.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+    assert (tmp_path / "trace.csv").read_bytes().split(b"\r\n")[1] == (
+        b"0,,1,,,3.1622776601683795,")
 
 
 def test_default_sweep_matches_row_dict_reference(tmp_path, monkeypatch):
