@@ -266,7 +266,8 @@ def lasso_gamma(inst: LassoInstance, nu: float) -> LassoConstants:
     if nu <= 0:
         raise ValueError("nu must be positive")
     R = inst.radius_bound()
-    norm_A = float(np.linalg.norm(inst.A, 2))
+    # the cached composite has taken ||A||: its L is ||A||^2
+    norm_A = math.sqrt(inst.composite.lipschitz)
     norm_y = float(np.linalg.norm(inst.y))
     G = R * norm_A + norm_y
     gamma = 1.0 / (4.0 * nu ** 2 * (1.0 + inst.mu * R + G * (4.0 * R * norm_A + norm_y)))

@@ -318,6 +318,11 @@ class ExperimentConfig:
             raise ValueError("unsupported config schema version")
         if not isinstance(self.name, str):
             raise ValueError("config name must be a string")
+        # the name is a directory under --out, never a path out of it
+        if self.name in (".", "..") or any(
+                sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            raise ValueError(f"config name {self.name!r} is not a plain "
+                             "directory name")
         for block in ("instance",) + tuple(SETTINGS):
             if not isinstance(getattr(self, block), dict):
                 raise ValueError(f"config {block} must be an object")

@@ -4,19 +4,11 @@ and the one JSON record reader and writer.
 Every artifact goes through `_atomic_write`: it creates the target's
 directory when missing, and the bytes land in a temporary file next to the
 target and are renamed over it, so a partial file never appears under the
-target name.  JSON is ASCII with sorted keys and a two-space indent,
-byte-equal to `json.dumps(payload, sort_keys=True, indent=2)` plus a
-newline, and refusing what that call refuses with the same exception.
-That call runs Python's pure-Python encoder, since the C encoder takes no
-indent, so the writer builds the layout itself: dicts, and lists that hold
-anything but numbers, are walked in Python with
-`json.dumps` on keys and leaves, while a list of numbers (null, true and
-false included) or a list of non-empty such lists is encoded by the C
-encoder in one call and indented by replacing its separators, ", " and
-"], [", which no number token contains.  A record is read back with
-`read_json` and checked with `require`, `require_type` and
-`require_number`, so a malformed one raises ValueError instead of being
-patched with defaults or converted.  A record whose keys a table gives,
+target name.  JSON is `json.dumps(payload, sort_keys=True, indent=2)`
+plus a newline: ASCII with sorted keys and a two-space indent.  A record
+is read back with `read_json` and checked with `require`, `require_type`
+and `require_number`, so a malformed one raises ValueError instead of
+being patched with defaults or converted.  A record whose keys a table gives,
 instance.json's payload and certificate.json's desingularizer, is read by
 `read_value` with exactly its keys at every level and written by
 `write_value`.
@@ -87,70 +79,8 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: a number, bool or None key as
-    its token in quotes; any other kind is refused as json.dumps does."""
-    if isinstance(key, str):
-        return json.dumps(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + json.dumps(key) + '"'
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _number_list(value: list, pad: str) -> str | None:
-    """value in the indented layout from one C-encoder call, or None
-    unless value is a list of numbers or a list of non-empty such lists
-    (value is non-empty)."""
-    try:
-        flat = json.dumps(value)
-    except (TypeError, ValueError):
-        return None  # _json_value raises what json.dumps raises
-    if '"' in flat or "{" in flat:
-        return None
-    inner = pad + "  "
-    brackets = flat.count("[")
-    if brackets == 1:
-        return ("[" + inner + flat[1:-1].replace(", ", "," + inner)
-                + pad + "]")
-    if brackets != len(value) + 1 or not all(
-            isinstance(row, (list, tuple)) and row for row in value):
-        return None
-    deeper = inner + "  "
-    rows = (flat[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
-            .replace(", ", "," + deeper))
-    return "[" + inner + "[" + deeper + rows + inner + "]" + pad + "]"
-
-
-def _json_value(value, pad: str, open_ids: set) -> str:
-    """value as json.dumps(sort_keys=True, indent=2) writes it on a line
-    indented by pad; open_ids holds the containers being written, so a
-    circular one is refused as json.dumps refuses it."""
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))):
-        return json.dumps(value)
-    if not value:
-        return "{}" if is_dict else "[]"
-    if not is_dict:
-        encoded = _number_list(value, pad)
-        if encoded is not None:
-            return encoded
-    if id(value) in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(id(value))
-    inner = pad + "  "
-    if is_dict:
-        items = [f"{_json_key(k)}: {_json_value(v, inner, open_ids)}"
-                 for k, v in sorted(value.items())]
-    else:
-        items = [_json_value(v, inner, open_ids) for v in value]
-    open_ids.remove(id(value))
-    opening, closing = "{}" if is_dict else "[]"
-    return opening + inner + ("," + inner).join(items) + pad + closing
-
-
 def write_json(path, payload: dict) -> None:
-    _atomic_write(path, _json_value(payload, "\n", set()) + "\n")
+    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path) -> dict:

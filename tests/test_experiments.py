@@ -174,6 +174,18 @@ def test_artifacts_are_complete_and_byte_stable(tmp_path, name):
         run_experiment(cfg, out_dir=str(d2))
         assert sorted(os.listdir(d1)) == sorted(ARTIFACTS)
         assert _hash_dir(d1) == _hash_dir(d2)
+        # the five JSON artifacts and certify's report are each in
+        # write_json's layout
+        certified = tmp_path / cfg.name / "certify" / "report.json"
+        assert main(["certify", "--run", str(d1 / "run.json"),
+                     "--certificate", str(d1 / "certificate.json"),
+                     "--out", str(certified)]) in (0, 1)
+        written = [*sorted(d1.glob("*.json")), *certified.parent.iterdir()]
+        assert len(written) == 6 and written[-1] == certified
+        for path in written:
+            text = path.read_text(encoding="ascii")
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      indent=2) + "\n", path
 
 
 def _int64_view(X):
@@ -1181,6 +1193,13 @@ MALFORMED_INPUTS = {
             tmp_path, instance={"path": str(tmp_path)}),
         "--out", str(tmp_path / "out")],
     "name-not-a-string": _run_config("run", name=5),
+    # the name is a directory under --out: a path would leave it
+    "name-absolute": lambda tmp_path: _run_config(
+        "run", name=str(tmp_path / "elsewhere"))(tmp_path),
+    "name-up-and-out": _run_config("run", name="../elsewhere"),
+    "name-with-a-slash": _run_config("run", name="a/b"),
+    "name-dot": _run_config("run", name="."),
+    "name-dot-dot": _run_config("run", name=".."),
     "method-not-an-object": _run_config("run", method=[1]),
     "certificate-not-an-object": _run_config("run", certificate="computed"),
     "checks-not-an-object": _run_config("run", checks=None),
@@ -1274,6 +1293,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_alternating_on_an_affine_first_set_is_refused_before_the_run(
