@@ -405,13 +405,16 @@ class ConvexObjective:
     argmin_z f(z) + ||z - x||^2 / (2 step): a 1-D point and a float step
     in the descent loop, and a (T, n) batch with a (T, 1) array of steps
     when `DescentRun.from_metadata_dict` replays stored iterates, each row
-    with the bits of the single-point call.  shifted_subgradient_fn, given
-    by the nonsmooth parts of composites, maps points x and vectors v of the
-    same shape to the least-norm element of v + subdiff f(x), NaN rows where
-    the subdifferential is empty; with v = grad h(x) it is the least-norm
-    subgradient of h + f.  The minimum value is stored, not recomputed: tiny
-    instances carry an exact or brute-force minimum so that value gaps stay
-    trustworthy at high accuracy.
+    with the bits of the single-point call.  Where the map is the identity,
+    prox_fn may return its argument itself: no caller mutates a prox result,
+    and the descent loop and the replay pass fresh temporaries.
+    shifted_subgradient_fn, given by the nonsmooth parts of composites, maps
+    points x and vectors v of the same shape to the least-norm element of
+    v + subdiff f(x), NaN rows where the subdifferential is empty; with
+    v = grad h(x) it is the least-norm subgradient of h + f.  The minimum
+    value is stored, not recomputed: tiny instances carry an exact or
+    brute-force minimum so that value gaps stay trustworthy at high
+    accuracy.
     """
 
     dimension: int
@@ -459,7 +462,8 @@ def subgradient_norm(obj: ConvexObjective, x) -> float | Array:
 
 
 def prox(obj: ConvexObjective, x, step: float) -> Array:
-    """Proximal map of obj at x with the given positive step."""
+    """Proximal map of obj at x with the given positive step; x itself
+    when the map is the identity."""
     x = as_point(x, obj.dimension)
     if step <= 0:
         raise ValueError("prox step must be positive")
@@ -654,7 +658,7 @@ def zero_objective(dimension: int) -> ConvexObjective:
         min_value=0.0,
         gradient_fn=np.zeros_like,
         subgradient_fn=np.zeros_like,
-        prox_fn=lambda x, step: x.copy(),
+        prox_fn=lambda x, step: x,
         lipschitz=0.0,
         name="zero",
         shifted_subgradient_fn=lambda x, v: v,

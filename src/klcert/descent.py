@@ -19,8 +19,16 @@ For the forward-backward step x_+ = prox_{lam g}(x - lam grad h(x)) with
 step sizes in [lam_lo, lam_hi], lam_hi < 2/L, the constants are
 a = 1/lam_hi - L/2 and b = 1/lam_lo + L; the witness comes exactly from the
 prox optimality inclusion, w_+ = (x - x_+)/lam - grad h(x) + grad h(x_+).
-A step of exactly zero means stationarity: the run stops there and is
-marked converged.  A run is stored as its iterates; all else is derived.
+A step of norm exactly zero means stationarity: the run ends before it and
+is marked converged.  The loop tests no norm: it ends when a step gives
+back the bits of its point, and the batched record then cuts the run at
+its first zero-norm step.  That step need not give back the same bits (a
+signed zero may flip, or a move's squares underflow), so the loop may run
+past it, up to its budget.  The record is still bit for bit the one a
+per-step norm test makes: its rows are those of the shorter run, and no
+oracle raises on a finite point or takes it to a non-finite one, so the
+steps past the cut change nothing.  A run is stored as its iterates; all
+else is derived.
 It holds no method name and no step sizes: the config names the method,
 and the schedule gives the sizes.  run.json (schema 3) holds the iterates
 as the strict base64 text of their row-major little-endian float64 bytes,
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -251,7 +259,10 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
                      steps: int, min_value: Optional[float] = None
                      ) -> DescentRun:
     """Proximal-gradient iteration with exact certificate witnesses; the
-    start and the schedule are validated once, before the loop."""
+    start and the schedule are validated once, before the loop.  The run
+    ends, converged, before its first step of norm zero: the loop stops at
+    a step that gives back its point's bits, and the record of every step
+    taken, computed in one batch, is cut at its first zero step norm."""
     if steps < 1:
         raise ValueError("need at least one step")
     params = certificate_params(schedule, composite.lipschitz)
@@ -260,18 +271,28 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
     sizes = schedule.sizes(steps)
 
     iterates = [x]
-    converged = False
-    gx = grad(x)
+    gx, last = grad(x), x.tobytes()
     for lam in sizes:
         xn = prox_fn(x - lam * gx, lam)
-        move = xn - x
-        # ||move|| == 0.0 exactly when its sum of squares is 0.0
-        if move.dot(move) == 0.0:
-            converged = True
+        now = xn.tobytes()
+        # a step back onto the same bits is a zero step: the run ends
+        if now == last:
             break
         iterates.append(xn)
-        x, gx = xn, grad(xn)
+        x, gx, last = xn, grad(xn), now
 
-    return DescentRun.from_iterates(
-        composite, np.asarray(iterates), np.asarray(sizes[:len(iterates) - 1]),
-        params, min_value=min_value, converged=converged)
+    X = np.asarray(iterates)
+    run = DescentRun.from_iterates(
+        composite, X, np.asarray(sizes[:len(X) - 1]), params,
+        min_value=min_value, converged=len(X) <= steps)
+    # the run ends at its first zero-norm step, also where that step is no
+    # bitwise fixed point: a signed zero that flips, or a move whose squares
+    # underflow.  Rows of the batched record are those of the shorter run.
+    zero = np.flatnonzero(run.step_norms == 0.0)
+    if zero.size:
+        k = int(zero[0])
+        run = replace(run, iterates=X[:k + 1],
+                      raw_values=run.raw_values[:k + 1],
+                      step_norms=run.step_norms[:k],
+                      witness_norms=run.witness_norms[:k], converged=True)
+    return run

@@ -380,7 +380,8 @@ def _printf(values: list) -> list[str]:
 def _cells(values) -> list[str]:
     """The cells of values: strings as they are, floats by _format_floats
     when there are at least _KERNEL_MIN_CELLS of them, else by one
-    printf-style call, and any other list one cell at a time."""
+    printf-style call, a column of Python ints alone (no bools) by str
+    without a per-cell type test, and any other list one cell at a time."""
     if isinstance(values, np.ndarray):
         if values.dtype == np.float64 and len(values) >= _KERNEL_MIN_CELLS:
             return _format_floats(values)
@@ -392,6 +393,9 @@ def _cells(values) -> list[str]:
         return _printf(values)
     if kinds <= {str}:
         return list(values)
+    if kinds == {int}:
+        # a comprehension's str call beats map(str, ...) on CPython 3.11
+        return [str(v) for v in values]
     return ["" if v is None else str(v) if type(v) is int
             else "inf" if v == -math.inf else f"{v:.17g}" for v in values]
 

@@ -204,6 +204,63 @@ def test_forward_backward_record_matches_per_step_reference(rng):
     assert run.h1_violation() == pytest.approx(h1, rel=1e-12, abs=1e-15)
 
 
+def _gives_back_its_bits(composite, x, lam):
+    """Whether the step of size lam from x lands on x's own bits."""
+    xn = composite.nonsmooth.prox_fn(
+        x - lam * composite.smooth.gradient_fn(x), lam)
+    return xn.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("comp, x0, stop, fixed", [
+    # shrinkage lands on (-0, -0); the next step flips the second zero's
+    # sign, as lasso seed 404's step 1 does: a zero step off its bits
+    (CompositeObjective(
+        smooth=least_squares(np.eye(2), np.array([-0.1, 0.1])),
+        nonsmooth=scaled_l1(2, 1.0)), np.array([-0.5, -0.5]), 1, False),
+    # a step of about 3e-201, whose squared norm underflows to 0
+    (CompositeObjective(
+        smooth=zero_objective(1), nonsmooth=quadratic_objective([1e-200])),
+     np.zeros(1), 0, False),
+    # shrinkage lands on (0, 0), and the next step keeps its bits
+    (CompositeObjective(
+        smooth=least_squares(np.eye(2), np.zeros(2)),
+        nonsmooth=scaled_l1(2, 1.0)), np.array([0.3, 0.2]), 1, True),
+], ids=["signed-zero-flip", "underflowing-move", "bitwise-fixed-point"])
+def test_forward_backward_stops_at_the_first_zero_step(comp, x0, stop, fixed):
+    lam = 0.4
+    sched = StepSchedule.constant(lam)
+    whole = forward_backward(comp, x0, sched, steps=60)
+    assert _run_record(whole) == _per_step_record(comp, x0, sched, 60)
+    assert whole.converged and whole.num_steps == stop
+    assert _gives_back_its_bits(comp, whole.iterates[-1], lam) is fixed
+    # budgets that end at, before and after the zero step
+    for steps in (1, 2, 3):
+        run = forward_backward(comp, x0, sched, steps=steps)
+        assert _run_record(run) == _per_step_record(comp, x0, sched, steps)
+    # the sweep's calls: chunks of 1, 2, 4, ... steps, each started from
+    # the last iterate of the one before, until one stops converged
+    x, chunk = x0, 1
+    while True:
+        run = forward_backward(comp, x, sched, steps=chunk)
+        assert _run_record(run) == _per_step_record(comp, x, sched, chunk)
+        if run.converged:
+            break
+        x, chunk = run.iterates[-1], 2 * chunk
+    assert run.iterates[-1].tobytes() == whole.iterates[-1].tobytes()
+
+
+def test_zero_prox_run_holds_one_fresh_array_of_iterates():
+    comp = _half_square()
+    x0 = np.array([1.0])
+    # the identity prox hands back its argument, not a copy
+    assert comp.nonsmooth.prox_fn(x0, 0.5) is x0
+    run = forward_backward(comp, x0, StepSchedule.constant(0.5), steps=4)
+    assert run.iterates.shape == (5, 1)
+    assert not np.shares_memory(run.iterates, x0)
+    x0[0] = 7.0
+    assert run.iterates.tolist() == [[1.0], [0.5], [0.25], [0.125], [0.0625]]
+
+
 def test_forward_backward_refuses_an_escaping_schedule_value():
     comp, x0 = _half_square(), np.array([1.0])
     sched = StepSchedule(lambda_min=0.5, lambda_max=1.0,

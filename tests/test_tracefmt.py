@@ -212,6 +212,12 @@ def test_writer_matches_row_dict_reference_on_edge_cells(tmp_path):
             # as lists and as the arrays trace_columns gives
             *floating,
             *map(np.array, floating),
+            # all-int columns, formatted without a per-cell type check (a
+            # range among them, as trace.csv's k), and an all-bool column,
+            # which is not one
+            range(count),
+            [(-1) ** i * 2 ** (i % 70) for i in range(count)],
+            [i % 3 == 0 for i in range(count)],
             # one odd cell in an otherwise all-float column, first or last
             [2 ** 53 + 1] + plain[1:],
             plain[:-1] + [2 ** 53 + 1],
