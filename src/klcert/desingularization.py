@@ -15,8 +15,9 @@ conversion may fail for flat residuals.
 One calling convention covers phi, phi_prime, psi, psi_prime and the
 residual: a float gives a float, an array gives an array of the same shape,
 and entry i of a batched call has the bits of the call on entry i alone.
-Powers go through libm one element at a time (`libm_pow`), because numpy's
-SIMD power rounds differently on a few percent of inputs.
+Powers go through libm's pow (`libm_pow`): np.float_power calls it per
+element, so a batch gets the bits that Python's ** gets one float at a time,
+where np.power's SIMD loops round differently on some inputs.
 `DESINGULARIZERS` gives certificate.json's record of each stored form.
 """
 
@@ -60,18 +61,29 @@ def _operand(x, what: Optional[str] = None):
 def libm_pow(base, exponent):
     """base ** exponent elementwise through the platform's libm pow.
 
-    np.power's SIMD loops round differently from libm on a few percent of
-    inputs; the object loop calls float.__pow__ per element, so a batch
-    gets the bits that Python floats get one at a time.
+    A float base and exponent give Python's **.  An array goes through
+    np.float_power, whose float64 loop calls libm pow per element with no
+    SIMD dispatch (np.power takes a sqrt at exponent 0.5 and, on AVX-512,
+    its own pow, each rounding differently on some inputs).  CPython's
+    float ** calls the same pow wherever it does not raise, so a finite
+    result has its bits.  Where any entry is not finite, the call is redone
+    with float ** per element (an object loop), which gives the same values
+    and raises where ** raises: ZeroDivisionError for 0 to a negative
+    power, OverflowError past the largest float, and a TypeError for a
+    negative base's complex power.
     """
     if isinstance(exponent, float):
         if isinstance(base, float):
             return float(base) ** float(exponent)
         exponent = float(exponent)
     else:
-        exponent = np.asarray(exponent, dtype=float).astype(object)
-    base = np.asarray(base, dtype=float).astype(object)
-    return np.asarray(np.power(base, exponent), dtype=float)
+        exponent = np.asarray(exponent, dtype=float)
+    base = np.asarray(base, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.float_power(base, exponent)
+    if np.isfinite(out).all():
+        return out
+    return np.asarray(np.power(base.astype(object), exponent), dtype=float)
 
 
 def _power(base: float, exponent: float) -> float:

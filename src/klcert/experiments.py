@@ -56,6 +56,7 @@ from klcert.desingularization import (
     Desingularizer,
     ErrorBoundCertificate,
     PowerDesingularizer,
+    _power,
     from_error_bound,
     libm_pow,
     to_error_bound,
@@ -422,6 +423,9 @@ def majorant_from_rate(d: Desingularizer, q: float, f0: float, params,
     """
     if q <= 1.0:
         raise ValueError("rate q must exceed 1")
+    if _power(q, float(steps)) == math.inf:
+        raise ValueError(f"rate q = {q:g} to the power {steps}, the run's "
+                         f"last step, is beyond the range of a float")
     psi_values = f0 / libm_pow(q, np.arange(steps + 1))
     alpha = d.phi(psi_values)
     ell = d.ell if d.ell is not None else d.psi_prime_lipschitz(float(alpha[0]))

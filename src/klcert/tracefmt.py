@@ -380,8 +380,11 @@ def _printf(values: list) -> list[str]:
 def _cells(values) -> list[str]:
     """The cells of values: strings as they are, floats by _format_floats
     when there are at least _KERNEL_MIN_CELLS of them, else by one
-    printf-style call, a column of Python ints alone (no bools) by str
-    without a per-cell type test, and any other list one cell at a time."""
+    printf-style call, a column of Python ints alone (no bools) or a range
+    by str without a per-cell type test, and any other list one cell at a
+    time."""
+    if type(values) is range:
+        return [str(v) for v in values]
     if isinstance(values, np.ndarray):
         if values.dtype == np.float64 and len(values) >= _KERNEL_MIN_CELLS:
             return _format_floats(values)

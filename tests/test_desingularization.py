@@ -21,6 +21,7 @@ from klcert.desingularization import (
     from_error_bound,
     globalize,
     kl_gap,
+    libm_pow,
     to_error_bound,
 )
 from klcert.regions import L1Ball, MetricBall, WholeSpace
@@ -329,6 +330,80 @@ def test_batched_profiles_match_point_calls(name):
         assert _same_bits(fn(args.reshape(3, -1)), batch.reshape(3, -1))
     with pytest.raises(ValueError, match="nonnegative"):
         d.psi(np.array([0.5, -1e-3]))
+
+
+# ---------------------------------------------------------------------------
+# libm powers: the bits of Python's ** on every entry
+# ---------------------------------------------------------------------------
+
+
+def _pow_bases() -> np.ndarray:
+    rng = np.random.default_rng(2026)
+    patterns = rng.integers(0, 0x7FF0000000000000, 2 ** 16, dtype=np.int64)
+    edges = [0.0, -0.0, 5e-324, 1.0, np.nextafter(1.0, 0.0),
+             np.nextafter(1.0, 2.0), np.finfo(float).max, math.inf, math.nan]
+    return np.concatenate([edges, patterns.view(np.float64),
+                           rng.uniform(0.0, 10.0, 2 ** 14)])
+
+
+def _python_pows(bases, exponent):
+    """base ** exponent per base, and where ** raises (there the power is 0)."""
+    powers, raises = [], []
+    for base in bases:
+        try:
+            powers.append(base ** exponent)
+            raises.append(False)
+        except (ZeroDivisionError, OverflowError):
+            powers.append(0.0)
+            raises.append(True)
+    return np.array(powers), np.array(raises)
+
+
+# the exponents of phi, phi', psi, psi' and the two-regime slope of order p
+POW_EXPONENTS = sorted({e for p in (1.0, 1.5, 2.0, 3.0, 4.0)
+                        for e in (1.0 / p, 1.0 / p - 1.0, p, p - 1.0,
+                                  (1.0 - p) / p)})
+
+
+@pytest.mark.parametrize("exponent", POW_EXPONENTS)
+def test_libm_pow_has_the_bits_of_python_pow(exponent):
+    # the bases whose ** does not raise: all of those with a finite power
+    # in one vectorized call, then the first 1024 with inf and nan among
+    # them, which are redone entry by entry
+    bases = _pow_bases()
+    want, raises = _python_pows(bases.tolist(), exponent)
+    finite = ~raises & np.isfinite(want)
+    assert _same_bits(libm_pow(bases[finite], exponent), want[finite])
+    head = ~raises[:1024]
+    assert _same_bits(libm_pow(bases[:1024][head], exponent),
+                      want[:1024][head])
+
+
+@pytest.mark.parametrize("q", [1.0 + 2.0 ** -52, 1.000123, 6.0, 11.0])
+def test_libm_pow_integer_exponents_have_the_bits_of_python_pow(q):
+    # the rate override's q^k, k = 0, 1, ... up to the first overflow
+    # (at most 20000 steps)
+    want = []
+    for k in range(20001):
+        try:
+            want.append(q ** float(k))
+        except OverflowError:
+            break
+    assert _same_bits(libm_pow(q, np.arange(len(want))), want), q
+
+
+@pytest.mark.parametrize("base, exponent, error", [
+    (0.0, -0.5, ZeroDivisionError),
+    (1e300, 2.0, OverflowError),
+    # ** gives a complex number, which is not a float
+    (-8.0, 1.0 / 3.0, TypeError),
+])
+def test_libm_pow_raises_where_python_pow_raises(base, exponent, error):
+    batch = np.array([0.5, 2.0, base, 3.0])
+    with pytest.raises(error):
+        libm_pow(batch, exponent)
+    with pytest.raises(error):
+        libm_pow(batch, np.full(4, exponent))
 
 
 # ---------------------------------------------------------------------------

@@ -1263,6 +1263,12 @@ MALFORMED_INPUTS = {
         "sweep", certificate={"scale_gamma": 1000.0}),
     "sweep-override-q": _run_config(
         "sweep", certificate={"override_q": 6.0}),
+    # q ** k overflows before the run's last step (56): the bounds
+    # f0 / q^k cannot be formed
+    "override-q-overflows": _run_config(
+        "run", instance={"family": "uniformly-convex", "n": 3, "seed": 5},
+        method={"name": "gradient", "relative_step": 0.5, "steps": 300},
+        certificate={"override_q": 1e10}),
     "sweep-zero-step-cap": lambda tmp_path: [
         "sweep", "--preset", "tiny-lasso", "--steps", "0",
         "--out", str(tmp_path / "out")],
