@@ -9,6 +9,20 @@ point i bit for bit, which is why the builders use `np.vecdot` and stacked
 matrix-vector products (both reproduce the 1-D BLAS results) rather than
 `x @ A.T` or `.sum(-1)` of products.
 
+Euclidean norms follow one of two conventions, named by whose bits they
+give.  `row_norms` gives each row the single-point norm np.linalg.norm(v)
+(a BLAS dot); the oracles and the descent record use it, so that a batch
+row matches the call on its point.  `batch_norms` gives the batch norm
+np.linalg.norm(d, axis=-1) (a sum of squares); the sets' distances and
+projections, Dykstra's moves and the sampling code use it.  The sets
+keep the batch-row rule all the same, since numpy reduces a 1-D point as
+it reduces each row of a batch.  IntersectionSet is the exception to the
+rule: Dykstra runs a batch until its slowest row converges (see the note
+above Ball).  On a batch, `batch_norms`, `minus_point` and `Ball.project`
+work one coordinate column at a time, so that numpy loops over the rows
+rather than over a short last axis, with the bits of the broadcast
+expressions they replace.
+
 The objective builders give the parts of composites h + g: smooth least
 squares, quadratics and (weighted) squared distances, and nonsmooth scaled
 l1 norms, indicators and zero.  Each problem is written once, as its
@@ -68,9 +82,45 @@ def plain(v) -> float | Array:
 
 def row_norms(v) -> Array:
     """Euclidean norms over the last axis; entry i has the bits of
-    np.linalg.norm(v[i])."""
+    np.linalg.norm(v[i]), the single-point norm (BLAS dot)."""
     v = np.asarray(v, dtype=float)
     return np.sqrt(np.vecdot(v, v))
+
+
+# below this many coordinates numpy's add.reduce over a contiguous last axis
+# adds left to right; from it on, pairwise in blocks of eight
+_PAIRWISE_FROM = 8
+
+
+def batch_norms(d) -> Array:
+    """Euclidean norms over the last axis with the bits of
+    np.linalg.norm(d, axis=-1), the batch norm (add.reduce of squares).
+
+    Below 8 coordinates that reduction adds the squares left to right, so
+    summing squared columns gives its bits while numpy loops over the rows,
+    not over a short last axis.  At 8 or more, where numpy sums pairwise,
+    and for a single 1-D point, np.linalg.norm itself is called."""
+    d = np.asarray(d, dtype=float)
+    n = d.shape[-1]
+    if d.ndim == 1 or not 0 < n < _PAIRWISE_FROM:
+        return np.linalg.norm(d, axis=-1)
+    total = d[..., 0] * d[..., 0]
+    for j in range(1, n):
+        column = d[..., j]
+        total += column * column
+    return np.sqrt(total, out=total)
+
+
+def minus_point(x: Array, point: Array) -> Array:
+    """x - point, bit for bit, for points x of shape (..., n).  A batch is
+    taken one coordinate column at a time, so that numpy loops over the
+    rows rather than broadcast point over a short last axis."""
+    if x.ndim == 1:
+        return x - point
+    out = np.empty(x.shape)
+    for j in range(x.shape[-1]):
+        np.subtract(x[..., j], point[j], out=out[..., j])
+    return out
 
 
 def _matvec(A: Array, x: Array) -> Array:
@@ -109,14 +159,21 @@ class Ball:
 
     def project(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        d = x - self.center
-        nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+        d = minus_point(x, self.center)
+        nrm = batch_norms(d)
         scale = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
-        return self.center + scale * d
+        if d.ndim == 1:
+            return self.center + scale * d
+        # center + scale * d, one column at a time as in minus_point
+        for j in range(d.shape[-1]):
+            column = d[..., j]
+            np.multiply(scale, column, out=column)
+            np.add(self.center[j], column, out=column)
+        return d
 
     def distance(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)
-        nrm = np.linalg.norm(x - self.center, axis=-1)
+        nrm = batch_norms(minus_point(x, self.center))
         return np.maximum(nrm - self.radius, 0.0)
 
     def contains(self, x: Array, tol: float = 1e-9):
@@ -190,7 +247,7 @@ class AffineSet:
 
     def distance(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - self.project(x), axis=-1)
+        return batch_norms(x - self.project(x))
 
     def contains(self, x: Array, tol: float = 1e-9):
         return self.distance(x) <= tol
@@ -211,7 +268,7 @@ class SingletonSet:
 
     def distance(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - self.point, axis=-1)
+        return batch_norms(minus_point(x, self.point))
 
     def contains(self, x: Array, tol: float = 1e-9):
         return self.distance(x) <= tol
@@ -335,15 +392,15 @@ def dykstra_projection(
                 then, d_then = now.copy(), d_now.copy()
                 then[two] = two_start
                 d_then[two] = _max_distance(sets, two_start)
-                frozen_move = np.linalg.norm(now[two] - two_start, axis=-1
-                                             ).max(initial=frozen_move)
+                frozen_move = batch_norms(now[two] - two_start).max(
+                    initial=frozen_move)
             frozen_ys[parity].append(now)
             frozen_ys[1 - parity].append(then)
             frozen_violation[parity] = d_now.max(
                 initial=frozen_violation[parity])
             frozen_violation[1 - parity] = d_then.max(
                 initial=frozen_violation[1 - parity])
-        move = np.linalg.norm(y - start, axis=-1).max(initial=frozen_move)
+        move = batch_norms(y - start).max(initial=frozen_move)
         if move <= tol:
             violation = _max_distance(sets, y).max(
                 initial=frozen_violation[parity])
@@ -383,7 +440,7 @@ class IntersectionSet:
 
     def distance(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - self.project(x), axis=-1)
+        return batch_norms(x - self.project(x))
 
     def contains(self, x: Array, tol: float = 1e-9):
         return np.logical_and.reduce([s.contains(x, tol) for s in self.sets])
@@ -539,10 +596,11 @@ def quadratic_objective(center, weight: float = 0.5, min_value: float = 0.0) -> 
         raise ValueError("weight must be positive")
 
     def val(x):
-        d = x - c
+        d = minus_point(x, c)
         return w * np.vecdot(d, d) + min_value
 
     def grad(x):
+        # called once per step of the descent loop: no helper call
         return 2.0 * w * (x - c)
 
     def prx(x, step):

@@ -118,6 +118,34 @@ RUN_FIELDS = ("schema_version", "dimension", "iterates")
 # the stored iterates' bytes: float64, little-endian on every host
 ITERATE_DTYPE = "<f8"
 
+_BASE64_DIGITS = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                  "0123456789+/")
+# per count of bytes in the last 3-byte group: the mask of the last data
+# digit's bits that no byte uses
+_UNUSED_BITS = {1: 0b1111, 2: 0b11}
+
+
+def decode_canonical_base64(text: str) -> bytes:
+    """The bytes whose base64 encoding is text, or b"" when text is not the
+    one encoding of any bytes.
+
+    validate=True refuses characters outside the alphabet and padding
+    anywhere but the end (at most two "=").  The text it accepts is the
+    encoding of what it decodes exactly when the text has that encoding's
+    length, 4 * ceil(len / 3), which rules out surplus and missing padding,
+    and the last data digit's bits past the final byte are zero.  Both
+    tests take constant time, where re-encoding takes time in the length."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character beyond ASCII
+        return b""
+    if len(text) != 4 * -(-len(raw) // 3):
+        return b""
+    tail = len(raw) % 3
+    if tail and _BASE64_DIGITS.index(text[tail - 4]) & _UNUSED_BITS[tail]:
+        return b""
+    return raw
+
 
 @dataclass
 class DescentRun:
@@ -215,15 +243,8 @@ class DescentRun:
             raise ValueError(f"run dimension is {dimension}, not the "
                              f"problem's {composite.dimension}")
         require_type(text, str, "run iterates")
-        # validate=True refuses characters outside the alphabet, and the
-        # re-encoding the rest: surplus padding, and stray bits in the last
-        # digit, so one text alone stands for the bytes
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except ValueError:  # binascii.Error, or a character beyond ASCII
-            raw = b""
-        if not raw or len(raw) % (8 * dimension) or (
-                base64.b64encode(raw).decode("ascii") != text):
+        raw = decode_canonical_base64(text)
+        if not raw or len(raw) % (8 * dimension):
             raise ValueError("run iterates must be the base64 text of one or "
                              f"more float64 points in dimension {dimension}")
         X = np.frombuffer(raw, ITERATE_DTYPE).reshape(-1, dimension)

@@ -473,6 +473,11 @@ def kl_gap(d: Desingularizer, obj: ConvexObjective, x):
     counts = np.isfinite(gap) & (gap > 0.0) & (gap < d.r0)
     if d.region is not None:
         counts &= np.asarray(d.region.contains(x))
+    if counts.all():
+        # every point counts: no copies of the counted rows, no scatter
+        norm = np.asarray(subgradient_norm(obj, x))
+        slope = np.asarray(d.phi_prime(gap))
+        return plain(np.where(np.isinf(norm), math.inf, slope * norm - 1.0))
     norm = np.asarray(subgradient_norm(obj, x[counts]))
     slope = np.asarray(d.phi_prime(gap[counts]))
     out = np.full(gap.shape, math.nan)

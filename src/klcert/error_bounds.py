@@ -21,6 +21,7 @@ from klcert.convex import (
     Array,
     Halfspace,
     as_point,
+    batch_norms,
     dykstra_projection,
     feasibility_objective,
     lasso_composite,
@@ -156,13 +157,13 @@ def hoffman_constant(system: LinearSystemPair, mode: str = "exact", *,
         pts = dykstra_projection(system.inequality_sets(), raw, tol=1e-13)
     else:
         pts = raw
-    resid = np.linalg.norm(pts @ system.E.T - system.e, axis=1)
+    resid = batch_norms(pts @ system.E.T - system.e)
     keep = resid > 1e-9
     if not np.any(keep):
         raise ValueError("no sampled point violates the equality system")
     pts = pts[keep]
     proj = dykstra_projection(system.intersection_sets(), pts, tol=1e-13)
-    dist = np.linalg.norm(pts - proj, axis=1)
+    dist = batch_norms(pts - proj)
     ratio = dist / resid[keep]
     return float(np.max(ratio))
 
@@ -321,7 +322,7 @@ class FeasibilityInstance:
         """Sample the declared ball boundary and test membership in each set."""
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((samples, self.dimension))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+        g /= np.maximum(batch_norms(g), 1e-300)[:, None]
         pts = self.xbar + self.R * g
         for s in self.sets:
             if not np.all(np.atleast_1d(s.distance(pts)) <= tol):

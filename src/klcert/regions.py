@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from klcert.convex import Array, as_point
+from klcert.convex import Array, as_point, batch_norms, minus_point
 from klcert.tracefmt import NUMBER, VECTOR, Records
 
 
@@ -55,16 +55,23 @@ class MetricBall:
         return self.center.shape[0]
 
     def contains(self, x, tol: float = 1e-9):
-        d = np.asarray(x, dtype=float) - self.center
+        d = minus_point(np.asarray(x, dtype=float), self.center)
         return np.sqrt(np.vecdot(d, d)) <= self.radius + tol
 
     def sample(self, rng: np.random.Generator, dimension: int, count: int) -> Array:
         if dimension != self.dimension:
             raise ValueError("dimension does not match the center")
+        # center + radius * radial * g / |g| row by row, from the same
+        # draws, but one coordinate column at a time: numpy then loops over
+        # the samples rather than over the few coordinates of each
         g = rng.standard_normal((count, dimension))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        radial = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dimension)
-        return self.center + self.radius * radial * g
+        norms = np.maximum(batch_norms(g), 1e-300)
+        radial = rng.uniform(0.0, 1.0, size=count) ** (1.0 / dimension)
+        scale = self.radius * radial
+        out = np.empty((count, dimension))
+        for j in range(dimension):
+            out[:, j] = self.center[j] + scale * (g[:, j] / norms)
+        return out
 
 
 @dataclass(frozen=True)

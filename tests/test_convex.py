@@ -20,6 +20,7 @@ from klcert.convex import (
     UnsupportedOracleError,
     _same_row_bits,
     as_point,
+    batch_norms,
     dykstra_projection,
     evaluate,
     feasibility_objective,
@@ -28,6 +29,7 @@ from klcert.convex import (
     lasso_composite,
     least_squares,
     min_norm_subgradient,
+    minus_point,
     prox,
     quadratic_objective,
     scaled_l1,
@@ -501,6 +503,131 @@ def test_batched_kl_gap_matches_point_calls(name):
         assert gaps.shape == (pts.shape[0],)
         for i, x in enumerate(pts):
             assert _same_bits(gaps[i], kl_gap(d, obj, x)), (name, i)
+
+
+def _reference_kl_gap(d, obj, x):
+    """kl_gap through copies of the counted rows and a scatter into NaN, as
+    it runs when only some points count."""
+    x = np.asarray(x, dtype=float)
+    gap = np.asarray(value_gap(obj, x))
+    counts = np.isfinite(gap) & (gap > 0.0) & (gap < d.r0)
+    if d.region is not None:
+        counts &= np.asarray(d.region.contains(x))
+    norm = np.asarray(subgradient_norm(obj, x[counts]))
+    slope = np.asarray(d.phi_prime(gap[counts]))
+    out = np.full(gap.shape, math.nan)
+    out[counts] = np.where(np.isinf(norm), math.inf, slope * norm - 1.0)
+    return out
+
+
+def test_kl_gap_keeps_its_bits_whether_all_some_or_no_points_count():
+    pts = _probe_points()
+    power = PowerDesingularizer(scale=1.3, exponent=2.0, r0=5.0,
+                                region=MetricBall(np.zeros(3), 2.5))
+    desingularizers = (power,
+                       PowerDesingularizer(scale=0.8, exponent=1.0),
+                       globalize(power, junction=1.0))
+    # subgradients that are empty where x_0 > 0.5, at finite values: there
+    # a counted gap is +inf
+    kinked = ConvexObjective(
+        3, value_fn=lambda x: np.vecdot(x, x),
+        subgradient_fn=lambda x: np.where(x[..., :1] > 0.5, math.nan, 2.0 * x))
+    seen = set()
+    for name, obj in sorted(_factory_zoo().items()) + [("kinked", kinked)]:
+        for d in desingularizers:
+            want = _reference_kl_gap(d, obj, pts)
+            counted = ~np.isnan(want)
+            for rows in (counted, ~counted, np.ones_like(counted)):
+                if not rows.any():
+                    continue
+                seen.add(("none", "some", "all")[
+                    int(counted[rows].any()) + int(counted[rows].all())])
+                batch = pts[rows]
+                assert _same_bits(kl_gap(d, obj, batch), want[rows]), name
+                assert _same_bits(kl_gap(d, obj, batch[None]),
+                                  want[rows][None]), name
+            for i, x in enumerate(pts):
+                assert _same_bits(kl_gap(d, obj, x), want[i]), (name, i)
+    assert seen == {"none", "some", "all"}
+
+
+_NORM_SHAPES = ((0,), (1,), (6,), (500,), (3, 4))
+# signed zeros, subnormals, squares that overflow to inf (1e300) or
+# underflow to 0 (1e-300), infinities and NaN
+_NORM_POOL = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300,
+                       -1e-300, math.inf, -math.inf, math.nan, 1.0, -3.0])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_batch_norms_have_the_bits_of_numpys_batch_norm(n):
+    rng = np.random.default_rng(n)
+    point = rng.normal(size=n)
+    assert _same_bits(batch_norms(point), np.linalg.norm(point, axis=-1))
+    for lead in _NORM_SHAPES:
+        shape = lead + (n,)
+        wide = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+        special = _NORM_POOL[rng.integers(0, _NORM_POOL.size, shape)]
+        # C order, reversed strides and Fortran order
+        for d in (wide, special, special[..., ::-1], np.asfortranarray(wide)):
+            with np.errstate(over="ignore"):
+                got, want = batch_norms(d), np.linalg.norm(d, axis=-1)
+            assert _same_bits(got, want), (lead, n)
+    # the data tells summation orders apart: with 3 to 7 coordinates,
+    # adding the squares right to left, or pairwise, rounds differently
+    # from numpy's order on some row
+    if 3 <= n < 8:
+        d = rng.normal(size=(500, n)) * 10.0 ** rng.integers(-8, 9, (500, n))
+        squares = [d[:, j] * d[:, j] for j in range(n)]
+        backwards = squares[-1]
+        for column in squares[-2::-1]:
+            backwards = backwards + column
+        for total in (backwards, _pairwise_sum(squares)):
+            assert not _same_bits(np.sqrt(total), np.linalg.norm(d, axis=-1))
+
+
+def _pairwise_sum(terms):
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 9))
+def test_minus_point_and_ball_projection_keep_the_broadcast_bits(n):
+    rng = np.random.default_rng(50 + n)
+    ball = Ball(rng.normal(size=n), 0.8)
+    for lead in _NORM_SHAPES:
+        x = ball.center + rng.normal(size=lead + (n,))
+        x[..., ::3] *= 1e-3
+        want = ball.center + np.where(
+            np.linalg.norm(x - ball.center, axis=-1, keepdims=True) > 0.8,
+            0.8 / np.linalg.norm(x - ball.center, axis=-1, keepdims=True),
+            1.0) * (x - ball.center)
+        assert _same_bits(minus_point(x, ball.center), x - ball.center)
+        assert _same_bits(minus_point(np.asfortranarray(x), ball.center),
+                          x - ball.center)
+        assert _same_bits(ball.project(x), want), (lead, n)
+
+
+def _broadcast_ball_sample(ball, rng, dimension, count):
+    """MetricBall.sample as one broadcast formula over the rows."""
+    g = rng.standard_normal((count, dimension))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    radial = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dimension)
+    return ball.center + ball.radius * radial * g
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_metric_ball_sample_keeps_the_broadcast_bits(n):
+    center = np.linspace(-1.0, 2.0, n)
+    for radius in (0.0, 0.7):
+        ball = MetricBall(center, radius)
+        for count in (0, 1, 20000):
+            got = ball.sample(np.random.default_rng(n), n, count)
+            want = _broadcast_ball_sample(ball, np.random.default_rng(n), n,
+                                          count)
+            assert got.flags.c_contiguous
+            assert _same_bits(got, want), (radius, count)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from klcert.descent import (
     DescentRun,
     StepSchedule,
     certificate_params,
+    decode_canonical_base64,
     forward_backward,
 )
 from klcert.experiments import ExperimentConfig, build_pipeline
@@ -390,6 +391,44 @@ def test_metadata_refuses_iterates_text_with_stray_padding_bits():
     with pytest.raises(ValueError, match="base64"):
         DescentRun.from_metadata_dict(dict(doc, iterates=stray), comp, x0,
                                       sched, 1)
+
+
+def _reencoding_decode(text):
+    """The bytes text decodes to when re-encoding them gives text back,
+    else b"": the canonical test by re-encoding the whole text."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:
+        return b""
+    return raw if base64.b64encode(raw).decode("ascii") == text else b""
+
+
+def test_canonical_base64_refuses_exactly_what_re_encoding_refuses():
+    alphabet = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                "0123456789+/")
+    texts = ["", "=", "==", "===", "====", " ", "\n", "\u00e9", "AAA\u00e9",
+             "AAAA\u00e9AAA"]
+    accepted = {0: 0, 1: 0, 2: 0}
+    for head in ("", "QUJD", "QUJDREVG"):
+        for digit in alphabet:
+            # the last quantum at 0, 1 and 2 pad characters, each digit as
+            # the last data digit, whose unused low bits it may set
+            for pads, quantum in enumerate(("AAA" + digit, "AA" + digit + "=",
+                                            "A" + digit + "==")):
+                text = head + quantum
+                accepted[pads] += bool(_reencoding_decode(text))
+                # surplus or missing padding, whitespace, a non-ASCII
+                # character, padding inside the text
+                texts += [text, text + "=", text + "==", text[:-1],
+                          text + " ", " " + text, text + "\n",
+                          text[:2] + "\n" + text[2:], text[:-1] + "\u00e9",
+                          text.replace("=", "") + "A=",
+                          text[:1] + "=" + text[1:]]
+    # every digit ends a full quantum; one in 4 carries 2 unused zero bits,
+    # one in 16 carries 4
+    assert accepted == {0: 3 * 64, 1: 3 * 16, 2: 3 * 4}
+    for text in texts:
+        assert decode_canonical_base64(text) == _reencoding_decode(text), text
 
 
 def test_infinite_start_value_survives_round_trip():
