@@ -18,10 +18,11 @@ projections, Dykstra's moves and the sampling code use it.  The sets
 keep the batch-row rule all the same, since numpy reduces a 1-D point as
 it reduces each row of a batch.  IntersectionSet is the exception to the
 rule: Dykstra runs a batch until its slowest row converges (see the note
-above Ball).  On a batch, `batch_norms`, `minus_point` and `Ball.project`
-work one coordinate column at a time, so that numpy loops over the rows
-rather than over a short last axis, with the bits of the broadcast
-expressions they replace.
+above Ball).  On a batch, `row_sums` (which `batch_norms` and the l1
+sums use), `minus_point`, `Ball.project` and `Halfspace.project` work one
+coordinate column at a time, so that numpy loops over the rows rather
+than over a short last axis, with the bits of the reductions and
+broadcast expressions they replace.
 
 The objective builders give the parts of composites h + g: smooth least
 squares, quadratics and (weighted) squared distances, and nonsmooth scaled
@@ -92,23 +93,32 @@ def row_norms(v) -> Array:
 _PAIRWISE_FROM = 8
 
 
+def row_sums(v) -> Array:
+    """Sums over the last axis of nonnegative terms (magnitudes, squares)
+    with the bits of v.sum(axis=-1).
+
+    Below 8 coordinates that reduction adds left to right, so adding the
+    columns gives its bits while numpy loops over the rows, not over a
+    short last axis.  At 8 or more, where numpy sums pairwise, and for a
+    single 1-D point, numpy's sum itself is called.  (The terms are
+    nonnegative because numpy versions differ on the sign of a sum of
+    negative zeros.)"""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1]
+    if v.ndim == 1 or not 0 < n < _PAIRWISE_FROM:
+        return v.sum(axis=-1)
+    total = v[..., 0] + v[..., 1] if n > 1 else v[..., 0].copy()
+    for j in range(2, n):
+        total += v[..., j]
+    return total
+
+
 def batch_norms(d) -> Array:
     """Euclidean norms over the last axis with the bits of
-    np.linalg.norm(d, axis=-1), the batch norm (add.reduce of squares).
-
-    Below 8 coordinates that reduction adds the squares left to right, so
-    summing squared columns gives its bits while numpy loops over the rows,
-    not over a short last axis.  At 8 or more, where numpy sums pairwise,
-    and for a single 1-D point, np.linalg.norm itself is called."""
+    np.linalg.norm(d, axis=-1), the batch norm: the square root of the
+    add.reduce of the squares, taken by `row_sums`."""
     d = np.asarray(d, dtype=float)
-    n = d.shape[-1]
-    if d.ndim == 1 or not 0 < n < _PAIRWISE_FROM:
-        return np.linalg.norm(d, axis=-1)
-    total = d[..., 0] * d[..., 0]
-    for j in range(1, n):
-        column = d[..., j]
-        total += column * column
-    return np.sqrt(total, out=total)
+    return np.sqrt(row_sums(d * d))
 
 
 def minus_point(x: Array, point: Array) -> Array:
@@ -207,7 +217,15 @@ class Halfspace:
         x = np.asarray(x, dtype=float)
         slack = np.vecdot(x, self.normal) - self.offset
         excess = np.maximum(slack, 0.0) / (self.normal @ self.normal)
-        return x - excess[..., None] * self.normal
+        if x.ndim == 1:
+            return x - excess * self.normal
+        # x - excess * normal, one column at a time as in minus_point
+        out = np.empty(x.shape)
+        for j in range(x.shape[-1]):
+            column = out[..., j]
+            np.multiply(excess, self.normal[j], out=column)
+            np.subtract(x[..., j], column, out=column)
+        return out
 
     def distance(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)
@@ -625,7 +643,7 @@ def scaled_l1(dimension: int, weight: float) -> ConvexObjective:
         raise ValueError("weight must be nonnegative")
 
     def val(x):
-        return w * np.abs(x).sum(axis=-1)
+        return w * row_sums(np.abs(x))
 
     def shifted(x, v):
         # v + weight*sign on the support; off it, v plus the point of

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from klcert.regions import MetricBall
 # be user-supplied or sampled.
 HOFFMAN_MAX_STACKED_ROWS = 24
 HOFFMAN_MAX_DIM = 10
-# row subsets per batched SVD of the enumeration
+# row subsets per batch of the enumeration's bounds, and per batched SVD
 _BASES_PER_BATCH = 20000
+_BASES_PER_SVD = 8
 
 _RANK_TOL = 1e-10
 
@@ -102,24 +103,142 @@ def _max_pinv_norm_over_bases(stacked: Array) -> float:
     Any independent row subset extends to one of these maximal subsets, and
     appending independent rows only shrinks the least nonzero singular value,
     so the maximum over maximal subsets dominates all independent subsets.
+
+    The result has the bits of a batched SVD of every subset: it is
+    1 / s for the least computed sigma_min s above the rank tolerance, and
+    gesdd gives each matrix the same bits whatever else is in its batch.
+    Only the subsets that could hold that least s are decomposed: each
+    gets a floor that its computed sigma_min, if above the tolerance, is
+    at least (`_sigma_min_floors`), the SVDs run in ascending order of the
+    floors, and they stop at the first floor not below the least s
+    accepted so far, since no later subset can then go below it.  A subset
+    at or below the tolerance is never accepted, so skipping one changes
+    nothing, and "no full-rank row subset" is raised exactly when the full
+    enumeration raises it.
     """
-    m, n = stacked.shape
-    scale = np.linalg.norm(stacked, ord=2)
-    rank = int(np.linalg.matrix_rank(stacked, tol=_RANK_TOL * max(scale, 1.0)))
+    m = stacked.shape[0]
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    tol = _RANK_TOL * max(svals.max(), 1.0)
+    rank = int(np.count_nonzero(svals > tol))
     if rank == 0:
         raise ValueError("stacked system is all zeros")
-    best = 0.0
-    combos = combinations(range(m), rank)
-    while idx := list(islice(combos, _BASES_PER_BATCH)):
-        sub = stacked[np.asarray(idx, dtype=int)]  # (B, rank, n)
-        svals = np.linalg.svd(sub, compute_uv=False)
-        smin = svals[:, -1]
-        ok = smin > _RANK_TOL * max(scale, 1.0)
+    subsets = np.fromiter(
+        chain.from_iterable(combinations(range(m), rank)),
+        dtype=np.min_scalar_type(m), count=math.comb(m, rank) * rank,
+    ).reshape(-1, rank)
+    floors = np.concatenate([
+        _sigma_min_floors(stacked[subsets[i:i + _BASES_PER_BATCH]], tol)
+        for i in range(0, len(subsets), _BASES_PER_BATCH)])
+    order = np.argsort(floors, kind="stable")
+    floors = floors[order]
+    least = math.inf
+    done, end = 0, int(np.searchsorted(floors, least))
+    while done < end:
+        batch = order[done:min(end, done + _BASES_PER_SVD)]
+        smin = np.linalg.svd(stacked[subsets[batch]], compute_uv=False)[:, -1]
+        ok = smin > tol
         if np.any(ok):
-            best = max(best, float(np.max(1.0 / smin[ok])))
-    if best == 0.0:
+            least = min(least, float(np.min(smin[ok])))
+        done += len(batch)
+        end = int(np.searchsorted(floors, least))
+    if least == math.inf:
         raise ValueError("no full-rank row subset found")
-    return best
+    return 1.0 / least
+
+
+def _sigma_min_floors(bases: Array, tol: float) -> Array:
+    """For each r x c basis M (r <= c) of the batch, a number that the
+    sigma_min gesdd computes for M is at least if it is above tol: a lower
+    bound on it, -inf where none is proven, or +inf where it is proven to
+    be at most tol.
+
+    Proof.  Let u = 2^-53, F = ||M||_F^2, and X = M when r = c, else
+    X = M M^T, so that sigma_min(X) = sigma_min(M)^p with p = 1 or 2.
+
+    1. For any r x r matrix Y with singular values y_1 >= ... >= y_r,
+       AM-GM on y_1^2 ... y_(r-1)^2, whose sum is at most ||Y||_F^2,
+       gives y_r^2 >= det(Y)^2 ((r - 1) / ||Y||_F^2)^(r - 1) (for r = 1
+       the factor is 1 and the bound is an equality).
+    2. When p = 2, the computed X^ has |X^ - X| <= gamma_c |M| |M|^T, so
+       ||X^ - X||_2 <= gamma_c F <= sqrt(r) gamma_c ||X||_F, since
+       ||M M^T||_F^2 = sum of sigma^4 >= F^2 / r.  (gamma_k = k u / (1 - k u).)
+    3. np.linalg.det factors P X^ = L^ U^ - E by partial pivoting (getrf):
+       |E| <= gamma_r |L^| |U^|, and |||L^| |U^|||_inf <= (1 + 2 (r^2 - r)
+       2^(r-1)) ||X^||_inf (Higham, Accuracy and Stability of Numerical
+       Algorithms, section 9.3, with growth factor at most 2^(r-1)), so
+       ||E||_F <= kappa ||X^||_F with kappa = 1.01 r^4 2^r u.  The matrix
+       Y = X^ + P^T E has |det Y| = D = prod |u^_ii|.  numpy returns d^
+       with |d^| = D theta: from the product, |log theta| <= 1.01 r u;
+       from exp of a sum of logs (numpy's way, libm within one ulp, and
+       |log| <= 745 for any double), |log theta| <= (r + 3)(745 r + 1) u
+       <= 3000 r^2 u.
+    4. The code forms F_X^ = fl(||X^||_F^2), relative error at most
+       1.01 r^2 u, and b = fl(d^^2 ((r - 1) / F_X^)^(r - 1)), 2r
+       roundings counting those the power repeats.  With 1 and 3,
+       sigma_min(Y) >= sqrt(b) (1 - w) for w = 6000 r^2 u +
+       2.02 r^5 2^r u + 4 r^3 u, and so sqrt(b) <= 1.01 ||X^||_F.  Weyl's
+       inequality moves a singular value by at most the 2-norm of a
+       perturbation, so with 2 and 3,
+           sigma_min(X) >= sqrt(b) - mu sqrt(F_X^),
+       where mu = 2^-44 (r^5 2^r + 10^4 r^2 + r c), that is 512 u times
+       the bracket, covers 1.01 w + kappa + 1.02 sqrt(r) gamma_c more than
+       a hundred times over, the rounding of this line included.
+    5. gesdd is backward stable: its sigma_min is within p(r, c) u ||M||_2
+       of sigma_min(M) (LAPACK Users' Guide, section 4.9).  The term
+       2^-40 sqrt(F^) = 8192 u ||M||_F covers p = 8000, far above the
+       order r c of that analysis at the sizes the enumeration caps allow,
+       and the rounding of the p-th root and of this line.  So the
+       computed sigma_min is at least sigma_min(X)^(1/p) - 2^-40 sqrt(F^).
+
+    The steps use w, kappa < 10^-5, which holds while mu < 2^-10 (r up to
+    14; the caps allow r <= 10), and no under- or overflow.  So every
+    floor is -inf from mu >= 2^-10 on, and so is the floor of a basis
+    whose d^^2, F_X^, (r - 1) / F_X^ or b is not a finite normal number,
+    or whose bound in 4 is not positive: such a basis stays a candidate.
+
+    6. When r = c and d^ = 0, getrf met an exact zero pivot, so Y in 3 is
+       singular, or exp underflowed, so D <= e^-744 and sigma_min(Y) <=
+       D^(1/r) <= e^-74.  Either way sigma_min(M) <= kappa ||M||_F + e^-74
+       by Weyl, and with 5 the computed sigma_min is at most
+       (kappa + 2^-40) ||M||_F + e^-74.  So when (2 kappa + 2^-39) sqrt(F^)
+       < tol, which covers that and the rounding of the test, the basis
+       is never accepted, and its floor is +inf.
+    """
+    count, r, c = bases.shape
+    mu = 2.0 ** -44 * (r ** 5 * 2.0 ** r + 1e4 * r * r + r * c)
+    if mu >= 2.0 ** -10:
+        return np.full(count, -math.inf)
+    squares = np.einsum("bij,bij->b", bases, bases)
+    if r == c:
+        X, squares_X = bases, squares
+    else:
+        X = bases @ bases.transpose(0, 2, 1)
+        squares_X = np.einsum("bij,bij->b", X, X)
+    with np.errstate(all="ignore"):
+        d = np.linalg.det(X)
+        b = d * d
+        valid = _normal(b) & _normal(squares_X)
+        if r > 1:
+            q = (r - 1) / squares_X
+            valid &= _normal(q)
+            for _ in range(r - 1):
+                b *= q
+            valid &= _normal(b)
+        floor_X = np.sqrt(b) - mu * np.sqrt(squares_X)
+        valid &= floor_X > 0.0
+        floor = floor_X if r == c else np.sqrt(floor_X)
+        floor -= 2.0 ** -40 * np.sqrt(squares)
+    floors = np.where(valid, floor, -math.inf)
+    if r == c:
+        kappa = 1.01 * r ** 4 * 2.0 ** (r - 53)
+        rejected = (2.0 * kappa + 2.0 ** -39) * np.sqrt(squares) < tol
+        floors[(d == 0.0) & rejected] = math.inf
+    return floors
+
+
+def _normal(v: Array) -> Array:
+    """Where v is a finite float64 at or above the least normal number."""
+    return (v >= np.finfo(float).tiny) & (v < math.inf)
 
 
 def hoffman_constant(system: LinearSystemPair, mode: str = "exact", *,

@@ -43,6 +43,7 @@ from klcert.convex import (
     indicator,
     quadratic_objective,
     row_norms,
+    row_sums,
     zero_objective,
 )
 from klcert.descent import (
@@ -145,7 +146,7 @@ def _lasso_growth(inst, config: ExperimentConfig) -> LassoConstants:
 def _check_l1_ball(run: DescentRun, R: float) -> None:
     """Every iterate of a lasso run started at x0 stays in the l1 ball of
     radius R = inst.radius_bound()."""
-    worst = float(np.max(np.abs(run.iterates).sum(axis=-1)))
+    worst = float(np.max(row_sums(np.abs(run.iterates))))
     if worst > R + 1e-9:
         # Guaranteed for any valid step schedule; tripping it means a bug,
         # not an unlucky instance.

@@ -21,9 +21,11 @@ most of its work:
   lasso in the other coordinates, strongly convex when their Gram matrix
   is, so a candidate from each sign pattern gives a rigorous floor of f on
   the slice.  Slices whose floor exceeds a value computed in another slice
-  (by a rounding guard) are skipped; the kept slices run the same
-  arithmetic on the same shapes, in the same order, so the first minimum
-  found is the full scan's.  Without strong convexity every slice is kept.
+  (by a rounding guard) are skipped.  Each kept slice is evaluated once,
+  with the bits of the brute force's expression (its matrix product and
+  einsum on the same shapes, its other sums taken one column at a time),
+  and the slices are compared in scan order, so the first minimum found
+  is the full scan's.  Without strong convexity every slice is kept.
 - The polish can end in a last-bit cycle instead of a fixed point.  A
   Brent-style check with one saved state finds the cycle and jumps to the
   state the loop would reach at its update cap; the caller logs a warning
@@ -65,6 +67,11 @@ from klcert.tracefmt import (
 
 # grid step of the reference grid, per dimension
 GRID_RESOLUTION = {1: 1e-3, 2: 1e-3, 3: 1e-2}
+# most points in one slice of that grid (at n = 1, along its axis): a
+# point of a slice holds about 16 floats of coordinates, residuals and
+# sums, so a scan at the cap peaks near 32 MB (n = 3, m = 4); default
+# instances stay under 60000
+GRID_MAX_POINTS = 1 << 18
 # update cap of the polish; an instance whose polish ends in a cycle stores
 # the cycle state reached at this cap, so the stored bits depend on it
 POLISH_CAP = 200000
@@ -91,9 +98,11 @@ def lasso_grid_minimum(A: Array, y: Array, mu: float) -> tuple[Array, float]:
     the box radius.  The grid is scanned one slice x_0 = t at a time.  A
     slice is skipped when its floor (`_slice_floors`) exceeds, by a rounding
     guard, a value computed in the slice of the lowest floor: every value
-    in it is then larger than the grid minimum, and the kept slices run the
-    same arithmetic on the same shapes, so the result is the full scan's,
-    bit for bit.  Only for n <= 3.
+    in it is then larger than the grid minimum.  Each kept slice is
+    evaluated once, by `_slice_values` with the brute force's bits, so the
+    result is the full scan's, bit for bit.  Only for n <= 3, and only for
+    grids of at most GRID_MAX_POINTS points a slice (ValueError naming the
+    count before anything is allocated).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -102,22 +111,33 @@ def lasso_grid_minimum(A: Array, y: Array, mu: float) -> tuple[Array, float]:
         raise ValueError("grid oracle is limited to n <= 3")
     radius = float(y @ y) / (2.0 * mu)
     resolution = GRID_RESOLUTION[n]
-    axis = np.arange(-radius, radius + 0.5 * resolution, resolution)
-    if n == 1:
-        inner = np.zeros((1, 0))
-    else:
-        mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-        inner = np.stack(mesh, axis=-1).reshape(-1, n - 1)
-    pts = np.empty((inner.shape[0], n))
-    pts[:, 1:] = inner
+    stop = radius + 0.5 * resolution
+    # np.arange's length; at n = 1 a slice is one point, so count the axis
+    length = (stop + radius) / resolution
+    points = (math.ceil(length) ** max(n - 1, 1) if length < 2.0 ** 53
+              else math.inf)
+    if points > GRID_MAX_POINTS:
+        raise ValueError(
+            f"the reference grid at mu = {mu!r} would take {points:.3g} "
+            f"points a slice, over the {GRID_MAX_POINTS} it may use; "
+            f"choose a larger mu")
+    axis = np.arange(-radius, stop, resolution)
+    # the other coordinates of a slice's points, one contiguous column each
+    columns = [c.ravel() for c in np.meshgrid(*([axis] * (n - 1)),
+                                              indexing="ij")]
+    pts = np.empty((columns[0].size if columns else 1, n))
+    for j, column in enumerate(columns, start=1):
+        pts[:, j] = column
+    magnitudes = [np.abs(column) for column in columns]
 
-    def slice_values(first):
-        pts[:, 0] = first
-        r = pts @ A.T - y
-        return 0.5 * np.einsum("ij,ij->i", r, r) + mu * np.abs(pts).sum(axis=1)
+    def slice_values(k):
+        pts[:, 0] = axis[k]
+        return _slice_values(A, y, mu, pts, magnitudes)
 
     floors = _slice_floors(A, y, mu, axis)
-    ceiling = float(slice_values(axis[np.argmin(floors)]).min())
+    lowest = int(np.argmin(floors))
+    lowest_values = slice_values(lowest)
+    ceiling = float(lowest_values.min())
     # far above the rounding of a value or a floor, both sums of terms no
     # larger than this scale
     scale = (float(np.linalg.norm(A)) * radius * math.sqrt(n)
@@ -126,13 +146,34 @@ def lasso_grid_minimum(A: Array, y: Array, mu: float) -> tuple[Array, float]:
     best_v = math.inf
     best_x = np.zeros(n)
     # written so that a NaN floor keeps its slice
-    for first in axis[~(floors > ceiling + guard)]:
-        vals = slice_values(first)
+    for k in np.flatnonzero(~(floors > ceiling + guard)):
+        vals = lowest_values if k == lowest else slice_values(k)
         i = int(np.argmin(vals))
         if vals[i] < best_v:
             best_v = float(vals[i])
             best_x = pts[i].copy()
+            best_x[0] = axis[k]
     return best_x, best_v
+
+
+def _slice_values(A: Array, y: Array, mu: float, pts: Array,
+                  magnitudes: list) -> Array:
+    """f at the points of one grid slice, pts[:, 0] holding its t, with the
+    bits of the brute force's 0.5 * einsum(r, r) + mu * abs(pts).sum(axis=1),
+    r = pts @ A.T - y.  The product and the einsum run on its shapes, y is
+    subtracted one column at a time, and the l1 term adds |t| and the
+    magnitudes |pts[:, j]|, j >= 1, which every slice shares, left to
+    right: numpy's order for a sum over fewer than 8 columns."""
+    r = pts @ A.T
+    for j, yj in enumerate(y):
+        r[:, j] -= yj
+    l1 = abs(pts[0, 0])
+    for column in magnitudes:
+        l1 = l1 + column
+    values = np.einsum("ij,ij->i", r, r)
+    values *= 0.5
+    values += mu * l1
+    return values
 
 
 def _slice_floors(A: Array, y: Array, mu: float, axis: Array) -> Array:

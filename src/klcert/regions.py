@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from klcert.convex import Array, as_point, batch_norms, minus_point
+from klcert.convex import (Array, as_point, batch_norms, minus_point,
+                           row_sums)
 from klcert.tracefmt import NUMBER, VECTOR, Records
 
 
@@ -27,7 +28,7 @@ class L1Ball:
 
     def contains(self, x, tol: float = 1e-9):
         x = np.asarray(x, dtype=float)
-        return np.abs(x).sum(axis=-1) <= self.radius + tol
+        return row_sums(np.abs(x)) <= self.radius + tol
 
     def sample(self, rng: np.random.Generator, dimension: int, count: int) -> Array:
         # Dirichlet magnitudes give a uniform simplex point; random signs and

@@ -32,6 +32,7 @@ from klcert.convex import (
     minus_point,
     prox,
     quadratic_objective,
+    row_sums,
     scaled_l1,
     soft_threshold,
     subgradient_norm,
@@ -583,6 +584,59 @@ def test_batch_norms_have_the_bits_of_numpys_batch_norm(n):
             backwards = backwards + column
         for total in (backwards, _pairwise_sum(squares)):
             assert not _same_bits(np.sqrt(total), np.linalg.norm(d, axis=-1))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_sums_have_the_bits_of_numpys_sum(n):
+    # nonnegative terms, as the helper takes: magnitudes and squares
+    rng = np.random.default_rng(100 + n)
+    point = np.abs(rng.normal(size=n))
+    assert _same_bits(row_sums(point), point.sum(axis=-1))
+    for lead in _NORM_SHAPES:
+        shape = lead + (n,)
+        wide = np.abs(rng.normal(size=shape)) * 10.0 ** rng.integers(-8, 9,
+                                                                     shape)
+        special = np.abs(_NORM_POOL[rng.integers(0, _NORM_POOL.size, shape)])
+        with np.errstate(over="ignore"):
+            squares = special * special
+        # C order, reversed strides and Fortran order
+        for v in (wide, special, squares, special[..., ::-1],
+                  np.asfortranarray(wide)):
+            assert _same_bits(row_sums(v), v.sum(axis=-1)), (lead, n)
+        x = wide * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        assert _same_bits(scaled_l1(n, 0.7).value_fn(x),
+                          0.7 * np.abs(x).sum(axis=-1))
+    # the data tells summation orders apart: with 3 to 7 coordinates,
+    # adding right to left, or pairwise, rounds differently from numpy's
+    # order on some row
+    if 3 <= n < 8:
+        v = np.abs(rng.normal(size=(500, n))) * 10.0 ** rng.integers(
+            -8, 9, (500, n))
+        columns = [v[:, j] for j in range(n)]
+        backwards = columns[-1]
+        for column in columns[-2::-1]:
+            backwards = backwards + column
+        for total in (backwards, _pairwise_sum(columns)):
+            assert not _same_bits(total, v.sum(axis=-1))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_halfspace_projection_keeps_the_broadcast_bits(n):
+    rng = np.random.default_rng(70 + n)
+    half = Halfspace(rng.normal(size=n), 0.3)
+    points = [3.0 * rng.normal(size=n)]
+    for lead in _NORM_SHAPES:
+        x = 3.0 * rng.normal(size=lead + (n,))
+        points += [x, np.asfortranarray(x)]
+    outside = []
+    for x in points:
+        slack = np.vecdot(x, half.normal) - half.offset
+        excess = np.maximum(slack, 0.0) / (half.normal @ half.normal)
+        want = x - excess[..., None] * half.normal
+        assert _same_bits(half.project(x), want), (x.shape, n)
+        outside += list(np.ravel(slack > 0.0))
+    # both branches of the maximum are taken
+    assert any(outside) and not all(outside)
 
 
 def _pairwise_sum(terms):

@@ -2,10 +2,12 @@
 least-squares bound, feasibility constants, and growth profiles."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from klcert import error_bounds
 from klcert.convex import Ball, Halfspace, IntersectionSet, evaluate
 from klcert.error_bounds import (
     FeasibilityInstance,
@@ -18,7 +20,7 @@ from klcert.error_bounds import (
     lasso_sign_system,
     uniformly_convex_profile,
 )
-from klcert.problems import generate_linear_system_pair
+from klcert.problems import generate_instance, generate_linear_system_pair
 from klcert.regions import MetricBall
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -79,6 +81,120 @@ def test_hoffman_enumeration_caps():
         hoffman_constant(big)
     with pytest.raises(ValueError, match="unknown mode"):
         hoffman_constant(_eq_only([[1.0]]), mode="typo")
+
+
+def _every_basis(stacked):
+    # one batched SVD of every row subset of size rank: the enumeration
+    # the bound-ordered one must match bit for bit
+    scale = np.linalg.norm(stacked, ord=2)
+    tol = 1e-10 * max(scale, 1.0)
+    rank = int(np.linalg.matrix_rank(stacked, tol=tol))
+    subsets = np.array(list(combinations(range(stacked.shape[0]), rank)))
+    smin = np.linalg.svd(stacked[subsets], compute_uv=False)[:, -1]
+    ok = smin > tol
+    if not np.any(ok):
+        raise ValueError("no full-rank row subset found")
+    return float(np.max(1.0 / smin[ok]))
+
+
+def _lasso_stacked(**instance):
+    v = generate_instance("lasso", **instance).values()
+    inst = LassoInstance(v["A"], v["y"], v["mu"], v["x0"])
+    return lasso_sign_system(inst).stacked()
+
+
+def _rotated(rows, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(
+        size=(rows.shape[1],) * 2))
+    return rows @ q
+
+
+def _near_parallel(count, seed):
+    # adjacent rows 1e-7 rad apart: count - 1 bases tie at sigma_min of
+    # about 7e-8, up to the rounding of the rows, and nearly meet the
+    # bound, so their floors and computed sigma_min interleave
+    theta = np.random.default_rng(seed).uniform(0.0, math.pi)
+    theta = theta + 1e-7 * np.arange(count)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def _low_rank(seed):
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 4))
+    cols = rank + int(rng.integers(1, 3))
+    rows = rank + int(rng.integers(2, 6))
+    return rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+
+
+def _repeated_rows(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(6, 3))
+    return np.vstack([base, base[0], -2.5 * base[1], 3.0 * base[2],
+                      base[:2]])
+
+
+def _near_tolerance(seed):
+    # unit rows plus rows whose sigma_min sits a few ulps either side of
+    # the rank tolerance 1e-10, rotated so that no entry is exact
+    scales = 1e-10 * (1.0 + np.arange(-3, 4) * 2.0 ** -48)
+    rows = np.zeros((2 + len(scales), 3))
+    rows[0, 0] = rows[1, 1] = 1.0
+    rows[2:, 2] = scales
+    return _rotated(rows, seed)
+
+
+BASES_CASES = (
+    [pytest.param(lambda s=400 + i: _lasso_stacked(seed=s, n=2 + i % 2),
+                  id=f"seed{400 + i}") for i in range(20)]
+    + [pytest.param(lambda: _lasso_stacked(seed=7, n=2, m=3),
+                    id="tiny-lasso")]
+    + [pytest.param(lambda s=s: _near_parallel(80, s), id=f"tied{s}")
+       for s in range(4)]
+    + [pytest.param(lambda s=s: _low_rank(s), id=f"low-rank{s}")
+       for s in range(6)]
+    + [pytest.param(lambda s=s: _repeated_rows(s), id=f"repeated{s}")
+       for s in range(3)]
+    + [pytest.param(lambda s=s: _near_tolerance(s), id=f"tolerance{s}")
+       for s in range(3)]
+)
+
+
+@pytest.mark.parametrize("make", BASES_CASES)
+def test_enumeration_has_the_bits_of_every_basis(make, monkeypatch):
+    stacked = make()
+    want = _every_basis(stacked)
+    assert error_bounds._max_pinv_norm_over_bases(stacked) == want
+    # one basis per SVD: the stop is tested after every basis
+    monkeypatch.setattr(error_bounds, "_BASES_PER_SVD", 1)
+    assert error_bounds._max_pinv_norm_over_bases(stacked) == want
+
+
+def test_enumeration_decomposes_few_bases(monkeypatch):
+    # seed 405 has 1001 bases; the floors rule out all but a few, its 159
+    # singular ones included
+    stacked = _lasso_stacked(seed=405, n=3)
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        decomposed.append(a.shape[0] if a.ndim == 3 else 0)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    error_bounds._max_pinv_norm_over_bases(stacked)
+    assert 0 < sum(decomposed) <= 50
+
+
+def test_enumeration_refuses_a_system_without_a_full_rank_basis():
+    # the stack has rank 2 (its second singular value is sqrt(3) 6e-11),
+    # but every pair of rows is singular or has sigma_min 6e-11, under
+    # the tolerance
+    stacked = np.array([[1.0, 0.0], [0.0, 6e-11], [0.0, 6e-11],
+                        [0.0, 6e-11]])
+    for enumerate_bases in (_every_basis,
+                            error_bounds._max_pinv_norm_over_bases):
+        with pytest.raises(ValueError, match="no full-rank row subset"):
+            enumerate_bases(stacked)
 
 
 def test_linear_system_pair_rejects_bad_witness():

@@ -3,11 +3,13 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from klcert import problems
+from klcert.cli import main
 from klcert.convex import (
     Ball,
     NotConvergedError,
@@ -19,6 +21,7 @@ from klcert.error_bounds import FeasibilityInstance, LassoInstance
 from klcert.experiments import ExperimentConfig, run_experiment
 from klcert.problems import (
     FAMILIES,
+    GRID_MAX_POINTS,
     GRID_RESOLUTION,
     PAYLOADS,
     POLISH_CAP,
@@ -214,7 +217,7 @@ REFERENCE_CASES = (
 
 
 @pytest.mark.parametrize("n,case", REFERENCE_CASES)
-def test_reference_minimum_matches_brute_force_bits(n, case):
+def test_reference_minimum_matches_brute_force_bits(n, case, monkeypatch):
     if n is None:
         A, y, mu = _rank_deficient(case)
         stored = None
@@ -224,7 +227,22 @@ def test_reference_minimum_matches_brute_force_bits(n, case):
                     payload["mu"])
         stored = np.asarray(payload["minimizer"])
     ref_x, ref_v = _full_grid_minimum(A, y, mu)
+    # every slice the grid evaluates has the brute force's values, and no
+    # slice is evaluated twice
+    evaluated = []
+    slice_values = problems._slice_values
+
+    def checked(A, y, mu, pts, magnitudes):
+        values = slice_values(A, y, mu, pts, magnitudes)
+        r = pts @ A.T - y
+        want = 0.5 * np.einsum("ij,ij->i", r, r) + mu * np.abs(pts).sum(axis=1)
+        assert values.tobytes() == want.tobytes()
+        evaluated.append(pts[0, 0])
+        return values
+
+    monkeypatch.setattr(problems, "_slice_values", checked)
     grid_x, grid_v = lasso_grid_minimum(A, y, mu)
+    assert evaluated and len(set(evaluated)) == len(evaluated)
     assert grid_x.tobytes() == ref_x.tobytes()
     assert grid_v == ref_v
     ref_star = _full_polish(A, y, mu, ref_x)
@@ -232,6 +250,37 @@ def test_reference_minimum_matches_brute_force_bits(n, case):
     assert xstar.tobytes() == ref_star.tobytes()
     if stored is not None:
         assert stored.tobytes() == ref_star.tobytes()
+
+
+@pytest.mark.parametrize("n,mu", [(1, 1e-4), (2, 1e-4), (3, 0.01)])
+def test_grid_refuses_more_points_than_its_cap(n, mu, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    # the refusal comes before the grid exists
+    monkeypatch.setattr(np, "arange", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    A = np.eye(n + 1, n)
+    y = np.ones(n + 1) / math.sqrt(n + 1)
+    with pytest.raises(ValueError, match=f"mu = {mu!r} would take"):
+        lasso_grid_minimum(A, y, mu)
+
+
+def test_generate_refuses_a_grid_over_its_cap(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    # the command line's own parser takes a short np.arange
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    out = tmp_path / "i.json"
+    assert main(["generate", "--family", "lasso", "--n", "3", "--mu", "0.01",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the reference grid at mu = 0\.01 would "
+                        r"take \d\.\d+e\+07 points a slice, over the "
+                        rf"{GRID_MAX_POINTS} it may use; choose a larger mu\n",
+                        err), err
+    assert not out.exists()
 
 
 def test_polish_cycle_jump_lands_on_the_cap_state(monkeypatch):
