@@ -2,10 +2,11 @@
 
 Every generated instance is desk-scale by design: small enough that the
 minimum value can be pinned down independently of the solver under test
-(dense grid plus a local polish for l1-regularized least squares, exact
-geometry for feasibility and quadratic families).  Stored minima are always
-values of feasible points, so they overestimate the true minimum — the safe
-direction for every certified inequality downstream.
+(a proximal-gradient polish to a bitwise fixed point for l1-regularized
+least squares, exact geometry for feasibility and quadratic families).
+Stored minima are always values of feasible points, so they overestimate
+the true minimum — the safe direction for every certified inequality
+downstream.
 
 This module alone knows the instance.json format (schema 2): `PAYLOADS`
 gives each family's payload keys and what each holds, `SET_RECORDS` the
@@ -14,28 +15,17 @@ through `GeneratedInstance.values()` with `tracefmt`'s record reader, which
 refuses a missing or extra key at any level, a leaf that is not a finite
 number and a ragged matrix (ValueError naming the key).
 
-The l1 reference minimum returns the bits of a brute force without doing
-most of its work:
-
-- The grid is scanned one slice x_0 = t at a time.  On a slice, f is a
-  lasso in the other coordinates, strongly convex when their Gram matrix
-  is, so a candidate from each sign pattern gives a rigorous floor of f on
-  the slice.  Slices whose floor exceeds a value computed in another slice
-  (by a rounding guard) are skipped.  Each kept slice is evaluated once,
-  with the bits of the brute force's expression (its matrix product and
-  einsum on the same shapes, its other sums taken one column at a time),
-  and the slices are compared in scan order, so the first minimum found
-  is the full scan's.  Without strong convexity every slice is kept.
-- The polish can end in a last-bit cycle instead of a fixed point.  A
-  Brent-style check with one saved state finds the cycle and jumps to the
-  state the loop would reach at its update cap; the caller logs a warning
-  naming the period.
+The l1 reference minimizer is the polish's fixed point from the origin,
+at every n; convexity makes any fixed point a global minimizer.  The
+polish can end in a last-bit cycle instead of a fixed point.  A
+Brent-style check with one saved state finds the cycle and jumps to the
+state the loop would reach at its update cap; the caller logs a warning
+naming the period.
 """
 
 from __future__ import annotations
 
 import inspect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, get_args
@@ -47,7 +37,6 @@ from klcert.convex import (
     Ball,
     Halfspace,
     NotConvergedError,
-    as_point,
     soft_threshold,
 )
 from klcert.error_bounds import LassoInstance, LinearSystemPair
@@ -65,13 +54,6 @@ from klcert.tracefmt import (
     write_value,
 )
 
-# grid step of the reference grid, per dimension
-GRID_RESOLUTION = {1: 1e-3, 2: 1e-3, 3: 1e-2}
-# most points in one slice of that grid (at n = 1, along its axis): a
-# point of a slice holds about 16 floats of coordinates, residuals and
-# sums, so a scan at the cap peaks near 32 MB (n = 3, m = 4); default
-# instances stay under 60000
-GRID_MAX_POINTS = 1 << 18
 # update cap of the polish; an instance whose polish ends in a cycle stores
 # the cycle state reached at this cap, so the stored bits depend on it
 POLISH_CAP = 200000
@@ -90,154 +72,29 @@ def _require_positive(value: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def lasso_grid_minimum(A: Array, y: Array, mu: float) -> tuple[Array, float]:
-    """First minimum, in scan order, of f on a dense grid over the box
-    certain to contain argmin.
-
-    f(0) = ||y||^2 / 2 forces ||argmin||_1 <= ||y||^2 / (2 mu), which sets
-    the box radius.  The grid is scanned one slice x_0 = t at a time.  A
-    slice is skipped when its floor (`_slice_floors`) exceeds, by a rounding
-    guard, a value computed in the slice of the lowest floor: every value
-    in it is then larger than the grid minimum.  Each kept slice is
-    evaluated once, by `_slice_values` with the brute force's bits, so the
-    result is the full scan's, bit for bit.  Only for n <= 3, and only for
-    grids of at most GRID_MAX_POINTS points a slice (ValueError naming the
-    count before anything is allocated).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = A.shape[1]
-    if n > 3:
-        raise ValueError("grid oracle is limited to n <= 3")
-    radius = float(y @ y) / (2.0 * mu)
-    resolution = GRID_RESOLUTION[n]
-    stop = radius + 0.5 * resolution
-    # np.arange's length; at n = 1 a slice is one point, so count the axis
-    length = (stop + radius) / resolution
-    points = (math.ceil(length) ** max(n - 1, 1) if length < 2.0 ** 53
-              else math.inf)
-    if points > GRID_MAX_POINTS:
-        raise ValueError(
-            f"the reference grid at mu = {mu!r} would take {points:.3g} "
-            f"points a slice, over the {GRID_MAX_POINTS} it may use; "
-            f"choose a larger mu")
-    axis = np.arange(-radius, stop, resolution)
-    # the other coordinates of a slice's points, one contiguous column each
-    columns = [c.ravel() for c in np.meshgrid(*([axis] * (n - 1)),
-                                              indexing="ij")]
-    pts = np.empty((columns[0].size if columns else 1, n))
-    for j, column in enumerate(columns, start=1):
-        pts[:, j] = column
-    magnitudes = [np.abs(column) for column in columns]
-
-    def slice_values(k):
-        pts[:, 0] = axis[k]
-        return _slice_values(A, y, mu, pts, magnitudes)
-
-    floors = _slice_floors(A, y, mu, axis)
-    lowest = int(np.argmin(floors))
-    lowest_values = slice_values(lowest)
-    ceiling = float(lowest_values.min())
-    # far above the rounding of a value or a floor, both sums of terms no
-    # larger than this scale
-    scale = (float(np.linalg.norm(A)) * radius * math.sqrt(n)
-             + float(np.linalg.norm(y))) ** 2
-    guard = 2e-9 * (1.0 + scale)
-    best_v = math.inf
-    best_x = np.zeros(n)
-    # written so that a NaN floor keeps its slice
-    for k in np.flatnonzero(~(floors > ceiling + guard)):
-        vals = lowest_values if k == lowest else slice_values(k)
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            best_v = float(vals[i])
-            best_x = pts[i].copy()
-            best_x[0] = axis[k]
-    return best_x, best_v
-
-
-def _slice_values(A: Array, y: Array, mu: float, pts: Array,
-                  magnitudes: list) -> Array:
-    """f at the points of one grid slice, pts[:, 0] holding its t, with the
-    bits of the brute force's 0.5 * einsum(r, r) + mu * abs(pts).sum(axis=1),
-    r = pts @ A.T - y.  The product and the einsum run on its shapes, y is
-    subtracted one column at a time, and the l1 term adds |t| and the
-    magnitudes |pts[:, j]|, j >= 1, which every slice shares, left to
-    right: numpy's order for a sum over fewer than 8 columns."""
-    r = pts @ A.T
-    for j, yj in enumerate(y):
-        r[:, j] -= yj
-    l1 = abs(pts[0, 0])
-    for column in magnitudes:
-        l1 = l1 + column
-    values = np.einsum("ij,ij->i", r, r)
-    values *= 0.5
-    values += mu * l1
-    return values
-
-
-def _slice_floors(A: Array, y: Array, mu: float, axis: Array) -> Array:
-    """Lower bounds of f on the slices {x : x_0 = t}, one per t in axis.
-
-    On a slice, x = (t, w) and f is a lasso in w with matrix B = A[:, 1:],
-    sigma-strongly convex for sigma = lambda_min(B^T B).  So at any w,
-    min f(t, .) >= f(t, w) - dist(0, d_w f(t, w))^2 / (2 sigma).  Every
-    sign pattern s of w gives a candidate, the solution of
-    B_S^T B_S w_S = B_S^T (y - t A_0) - mu s_S on S = supp(s) and 0 off S;
-    the floor is the best bound over the 3^(n-1) candidates, tight up to
-    rounding at the pattern of the slice's minimizer.  When sigma, less a
-    rounding guard, is not positive, every floor is -inf.
-    """
-    B = A[:, 1:]
-    G = B.T @ B
-    eig = np.linalg.eigvalsh(G)
-    sigma = eig[0] - 1e-12 * eig[-1] if len(eig) else math.inf
-    if not sigma > 0.0:
-        return np.full(len(axis), -math.inf)
-    patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0),
-                                               repeat=B.shape[1])))
-    w = np.zeros((len(patterns), len(axis), B.shape[1]))
-    for k, s in enumerate(patterns):
-        S = s != 0.0
-        if S.any():
-            BS = B[:, S]
-            GS = G[np.ix_(S, S)]
-            u = np.linalg.solve(GS, BS.T @ y - mu * s[S])
-            v = np.linalg.solve(GS, BS.T @ A[:, 0])
-            w[k][:, S] = u - axis[:, None] * v
-    x = np.concatenate(
-        [np.broadcast_to(axis[:, None], w.shape[:2] + (1,)), w], axis=-1)
-    r = x @ A.T - y
-    g = r @ B
-    dist = np.where(w != 0.0, np.abs(g + mu * np.sign(w)),
-                    np.maximum(np.abs(g) - mu, 0.0))
-    bounds = (0.5 * np.einsum("...i,...i", r, r) + mu * np.abs(x).sum(axis=-1)
-              - np.einsum("...i,...i", dist, dist) / (2.0 * sigma))
-    return bounds.max(axis=0)
-
-
-def lasso_polish(A: Array, y: Array, mu: float, x_start
+def lasso_polish(A: Array, y: Array, mu: float
                  ) -> tuple[Array, Optional[int]]:
-    """Drive a point to a proximal-gradient fixed point of the l1 problem.
+    """Reference minimizer of the l1 problem and the period of the polish's
+    last-bit cycle (None when the polish stops).
 
-    Iterates x <- soft_threshold(x - grad/L, mu/L) until the update stops
-    moving in double precision; convexity makes any fixed point a global
-    minimizer, so the start only affects how long this takes.  Returns the
-    point and None, or, when the updates cycle in the last bits instead,
-    the state the loop would reach at POLISH_CAP updates and the cycle's
-    period.  Cycles are found Brent's way: one saved state, re-saved after
-    1, 2, 4, ... updates, is compared bitwise with each new state, and a
-    match p updates later makes the loop periodic with period p, so the
-    remaining updates reduce modulo p.  A cycle is found within about
-    twice the updates it takes to enter it.  Raises NotConvergedError when
-    the cap ends the loop before a stop or a found cycle.
+    Iterates x <- soft_threshold(x - grad/L, mu/L) from the origin until
+    the update stops moving in double precision; convexity makes any fixed
+    point a global minimizer.  Returns the point and None, or, when the
+    updates cycle in the last bits instead, the state the loop would reach
+    at POLISH_CAP updates and the cycle's period.  Cycles are found
+    Brent's way: one saved state, re-saved after 1, 2, 4, ... updates, is
+    compared bitwise with each new state, and a match p updates later
+    makes the loop periodic with period p, so the remaining updates reduce
+    modulo p.  A cycle is found within about twice the updates it takes to
+    enter it.  Raises NotConvergedError when the cap ends the loop before
+    a stop or a found cycle.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = as_point(x_start, A.shape[1]).copy()
+    x = np.zeros(A.shape[1])
     L = float(np.linalg.norm(A, 2)) ** 2
     if L == 0.0:
-        return np.zeros_like(x), None
+        return x, None
     lam = 1.0 / L
     AtA = A.T @ A
     Aty = A.T @ y
@@ -266,36 +123,14 @@ def lasso_polish(A: Array, y: Array, mu: float, x_start
         f"{POLISH_CAP} updates")
 
 
-def lasso_reference_minimum(A: Array, y: Array, mu: float
-                            ) -> tuple[Array, Optional[int]]:
-    """Reference minimizer and the period of the polish's last-bit cycle
-    (None when the polish stops).
-
-    For n <= 3 the first minimum of a dense grid seeds a polish to a
-    proximal fixed point; above n = 3 the polish runs from the origin,
-    which convexity makes equally valid, just not grid-certified.  Both
-    take a shortcut with the same bits as the brute force: the grid skips
-    the slices x_0 = t that a strong-convexity floor puts above the grid
-    minimum (`lasso_grid_minimum`), and a polish that cycles jumps to its
-    state at the update cap (`lasso_polish`).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[1]
-    if n <= 3:
-        seed_point, _ = lasso_grid_minimum(A, y, mu)
-    else:
-        seed_point = np.zeros(n)
-    return lasso_polish(A, y, mu, seed_point)
-
-
 def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
                             mu: Optional[float] = None, seed: int = 0
                             ) -> "GeneratedInstance":
     """Random well-posed instance with a reference minimizer.
 
     m >= n keeps the quadratic part strictly convex (unique minimizer, so
-    the solution set is an honest singleton); moderate ||y|| and mu keep the
-    grid box small enough for the n <= 3 reference oracle.
+    the solution set is an honest singleton); the reference minimizer is
+    `lasso_polish`'s, from the origin, at any n and mu.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -317,7 +152,7 @@ def generate_lasso_instance(n: int = 2, m: Optional[int] = None,
     if mu is None:
         mu = float(rng.uniform(0.45, 0.9) if n <= 2 else rng.uniform(0.6, 0.9))
     x0 = rng.uniform(-1.0, 1.0, n)
-    xstar, period = lasso_reference_minimum(A, y, mu)
+    xstar, period = lasso_polish(A, y, mu)
     if period is not None:
         # imported here: no other path logs, and the CLI starts without it
         import logging

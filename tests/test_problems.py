@@ -3,7 +3,6 @@
 import json
 import logging
 import math
-import re
 
 import numpy as np
 import pytest
@@ -21,15 +20,12 @@ from klcert.error_bounds import FeasibilityInstance, LassoInstance
 from klcert.experiments import ExperimentConfig, run_experiment
 from klcert.problems import (
     FAMILIES,
-    GRID_MAX_POINTS,
-    GRID_RESOLUTION,
     PAYLOADS,
     POLISH_CAP,
     SET_RECORDS,
     GeneratedInstance,
     generate_instance,
     generate_linear_system_pair,
-    lasso_grid_minimum,
     lasso_polish,
     tight_quadratic_instance,
 )
@@ -122,7 +118,7 @@ def _coordinate_descent(A, y, mu, x, sweeps=4000):
 def test_lasso_stored_minimum_matches_coordinate_descent(seed):
     gen = generate_instance("lasso", seed=seed, n=2, m=3)
     inst, min_value, minimizer = _lasso(gen)
-    # the reference minimum is grid-certified for n <= 3
+    # a small instance, which the solver below settles within its sweeps
     assert inst.dimension <= 3
     # the stored pair is consistent
     assert inst.composite.value(minimizer) == pytest.approx(min_value,
@@ -149,43 +145,18 @@ def test_lasso_generator_shapes_and_conditioning():
 
 
 # ---------------------------------------------------------------------------
-# the pruned grid and the cycle-jumping polish against the brute force
+# the cycle-jumping polish against the full loop, and a dual certificate
 # ---------------------------------------------------------------------------
 
 
-def _full_grid_minimum(A, y, mu):
-    # every slice of the grid, in order: the scan the pruned grid must match
-    n = A.shape[1]
-    radius = float(y @ y) / (2.0 * mu)
-    resolution = GRID_RESOLUTION[n]
-    axis = np.arange(-radius, radius + 0.5 * resolution, resolution)
-    if n == 1:
-        inner = np.zeros((1, 0))
-    else:
-        mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-        inner = np.stack(mesh, axis=-1).reshape(-1, n - 1)
-    best_v = math.inf
-    best_x = np.zeros(n)
-    pts = np.empty((inner.shape[0], n))
-    pts[:, 1:] = inner
-    for first in axis:
-        pts[:, 0] = first
-        r = pts @ A.T - y
-        vals = 0.5 * np.einsum("ij,ij->i", r, r) + mu * np.abs(pts).sum(axis=1)
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            best_v = float(vals[i])
-            best_x = pts[i].copy()
-    return best_x, best_v
-
-
-def _full_polish(A, y, mu, x, cap=POLISH_CAP):
-    # every update up to the cap: the loop the cycle jump must match
+def _full_polish(A, y, mu, cap=POLISH_CAP):
+    # every update from the origin up to the cap: the loop the cycle jump
+    # must match
     L = float(np.linalg.norm(A, 2)) ** 2
     lam = 1.0 / L
     AtA = A.T @ A
     Aty = A.T @ y
-    x = np.array(x, dtype=float)
+    x = np.zeros(A.shape[1])
     for _ in range(cap):
         xn = soft_threshold(x - lam * (AtA @ x - Aty), lam * mu)
         if np.array_equal(xn, x):
@@ -197,9 +168,21 @@ def _full_polish(A, y, mu, x, cap=POLISH_CAP):
     return x
 
 
+def _assert_certified(A, y, mu, x, value):
+    # the duality gap value - D(theta) for the residual scaled into the dual
+    # feasible set {||A^T theta||_inf <= mu} (Fercoq, Gramfort and Salmon,
+    # ICML 2015), D(theta) = -||theta||^2 / 2 - theta^T y; weak duality puts
+    # the true minimum between D(theta) and value
+    r = A @ x - y
+    top = float(np.max(np.abs(A.T @ r)))
+    theta = r * (mu / top if top > mu else 1.0)
+    gap = value - (-0.5 * float(theta @ theta) - float(theta @ y))
+    assert abs(gap) <= 1e-14 * (1.0 + abs(value)), gap
+
+
 def _rank_deficient(equal):
-    # two equal columns: the slices' lasso is strongly convex only when
-    # column 0 is one of the pair
+    # two equal columns: the minimizer is not unique, but the gap still
+    # closes at the polish's fixed point
     rng = np.random.default_rng(11)
     A = rng.standard_normal((4, 3))
     A[:, equal[1]] = A[:, equal[0]]
@@ -209,109 +192,68 @@ def _rank_deficient(equal):
 
 
 REFERENCE_CASES = (
-    [pytest.param(2 + i % 2, 400 + i, id=f"seed{400 + i}") for i in range(20)]
-    + [pytest.param(1, seed, id=f"n1-seed{seed}") for seed in (0, 1, 2)]
-    + [pytest.param(None, (1, 2), id="equal-columns-1-2"),
-       pytest.param(None, (0, 1), id="equal-columns-0-1")]
+    [pytest.param({"n": 2 + i % 2, "seed": 400 + i}, id=f"seed{400 + i}")
+     for i in range(20)]
+    + [pytest.param({"n": 2, "m": 3, "seed": 7}, id="tiny-lasso")]
+    + [pytest.param({"n": 1, "seed": seed}, id=f"n1-seed{seed}")
+       for seed in (0, 1, 2)]
+    + [pytest.param((1, 2), id="equal-columns-1-2"),
+       pytest.param((0, 1), id="equal-columns-0-1")]
 )
 
 
-@pytest.mark.parametrize("n,case", REFERENCE_CASES)
-def test_reference_minimum_matches_brute_force_bits(n, case, monkeypatch):
-    if n is None:
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_reference_minimum_matches_brute_force_bits(case):
+    # the brute force is the polish's full loop, which the cycle jump must
+    # match bit for bit; the duality gap certifies the minimum it reaches
+    if isinstance(case, tuple):
         A, y, mu = _rank_deficient(case)
-        stored = None
+        x, _ = lasso_polish(A, y, mu)
+        value = LassoInstance(A, y, mu, np.zeros(3)).composite.value(x)
     else:
-        payload = generate_instance("lasso", seed=case, n=n).payload
-        A, y, mu = (np.asarray(payload["A"]), np.asarray(payload["y"]),
-                    payload["mu"])
-        stored = np.asarray(payload["minimizer"])
-    ref_x, ref_v = _full_grid_minimum(A, y, mu)
-    # every slice the grid evaluates has the brute force's values, and no
-    # slice is evaluated twice
-    evaluated = []
-    slice_values = problems._slice_values
-
-    def checked(A, y, mu, pts, magnitudes):
-        values = slice_values(A, y, mu, pts, magnitudes)
-        r = pts @ A.T - y
-        want = 0.5 * np.einsum("ij,ij->i", r, r) + mu * np.abs(pts).sum(axis=1)
-        assert values.tobytes() == want.tobytes()
-        evaluated.append(pts[0, 0])
-        return values
-
-    monkeypatch.setattr(problems, "_slice_values", checked)
-    grid_x, grid_v = lasso_grid_minimum(A, y, mu)
-    assert evaluated and len(set(evaluated)) == len(evaluated)
-    assert grid_x.tobytes() == ref_x.tobytes()
-    assert grid_v == ref_v
-    ref_star = _full_polish(A, y, mu, ref_x)
-    xstar, _ = lasso_polish(A, y, mu, grid_x)
-    assert xstar.tobytes() == ref_star.tobytes()
-    if stored is not None:
-        assert stored.tobytes() == ref_star.tobytes()
+        inst, value, x = _lasso(generate_instance("lasso", **case))
+        A, y, mu = inst.A, inst.y, inst.mu
+    assert x.tobytes() == _full_polish(A, y, mu).tobytes()
+    _assert_certified(A, y, mu, x, value)
 
 
-@pytest.mark.parametrize("n,mu", [(1, 1e-4), (2, 1e-4), (3, 0.01)])
-def test_grid_refuses_more_points_than_its_cap(n, mu, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the grid was allocated")
-
-    # the refusal comes before the grid exists
-    monkeypatch.setattr(np, "arange", refuse)
-    monkeypatch.setattr(np, "meshgrid", refuse)
-    A = np.eye(n + 1, n)
-    y = np.ones(n + 1) / math.sqrt(n + 1)
-    with pytest.raises(ValueError, match=f"mu = {mu!r} would take"):
-        lasso_grid_minimum(A, y, mu)
-
-
-def test_generate_refuses_a_grid_over_its_cap(tmp_path, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the grid was allocated")
-
-    # the command line's own parser takes a short np.arange
-    monkeypatch.setattr(np, "meshgrid", refuse)
-    out = tmp_path / "i.json"
-    assert main(["generate", "--family", "lasso", "--n", "3", "--mu", "0.01",
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: the reference grid at mu = 0\.01 would "
-                        r"take \d\.\d+e\+07 points a slice, over the "
-                        rf"{GRID_MAX_POINTS} it may use; choose a larger mu\n",
-                        err), err
-    assert not out.exists()
+def test_generate_takes_a_small_mu_and_a_large_n(tmp_path):
+    # no grid, so no box that grows as 1 / mu and no limit on n
+    for n, mu in ((3, ["--mu", "0.01"]), (8, [])):
+        out = tmp_path / f"n{n}.json"
+        assert main(["generate", "--family", "lasso", "--n", str(n), *mu,
+                     "--out", str(out)]) == 0
+        inst, value, x = _lasso(GeneratedInstance.from_json(out))
+        assert inst.dimension == n
+        _assert_certified(inst.A, inst.y, inst.mu, x, value)
 
 
 def test_polish_cycle_jump_lands_on_the_cap_state(monkeypatch):
-    # seed 402 cycles with period 2 from about update 13 on: below the
-    # first cap at which the cycle is found the polish must raise, and at
-    # every cap from there on it must return the full loop's final state
-    payload = generate_instance("lasso", seed=402, n=2).payload
-    A, y, mu = (np.asarray(payload["A"]), np.asarray(payload["y"]),
-                payload["mu"])
-    start, _ = lasso_grid_minimum(A, y, mu)
+    # from the origin, seed 402 cycles with period 2 from about update 16
+    # on: below the first cap at which the cycle is found the polish must
+    # raise, and at every cap from there on it must return the full loop's
+    # final state
+    inst, _, _ = _lasso(generate_instance("lasso", seed=402, n=2))
+    A, y, mu = inst.A, inst.y, inst.mu
     raised = []
     for cap in list(range(1, 40)) + [1000, 1001]:
         monkeypatch.setattr(problems, "POLISH_CAP", cap)
         try:
-            xstar, period = lasso_polish(A, y, mu, start)
+            xstar, period = lasso_polish(A, y, mu)
         except NotConvergedError:
             raised.append(cap)
             continue
         assert period == 2
-        assert xstar.tobytes() == _full_polish(A, y, mu, start, cap).tobytes()
+        assert xstar.tobytes() == _full_polish(A, y, mu, cap).tobytes()
     assert raised == list(range(1, len(raised) + 1))
     assert 13 <= len(raised) < 30
 
 
 def test_polish_raises_when_the_cap_ends_it_unconverged(monkeypatch):
-    payload = generate_instance("lasso", seed=400, n=2).payload
-    A, y, mu = (np.asarray(payload["A"]), np.asarray(payload["y"]),
-                payload["mu"])
+    inst, _, _ = _lasso(generate_instance("lasso", seed=400, n=2))
     monkeypatch.setattr(problems, "POLISH_CAP", 3)
     with pytest.raises(NotConvergedError, match="3 updates"):
-        lasso_polish(A, y, mu, np.array([5.0, -5.0]))
+        lasso_polish(inst.A, inst.y, inst.mu)
 
 
 def test_polish_cycle_is_reported(caplog):
