@@ -16,7 +16,6 @@ from klcert.convex import (
     Halfspace,
     IntersectionSet,
     NotConvergedError,
-    SingletonSet,
     quadratic_objective,
 )
 from klcert.descent import (
@@ -98,7 +97,6 @@ __all__ = [
     "NotConvergedError",
     "PowerDesingularizer",
     "QuadraticComplexity",
-    "SingletonSet",
     "StepSchedule",
     "certificate_params",
     "check_error_bound_sampling",

@@ -19,10 +19,10 @@ keep the batch-row rule all the same, since numpy reduces a 1-D point as
 it reduces each row of a batch.  IntersectionSet is the exception to the
 rule: Dykstra runs a batch until its slowest row converges (see the note
 above Ball).  On a batch, `row_sums` (which `batch_norms` and the l1
-sums use), `minus_point`, `Ball.project` and `Halfspace.project` work one
-coordinate column at a time, so that numpy loops over the rows rather
-than over a short last axis, with the bits of the reductions and
-broadcast expressions they replace.
+sums use), `minus_point`, `Ball.project`, `Ball.sample` and
+`Halfspace.project` work one coordinate column at a time, so that numpy
+loops over the rows rather than over a short last axis, with the bits of
+the reductions and broadcast expressions they replace.
 
 The objective builders give the parts of composites h + g: smooth least
 squares, quadratics and (weighted) squared distances, and nonsmooth scaled
@@ -143,17 +143,21 @@ def _matvec(A: Array, x: Array) -> Array:
 # ---------------------------------------------------------------------------
 #
 # Each set implements project(x), distance(x) and contains(x, tol), all of
-# which broadcast over leading batch axes.  Ball, Halfspace, AffineSet and
-# SingletonSet give each batch row the bits of the single-point call,
-# whatever the batch size; dykstra_projection relies on that when it drops
-# from its batch the rows at a fixed point or on a 2-cycle, and when it
-# measures distances for only some rows.  IntersectionSet does not: its
-# batch runs until the slowest row meets the stopping test.
+# which broadcast over leading batch axes.  Ball, Halfspace and AffineSet
+# give each batch row the bits of the single-point call, whatever the batch
+# size; dykstra_projection relies on that when it drops from its batch the
+# rows at a fixed point or on a 2-cycle, and when it measures distances for
+# only some rows.  IntersectionSet does not: its batch runs until the
+# slowest row meets the stopping test.
 
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball {x : ||x - center|| <= radius}."""
+    """Euclidean ball {x : ||x - center|| <= radius}.
+
+    The one Euclidean ball: a projectable set, a certificate region (it
+    also draws uniform samples of itself) and, at radius 0, a single point,
+    whose distance is ||x - center|| to the bit."""
 
     center: Array
     radius: float
@@ -188,6 +192,22 @@ class Ball:
 
     def contains(self, x: Array, tol: float = 1e-9):
         return self.distance(x) <= tol
+
+    def sample(self, rng: np.random.Generator, dimension: int, count: int) -> Array:
+        """count points drawn uniformly from the ball, shape (count, n)."""
+        if dimension != self.dimension:
+            raise ValueError("dimension does not match the center")
+        # center + radius * radial * g / |g| row by row, from the same
+        # draws, but one coordinate column at a time: numpy then loops over
+        # the samples rather than over the few coordinates of each
+        g = rng.standard_normal((count, dimension))
+        norms = np.maximum(batch_norms(g), 1e-300)
+        radial = rng.uniform(0.0, 1.0, size=count) ** (1.0 / dimension)
+        scale = self.radius * radial
+        out = np.empty((count, dimension))
+        for j in range(dimension):
+            out[:, j] = self.center[j] + scale * (g[:, j] / norms)
+        return out
 
     def boundary_normal(self, x: Array) -> Array:
         d = np.asarray(x, dtype=float) - self.center
@@ -271,27 +291,6 @@ class AffineSet:
         return self.distance(x) <= tol
 
 
-@dataclass(frozen=True)
-class SingletonSet:
-    """A single point, the degenerate convex set."""
-
-    point: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", as_point(self.point))
-
-    def project(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.point, x.shape).copy()
-
-    def distance(self, x: Array) -> float | Array:
-        x = np.asarray(x, dtype=float)
-        return batch_norms(minus_point(x, self.point))
-
-    def contains(self, x: Array, tol: float = 1e-9):
-        return self.distance(x) <= tol
-
-
 def _same_row_bits(a: Array, b: Array) -> Array:
     """Per row of two (k, n) arrays: whether the rows agree to the bit.
     One column at a time: n elementwise comparisons of the int64 views cost
@@ -336,11 +335,11 @@ def dykstra_projection(
     projection.
 
     A cycle is a deterministic function of a row's state (y, increments),
-    since Ball, Halfspace, AffineSet and SingletonSet project a batch row
-    to the bits of the single-point call.  So a row whose state comes back
-    bit for bit after one cycle sits at an exact fixed point, and a row
-    whose state comes back after two cycles alternates between two states
-    for ever.  Such a row is frozen: it leaves the working batch with its y
+    since Ball, Halfspace and AffineSet project a batch row to the bits of
+    the single-point call.  So a row whose state comes back bit for bit
+    after one cycle sits at an exact fixed point, and a row whose state
+    comes back after two cycles alternates between two states for ever.
+    Such a row is frozen: it leaves the working batch with its y
     of each cycle parity, and the output takes the one of the stopping
     cycle's parity.  Its move in every later cycle is its move of this
     one (0 at a fixed point; the norm of v and of -v in a 2-cycle), and
@@ -445,8 +444,6 @@ class IntersectionSet:
     batch rows keep the bits of single-point calls."""
 
     sets: tuple
-    tol: float = 1e-12
-    max_cycles: int = 5000
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -454,7 +451,7 @@ class IntersectionSet:
             raise ValueError("an intersection cannot hold an intersection")
 
     def project(self, x: Array) -> Array:
-        return dykstra_projection(self.sets, x, self.tol, self.max_cycles)
+        return dykstra_projection(self.sets, x)
 
     def distance(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)

@@ -187,7 +187,7 @@ class PowerDesingularizer(Desingularizer):
     """
 
     def __init__(self, scale: float, exponent: float, r0: float = math.inf,
-                 region=None, ell: Optional[float] = None):
+                 region=WholeSpace(), ell: Optional[float] = None):
         if scale <= 0:
             raise ValueError("scale must be positive")
         if exponent < 1:
@@ -299,7 +299,8 @@ class TabulatedDesingularizer(Desingularizer):
 
     def __init__(self, phi_fn: Callable[[float], float],
                  phi_prime_fn: Callable[[float], float],
-                 r0: float, region=None, ell: Optional[float] = None):
+                 r0: float, region=WholeSpace(),
+                 ell: Optional[float] = None):
         if r0 <= 0:
             raise ValueError("r0 must be positive")
         self._phi_fn = phi_fn
@@ -346,7 +347,7 @@ class ErrorBoundCertificate:
     gamma: Optional[float] = None
     gamma0: Optional[float] = None
     r0: float = math.inf
-    region: object = None
+    region: object = WholeSpace()
     residual_fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
@@ -375,13 +376,13 @@ class ErrorBoundCertificate:
 
 
 # per form: the desingularizer a certificate.json record reads as, and its
-# keys besides "form"; a null r0 stands for +inf, a null ell for the one
-# the constructor computes and a null region for none, and a globalized
-# record's base is itself a desingularizer record
+# keys besides "form"; a null r0 stands for +inf and a null ell for the one
+# the constructor computes, and a globalized record's base is itself a
+# desingularizer record
 DESINGULARIZERS = Records("form", {
     "power": (PowerDesingularizer, {
         "scale": NUMBER, "exponent": NUMBER, "r0": Nullable(NUMBER, math.inf),
-        "ell": Nullable(NUMBER), "region": Nullable(REGIONS)}),
+        "ell": Nullable(NUMBER), "region": REGIONS}),
 })
 DESINGULARIZERS.kinds["globalized"] = (
     GlobalizedDesingularizer, {"junction": NUMBER, "base": DESINGULARIZERS})
@@ -456,7 +457,7 @@ def extend_error_bound_globally(gamma: float, p: float, r0: float):
         raise ValueError("need gamma > 0, p >= 1 and finite r0 > 0")
     gamma0 = (1.0 + r0 ** ((p - 1.0) / p)) * gamma ** (1.0 / p)
     cert = ErrorBoundCertificate(form="two-regime", p=p, gamma0=gamma0,
-                                 r0=math.inf, region=WholeSpace())
+                                 r0=math.inf)
     return gamma0, cert
 
 
@@ -470,9 +471,8 @@ def kl_gap(d: Desingularizer, obj: ConvexObjective, x):
     """
     x = as_points(x, obj.dimension)
     gap = np.asarray(value_gap(obj, x))
-    counts = np.isfinite(gap) & (gap > 0.0) & (gap < d.r0)
-    if d.region is not None:
-        counts &= np.asarray(d.region.contains(x))
+    counts = (np.isfinite(gap) & (gap > 0.0) & (gap < d.r0)
+              & np.asarray(d.region.contains(x)))
     if counts.all():
         # every point counts: no copies of the counted rows, no scatter
         norm = np.asarray(subgradient_norm(obj, x))

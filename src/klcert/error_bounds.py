@@ -19,6 +19,7 @@ import numpy as np
 from klcert.convex import (
     AffineSet,
     Array,
+    Ball,
     Halfspace,
     as_point,
     batch_norms,
@@ -27,7 +28,6 @@ from klcert.convex import (
     lasso_composite,
 )
 from klcert.desingularization import Desingularizer, PowerDesingularizer
-from klcert.regions import MetricBall
 
 # Enumeration caps for the exact Hoffman bound; above them the constant must
 # be user-supplied or sampled.
@@ -473,7 +473,7 @@ def feasibility_bound(inst: FeasibilityInstance, x0, variant: str = "barycentric
         M = 0.125 * ratio ** (-2)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    region = MetricBall(inst.xbar, t)
+    region = Ball(inst.xbar, t)
     # psi(s) = M s^2 / 2  <=>  phi(s) = sqrt(2 s / M)
     return PowerDesingularizer(scale=math.sqrt(2.0 / M), exponent=2.0,
                                r0=math.inf, region=region, ell=M)

@@ -37,7 +37,6 @@ from klcert.convex import (
     Ball,
     CompositeObjective,
     IntersectionSet,
-    SingletonSet,
     as_point,
     half_squared_distance,
     indicator,
@@ -78,7 +77,7 @@ from klcert.majorant import (
     zeta,
 )
 from klcert.problems import GeneratedInstance, generate_instance
-from klcert.regions import L1Ball, MetricBall, WholeSpace
+from klcert.regions import L1Ball
 from klcert.tracefmt import (
     TRACE_COLUMNS,
     read_json,
@@ -94,7 +93,6 @@ from klcert.verification import (
     CertificationReport,
     check_error_bound_sampling,
     check_kl_sampling,
-    region_sampler,
     scale_certificate,
     scale_desingularizer,
     trajectory_checks,
@@ -115,12 +113,13 @@ class Problem:
 @dataclass
 class PipelineBundle(Problem):
     """What a family pipeline hands the generic runner: its problem and the
-    certificate pieces the checker needs."""
+    certificate pieces the checker needs, among them the bounded region
+    (an L1Ball or a Ball) that the sampling checks draw from."""
 
     desingularizer: Desingularizer
     certificate: ErrorBoundCertificate
     solution_set: object
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
+    sample_region: object
     minimizer: Optional[np.ndarray]
     certificate_id: str
     # raises when a run leaves the region its certificate covers
@@ -173,8 +172,8 @@ def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
         **vars(problem),
         desingularizer=desing,
         certificate=cert,
-        solution_set=SingletonSet(minimizer),
-        sampler=region_sampler(cert.region, inst.dimension),
+        solution_set=Ball(minimizer, 0.0),
+        sample_region=cert.region,
         minimizer=minimizer,
         certificate_id=f"lasso-growth(gamma_R={consts.gamma_R:.6g})",
         guard=lambda run: _check_l1_ball(run, consts.R),
@@ -214,7 +213,7 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
         desingularizer=desing,
         certificate=cert,
         solution_set=solution,
-        sampler=region_sampler(desing.region, inst.dimension),
+        sample_region=desing.region,
         minimizer=None,
         certificate_id=f"feasibility-{variant}(M={desing.ell:.6g})",
     )
@@ -238,9 +237,8 @@ def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
         **vars(problem),
         desingularizer=desing,
         certificate=cert,
-        solution_set=SingletonSet(center),
-        sampler=region_sampler(desing.region, obj.dimension, anchor=center,
-                               scale=anchor_scale),
+        solution_set=Ball(center, 0.0),
+        sample_region=Ball(center, anchor_scale),
         minimizer=center,
         certificate_id=f"uniformly-convex(sigma={2.0 * weight:.6g})",
     )
@@ -261,7 +259,7 @@ def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
     # has zero slack, which is the whole point of this instance.
     growth = 1.0
     desing = PowerDesingularizer(scale=math.sqrt(2.0 / growth), exponent=2.0,
-                                 region=WholeSpace(), ell=growth)
+                                 ell=growth)
     cert = to_error_bound(desing)
     anchor_scale = 1.2 * float(np.linalg.norm(x0 - ball.center))
     yield PipelineBundle(
@@ -269,8 +267,7 @@ def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
         desingularizer=desing,
         certificate=cert,
         solution_set=ball,
-        sampler=region_sampler(WholeSpace(), n, anchor=ball.center,
-                               scale=anchor_scale),
+        sample_region=Ball(ball.center, anchor_scale),
         minimizer=None,
         certificate_id=f"tight-quadratic(M={growth:.6g})",
     )
@@ -525,11 +522,11 @@ def run_experiment(config: ExperimentConfig,
 
     samples = config.setting("checks", "samples")
     seed = config.setting("checks", "seed")
-    report.add(check_kl_sampling(desing, objective, bundle.sampler,
+    report.add(check_kl_sampling(desing, objective, bundle.sample_region,
                                  n_samples=samples, seed=seed))
     report.add(check_error_bound_sampling(cert, objective, bundle.solution_set,
-                                          bundle.sampler, n_samples=samples,
-                                          seed=seed + 1))
+                                          bundle.sample_region,
+                                          n_samples=samples, seed=seed + 1))
 
     result = ExperimentResult(config=config, instance=gi, bundle=bundle,
                               run=run, majorant=maj, report=report)
@@ -596,7 +593,7 @@ def certify_run(run_path: str, certificate_path: str,
     method, steps = pipeline_settings(gi.family, config)
     problem = next(PIPELINES[gi.family][-1](gi, config, method))
     region, dimension = desing.region, len(problem.start)
-    if isinstance(region, MetricBall) and region.dimension != dimension:
+    if isinstance(region, Ball) and region.dimension != dimension:
         raise ValueError(f"certificate region center is in dimension "
                          f"{region.dimension}, not the instance's {dimension}")
     run = DescentRun.from_metadata_dict(

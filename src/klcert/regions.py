@@ -1,8 +1,10 @@
 """Stable region descriptors for certificates.
 
-A region says where a certificate is claimed to hold.  Regions know how to
-test membership of points of shape (..., n) and how to draw uniform samples
-of themselves, which is what the sampling-based verification checks consume.
+A region says where a certificate is claimed to hold.  Regions test
+membership of points of shape (..., n); the bounded ones, `L1Ball` and
+`convex.Ball`, also draw uniform samples of themselves, which is what the
+sampling-based verification checks consume.  `WholeSpace` is the region
+of a certificate with no geometric restriction.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from klcert.convex import (Array, as_point, batch_norms, minus_point,
-                           row_sums)
+from klcert.convex import Array, Ball, row_sums
 from klcert.tracefmt import NUMBER, VECTOR, Records
 
 
@@ -40,44 +41,8 @@ class L1Ball:
 
 
 @dataclass(frozen=True)
-class MetricBall:
-    """{x : ||x - center|| <= radius}."""
-
-    center: Array
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
-
-    def contains(self, x, tol: float = 1e-9):
-        d = minus_point(np.asarray(x, dtype=float), self.center)
-        return np.sqrt(np.vecdot(d, d)) <= self.radius + tol
-
-    def sample(self, rng: np.random.Generator, dimension: int, count: int) -> Array:
-        if dimension != self.dimension:
-            raise ValueError("dimension does not match the center")
-        # center + radius * radial * g / |g| row by row, from the same
-        # draws, but one coordinate column at a time: numpy then loops over
-        # the samples rather than over the few coordinates of each
-        g = rng.standard_normal((count, dimension))
-        norms = np.maximum(batch_norms(g), 1e-300)
-        radial = rng.uniform(0.0, 1.0, size=count) ** (1.0 / dimension)
-        scale = self.radius * radial
-        out = np.empty((count, dimension))
-        for j in range(dimension):
-            out[:, j] = self.center[j] + scale * (g[:, j] / norms)
-        return out
-
-
-@dataclass(frozen=True)
 class WholeSpace:
-    """No geometric restriction; sampling needs an explicit anchor and scale."""
+    """No geometric restriction: every point is in the region."""
 
     def contains(self, x, tol: float = 1e-9):
         return np.ones(np.shape(x)[:-1], dtype=bool)
@@ -87,6 +52,6 @@ class WholeSpace:
 # keys besides "kind"
 REGIONS = Records("kind", {
     "l1-ball": (L1Ball, {"radius": NUMBER}),
-    "metric-ball": (MetricBall, {"center": VECTOR, "radius": NUMBER}),
+    "metric-ball": (Ball, {"center": VECTOR, "radius": NUMBER}),
     "whole-space": (WholeSpace, {}),
 })

@@ -17,7 +17,7 @@ draws.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from klcert.convex import (
     ConvexObjective,
     Halfspace,
     IntersectionSet,
-    SingletonSet,
     row_norms,
     value_gap,
 )
@@ -39,7 +38,6 @@ from klcert.desingularization import (
     kl_gap,
 )
 from klcert.majorant import MajorantSequence, empirical_prox_steps
-from klcert.regions import MetricBall, WholeSpace
 from klcert.tracefmt import write_json
 
 STATUSES = ("pass", "fail", "region-violated", "skipped", "inconclusive")
@@ -113,8 +111,6 @@ def _first_max(values: np.ndarray) -> tuple[int, float]:
 
 
 def _first_region_exit(region, iterates: np.ndarray) -> Optional[int]:
-    if region is None:
-        return None
     outside = ~np.asarray(region.contains(iterates))
     return int(np.argmax(outside)) if outside.any() else None
 
@@ -212,35 +208,19 @@ def trajectory_checks(run: DescentRun, maj: MajorantSequence,
 # ---------------------------------------------------------------------------
 
 
-Sampler = Callable[[np.random.Generator, int], np.ndarray]
-
-
-def region_sampler(region, dimension: int, anchor=None,
-                   scale: float = 1.0) -> Sampler:
-    """Uniform sampler of a certificate region.
-
-    Unbounded regions need an anchor and scale: draws then come from the
-    metric ball around the anchor, which is inside the region trivially.
-    """
-    if region is None or isinstance(region, WholeSpace):
-        center = np.zeros(dimension) if anchor is None else np.asarray(
-            anchor, dtype=float)
-        ball = MetricBall(center, scale)
-        return lambda rng, count: ball.sample(rng, dimension, count)
-    return lambda rng, count: region.sample(rng, dimension, count)
-
-
 def check_kl_sampling(d: Desingularizer, obj: ConvexObjective,
-                      sampler: Sampler, n_samples: int = 10000,
+                      region, n_samples: int = 10000,
                       tol: float = 1e-9, seed: int = 0) -> CheckResult:
     """min over samples of phi'(f(x) - min f) ||subgradient|| - 1 >= -tol.
 
-    Samples outside the value band or the objective's domain do not count;
-    they are neither evidence for nor against the certificate.
+    The samples are uniform draws from region (an L1Ball or a Ball).
+    Samples outside the value band, the objective's domain or d's region
+    do not count; they are neither evidence for nor against the
+    certificate.
     """
     name = "kl-sampling"
     rng = np.random.default_rng(seed)
-    gaps = kl_gap(d, obj, sampler(rng, n_samples))
+    gaps = kl_gap(d, obj, region.sample(rng, obj.dimension, n_samples))
     counted = gaps[~np.isnan(gaps)]
     valid = int(counted.size)
     if valid == 0:
@@ -253,21 +233,21 @@ def check_kl_sampling(d: Desingularizer, obj: ConvexObjective,
                        detail=f"min gap {worst_gap:.3e} over {valid} samples")
 
 
-_EXACT_DISTANCE_SETS = (SingletonSet, Ball, Halfspace, AffineSet,
-                        IntersectionSet)
+_EXACT_DISTANCE_SETS = (Ball, Halfspace, AffineSet, IntersectionSet)
 
 
 def check_error_bound_sampling(cert: ErrorBoundCertificate,
                                obj: ConvexObjective, solution_set,
-                               sampler: Sampler, n_samples: int = 10000,
+                               region, n_samples: int = 10000,
                                tol: float = 1e-9, seed: int = 0) -> CheckResult:
-    """min over samples of residual(f(x) - min f) - dist(x, argmin) >= -tol."""
+    """min over samples of residual(f(x) - min f) - dist(x, argmin) >= -tol,
+    the samples being uniform draws from region (an L1Ball or a Ball)."""
     name = "error-bound-sampling"
     if not isinstance(solution_set, _EXACT_DISTANCE_SETS):
         return CheckResult(name, "inconclusive", tolerance=tol,
                            detail="solution set has no exact distance oracle")
     rng = np.random.default_rng(seed)
-    pts = sampler(rng, n_samples)
+    pts = region.sample(rng, obj.dimension, n_samples)
     dists = np.atleast_1d(solution_set.distance(pts))
     gaps = np.maximum(value_gap(obj, pts), 0.0)
     counted = np.isfinite(gaps) & (gaps < cert.r0)

@@ -16,7 +16,6 @@ from klcert.convex import (
     Halfspace,
     IntersectionSet,
     NotConvergedError,
-    SingletonSet,
     UnsupportedOracleError,
     _same_row_bits,
     as_point,
@@ -40,7 +39,6 @@ from klcert.convex import (
     zero_objective,
 )
 from klcert.desingularization import PowerDesingularizer, globalize, kl_gap
-from klcert.regions import MetricBall
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -109,7 +107,7 @@ def _sample_sets():
         Ball(center=np.array([0.5, -1.0]), radius=2.0),
         Halfspace(normal=np.array([1.0, 2.0]), offset=0.5),
         AffineSet(matrix=np.array([[1.0, 1.0]]), rhs=np.array([1.0])),
-        SingletonSet(point=np.array([0.3, 0.7])),
+        Ball(center=np.array([0.3, 0.7]), radius=0.0),
     ]
 
 
@@ -148,7 +146,7 @@ def _set_zoo() -> dict:
     return {
         "ball": _BALL,
         "halfspace": _HALF,
-        "singleton": SingletonSet(np.array([0.3, 0.7, -0.2])),
+        "singleton": Ball(np.array([0.3, 0.7, -0.2]), 0.0),
         "affine": AffineSet(rng.normal(size=(2, 3)), rng.normal(size=2)),
         "intersection": IntersectionSet((_BALL, _HALF)),
     }
@@ -214,7 +212,7 @@ def test_dykstra_raises_at_its_cycle_cap():
     with pytest.raises(NotConvergedError, match="1 cycles"):
         dykstra_projection(sets, np.array([1.0, 1.0]), max_cycles=1)
     with pytest.raises(NotConvergedError):
-        IntersectionSet(sets, max_cycles=1).distance(np.array([[1.0, 1.0]]))
+        dykstra_projection(sets, np.array([[1.0, 1.0]]), max_cycles=1)
 
 
 def test_dykstra_refuses_a_cycle_cap_below_one():
@@ -223,7 +221,7 @@ def test_dykstra_refuses_a_cycle_cap_below_one():
         with pytest.raises(ValueError, match="at least one cycle"):
             dykstra_projection(sets, np.array([1.0, 1.0]), max_cycles=cap)
         with pytest.raises(ValueError, match="at least one cycle"):
-            IntersectionSet(sets, max_cycles=cap).project(np.ones(2))
+            dykstra_projection(sets, np.ones((1, 2)), max_cycles=cap)
 
 
 def test_intersection_refuses_a_nested_intersection():
@@ -495,7 +493,7 @@ def test_batched_kl_gap_matches_point_calls(name):
     obj = _factory_zoo()[name]
     pts = _probe_points()
     power = PowerDesingularizer(scale=1.3, exponent=2.0, r0=5.0,
-                                region=MetricBall(np.zeros(3), 2.5))
+                                region=Ball(np.zeros(3), 2.5))
     desingularizers = (power,
                        PowerDesingularizer(scale=0.8, exponent=1.0),
                        globalize(power, junction=1.0))
@@ -511,9 +509,8 @@ def _reference_kl_gap(d, obj, x):
     it runs when only some points count."""
     x = np.asarray(x, dtype=float)
     gap = np.asarray(value_gap(obj, x))
-    counts = np.isfinite(gap) & (gap > 0.0) & (gap < d.r0)
-    if d.region is not None:
-        counts &= np.asarray(d.region.contains(x))
+    counts = (np.isfinite(gap) & (gap > 0.0) & (gap < d.r0)
+              & np.asarray(d.region.contains(x)))
     norm = np.asarray(subgradient_norm(obj, x[counts]))
     slope = np.asarray(d.phi_prime(gap[counts]))
     out = np.full(gap.shape, math.nan)
@@ -524,7 +521,7 @@ def _reference_kl_gap(d, obj, x):
 def test_kl_gap_keeps_its_bits_whether_all_some_or_no_points_count():
     pts = _probe_points()
     power = PowerDesingularizer(scale=1.3, exponent=2.0, r0=5.0,
-                                region=MetricBall(np.zeros(3), 2.5))
+                                region=Ball(np.zeros(3), 2.5))
     desingularizers = (power,
                        PowerDesingularizer(scale=0.8, exponent=1.0),
                        globalize(power, junction=1.0))
@@ -664,7 +661,7 @@ def test_minus_point_and_ball_projection_keep_the_broadcast_bits(n):
 
 
 def _broadcast_ball_sample(ball, rng, dimension, count):
-    """MetricBall.sample as one broadcast formula over the rows."""
+    """Ball.sample as one broadcast formula over the rows."""
     g = rng.standard_normal((count, dimension))
     g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
     radial = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dimension)
@@ -675,13 +672,42 @@ def _broadcast_ball_sample(ball, rng, dimension, count):
 def test_metric_ball_sample_keeps_the_broadcast_bits(n):
     center = np.linspace(-1.0, 2.0, n)
     for radius in (0.0, 0.7):
-        ball = MetricBall(center, radius)
+        ball = Ball(center, radius)
         for count in (0, 1, 20000):
             got = ball.sample(np.random.default_rng(n), n, count)
             want = _broadcast_ball_sample(ball, np.random.default_rng(n), n,
                                           count)
             assert got.flags.c_contiguous
             assert _same_bits(got, want), (radius, count)
+
+
+def _point_distance(x, point):
+    """A single point's distance as the set of one point wrote it before
+    it became the ball of radius 0."""
+    return batch_norms(minus_point(np.asarray(x, dtype=float), point))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_radius_zero_ball_distance_keeps_the_point_bits(n):
+    rng = np.random.default_rng(43 + n)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300,
+                        -1e-300, 1e300, -1e300, 1.0, -3.5])
+    for point in (rng.normal(size=n), np.zeros(n), -np.zeros(n),
+                  rng.choice(special, size=n)):
+        ball = Ball(point, 0.0)
+        pts = np.concatenate([rng.normal(size=(40, n)) * 10.0,
+                              rng.choice(special, size=(60, n)),
+                              point[None], point[None] + 1e-300])
+        # squares of 1e300 overflow to +inf, of 1e-300 underflow to 0
+        with np.errstate(over="ignore", under="ignore"):
+            assert _same_bits(ball.distance(pts),
+                              _point_distance(pts, point))
+            for x in pts[::7]:
+                got, want = ball.distance(x), _point_distance(x, point)
+                assert np.ndim(got) == 0 and _same_bits(got, want), x
+            grid = pts[:60].reshape(3, 20, n)
+            assert _same_bits(ball.distance(grid),
+                              _point_distance(grid, point))
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +742,8 @@ def _lens_batch():
     config, = [c for c in preset_configs("feasibility")
                if c.name == "feasibility-alternating"]
     bundle = build_pipeline(load_instance(config), config)
-    pts = bundle.sampler(np.random.default_rng(6), 20000)
+    pts = bundle.sample_region.sample(np.random.default_rng(6),
+                                      len(bundle.start), 20000)
     return bundle.solution_set.sets, pts, 1e-12
 
 

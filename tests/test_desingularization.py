@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klcert.convex import quadratic_objective, scaled_l1
+from klcert.convex import Ball, quadratic_objective, scaled_l1
 from klcert.desingularization import (
     DESINGULARIZERS,
     ErrorBoundCertificate,
@@ -24,7 +24,7 @@ from klcert.desingularization import (
     libm_pow,
     to_error_bound,
 )
-from klcert.regions import L1Ball, MetricBall, WholeSpace
+from klcert.regions import L1Ball, WholeSpace
 from klcert.tracefmt import read_value, write_value
 
 scales = st.floats(min_value=1e-3, max_value=1e3)
@@ -235,15 +235,16 @@ ROUND_TRIPS = {
                                     region=L1Ball(1.25)), ()),
     "metric-ball": (PowerDesingularizer(
         scale=0.9, exponent=2.0, ell=0.3,
-        region=MetricBall(np.array([0.1, -0.35, 2.0]), 0.7)), ("r0",)),
+        region=Ball(np.array([0.1, -0.35, 2.0]), 0.7)), ("r0",)),
     # psi' has no Lipschitz constant on [0, inf) for p = 2.5
     "whole-space": (PowerDesingularizer(scale=1.3, exponent=2.5,
                                         region=WholeSpace()), ("ell", "r0")),
-    "null-region": (PowerDesingularizer(scale=1.1, exponent=2.0),
-                    ("r0", "region")),
+    # no region given: the whole space, written as such
+    "default-whole-space": (PowerDesingularizer(scale=1.1, exponent=2.0),
+                            ("r0",)),
     "globalized": (globalize(PowerDesingularizer(
         scale=1.0, exponent=2.0, r0=2.0,
-        region=MetricBall(np.array([0.5, -0.25]), 1.5)), junction=0.8), ()),
+        region=Ball(np.array([0.5, -0.25]), 1.5)), junction=0.8), ()),
 }
 
 
@@ -435,6 +436,6 @@ def test_kl_gap_skips_minimum_and_region():
     d_banded = PowerDesingularizer(scale=1.0, exponent=2.0, r0=0.25)
     assert math.isnan(kl_gap(d_banded, obj, np.array([1.0])))  # gap beyond r0
     d_region = PowerDesingularizer(scale=1.0, exponent=2.0,
-                                   region=MetricBall(np.zeros(1), 0.5))
+                                   region=Ball(np.zeros(1), 0.5))
     assert math.isnan(kl_gap(d_region, obj, np.array([2.0])))  # outside region
     assert not math.isnan(kl_gap(d_region, obj, np.array([0.3])))

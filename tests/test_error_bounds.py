@@ -21,7 +21,6 @@ from klcert.error_bounds import (
     uniformly_convex_profile,
 )
 from klcert.problems import generate_instance, generate_linear_system_pair
-from klcert.regions import MetricBall
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -289,7 +288,7 @@ def test_feasibility_bound_frozen_constants():
         assert d.ell == pytest.approx(1.0 / 32.0, rel=1e-14)
         assert d.scale == pytest.approx(8.0, rel=1e-14)
         assert math.isinf(d.r0)
-        assert isinstance(d.region, MetricBall)
+        assert isinstance(d.region, Ball)
         assert d.region.radius == pytest.approx(0.5, rel=1e-14)
 
 

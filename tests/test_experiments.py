@@ -336,7 +336,8 @@ RUN_ARRAYS = ("iterates", "raw_values", "step_norms", "witness_norms",
 # certificate.json records whose refusal names a key: an unknown key in
 # the desingularizer, its region and a globalized record's base, an unknown
 # region kind or desingularizer form, a region without one of its keys, a
-# region or desingularizer that is not an object, a metric-ball center
+# region or desingularizer that is not an object, a null region (every
+# region is an object, the whole space included), a metric-ball center
 # shorter or longer than the instance's dimension, and an exponent whose
 # power of the scale overflows a float
 NAMED_MALFORMED = (
@@ -348,6 +349,7 @@ NAMED_MALFORMED = (
        for key in ("kind", "radius", "center")]
     + [("certificate.json", "list", key)
        for key in ("region", "desingularizer")]
+    + [("certificate.json", "null-nested", "region")]
     + [("certificate.json", edit, "center") for edit in ("short", "long")]
     + [("certificate.json", "overflow", "exponent")]
 )
@@ -809,7 +811,7 @@ def test_run_reports_unconverged_projection(tmp_path, capsys, monkeypatch):
     # intersection; one Dykstra cycle is not enough for its samples
     real = klcert.convex.dykstra_projection
     monkeypatch.setattr(klcert.convex, "dykstra_projection",
-                        lambda sets, x, tol, max_cycles: real(sets, x, tol, 1))
+                        lambda sets, x: real(sets, x, max_cycles=1))
     assert main(["run", "--preset", "feasibility", "--out",
                  str(tmp_path)]) == 2
     assert "did not converge" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Certificate checks: trajectory bounds, sampling audits, falsification."""
 
+import copy
 import json
 import math
 from dataclasses import replace
@@ -11,7 +12,6 @@ from klcert.convex import (
     Ball,
     CompositeObjective,
     ConvexObjective,
-    SingletonSet,
     evaluate,
     min_norm_subgradient,
     quadratic_objective,
@@ -42,7 +42,7 @@ from klcert.majorant import (
     empirical_prox_steps,
     worst_case_sequence,
 )
-from klcert.regions import MetricBall, WholeSpace
+from klcert.regions import L1Ball
 from klcert.tracefmt import TRACE_COLUMNS
 from klcert.verification import (
     CertificationReport,
@@ -52,7 +52,6 @@ from klcert.verification import (
     check_kl_sampling,
     check_majorization,
     check_prox_step_domination,
-    region_sampler,
     scale_certificate,
     scale_desingularizer,
 )
@@ -144,7 +143,7 @@ def test_majorization_requires_min_value():
 def test_majorization_respects_region():
     run, d, maj = _quadratic_bundle()
     off = PowerDesingularizer(scale=d.scale, exponent=2.0,
-                              region=MetricBall(np.array([50.0, 50.0]), 0.1))
+                              region=Ball(np.array([50.0, 50.0]), 0.1))
     c = check_majorization(run, maj, off)
     assert c.status == "region-violated"
     assert "outside the certified region" in c.detail
@@ -184,13 +183,13 @@ def _square_objective():
 def test_kl_sampling_pass_and_fail():
     obj = _square_objective()
     exact = PowerDesingularizer(scale=1.0, exponent=2.0)  # phi'(f)|f'| = 1
-    sampler = region_sampler(None, 1, anchor=np.zeros(1), scale=2.0)
-    c = check_kl_sampling(exact, obj, sampler, n_samples=500, seed=3)
+    region = Ball(np.zeros(1), 2.0)
+    c = check_kl_sampling(exact, obj, region, n_samples=500, seed=3)
     assert c.status == "pass"
     assert abs(c.worst_violation) <= 1e-12
     # quadrupling gamma halves phi': the inequality fails by 1/2 everywhere
     bad = scale_desingularizer(exact, 4.0)
-    c = check_kl_sampling(bad, obj, sampler, n_samples=500, seed=3)
+    c = check_kl_sampling(bad, obj, region, n_samples=500, seed=3)
     assert c.status == "fail"
     assert c.worst_violation == pytest.approx(0.5, abs=1e-12)
 
@@ -198,8 +197,8 @@ def test_kl_sampling_pass_and_fail():
 def test_kl_sampling_inconclusive_outside_region():
     obj = _square_objective()
     banded = PowerDesingularizer(scale=1.0, exponent=2.0,
-                                 region=MetricBall(np.zeros(1), 0.5))
-    far = region_sampler(WholeSpace(), 1, anchor=np.array([50.0]), scale=0.1)
+                                 region=Ball(np.zeros(1), 0.5))
+    far = Ball(np.array([50.0]), 0.1)
     c = check_kl_sampling(banded, obj, far, n_samples=100, seed=0)
     assert c.status == "inconclusive" and c.samples == 0
 
@@ -207,33 +206,33 @@ def test_kl_sampling_inconclusive_outside_region():
 def test_kl_sampling_is_deterministic():
     obj = _square_objective()
     d = PowerDesingularizer(scale=1.0, exponent=2.0)
-    sampler = region_sampler(None, 1, anchor=np.zeros(1), scale=2.0)
-    a = check_kl_sampling(d, obj, sampler, n_samples=300, seed=11)
-    b = check_kl_sampling(d, obj, sampler, n_samples=300, seed=11)
+    region = Ball(np.zeros(1), 2.0)
+    a = check_kl_sampling(d, obj, region, n_samples=300, seed=11)
+    b = check_kl_sampling(d, obj, region, n_samples=300, seed=11)
     assert a.to_dict() == b.to_dict()
 
 
 def test_error_bound_sampling_pass_and_fail():
     obj = _square_objective()
-    sol = SingletonSet(np.zeros(1))
-    sampler = region_sampler(None, 1, anchor=np.zeros(1), scale=2.0)
+    sol = Ball(np.zeros(1), 0.0)
+    region = Ball(np.zeros(1), 2.0)
     tight = ErrorBoundCertificate(form="power", p=2.0, gamma=1.0)
-    c = check_error_bound_sampling(tight, obj, sol, sampler,
+    c = check_error_bound_sampling(tight, obj, sol, region,
                                    n_samples=500, seed=5)
     assert c.status == "pass"
     assert abs(c.worst_violation) <= 1e-9
     inflated = scale_certificate(tight, 4.0)
-    c = check_error_bound_sampling(inflated, obj, sol, sampler,
+    c = check_error_bound_sampling(inflated, obj, sol, region,
                                    n_samples=500, seed=5)
     assert c.status == "fail"
 
 
 def test_error_bound_sampling_edge_statuses():
     obj = _square_objective()
-    sampler = region_sampler(None, 1, anchor=np.array([3.0]), scale=0.5)
+    region = Ball(np.array([3.0]), 0.5)
     narrow = ErrorBoundCertificate(form="power", p=2.0, gamma=1.0, r0=0.01)
-    c = check_error_bound_sampling(narrow, obj, SingletonSet(np.zeros(1)),
-                                   sampler, n_samples=100, seed=0)
+    c = check_error_bound_sampling(narrow, obj, Ball(np.zeros(1), 0.0),
+                                   region, n_samples=100, seed=0)
     assert c.status == "inconclusive"  # every gap beyond the band
 
     class Opaque:
@@ -241,7 +240,7 @@ def test_error_bound_sampling_edge_statuses():
             return 0.0
 
     cert = ErrorBoundCertificate(form="power", p=2.0, gamma=1.0)
-    c = check_error_bound_sampling(cert, obj, Opaque(), sampler,
+    c = check_error_bound_sampling(cert, obj, Opaque(), region,
                                    n_samples=10, seed=0)
     assert c.status == "inconclusive"
     assert "no exact distance oracle" in c.detail
@@ -273,21 +272,21 @@ def test_sampling_checks_match_pointwise_reference(config):
     bundle = build_pipeline(load_instance(config), config)
     d, cert = bundle.desingularizer, bundle.certificate
     obj = bundle.composite.objective(bundle.min_value)
+    region = bundle.sample_region
     for factor in (1.0, 2.0):  # 2.0 fails the tight-quadratic certificate
         d_f = scale_desingularizer(d, factor)
         cert_f = scale_certificate(cert, factor)
-        pts = bundle.sampler(np.random.default_rng(4), 400)
+        pts = region.sample(np.random.default_rng(4), obj.dimension, 400)
         valid, worst = _pointwise_kl_sampling(d_f, obj, pts)
-        c = check_kl_sampling(d_f, obj, bundle.sampler,
-                              n_samples=400, seed=4)
+        c = check_kl_sampling(d_f, obj, region, n_samples=400, seed=4)
         assert (c.samples, c.worst_violation) == (valid, -worst)
 
-        pts = bundle.sampler(np.random.default_rng(5), 400)
+        pts = region.sample(np.random.default_rng(5), obj.dimension, 400)
         dists = np.atleast_1d(bundle.solution_set.distance(pts))
         valid, worst = _pointwise_error_bound_sampling(
             cert_f, obj, dists, pts)
         c = check_error_bound_sampling(cert_f, obj,
-                                       bundle.solution_set, bundle.sampler,
+                                       bundle.solution_set, region,
                                        n_samples=400, seed=5)
         assert (c.samples, c.worst_violation) == (valid, -worst)
 
@@ -377,8 +376,9 @@ def test_derived_objective_matches_hand_written_references(config):
                             min_value=bundle.min_value)
     # as many draws as the benchmark's falsify battery makes per check
     seed = config.setting("checks", "seed")
-    pts = np.concatenate([bundle.sampler(np.random.default_rng(s), 20000)
-                          for s in (seed, seed + 1)]
+    pts = np.concatenate([bundle.sample_region.sample(
+                              np.random.default_rng(s), len(bundle.start),
+                              20000) for s in (seed, seed + 1)]
                          + [[bundle.start, np.zeros_like(bundle.start)]])
     for oracle in (evaluate, value_gap, min_norm_subgradient,
                    subgradient_norm):
@@ -483,13 +483,48 @@ def test_trajectory_quantities_match_per_step_reference(config):
         for k in range(1, len(maj.alpha))]
 
 
-def test_region_sampler_respects_geometry(rng):
-    ball = MetricBall(np.array([1.0, 1.0]), 0.3)
-    pts = region_sampler(ball, 2)(rng, 200)
+def test_region_samples_respect_geometry(rng):
+    ball = Ball(np.array([1.0, 1.0]), 0.3)
+    pts = ball.sample(rng, 2, 200)
+    assert pts.shape == (200, 2)
     assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= 0.3 + 1e-12)
-    anchored = region_sampler(WholeSpace(), 2, anchor=np.array([5.0, 0.0]),
-                              scale=0.1)(rng, 200)
-    assert np.all(np.linalg.norm(anchored - [5.0, 0.0], axis=1) <= 0.1 + 1e-12)
+    with pytest.raises(ValueError, match="dimension"):
+        ball.sample(rng, 3, 200)
+    l1 = L1Ball(0.4)
+    pts = l1.sample(rng, 3, 200)
+    assert pts.shape == (200, 3)
+    assert np.all(np.abs(pts).sum(axis=1) <= 0.4 + 1e-12)
+
+
+def _old_metric_ball_contains(ball, x, tol=1e-9):
+    """Membership of the metric ball as the region wrote it before the
+    region became a Ball: a BLAS-dot norm against radius + tol."""
+    d = np.asarray(x, dtype=float) - ball.center
+    return np.sqrt(np.vecdot(d, d)) <= ball.radius + tol
+
+
+@pytest.mark.parametrize("config", preset_configs("feasibility"),
+                         ids=lambda c: c.name)
+def test_ball_region_membership_matches_the_old_formula(config):
+    """Ball.contains (distance <= tol) and the old formula can differ only
+    within rounding of radius + tol; on the feasibility presets' sample
+    batches at the benchmark's 20000 draws and on every iterate of their
+    runs they give the same booleans."""
+    config = copy.deepcopy(config)
+    config.checks["samples"] = 20000
+    result = run_experiment(config)
+    region = result.bundle.desingularizer.region
+    assert isinstance(region, Ball)
+    seed = config.setting("checks", "seed")
+    pts = np.concatenate([region.sample(np.random.default_rng(s),
+                                        region.dimension, 20000)
+                          for s in (seed, seed + 1)]
+                         + [result.run.iterates])
+    got = region.contains(pts)
+    assert np.array_equal(got, _old_metric_ball_contains(region, pts))
+    assert got.all()
+    for x in result.run.iterates:
+        assert region.contains(x) == _old_metric_ball_contains(region, x)
 
 
 # ---------------------------------------------------------------------------
