@@ -134,7 +134,10 @@ def minus_point(x: Array, point: Array) -> Array:
 
 
 def _matvec(A: Array, x: Array) -> Array:
-    """A x for each row of x; stacked so every row keeps the 1-D BLAS bits."""
+    """A x for each row of x.  A single point takes A @ x directly; a batch
+    is stacked, which gives every row the bits of that 1-D product."""
+    if x.ndim == 1:
+        return A @ x
     return (A @ x[..., None])[..., 0]
 
 
@@ -173,6 +176,10 @@ class Ball:
 
     def project(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
+        if self.radius == 0.0:
+            # the center itself: near it, the squared norm below would
+            # underflow to 0 and leave the point where it is
+            return np.broadcast_to(self.center, x.shape).copy()
         d = minus_point(x, self.center)
         nrm = batch_norms(d)
         scale = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
@@ -474,12 +481,13 @@ class ConvexObjective:
     outside the domain.  subgradient_fn returns the least-norm element of
     the subdifferential, shape (..., n), with a row of NaN where the
     subdifferential is empty.  prox_fn maps a point x and a step to
-    argmin_z f(z) + ||z - x||^2 / (2 step): a 1-D point and a float step
-    in the descent loop, and a (T, n) batch with a (T, 1) array of steps
-    when `DescentRun.from_metadata_dict` replays stored iterates, each row
-    with the bits of the single-point call.  Where the map is the identity,
-    prox_fn may return its argument itself: no caller mutates a prox result,
-    and the descent loop and the replay pass fresh temporaries.
+    argmin_z f(z) + ||z - x||^2 / (2 step): a 1-D point and a 0-d float64
+    array step in the descent loop, a float step in `prox`, and a (T, n)
+    batch with a (T, 1) array of steps when `DescentRun.from_metadata_dict`
+    replays stored iterates, each row with the bits of the single-point
+    call.  Where the map is the identity, prox_fn may return its argument
+    itself: no caller mutates a prox result, and the descent loop and the
+    replay pass fresh temporaries.
     shifted_subgradient_fn, given by the nonsmooth parts of composites, maps
     points x and vectors v of the same shape to the least-norm element of
     v + subdiff f(x), NaN rows where the subdifferential is empty; with
@@ -614,9 +622,14 @@ def quadratic_objective(center, weight: float = 0.5, min_value: float = 0.0) -> 
         d = minus_point(x, c)
         return w * np.vecdot(d, d) + min_value
 
+    # 2w as a 0-d array: numpy scales an array by one faster than by a
+    # Python float, to the same bits, and a batch of points still in one
+    # loop over all its entries
+    two_w = np.asarray(2.0 * w)
+
     def grad(x):
         # called once per step of the descent loop: no helper call
-        return 2.0 * w * (x - c)
+        return two_w * (x - c)
 
     def prx(x, step):
         return (x + 2.0 * w * step * c) / (1.0 + 2.0 * w * step)
@@ -628,9 +641,14 @@ def quadratic_objective(center, weight: float = 0.5, min_value: float = 0.0) -> 
     )
 
 
-def soft_threshold(x: Array, threshold: float) -> Array:
-    """Componentwise shrinkage, the prox of threshold * ||.||_1."""
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+# a 0-d zero: numpy takes a Python float operand slower than an array
+_ZERO = np.zeros(())
+
+
+def soft_threshold(x: Array, threshold) -> Array:
+    """Componentwise shrinkage, the prox of threshold * ||.||_1; threshold
+    is a float or an array that broadcasts against x."""
+    return np.sign(x) * np.maximum(np.abs(x) - threshold, _ZERO)
 
 
 def scaled_l1(dimension: int, weight: float) -> ConvexObjective:
@@ -638,6 +656,9 @@ def scaled_l1(dimension: int, weight: float) -> ConvexObjective:
     w = float(weight)
     if w < 0:
         raise ValueError("weight must be nonnegative")
+    # the weight as an array, so that the descent loop's prox call, whose
+    # step is a 0-d array, passes soft_threshold an array threshold
+    weights = np.full(dimension, w)
 
     def val(x):
         return w * row_sums(np.abs(x))
@@ -648,7 +669,7 @@ def scaled_l1(dimension: int, weight: float) -> ConvexObjective:
         return np.where(x != 0.0, v + w * np.sign(x), soft_threshold(v, w))
 
     def prx(x, step):
-        return soft_threshold(x, w * step)
+        return soft_threshold(x, weights * step)
 
     return ConvexObjective(
         dimension=dimension, value_fn=val, min_value=0.0,
@@ -713,8 +734,10 @@ def least_squares(A, y) -> ConvexObjective:
         r = _matvec(A, x) - y
         return 0.5 * np.vecdot(r, r)
 
+    At = A.T
+
     def grad(x):
-        return _matvec(A.T, _matvec(A, x) - y)
+        return _matvec(At, _matvec(A, x) - y)
 
     return ConvexObjective(
         dimension=A.shape[1], value_fn=val, min_value=0.0,

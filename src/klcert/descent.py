@@ -290,10 +290,15 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
     x = as_point(x0, composite.dimension)
     grad, prox_fn = composite.smooth.gradient_fn, composite.nonsmooth.prox_fn
     sizes = schedule.sizes(steps)
+    # each size as a 0-d array, made once per distinct size: numpy scales
+    # an array by a 0-d array faster than by a Python float, to the same
+    # bits
+    operand = {lam: np.asarray(lam) for lam in set(sizes)}
 
     iterates = [x]
     gx, last = grad(x), x.tobytes()
     for lam in sizes:
+        lam = operand[lam]
         xn = prox_fn(x - lam * gx, lam)
         now = xn.tobytes()
         # a step back onto the same bits is a zero step: the run ends

@@ -559,7 +559,7 @@ def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
     cells = write_table(paths["trace.csv"], TRACE_COLUMNS, rows,
                         trace_columns(run, maj, xstar))
     write_table(paths["majorant.csv"], TRACE_COLUMNS, rows,
-                {name: (0, cells[name]) for name in MAJORANT_COLUMNS})
+                {name: cells[name] for name in MAJORANT_COLUMNS})
     write_json(paths["certificate.json"], {
         "schema_version": 2,
         "desingularizer": write_value(result.bundle.desingularizer,

@@ -14,12 +14,17 @@ instance.json's payload and certificate.json's desingularizer, is read by
 `write_value`.
 CSV is RFC 4180 (CRLF, '.' decimal separator) with 17 significant digits,
 so that round-tripping and byte-for-byte reproducibility hold.  A table
-arrives as columns, each as (first row, values) by field name, and no row
-is built: the writer formats each column in one pass and joins the lines
-once, at the end.  A column of floats, a list or a float64 array, whatever
-its empty leading cells, is formatted by one printf-style call when it is
-shorter than _KERNEL_MIN_CELLS, and by `_format_floats`, a vectorized
-kernel that writes exactly the cells '%.17g' writes, when it is longer.
+arrives as columns, each as (first row, values) by field name, and goes
+to its file as bytes, with no Python string per cell and no row built:
+each column becomes one uint8 matrix of ASCII cells padded with NULs, the
+lines are laid out in one matrix with a comma or CRLF after each field's
+slot, and the bytes that are not NUL are written.  A column of floats, a
+list or a float64 array, whatever its empty leading cells, is formatted
+by one printf-style call, 24 bytes a cell, when it is shorter than
+_KERNEL_MIN_CELLS, and by `_format_floats`, a vectorized kernel that
+writes exactly the cells '%.17g' writes, when it is longer.  A long range
+of counts, as trace.csv's k, takes digit arithmetic; other ints and mixed
+columns take str, one cell at a time.
 For each finite |v| in [1e-240, 1e240] the kernel takes the decimal
 exponent e from log10 and scales v to y = v 10^(16-e) in double-double
 arithmetic: 10^(16-e) is held as hi + lo, built from exact integers on
@@ -29,12 +34,12 @@ roundings left (lo itself, v lo, the sum) is under 2e-15 since y < 1e17,
 so y is known to within 1e-14, far inside the 1e-6 margin below.  y
 rounds to the 17-digit integer D, whose digits come from a table of
 every 4-digit group, and one template per (sign, exponent, significant
-digits) places them with the sign, the point and the exponent.  A cell it
-cannot decide is given to '%.17g' itself: y within 1e-6 of a tie between
-two integers; y below 1e16, or rounding to 1e17, as when log10 rounds
-across a power of ten; and zero, +-inf, nan and values outside the
-range.  The writer returns the cells it wrote, by field name, and writes
-cells given as strings as they are, so a second table that
+digits) gathers them with the sign, the point and the exponent into the
+cell's 24 bytes.  A cell it cannot decide is given to '%.17g' itself: y
+within 1e-6 of a tie between two integers; y below 1e16, or rounding to
+1e17, as when log10 rounds across a power of ten; and zero, +-inf, nan
+and values outside the range.  The writer returns its columns with their
+cell matrices, and writes such a matrix as it is, so a second table that
 shares columns with the first writes their cells without formatting them
 again.  Method traces and worst-case majorant traces share TRACE_COLUMNS,
 which makes overlay plotting trivial; a column a table has no values for
@@ -64,14 +69,14 @@ TRACE_COLUMNS = (
 )
 
 
-def _atomic_write(path, text: str) -> None:
-    data = text.encode("ascii")
+def _atomic_write(path, *chunks) -> None:
+    """Write the bytes-like chunks, one after another, to path."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,7 +85,8 @@ def _atomic_write(path, text: str) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2)
+                         + "\n").encode("ascii"))
 
 
 def read_json(path) -> dict:
@@ -234,7 +240,12 @@ _E_MIN, _E_MAX = -241, 240
 # and bytes 20.. hold _ALPHABET, whose last two bytes pad a cell with NULs
 _ALPHABET = b"-.e+0123456789\0\0"
 _ROW = 20 + len(_ALPHABET)
-_BLOCK = 1024       # rows gathered at once, which bounds the index arrays
+# rows gathered at once: the index array, 512 x 24 intp (96 KiB), stays
+# below glibc's 128 KiB mmap threshold, so the gather reuses heap pages
+# where a 1024-row block (196 KB) was mapped fresh on every call: in a
+# fresh process on 2 CPUs (numpy 2.4.6), 48 fewer page faults per
+# 5000-cell column
+_BLOCK = 512
 
 
 @functools.cache
@@ -289,10 +300,11 @@ def _template(key: int) -> bytes:
     return bytes(out + [_ROW - 1] * (24 - len(out)))
 
 
-def _format_floats(values: np.ndarray) -> list[str]:
+def _format_floats(values: np.ndarray) -> np.ndarray:
     """The cells of a non-empty float64 array, each exactly '%.17g' % v
-    ("inf" for either infinity).  See the module docstring for the method;
-    a cell it cannot decide takes the printf path."""
+    ("inf" for either infinity), as the rows of an (n, 24) uint8 matrix
+    padded with NULs.  See the module docstring for the method; a cell it
+    cannot decide takes the printf path."""
     hi, hi_top, hi_low, lo, group_text, last = _kernel_tables()
     n = len(values)
     a = np.abs(values)
@@ -358,72 +370,124 @@ def _format_floats(values: np.ndarray) -> list[str]:
     templates = np.frombuffer(b"".join(map(_template, used.tolist())),
                               np.uint8).reshape(-1, 24)
     flat = source.ravel()
-    cells = []
+    cells = np.empty((n, 24), np.uint8)
     for start in range(0, n, _BLOCK):
-        block = slice(start, min(start + _BLOCK, n))
-        index = templates[template_of[block]] + np.arange(
-            start * _ROW, block.stop * _ROW, _ROW)[:, None]
-        cells += flat[index].astype(np.uint32).view("U24").ravel().tolist()
+        stop = min(start + _BLOCK, n)
+        index = templates[template_of[start:stop]] + np.arange(
+            start * _ROW, stop * _ROW, _ROW)[:, None]
+        np.take(flat, index, out=cells[start:stop], mode="clip")
     failed = np.flatnonzero(~ok)
-    for i, text in zip(failed.tolist(), _printf(values[failed].tolist())):
-        cells[i] = text
+    if failed.size:
+        cells[failed] = _printf(values[failed].tolist())
     return cells
 
 
-def _printf(values: list) -> list[str]:
-    """The cells of a list of floats, by one printf-style call."""
-    # only an infinite cell can read "-inf"
-    text = "\n".join(["%.17g"] * len(values)) % tuple(values)
-    return text.replace("-inf", "inf").split("\n")
+def _printf(values: list) -> np.ndarray:
+    """The cells of a list of floats, by one printf-style call, as the
+    rows of a (len(values), 24) uint8 matrix padded with NULs."""
+    # every cell left-justified in 24 bytes, its longest text; only an
+    # infinite cell can read "-inf"
+    text = ("%-24.17g" * len(values) % tuple(values)).replace("-inf", "inf ")
+    cells = np.frombuffer(bytearray(text, "ascii"), np.uint8).reshape(-1, 24)
+    cells[cells == 32] = 0
+    return cells
 
 
-def _cells(values) -> list[str]:
-    """The cells of values: strings as they are, floats by _format_floats
-    when there are at least _KERNEL_MIN_CELLS of them, else by one
-    printf-style call, a column of Python ints alone (no bools) or a range
-    by str without a per-cell type test, and any other list one cell at a
-    time."""
+def _as_bytes(cells: list) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 matrix padded with NULs, as
+    wide as the longest (a Python int can take more than 24 digits)."""
+    text = np.array(cells, dtype=bytes)
+    return text.view(np.uint8).reshape(len(cells), text.itemsize)
+
+
+def _range_cells(values: range) -> np.ndarray:
+    """The cells of a range of integers in [0, 1e15), as _as_bytes gives
+    them, by digit arithmetic in doubles, one digit column at a time: a
+    leading zero is a NUL."""
+    q = np.arange(values.start, values.stop, values.step, dtype=float)
+    width = len(str(max(values[0], values[-1])))
+    cells = np.empty((len(q), width), np.uint8)
+    for j in range(width - 1, -1, -1):
+        # q < 1e15 is exact, and (q + 0.5) 0.1 is within 0.02 of
+        # q / 10 + 0.05, so its floor is the quotient
+        rest = np.floor((q + 0.5) * 0.1)
+        digit = q - rest * 10 + 48
+        if j < width - 1:
+            digit[q == 0] = 0
+        cells[:, j] = digit
+        q = rest
+    return cells
+
+
+def _cells(values) -> np.ndarray:
+    """The cells of values as _as_bytes gives them: a matrix of such cells
+    as it is; floats by _format_floats when there are at least
+    _KERNEL_MIN_CELLS of them, else by one printf-style call (a float64
+    array without a per-cell type test); as many values of a range in
+    [0, 1e15) by _range_cells; any other range, or a column of Python ints
+    alone (no bools), by str without a per-cell type test; and any other
+    list one cell at a time."""
+    if not len(values):
+        return np.empty((0, 0), np.uint8)
     if type(values) is range:
-        return [str(v) for v in values]
+        if (len(values) >= _KERNEL_MIN_CELLS
+                and 0 <= min(values[0], values[-1])
+                and max(values[0], values[-1]) < 10 ** 15):
+            return _range_cells(values)
+        return _as_bytes([str(v) for v in values])
     if isinstance(values, np.ndarray):
-        if values.dtype == np.float64 and len(values) >= _KERNEL_MIN_CELLS:
-            return _format_floats(values)
+        if values.ndim == 2:
+            return values
+        if values.dtype == np.float64:
+            if len(values) >= _KERNEL_MIN_CELLS:
+                return _format_floats(values)
+            return _printf(values.tolist())
         values = values.tolist()
     kinds = set(map(type, values))
     if kinds == {float}:
         if len(values) >= _KERNEL_MIN_CELLS:
             return _format_floats(np.array(values))
         return _printf(values)
-    if kinds <= {str}:
-        return list(values)
     if kinds == {int}:
         # a comprehension's str call beats map(str, ...) on CPython 3.11
-        return [str(v) for v in values]
-    return ["" if v is None else str(v) if type(v) is int
-            else "inf" if v == -math.inf else f"{v:.17g}" for v in values]
+        return _as_bytes([str(v) for v in values])
+    return _as_bytes(["" if v is None else str(v) if type(v) is int
+                      else "inf" if v == -math.inf else f"{v:.17g}"
+                      for v in values])
 
 
 def write_table(path, fieldnames, rows, columns: dict) -> dict:
     """Write a table of len(rows) data rows (rows may be range(count));
-    return its cells, a list of strings per field name.
+    return its columns as columns gives them, with each field's values as
+    the matrix of its cells, so that a second table sharing columns with
+    this one writes their cells without formatting them again.
 
     columns maps a field name to (first row, values): the field's cells
     from row `first` on are those of values, as far as the table reaches,
     and its other cells are empty, as is every cell of a field columns
-    does not name.  A Python
-    int is written without a decimal point, None as an empty cell, a
-    string as it is (so cells this writer returned can be written again)
-    and anything else as a float: "inf" when infinite (of either sign),
-    else 17 significant digits.
+    does not name.  A Python int is written without a decimal point, None
+    as an empty cell, a matrix of cells this writer returned as it is, and
+    anything else as a float: "inf" when infinite (of either sign), else
+    17 significant digits.
+
+    The lines are laid out in one uint8 matrix: each field has a slot as
+    wide as its widest cell, followed by a comma, or by CRLF after the
+    last field, and the bytes of the matrix without its NULs are the lines.
     """
     count = len(rows)
-    table = []
+    written, slots, blank = {}, [], bytearray()
     for name in fieldnames:
         first, values = columns.get(name, (count, ()))
         first = min(first, count)
-        cells = [""] * first + _cells(values[:count - first])
-        cells += [""] * (count - len(cells))
-        table.append(cells)
-    _atomic_write(path, "\r\n".join(
-        [",".join(fieldnames), *map(",".join, zip(*table)), ""]))
-    return dict(zip(fieldnames, table))
+        cells = _cells(values[:count - first])
+        written[name] = (first, cells)
+        slots.append((first, cells, len(blank)))
+        blank += bytes(cells.shape[1]) + b","
+    blank[-1:] = b"\r\n"
+    table = np.empty((count, len(blank)), np.uint8)
+    table[:] = np.frombuffer(blank, np.uint8)
+    for first, cells, start in slots:
+        table[first:first + len(cells), start:start + cells.shape[1]] = cells
+    _atomic_write(path, (",".join(fieldnames) + "\r\n").encode("ascii"),
+                  table[table != 0])
+    return written

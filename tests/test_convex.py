@@ -17,6 +17,7 @@ from klcert.convex import (
     IntersectionSet,
     NotConvergedError,
     UnsupportedOracleError,
+    _matvec,
     _same_row_bits,
     as_point,
     batch_norms,
@@ -283,6 +284,36 @@ def test_prox_nonexpansive(xs, ys, step):
                 scaled_l1(dimension=2, weight=1.1)]:
         gap = np.linalg.norm(prox(obj, x, step) - prox(obj, y, step))
         assert gap <= np.linalg.norm(x - y) * (1 + 1e-12) + 1e-12
+
+
+def test_radius_zero_ball_projects_onto_its_center():
+    # 1e-170's square underflows to 0, so a norm test alone would keep the
+    # point; every point of every batch shape goes to the center's bits
+    for center in (np.zeros(2), np.array([-0.0, 1.5])):
+        ball = Ball(center, 0.0)
+        near = center + np.array([1e-170, 0.0])
+        assert _same_bits(ball.project(near), center)
+        batch = np.array([near, center, [-0.0, 0.0], [5.0, -2.0],
+                          [1e300, -1e300]])
+        assert _same_bits(ball.project(batch), np.tile(center, (5, 1)))
+        assert _same_bits(ball.project(batch.reshape(5, 1, 2)),
+                          np.tile(center, (5, 1, 1)))
+        assert not np.shares_memory(ball.project(near), center)
+
+
+def test_matvec_of_a_point_has_the_bits_of_a_batch_row():
+    # a point takes A @ x directly, a batch the stacked product: the same
+    # bits for a matrix and for its transpose (a strided view), at every
+    # shape with m, n in 1..8
+    rng = np.random.default_rng(31)
+    for m in range(1, 9):
+        for n in range(1, 9):
+            A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
+            for M in (A, A.T):
+                X = rng.normal(size=(12, M.shape[1]))
+                batch = _matvec(M, X)
+                for x, row in zip(X, batch):
+                    assert _same_bits(_matvec(M, x), row), (m, n)
 
 
 def test_soft_threshold_frozen():

@@ -29,7 +29,12 @@ from klcert.descent import (
     decode_canonical_base64,
     forward_backward,
 )
-from klcert.experiments import ExperimentConfig, build_pipeline
+from klcert.experiments import (
+    ExperimentConfig,
+    build_pipeline,
+    load_instance,
+    pipeline_settings,
+)
 from klcert.problems import GeneratedInstance, generate_instance
 
 
@@ -203,6 +208,80 @@ def test_forward_backward_record_matches_per_step_reference(rng):
     h1 = max(run.raw_values[k + 1] + run.params.a * run.step_norms[k] ** 2
              - prev[k] for k in range(run.num_steps) if math.isfinite(prev[k]))
     assert run.h1_violation() == pytest.approx(h1, rel=1e-12, abs=1e-15)
+
+
+def _stacked(M, v):
+    """M v as the stacked product, which every call once took."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _reference_oracles(gi, composite):
+    """The gradient and prox of gi's composite as they were written with
+    Python-float operands and stacked products; the oracles of the other
+    families are the composite's own."""
+    v = gi.values()
+    if gi.family == "lasso":
+        A, y, mu = v["A"], v["y"], v["mu"]
+        return (lambda x: _stacked(A.T, _stacked(A, x) - y),
+                lambda x, lam: np.sign(x) * np.maximum(
+                    np.abs(x) - mu * lam, 0.0))
+    if gi.family == "uniformly-convex":
+        c, w = v["center"], v["weight"]
+        return lambda x: 2.0 * w * (x - c), lambda x, lam: x
+    return composite.smooth.gradient_fn, composite.nonsmooth.prox_fn
+
+
+def _reference_iterates(grad, prox_fn, x0, sizes):
+    """The descent loop with Python-float step sizes, cut at its first
+    zero-norm step as forward_backward cuts its record."""
+    x = np.asarray(x0, dtype=float)
+    iterates, gx, last = [x], grad(x), x.tobytes()
+    for lam in sizes:
+        xn = prox_fn(x - lam * gx, lam)
+        if xn.tobytes() == last:
+            break
+        iterates.append(xn)
+        x, gx, last = xn, grad(xn), xn.tobytes()
+    X = np.asarray(iterates)
+    zero = np.flatnonzero(row_norms(X[1:] - X[:-1]) == 0.0)
+    return X[:zero[0] + 1] if zero.size else X
+
+
+@pytest.mark.parametrize("instance, method", [
+    ({"family": "lasso", "n": 2, "m": 3, "seed": 7},
+     {"name": "ista", "relative_step": 0.02, "steps": 2000}),
+    ({"family": "lasso", "n": 3, "seed": 401},
+     {"name": "ista", "relative_step": 0.5, "steps": 2000}),
+    ({"family": "uniformly-convex", "n": 3, "seed": 5},
+     {"name": "gradient", "relative_step": 0.005, "steps": 5000}),
+    ({"family": "tight-quadratic", "dim": 2, "seed": 9}, {"steps": 50}),
+    ({"family": "feasibility", "dim": 2, "seed": 3},
+     {"name": "barycentric", "steps": 600}),
+    ({"family": "feasibility", "dim": 2, "seed": 3, "geometry": "lens"},
+     {"name": "alternating", "steps": 600}),
+], ids=["tiny-lasso", "lasso-401", "uniformly-convex", "tight-quadratic",
+        "barycentric", "alternating"])
+def test_forward_backward_iterates_match_the_float_operand_loop(instance,
+                                                                method):
+    # the loop scales by 0-d step arrays and the oracles by arrays, a point
+    # takes A @ x directly: every iterate keeps its bits, on the
+    # pipeline's constant schedule and on a varying one
+    config = ExperimentConfig(name="bits", instance=instance, method=method)
+    gi = load_instance(config)
+    steps = pipeline_settings(gi.family, config)[1]
+    bundle = build_pipeline(gi, config)
+    comp = bundle.composite
+    grad, prox_fn = _reference_oracles(gi, comp)
+    L = max(comp.lipschitz, 1e-3)
+    lo, hi = 0.4 / L, 1.5 / L
+    for sched in (bundle.schedule, StepSchedule(
+            lambda_min=lo, lambda_max=hi,
+            fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
+        run = forward_backward(comp, bundle.start, sched, steps)
+        want = _reference_iterates(grad, prox_fn, bundle.start,
+                                   sched.sizes(steps))
+        assert run.iterates.shape == want.shape
+        assert run.iterates.tobytes() == want.tobytes()
 
 
 def _gives_back_its_bits(composite, x, lam):

@@ -105,20 +105,40 @@ def _reference_trace_rows(run, maj, xstar):
     return _reference_table_rows(len(run.raw_values), columns)
 
 
+def _text(cells):
+    """The strings of a matrix of cells that write_table returns: each row
+    without its NULs, as ASCII."""
+    assert cells.dtype == np.uint8 and cells.ndim == 2
+    return [bytes(row[row != 0]).decode("ascii") for row in cells]
+
+
+def _returned_rows(count, columns):
+    """The rows of cells, as strings, of a table given by the columns
+    write_table returns."""
+    rows = [[""] * len(columns) for _ in range(count)]
+    for j, (first, cells) in enumerate(columns.values()):
+        for k, text in enumerate(_text(cells), start=first):
+            rows[k][j] = text
+    return rows
+
+
 def test_trace_table_bytes(tmp_path):
     path = tmp_path / "trace.csv"
-    cells = write_table(path, TRACE_COLUMNS, range(2), COLUMNS)
+    columns = write_table(path, TRACE_COLUMNS, range(2), COLUMNS)
     assert path.read_bytes() == (
         b"k,value_gap,value_bound,step_norm,witness_norm,"
         b"distance_to_xstar,distance_bound\r\n"
         b"0,1.5,inf,,,,\r\n"
         b"1,0.10000000000000001,,0.66666666666666663,,,\r\n")
-    assert cells == {"k": ["0", "1"],
-                     "value_gap": ["1.5", "0.10000000000000001"],
-                     "value_bound": ["inf", ""],
-                     "step_norm": ["", "0.66666666666666663"],
-                     "witness_norm": ["", ""], "distance_to_xstar": ["", ""],
-                     "distance_bound": ["", ""]}
+    # each column as (first row, cells), the cells of the rows it fills
+    assert {name: (first, _text(cells))
+            for name, (first, cells) in columns.items()} == {
+        "k": (0, ["0", "1"]),
+        "value_gap": (0, ["1.5", "0.10000000000000001"]),
+        "value_bound": (0, ["inf"]),
+        "step_norm": (1, ["0.66666666666666663"]),
+        "witness_norm": (2, []), "distance_to_xstar": (2, []),
+        "distance_bound": (2, [])}
     with open(path, "r", encoding="ascii", newline="") as fh:
         back = [{k: None if v == "" else float(v) for k, v in row.items()}
                 for row in csv.DictReader(fh)]
@@ -266,7 +286,9 @@ def test_float_kernel_matches_printf():
     # one %-format call for all cells, then "inf" for -inf
     expected = ("%.17g\n" * len(values) % tuple(values.tolist())).split()
     expected = ["inf" if cell == "-inf" else cell for cell in expected]
-    assert tracefmt._format_floats(values) == expected
+    cells = tracefmt._format_floats(values)
+    assert cells.shape == (len(values), 24)
+    assert _text(cells) == expected
 
 
 # float cells that printf and the kernel format: subnormals, -0.0, nan,
@@ -303,15 +325,80 @@ def test_table_matches_row_dict_reference(tmp_path_factory, count, columns):
     base = tmp_path_factory.getbasetemp()
     names = tuple(f"c{j}" for j in range(len(columns)))
     table = dict(zip(names, columns))
-    cells = write_table(base / "new.csv", names, range(count), table)
+    returned = write_table(base / "new.csv", names, range(count), table)
     _reference_write_table(base / "ref.csv", names,
                            _column_rows(count, table))
     written = (base / "new.csv").read_bytes()
     assert written == (base / "ref.csv").read_bytes()
-    # the cells it returns, written again, give the same bytes
-    write_table(base / "again.csv", names, range(count),
-                {name: (0, cells[name]) for name in names})
+    # the columns it returns hold the reference's cells, and written again
+    # they give the same bytes
+    with open(base / "ref.csv", "r", encoding="ascii", newline="") as fh:
+        assert _returned_rows(count, returned) == list(csv.reader(fh))[1:]
+    write_table(base / "again.csv", names, range(count), returned)
     assert (base / "again.csv").read_bytes() == written
+
+
+def _assert_matches_reference(tmp_path, count, table):
+    names = tuple(table)
+    write_table(tmp_path / "new.csv", names, range(count), table)
+    _reference_write_table(tmp_path / "ref.csv", names,
+                           _column_rows(count, table))
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+@pytest.mark.parametrize("values", [
+    range(0), range(1), range(7, 12), range(CROSSOVER),
+    range(7, 7 + 5001), range(999, 999 + 3 * CROSSOVER, 3),
+    range(CROSSOVER, 0, -1), range(-5, CROSSOVER),
+    range(10 ** 15 - CROSSOVER, 10 ** 15), range(10 ** 15 - 3, 10 ** 15 + 400),
+    range(2 ** 70, 2 ** 70 + CROSSOVER)], ids=repr)
+def test_range_cells_match_str(tmp_path, values):
+    # a long range of counts below 1e15 takes the digit arithmetic, any
+    # other range str, from any start and by any step
+    _assert_matches_reference(tmp_path, len(values) + 2, {
+        "k": (1, values), "x": (0, [0.5] * (len(values) + 2))})
+
+
+BLOCK = tracefmt._BLOCK
+
+
+@pytest.mark.parametrize("count", [
+    1, 2, 57, CROSSOVER - 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
+    5001])
+def test_column_extents_match_row_dict_reference(tmp_path, count):
+    # columns that begin and end anywhere in short and long tables, and
+    # float columns on either side of a block of the kernel's gather
+    plain = np.linspace(-3.0, 7.0, count + 2)
+    table = {"k": (0, range(count)), "all": (0, plain)}
+    for first in sorted({0, 1, BLOCK - 1, BLOCK, BLOCK + 1, count - 1}):
+        for length in (1, BLOCK, count):
+            if 0 <= first <= count:
+                table[f"c{first}-{length}"] = (first, plain[:length])
+    _assert_matches_reference(tmp_path, count, table)
+
+
+def test_printf_cells_inside_a_long_column_match_reference(tmp_path):
+    # the cells the kernel leaves to printf: zeros of either sign,
+    # infinities, nan, exact ties of the 17th digit and values beyond the
+    # kernel's range, at the start, end and middle of a long column
+    odd = [0.0, -0.0, math.inf, -math.inf, math.nan, 100001 / 2.0 ** 18,
+           -100003 / 2.0 ** 18, 1e-300, -1e300, 5e-324]
+    column = np.geomspace(1e-17, 20.0, 5001)
+    column[:len(odd)] = odd
+    column[-len(odd):] = odd
+    column[2500:2500 + len(odd)] = odd
+    _assert_matches_reference(tmp_path, 5001, {
+        "k": (0, range(5001)), "array": (0, column),
+        "list": (1, column.tolist())})
+
+
+def test_int_cells_longer_than_a_float_cell_match_reference(tmp_path):
+    # a Python int can take more digits than the 24 bytes of a float cell
+    big = [10 ** 30, -(10 ** 40) - 7, 5, 0]
+    _assert_matches_reference(tmp_path, 6, {
+        "ints": (0, big), "mixed": (1, big + [1.5, None]),
+        "long": (0, [3 ** 200] + [0.25] * 5)})
 
 
 def _circular_list():
