@@ -7,7 +7,10 @@ floats, +inf outside the domain and never NaN; a NaN row of a subgradient
 marks an empty subdifferential.  Row i of a batched call equals the call on
 point i bit for bit, which is why the builders use `np.vecdot` and stacked
 matrix-vector products (both reproduce the 1-D BLAS results) rather than
-`x @ A.T` or `.sum(-1)` of products.
+`x @ A.T` or `.sum(-1)` of products.  A single point's product takes
+`A.dot(x)` where A is one C- or F-ordered block: the same BLAS gemv as
+matmul at less than half the cost of matmul's 1-D path, which the descent
+loop pays at every step.
 
 Euclidean norms follow one of two conventions, named by whose bits they
 give.  `row_norms` gives each row the single-point norm np.linalg.norm(v)
@@ -133,11 +136,22 @@ def minus_point(x: Array, point: Array) -> Array:
     return out
 
 
+def _point_product(A: Array) -> Callable[[Array], Array]:
+    """x -> A x for one point x, with the bits of a row of the stacked
+    product.  When A is one C- or F-ordered block, that is A.dot: it calls
+    the same BLAS gemv as matmul, in 0.44 against 1.1 us for matmul's 1-D
+    path on a 4 x 3 matrix (numpy 2.4).  Any other layout takes A @ x,
+    since dot would first copy A to C order, which can change the gemv
+    kernel and so the bits."""
+    return A.dot if A.flags.forc else A.__matmul__
+
+
 def _matvec(A: Array, x: Array) -> Array:
-    """A x for each row of x.  A single point takes A @ x directly; a batch
-    is stacked, which gives every row the bits of that 1-D product."""
+    """A x for each row of x.  A single point takes `_point_product`; a
+    batch is stacked, which gives every row the bits of matmul's 1-D
+    product."""
     if x.ndim == 1:
-        return A @ x
+        return _point_product(A)(x)
     return (A @ x[..., None])[..., 0]
 
 
@@ -483,11 +497,12 @@ class ConvexObjective:
     subdifferential is empty.  prox_fn maps a point x and a step to
     argmin_z f(z) + ||z - x||^2 / (2 step): a 1-D point and a 0-d float64
     array step in the descent loop, a float step in `prox`, and a (T, n)
-    batch with a (T, 1) array of steps when `DescentRun.from_metadata_dict`
-    replays stored iterates, each row with the bits of the single-point
-    call.  Where the map is the identity, prox_fn may return its argument
-    itself: no caller mutates a prox result, and the descent loop and the
-    replay pass fresh temporaries.
+    batch with a (T, 1) array of steps, or one 0-d step for a constant
+    schedule, when `DescentRun.from_metadata_dict` replays stored
+    iterates, each row with the bits of the single-point call.  Where the
+    map is the identity, prox_fn may return its argument itself: no caller
+    mutates a prox result, and the descent loop and the replay pass fresh
+    temporaries.
     shifted_subgradient_fn, given by the nonsmooth parts of composites, maps
     points x and vectors v of the same shape to the least-norm element of
     v + subdiff f(x), NaN rows where the subdifferential is empty; with
@@ -735,8 +750,13 @@ def least_squares(A, y) -> ConvexObjective:
         return 0.5 * np.vecdot(r, r)
 
     At = A.T
+    # the descent loop calls grad on one point per step: its products take
+    # _matvec's point path with the layout test made once, here
+    times_A, times_At = _point_product(A), _point_product(At)
 
     def grad(x):
+        if x.ndim == 1:
+            return times_At(times_A(x) - y)
         return _matvec(At, _matvec(A, x) - y)
 
     return ConvexObjective(

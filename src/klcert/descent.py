@@ -27,8 +27,10 @@ signed zero may flip, or a move's squares underflow), so the loop may run
 past it, up to its budget.  The record is still bit for bit the one a
 per-step norm test makes: its rows are those of the shorter run, and no
 oracle raises on a finite point or takes it to a non-finite one, so the
-steps past the cut change nothing.  A run is stored as its iterates; all
-else is derived.
+steps past the cut change nothing.  The loop keeps each point as the
+bytes its stop test takes, and the (T+1, n) matrix of iterates is built
+once from their join.  A run is stored as its iterates; all else is
+derived.
 It holds no method name and no step sizes: the config names the method,
 and the schedule gives the sizes.  run.json (schema 3) holds the iterates
 as the strict base64 text of their row-major little-endian float64 bytes,
@@ -41,6 +43,7 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,18 +77,37 @@ class StepSchedule:
             raise ValueError("need 0 < lambda_min <= lambda_max")
 
     def step(self, k: int) -> float:
+        """lam_k, refused unless it lies within one ulp of [lambda_min,
+        lambda_max], so that a size computed inside the bounds, such as
+        lo + (hi - lo) * t, is not refused for its last rounding.
+
+        The slack is harmless.  For bounds of at least 2**-1022 (normal
+        floats) one ulp is at most 2**-52 of the bound, so an accepted
+        lam <= lambda_max (1 + 2**-52) has the sufficient-decrease constant
+        1/lam - L/2 >= a - 2**-52 / lambda_max, and an accepted
+        lam >= lambda_min (1 - 2**-52) the relative-error constant
+        1/lam + L <= b + 2**-51 / lambda_min: the certified (a, b)
+        overstate the step's own by at most four ulps of the 1/lambda_max
+        and 1/lambda_min they are computed from, the order of the rounding
+        that computing them carries anyway.  A slack of fixed size is not
+        harmless: 1e-15 let a step of 5e-16 through bounds of 1e-20, for
+        which a = b = 1e20 certify nothing."""
         lam = self.lambda_min if self.fn is None else float(self.fn(k))
-        if not (0.0 < lam and self.lambda_min - 1e-15 <= lam
-                <= self.lambda_max + 1e-15):
+        if not (0.0 < lam and math.nextafter(self.lambda_min, 0.0) <= lam
+                <= math.nextafter(self.lambda_max, math.inf)):
             raise ValueError(f"schedule value {lam} escapes its declared bounds")
         return lam
 
-    def sizes(self, steps: int) -> list[float]:
-        """lam_0, ..., lam_{steps-1}, every one checked against the bounds;
-        a constant schedule needs no check."""
+    def sizes(self, steps: int) -> Array:
+        """lam_0, ..., lam_{steps-1} as one float64 array that broadcasts
+        to (steps,).  A constant schedule gives its one size as a 0-d
+        array: it needs no check, and numpy scales a (steps, n) matrix by
+        it in one loop over all the entries, to the bits of a (steps, 1)
+        column of copies.  A schedule with fn gives the (steps,) array of
+        its sizes, every one checked against the bounds."""
         if self.fn is None:
-            return [self.lambda_min] * steps
-        return [self.step(k) for k in range(steps)]
+            return np.array(self.lambda_min)
+        return np.array([self.step(k) for k in range(steps)], dtype=float)
 
     @staticmethod
     def constant(lam: float) -> "StepSchedule":
@@ -201,14 +223,16 @@ class DescentRun:
                       min_value: Optional[float] = None,
                       converged: bool = False,
                       gradients: Optional[Array] = None) -> "DescentRun":
-        """The record of the run X = iterates, step k of size step_sizes[k],
-        computed in one batch; gradients, when given, is grad h(X)."""
+        """The record of the run X = iterates, step k of size step_sizes[k]
+        (a 0-d step_sizes, as a constant schedule's `sizes` gives it, is
+        the size of every step), computed in one batch; gradients, when
+        given, is grad h(X)."""
         # w_k = (x_{k-1} - x_k) / lam_k - grad h(x_{k-1}) + grad h(x_k); the
         # batched gradient has the bits of the calls made in the loop, and
         # row_norms those of np.linalg.norm on each step
-        X, lam = iterates, step_sizes
+        X, lam = iterates, _per_row(step_sizes)
         G = composite.smooth.gradient_fn(X) if gradients is None else gradients
-        witnesses = (X[:-1] - X[1:]) / lam[:, None] - G[:-1] + G[1:]
+        witnesses = (X[:-1] - X[1:]) / lam - G[:-1] + G[1:]
         return DescentRun(
             params=params,
             iterates=X,
@@ -258,22 +282,35 @@ class DescentRun:
                              f"at most {steps} steps")
         sizes = schedule.sizes(min(num_steps + 1, steps))
         # row k of G has the bits of the loop's gradient call at x_k
-        lam, G = np.asarray(sizes[:num_steps]), composite.smooth.gradient_fn(X)
+        lam, G = _first(sizes, num_steps), composite.smooth.gradient_fn(X)
         params = certificate_params(schedule, composite.lipschitz)
         run = DescentRun.from_iterates(
             composite, X, lam, params, min_value=min_value,
             converged=num_steps < steps, gradients=G)
         # every stored step is the loop's, and the loop stores no zero step
-        prox_fn = composite.nonsmooth.prox_fn
-        stepped = prox_fn(X[:-1] - lam[:, None] * G[:-1], lam[:, None])
+        prox_fn, lam = composite.nonsmooth.prox_fn, _per_row(lam)
+        stepped = prox_fn(X[:-1] - lam * G[:-1], lam)
         if not np.array_equal(stepped, X[1:]) or (run.step_norms == 0).any():
             raise ValueError("run iterates are not the method's steps")
         if run.converged:
-            move = prox_fn(X[-1] - sizes[-1] * G[-1], sizes[-1]) - X[-1]
+            last = sizes if sizes.ndim == 0 else sizes[-1]
+            move = prox_fn(X[-1] - last * G[-1], last) - X[-1]
             if move.dot(move) != 0.0:
                 raise ValueError("run stops before its budget where the "
                                  "method still moves")
         return run
+
+
+def _first(sizes: Array, count: int) -> Array:
+    """The sizes of the first count steps, of those `StepSchedule.sizes`
+    gives: a 0-d size stands for every step."""
+    return sizes if sizes.ndim == 0 else sizes[:count]
+
+
+def _per_row(sizes: Array) -> Array:
+    """Step sizes as an operand of the (T, n) rows of a record: a 0-d size
+    as it is, a (T,) array as a (T, 1) column."""
+    return sizes if sizes.ndim == 0 else sizes[:, None]
 
 
 def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
@@ -283,33 +320,36 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
     start and the schedule are validated once, before the loop.  The run
     ends, converged, before its first step of norm zero: the loop stops at
     a step that gives back its point's bits, and the record of every step
-    taken, computed in one batch, is cut at its first zero step norm."""
+    taken, computed in one batch, is cut at its first zero step norm.  The
+    loop keeps the bytes of each point, which its stop test takes anyway,
+    and the (T+1, n) matrix of iterates is built once from their join."""
     if steps < 1:
         raise ValueError("need at least one step")
     params = certificate_params(schedule, composite.lipschitz)
     x = as_point(x0, composite.dimension)
     grad, prox_fn = composite.smooth.gradient_fn, composite.nonsmooth.prox_fn
     sizes = schedule.sizes(steps)
-    # each size as a 0-d array, made once per distinct size: numpy scales
-    # an array by a 0-d array faster than by a Python float, to the same
-    # bits
-    operand = {lam: np.asarray(lam) for lam in set(sizes)}
+    # every step's size as a 0-d array: numpy scales an array by a 0-d
+    # array faster than by a Python float or an np.float64, to the same bits
+    per_step = (repeat(sizes, steps) if sizes.ndim == 0
+                else map(np.asarray, sizes.tolist()))
 
-    iterates = [x]
-    gx, last = grad(x), x.tobytes()
-    for lam in sizes:
-        lam = operand[lam]
+    chunks = [x.tobytes()]
+    gx, last = grad(x), chunks[0]
+    for lam in per_step:
         xn = prox_fn(x - lam * gx, lam)
         now = xn.tobytes()
         # a step back onto the same bits is a zero step: the run ends
         if now == last:
             break
-        iterates.append(xn)
+        chunks.append(now)
         x, gx, last = xn, grad(xn), now
 
-    X = np.asarray(iterates)
+    # a bytearray's buffer gives a writable, C-contiguous matrix
+    X = np.frombuffer(bytearray().join(chunks))
+    X = X.reshape(-1, composite.dimension)
     run = DescentRun.from_iterates(
-        composite, X, np.asarray(sizes[:len(X) - 1]), params,
+        composite, X, _first(sizes, len(X) - 1), params,
         min_value=min_value, converged=len(X) <= steps)
     # the run ends at its first zero-norm step, also where that step is no
     # bitwise fixed point: a signed zero that flips, or a move whose squares

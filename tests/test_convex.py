@@ -302,14 +302,20 @@ def test_radius_zero_ball_projects_onto_its_center():
 
 
 def test_matvec_of_a_point_has_the_bits_of_a_batch_row():
-    # a point takes A @ x directly, a batch the stacked product: the same
-    # bits for a matrix and for its transpose (a strided view), at every
-    # shape with m, n in 1..8
+    # a point takes A.dot(x) on one C- or F-ordered block and A @ x on any
+    # other layout, a batch the stacked product: the same bits for a
+    # matrix, its transpose, strided views of either (on which dot would
+    # copy to C order and change the BLAS kernel) and AffineSet.project's
+    # pinv, at every shape with m, n in 1..8
     rng = np.random.default_rng(31)
     for m in range(1, 9):
         for n in range(1, 9):
             A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
-            for M in (A, A.T):
+            W = rng.normal(size=(2 * m, 2 * n)) * 10.0 ** rng.integers(
+                -3, 4, (2 * m, 2 * n))
+            P = AffineSet(A, rng.normal(size=m))._pinv
+            for M in (A, A.T, W[:, ::2], W[::2], W[:, ::2].T, W[::2].T,
+                      P, P.T):
                 X = rng.normal(size=(12, M.shape[1]))
                 batch = _matvec(M, X)
                 for x, row in zip(X, batch):

@@ -71,6 +71,23 @@ def test_step_schedule_validation():
         StepSchedule.over_lipschitz(2.0, 1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e3])
+def test_step_schedule_bounds_are_relative_to_their_scale(scale):
+    # one ulp outside either bound is accepted, two are refused, and no
+    # slack of fixed size lets through a step far beyond a small bound
+    lo, hi = scale, 2.0 * scale
+    inside = [lo, math.nextafter(lo, 0.0), hi, math.nextafter(hi, math.inf)]
+    sched = StepSchedule(lo, hi, fn=lambda k: inside[k])
+    assert sched.sizes(4).tolist() == inside
+    for bad in (math.nextafter(math.nextafter(lo, 0.0), 0.0),
+                math.nextafter(math.nextafter(hi, math.inf), math.inf),
+                0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="escapes"):
+            StepSchedule(lo, hi, fn=lambda k, bad=bad: bad).sizes(3)
+    with pytest.raises(ValueError, match="escapes"):
+        StepSchedule(1e-20, 1e-20, fn=lambda k: 5e-16).sizes(3)
+
+
 # ---------------------------------------------------------------------------
 # forward-backward
 # ---------------------------------------------------------------------------
@@ -278,8 +295,9 @@ def test_forward_backward_iterates_match_the_float_operand_loop(instance,
             lambda_min=lo, lambda_max=hi,
             fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
         run = forward_backward(comp, bundle.start, sched, steps)
-        want = _reference_iterates(grad, prox_fn, bundle.start,
-                                   sched.sizes(steps))
+        want = _reference_iterates(
+            grad, prox_fn, bundle.start,
+            np.broadcast_to(sched.sizes(steps), steps).tolist())
         assert run.iterates.shape == want.shape
         assert run.iterates.tobytes() == want.tobytes()
 
@@ -337,8 +355,46 @@ def test_zero_prox_run_holds_one_fresh_array_of_iterates():
     run = forward_backward(comp, x0, StepSchedule.constant(0.5), steps=4)
     assert run.iterates.shape == (5, 1)
     assert not np.shares_memory(run.iterates, x0)
+    assert run.iterates.flags.writeable and run.iterates.flags.c_contiguous
     x0[0] = 7.0
     assert run.iterates.tolist() == [[1.0], [0.5], [0.25], [0.125], [0.0625]]
+
+
+def _record_bits(run):
+    return (run.iterates.tobytes(), run.raw_values.tobytes(),
+            run.step_norms.tobytes(), run.witness_norms.tobytes(),
+            run.params, run.converged)
+
+
+def test_constant_schedule_records_the_bits_of_an_equal_valued_fn(rng):
+    # a constant schedule's sizes are one 0-d size, which numpy broadcasts
+    # in one loop over all entries; a schedule with fn gives a (T,) array,
+    # taken as a (T, 1) column: the runs and their replays match bit for
+    # bit, early stops included
+    A = rng.normal(size=(4, 3))
+    lasso = CompositeObjective(smooth=least_squares(A, rng.normal(size=4)),
+                               nonsmooth=scaled_l1(3, 0.4))
+    quad = CompositeObjective(
+        smooth=quadratic_objective(rng.normal(size=3), 0.7),
+        nonsmooth=zero_objective(3))
+    ball = CompositeObjective(smooth=half_squared_distance(
+        Ball(np.zeros(3), 1.0), 3), nonsmooth=indicator(
+            Halfspace(np.array([1.0, 0.0, 0.0]), -0.5), 3))
+    for comp, steps in ((lasso, 300), (lasso, 5), (quad, 400), (ball, 50)):
+        lam = 0.9 / max(comp.lipschitz, 1e-3)
+        constant = StepSchedule.constant(lam)
+        valued = StepSchedule(lam, lam, fn=lambda k, lam=lam: lam)
+        assert constant.sizes(steps).ndim == 0
+        assert valued.sizes(steps).shape == (steps,)
+        x0 = rng.normal(size=3) * 3.0
+        runs = [forward_backward(comp, x0, s, steps) for s in
+                (constant, valued)]
+        assert _record_bits(runs[0]) == _record_bits(runs[1])
+        doc = json.loads(json.dumps(runs[0].to_metadata_dict()))
+        replays = [DescentRun.from_metadata_dict(doc, comp, x0, s, steps)
+                   for s in (constant, valued)]
+        for replay in replays:
+            assert _record_bits(replay) == _record_bits(runs[0])
 
 
 def test_forward_backward_refuses_an_escaping_schedule_value():

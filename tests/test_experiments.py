@@ -307,7 +307,8 @@ def stored_artifacts(tmp_path_factory):
         "method": "gradient", "a": run.params.a, "b": run.params.b,
         "min_value": run.min_value, "converged": run.converged,
         "num_steps": run.num_steps,
-        "step_sizes": result.bundle.schedule.sizes(run.num_steps),
+        "step_sizes": np.broadcast_to(result.bundle.schedule.sizes(
+            run.num_steps), run.num_steps).tolist(),
         "step_norms": run.step_norms.tolist(),
         "witness_norms": run.witness_norms.tolist(),
         "raw_values": np.where(np.isinf(run.raw_values), None,
