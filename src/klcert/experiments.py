@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -351,7 +351,9 @@ class ExperimentConfig:
         return value
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"instance": self.instance, "method": self.method,
+                "certificate": self.certificate, "checks": self.checks,
+                "name": self.name, "schema_version": self.schema_version}
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())

@@ -1,10 +1,13 @@
 """Artifact formats: the one atomic file writer, JSON and CSV on top of it,
 and the one JSON record reader and writer.
 
-Every artifact goes through `_atomic_write`: it creates the target's
-directory when missing, and the bytes land in a temporary file next to the
-target and are renamed over it, so a partial file never appears under the
-target name.  JSON is `json.dumps(payload, sort_keys=True, indent=2)`
+Every artifact goes through `_atomic_write`: the bytes land in a
+temporary file with a short random name next to the target, created with
+mode 0o666 less the umask as open() creates a file, and are renamed over
+the target, so a partial file never appears under the target name.  The
+target's directory is created only when opening that file finds it
+missing.  `read_json` reads the file's bytes and decodes them as ASCII.
+JSON is `json.dumps(payload, sort_keys=True, indent=2)`
 plus a newline: ASCII with sorted keys and a two-space indent.  A record
 is read back with `read_json` and checked with `require`, `require_type`
 and `require_number`, so a malformed one raises ValueError instead of
@@ -53,7 +56,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections import namedtuple
 
 import numpy as np
@@ -72,11 +74,24 @@ TRACE_COLUMNS = (
 def _atomic_write(path, *chunks) -> None:
     """Write the bytes-like chunks, one after another, to path."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # a short random name: the target's name plus a suffix can pass
+    # NAME_MAX.  Mode 0o666 lets the umask apply, as open() does, and
+    # O_BINARY keeps Windows from translating newlines.
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        try:
+            for chunk in chunks:
+                view = memoryview(chunk).cast("B")
+                while view:
+                    view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -91,8 +106,8 @@ def write_json(path, payload: dict) -> None:
 
 def read_json(path) -> dict:
     """The JSON object stored at path; any other top level is refused."""
-    with open(path, "r", encoding="ascii") as fh:
-        record = json.load(fh)
+    with open(path, "rb") as fh:
+        record = json.loads(fh.read().decode("ascii"))
     if not isinstance(record, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return record

@@ -16,7 +16,7 @@ draws.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,10 @@ class CheckResult:
             raise ValueError(f"unknown status {self.status!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"name": self.name, "status": self.status,
+                "worst_violation": self.worst_violation,
+                "samples": self.samples, "tolerance": self.tolerance,
+                "detail": self.detail}
 
 
 @dataclass

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klcert.convex import (
     Ball,
@@ -564,6 +566,55 @@ def test_canonical_base64_refuses_exactly_what_re_encoding_refuses():
     assert accepted == {0: 3 * 64, 1: 3 * 16, 2: 3 * 4}
     for text in texts:
         assert decode_canonical_base64(text) == _reencoding_decode(text), text
+
+
+# one edit of a character: a digit, padding, whitespace or beyond ASCII,
+# put in place of the character at a position, before it, or not at all
+EDITS = st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                  st.sampled_from(tuple(
+                      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                      "0123456789+/") + ("=", " ", "\n", "\u00e9")),
+                  st.integers(0, 300))
+
+
+@given(st.binary(max_size=200), EDITS)
+@settings(max_examples=300, derandomize=True)
+def test_edited_base64_decodes_as_re_encoding_decides(data, edit):
+    kind, char, position = edit
+    text = base64.b64encode(data).decode("ascii")
+    assert decode_canonical_base64(text) == data
+    i = position % (len(text) + 1)
+    if kind == "replace":
+        text = text[:i] + char + text[i + 1:]
+    elif kind == "insert":
+        text = text[:i] + char + text[i:]
+    else:
+        text = text[:i] + text[i + 1:]
+    assert decode_canonical_base64(text) == _reencoding_decode(text), text
+
+
+@pytest.mark.parametrize("dimension, steps, pads", [
+    (3, 5000, 0), (1, 1, 2), (1, 3, 1)])
+def test_stored_iterates_come_back_writable_with_their_bits(dimension, steps,
+                                                            pads):
+    # a 5001 x 3 record has no padding, two and four points in dimension 1
+    # end in "==" and "="; each comes back as a writable, C-contiguous
+    # float64 matrix holding the stored bits
+    comp = CompositeObjective(
+        smooth=quadratic_objective(np.ones(dimension), weight=0.5),
+        nonsmooth=zero_objective(dimension))
+    x0, sched = np.linspace(-2.0, 3.0, dimension), StepSchedule.constant(1e-3)
+    run = forward_backward(comp, x0, sched, steps=steps)
+    doc = run.to_metadata_dict()
+    text = doc["iterates"]
+    assert len(text) - len(text.rstrip("=")) == pads
+    back = DescentRun.from_metadata_dict(doc, comp, x0, sched, steps)
+    X = back.iterates
+    assert X.shape == (steps + 1, dimension) and X.dtype == np.float64
+    assert X.flags.writeable and X.flags.c_contiguous
+    np.testing.assert_array_equal(_int64_view(X), _int64_view(run.iterates))
+    X[0, 0] = 7.0
+    assert back.iterates[0, 0] == 7.0
 
 
 def test_infinite_start_value_survives_round_trip():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -177,6 +178,104 @@ def test_failed_rename_removes_temporary_file(tmp_path, monkeypatch):
         write_json(path, {"passed": False})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def _no_temporary_files(root):
+    return not [name for _, _, names in os.walk(root) for name in names
+                if name.endswith(".tmp")]
+
+
+def test_writer_creates_a_missing_nested_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "c" / "report.json"
+    write_json(path, {"passed": True})
+    assert json.loads(path.read_text()) == {"passed": True}
+    assert os.listdir(path.parent) == ["report.json"]
+    assert _no_temporary_files(tmp_path)
+
+
+def test_writer_replaces_an_existing_target(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"old bytes, longer than the new ones\n")
+    write_json(path, {"passed": False})
+    assert path.read_bytes() == b'{\n  "passed": false\n}\n'
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_writer_refuses_a_directory_that_is_a_regular_file(tmp_path):
+    (tmp_path / "plain").write_bytes(b"x")
+    for path in (tmp_path / "plain" / "report.json",
+                 tmp_path / "plain" / "deeper" / "report.json"):
+        with pytest.raises(OSError):
+            write_json(path, {"passed": True})
+    assert (tmp_path / "plain").read_bytes() == b"x"
+    assert os.listdir(tmp_path) == ["plain"]
+
+
+def test_chunk_that_is_not_bytes_like_leaves_the_target(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"kept")
+    with pytest.raises(TypeError):
+        tracefmt._atomic_write(path, b"head\r\n", "a str is not bytes")
+    assert path.read_bytes() == b"kept"
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def test_large_chunk_survives_short_writes(tmp_path, monkeypatch):
+    # os.write may write less than it is given: the writer goes on from
+    # where each call stopped
+    calls = []
+    write = os.write
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return write(fd, data[:1 << 20])
+
+    monkeypatch.setattr(tracefmt.os, "write", short_write)
+    chunk = np.random.default_rng(0).integers(
+        0, 256, 3 * 10 ** 6, dtype=np.uint8)
+    path = tmp_path / "big.bin"
+    tracefmt._atomic_write(path, b"", b"head", chunk, bytearray(b"tail"))
+    assert path.read_bytes() == b"head" + chunk.tobytes() + b"tail"
+    assert len(calls) == 5
+    assert os.listdir(tmp_path) == ["big.bin"]
+
+
+def test_temporary_name_does_not_grow_with_the_target_name(tmp_path):
+    # a name at the file system's limit still gets its temporary file
+    name = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".json")) + ".json"
+    write_json(tmp_path / name, {})
+    assert os.listdir(tmp_path) == [name]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # run's artifacts, certify's report, sweep.csv and a generated
+    # instance, as open() would make them: 0o666 less the umask
+    run = tmp_path / "runs" / "tiny-lasso"
+    extra = [tmp_path / "certified" / "report.json",
+             tmp_path / "sweep" / "sweep.csv", tmp_path / "instance.json"]
+    old = os.umask(umask)
+    try:
+        assert klcert.cli.main(["run", "--preset", "tiny-lasso",
+                                "--out", str(tmp_path / "runs")]) == 0
+        assert klcert.cli.main([
+            "certify", "--run", str(run / "run.json"),
+            "--certificate", str(run / "certificate.json"),
+            "--out", str(extra[0])]) == 0
+        assert klcert.cli.main(["sweep", "--preset", "tiny-lasso",
+                                "--out", str(extra[1].parent)]) == 0
+        assert klcert.cli.main(["generate", "--family", "lasso",
+                                "--out", str(extra[2])]) == 0
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(run)) == sorted(
+        ("instance.json", "run.json", "trace.csv", "majorant.csv",
+         "certificate.json", "report.json", "config.json"))
+    written = sorted(run.iterdir()) + extra
+    assert [oct(stat.S_IMODE(path.stat().st_mode)) for path in written] == [
+        oct(mode)] * len(written)
+    assert _no_temporary_files(tmp_path)
 
 
 def test_json_is_sorted_ascii_with_trailing_newline(tmp_path):
