@@ -9,15 +9,16 @@ exits 2 with one "error:" line on stderr and no traceback: bad arguments, a
 file that cannot be read (certify reads the instance.json and config.json
 beside run.json), a JSON file whose top level is not an object, a record
 that lacks a field, has another schema version or another key (at any
-level: a desingularizer's region among them), or another desingularizer
-form or region or set kind, a config or instance key that nothing reads
-(the sweep reads no rescaled constant or rate), a value of another type
-than its key or stored field takes (never converted), a stored or config
-number that is not finite, a feasibility set or certificate region of
-another dimension than its instance, run iterates that are not the strict
-base64 text of finite float64 points in the problem's dimension or not the
-method's steps, a method the instance's family does not run, a step budget
-or cap below one, and a projection that does not converge.
+level: a desingularizer's region and a config's top level among them), or
+another desingularizer form or region or set kind, a config or instance
+key that nothing reads (the sweep reads no rescaled constant or rate), a
+value of another type than its key or stored field takes (never
+converted), a stored or config number that is not finite, a feasibility
+set or certificate region of another dimension than its instance, run
+iterates that are not the strict base64 text of finite float64 points in
+the problem's dimension or not the method's steps, a method the instance's
+family does not run, a step budget or cap below one, and a projection that
+does not converge.
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call: a driver that calls `main` many
@@ -44,15 +45,14 @@ from klcert.experiments import (
     sweep_relative_step,
     write_sweep,
 )
-from klcert.problems import FAMILIES, generate_instance
+from klcert.problems import FAMILIES, generate_instance, generator_parameters
 
 
 def _cmd_generate(args) -> int:
-    dims = {}
-    for key in ("n", "m", "dim", "num_sets", "mu", "weight", "geometry"):
-        value = getattr(args, key)
-        if value is not None:
-            dims[key] = value
+    dims = {key: getattr(args, key)
+            for parameters in generator_parameters().values()
+            for key in parameters
+            if key != "seed" and getattr(args, key) is not None}
     gi = generate_instance(args.family, seed=args.seed, **dims)
     gi.to_json(args.out)
     print(f"wrote {args.out} (family={gi.family}, seed={gi.seed})")
@@ -131,20 +131,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a random problem instance")
+    g = sub.add_parser("generate", help="write a random problem instance",
+                       description="A default of None is derived from the "
+                                   "other parameters or drawn from the seed.")
     g.add_argument("--family", choices=FAMILIES, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="instance JSON path")
-    g.add_argument("--n", type=int, default=None, help="variable dimension")
-    g.add_argument("--m", type=int, default=None, help="rows (l1 family)")
-    g.add_argument("--mu", type=float, default=None, help="l1 weight")
-    g.add_argument("--dim", type=int, default=None,
-                   help="ambient dimension (feasibility families)")
-    g.add_argument("--num-sets", dest="num_sets", type=int, default=None)
-    g.add_argument("--geometry", choices=("generic", "lens"), default=None,
-                   help="feasibility geometry (lens: slow alternating wedge)")
-    g.add_argument("--weight", type=float, default=None,
-                   help="quadratic weight (uniformly-convex family)")
+    # one flag per generator parameter, in order of first appearance
+    flags = {}
+    for family, parameters in generator_parameters().items():
+        for key, (kind, _, default) in parameters.items():
+            flags.setdefault(key, (kind, []))[1].append(
+                f"{family} (default {default!r})")
+    del flags["seed"]
+    for key, (kind, takers) in flags.items():
+        g.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                       help=", ".join(takers))
     g.set_defaults(func=_cmd_generate)
 
     r = sub.add_parser("run", help="run experiments and check certificates")

@@ -788,8 +788,8 @@ def lasso_composite(A, y, mu: float) -> CompositeObjective:
     return CompositeObjective(smooth=h, nonsmooth=g)
 
 
-def feasibility_objective(sets: Sequence, weights, dimension: int,
-                          min_value: float = 0.0) -> ConvexObjective:
+def feasibility_objective(sets: Sequence, weights,
+                          dimension: int) -> ConvexObjective:
     """f(x) = 0.5 * sum_i w_i dist^2(x, C_i); gradient is x - sum_i w_i P_i(x)."""
     sets = tuple(sets)
     w = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -809,7 +809,7 @@ def feasibility_objective(sets: Sequence, weights, dimension: int,
         return out
 
     return ConvexObjective(
-        dimension=dimension, value_fn=val, min_value=min_value,
+        dimension=dimension, value_fn=val, min_value=0.0,
         gradient_fn=grad, subgradient_fn=grad, lipschitz=1.0,
         name="feasibility",
     )

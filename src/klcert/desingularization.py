@@ -112,8 +112,12 @@ def _map_floats(fn, s):
     return np.array([float(fn(v)) for v in s.ravel().tolist()]).reshape(s.shape)
 
 
-def _invert_increasing(fn, target: float, hi0: float, tol: float = 1e-12,
-                       max_iter: int = 200) -> float:
+# the relative bracket width and the step cap of _invert_increasing
+_INVERT_TOL = 1e-12
+_INVERT_MAX_ITER = 200
+
+
+def _invert_increasing(fn, target: float, hi0: float) -> float:
     """Solve fn(s) = target for increasing fn with fn(0) <= target, by bisection."""
     if target <= 0.0:
         return 0.0
@@ -125,7 +129,7 @@ def _invert_increasing(fn, target: float, hi0: float, tol: float = 1e-12,
     else:
         raise ValueError("could not bracket the inverse")
     lo = 0.0
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -133,7 +137,7 @@ def _invert_increasing(fn, target: float, hi0: float, tol: float = 1e-12,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= _INVERT_TOL * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
 

@@ -436,16 +436,29 @@ class FeasibilityInstance:
     def objective(self):
         return feasibility_objective(self.sets, self.weights, self.dimension)
 
-    def check_inner_ball(self, samples: int = 256, seed: int = 0,
-                         tol: float = 1e-9) -> bool:
-        """Sample the declared ball boundary and test membership in each set."""
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((samples, self.dimension))
-        g /= np.maximum(batch_norms(g), 1e-300)[:, None]
-        pts = self.xbar + self.R * g
+    def check_inner_ball(self) -> bool:
+        """Whether B(xbar, R) lies in every set, decided exactly in rationals
+        from the stored floats: a ball B(c, r) holds it iff r >= R and
+        ||xbar - c||^2 <= (r - R)^2, a halfspace <a, x> <= beta iff
+        s = beta - <a, xbar> >= 0 and s^2 >= R^2 ||a||^2."""
+        # imported here: no pipeline runs the check, and fractions imports
+        # decimal, which the CLI would otherwise load for nothing
+        from fractions import Fraction
+
+        xbar, R = [Fraction(v) for v in self.xbar.tolist()], Fraction(self.R)
         for s in self.sets:
-            if not np.all(np.atleast_1d(s.distance(pts)) <= tol):
-                return False
+            if isinstance(s, Ball):
+                r = Fraction(s.radius)
+                squared = sum((x - Fraction(c)) ** 2
+                              for x, c in zip(xbar, s.center.tolist()))
+                if r < R or squared > (r - R) ** 2:
+                    return False
+            else:
+                a = [Fraction(v) for v in s.normal.tolist()]
+                slack = Fraction(s.offset) - sum(
+                    ai * x for ai, x in zip(a, xbar))
+                if slack < 0 or slack ** 2 < R ** 2 * sum(ai * ai for ai in a):
+                    return False
         return True
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -310,11 +310,8 @@ class ExperimentConfig:
     certificate: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
     name: str = ""
-    schema_version: int = 1
 
     def __post_init__(self):
-        if self.schema_version != 1:
-            raise ValueError("unsupported config schema version")
         if not isinstance(self.name, str):
             raise ValueError("config name must be a string")
         # the name is a directory under --out, never a path out of it
@@ -351,26 +348,25 @@ class ExperimentConfig:
         return value
 
     def to_dict(self) -> dict:
-        return {"instance": self.instance, "method": self.method,
-                "certificate": self.certificate, "checks": self.checks,
-                "name": self.name, "schema_version": self.schema_version}
+        return dict(vars(self), schema_version=1)
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        """Inverse of to_dict; every field but instance is optional, since
-        configs are written by hand."""
+        """Inverse of to_dict: instance, any other field and no other key
+        but a schema_version, which is the int 1."""
         require(data, ("instance",), "config")
-        return ExperimentConfig(
-            instance=data["instance"],
-            method=data.get("method", {}),
-            certificate=data.get("certificate", {}),
-            checks=data.get("checks", {}),
-            name=data.get("name", ""),
-            schema_version=data.get("schema_version", 1),
-        )
+        unknown = sorted(set(data) - {"schema_version"}
+                         - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(
+                f"config record has unknown keys {', '.join(unknown)}")
+        if "schema_version" in data:
+            require(data, ("schema_version",), "config")
+        return ExperimentConfig(**{key: value for key, value in data.items()
+                                   if key != "schema_version"})
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":

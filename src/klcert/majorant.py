@@ -101,25 +101,19 @@ class QuadraticComplexity:
     C: float
     sigma: float
     zeta: float
-    f0: Optional[float] = None
+    f0: float
 
-    def _gap(self, f0: Optional[float]) -> float:
-        f0 = self.f0 if f0 is None else f0
-        if f0 is None:
-            raise ValueError("no initial gap supplied")
-        return float(f0)
+    def value_bound(self, k: int) -> float:
+        return self.f0 / self.q ** k
 
-    def value_bound(self, k: int, f0: Optional[float] = None) -> float:
-        return self._gap(f0) / self.q ** k
-
-    def distance_bound(self, k: int, f0: Optional[float] = None) -> float:
+    def distance_bound(self, k: int) -> float:
         if k < 1:
             raise ValueError("distance bound starts at k = 1")
-        return self.C * math.sqrt(self._gap(f0)) / self.q ** ((k - 1) / 2.0)
+        return self.C * math.sqrt(self.f0) / self.q ** ((k - 1) / 2.0)
 
 
 def quadratic_complexity(ell: float, params: DescentCertificateParams,
-                         f0: Optional[float] = None) -> QuadraticComplexity:
+                         f0: float) -> QuadraticComplexity:
     """Rate constants for psi = ell s^2 / 2: q = 1 + 2 a sigma and the
     distance factor C = (1/sqrt(a)) (1 + 1/(a sigma sqrt(1 + 1/(2 a sigma)))).
     """

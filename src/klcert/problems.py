@@ -25,6 +25,7 @@ naming the period.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -107,8 +108,6 @@ def lasso_polish(A: Array, y: Array, mu: float
         xn = update(x)
         if np.array_equal(xn, x):
             return x, None
-        if np.max(np.abs(xn - x)) < 1e-17 * max(1.0, float(np.max(np.abs(x)))):
-            return xn, None
         x = xn
         # x is the state after update k
         since = k - saved_at
@@ -421,6 +420,20 @@ class GeneratedInstance:
         return GeneratedInstance.from_dict(read_json(path))
 
 
+@functools.cache
+def generator_parameters() -> dict:
+    """Per family, each generator parameter's (type, whether None is
+    accepted, default), read from GENERATORS' signatures on the first call:
+    what generate_instance checks and `klcert generate`'s flags."""
+    table = {family: {} for family in GENERATORS}
+    for family, generator in GENERATORS.items():
+        for key, p in inspect.signature(generator,
+                                        eval_str=True).parameters.items():
+            kinds = get_args(p.annotation) or (p.annotation,)
+            table[family][key] = (kinds[0], type(None) in kinds, p.default)
+    return table
+
+
 def generate_instance(family: str, seed: int = 0, **dims) -> GeneratedInstance:
     """Single entry point used by the command line.  The seed and every
     keyword must be parameters of the family's generator, of the type its
@@ -429,14 +442,12 @@ def generate_instance(family: str, seed: int = 0, **dims) -> GeneratedInstance:
     require_type(family, str, "instance family")
     if family not in GENERATORS:
         raise ValueError(f"unknown family {family!r}")
-    generator = GENERATORS[family]
-    parameters = inspect.signature(generator, eval_str=True).parameters
+    parameters = generator_parameters()[family]
     unknown = sorted(set(dims) - set(parameters))
     if unknown:
         raise ValueError(f"{family} instances take no {', '.join(unknown)}")
     for key, value in dict(dims, seed=seed).items():
-        annotation = parameters[key].annotation
-        kinds = get_args(annotation) or (annotation,)
-        if value is not None or type(None) not in kinds:
-            require_type(value, kinds[0], f"{family} instance {key}")
-    return generator(seed=seed, **dims)
+        kind, nullable, _ = parameters[key]
+        if value is not None or not nullable:
+            require_type(value, kind, f"{family} instance {key}")
+    return GENERATORS[family](seed=seed, **dims)

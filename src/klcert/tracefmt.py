@@ -116,11 +116,13 @@ def read_json(path) -> dict:
 def require(record: dict, fields, what: str, version: int = 1,
             exact: bool = False) -> None:
     """Refuse a record that lacks any of fields, whose schema_version (1
-    when absent), when that is one of them, is not version, or, when exact,
-    that holds any other key."""
+    when absent), when that is one of them, is not the int version, or,
+    when exact, that holds any other key."""
     stored = record.get("schema_version", 1)
-    if "schema_version" in fields and stored != version:
-        raise ValueError(f"unsupported {what} schema version")
+    if "schema_version" in fields and (type(stored) is not int
+                                       or stored != version):
+        raise ValueError(f"unsupported {what} schema version: "
+                         f"schema_version is {stored!r}, not {version}")
     missing = [key for key in fields if key not in record]
     if missing:
         raise ValueError(f"{what} record lacks {', '.join(missing)}")

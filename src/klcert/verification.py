@@ -11,7 +11,9 @@ Each check produces a CheckResult with one of five statuses:
 Only "fail" counts against a report; the other non-pass statuses mean the
 certificate was never contradicted.  Sampling checks are falsification
 tools, not proofs: they hunt for counterexamples with seeded, reproducible
-draws.
+draws.  Each check's absolute tolerance tol, which its result reports, is a
+module constant: MAJORIZATION_TOL, DISTANCE_BOUND_TOL, PROX_STEP_TOL,
+KL_TOL and ERROR_BOUND_TOL, in the order of the checks below.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ from klcert.majorant import MajorantSequence, empirical_prox_steps
 from klcert.tracefmt import write_json
 
 STATUSES = ("pass", "fail", "region-violated", "skipped", "inconclusive")
+
+MAJORIZATION_TOL = 1e-9
+DISTANCE_BOUND_TOL = 1e-7
+PROX_STEP_TOL = 1e-9
+KL_TOL = 1e-9
+ERROR_BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,14 +127,14 @@ def _first_region_exit(region, iterates: np.ndarray) -> Optional[int]:
 
 
 def check_majorization(run: DescentRun, maj: MajorantSequence,
-                       d: Desingularizer, tol: float = 1e-9) -> CheckResult:
+                       d: Desingularizer) -> CheckResult:
     """f(x_k) - min f <= psi(alpha_k) for every k both traces cover.
 
     A genuine excess inside the certified region fails the check; iterates
     escaping the region downgrade it instead, since the guarantee only
     speaks on the region.
     """
-    name = "majorization"
+    name, tol = "majorization", MAJORIZATION_TOL
     if run.min_value is None:
         return CheckResult(name, "skipped", tolerance=tol,
                            detail="run has no stored minimum value")
@@ -152,13 +160,13 @@ def check_majorization(run: DescentRun, maj: MajorantSequence,
 
 
 def check_distance_bound(run: DescentRun, maj: MajorantSequence,
-                         xstar=None, tol: float = 1e-7) -> CheckResult:
+                         xstar=None) -> CheckResult:
     """||x_k - x*|| <= (b/a) alpha_k + sqrt(psi(alpha_{k-1}) / a), k >= 1.
 
     x* is the supplied minimizer, or the run's own limit when the trajectory
     has numerically stopped (final step below 1e-10 or exact stationarity).
     """
-    name = "distance-bound"
+    name, tol = "distance-bound", DISTANCE_BOUND_TOL
     if xstar is None:
         xstar = run.settled_point()
     if xstar is None:
@@ -177,10 +185,9 @@ def check_distance_bound(run: DescentRun, maj: MajorantSequence,
 
 
 def check_prox_step_domination(run: DescentRun, d: Desingularizer,
-                               zeta_value: float, tol: float = 1e-9
-                               ) -> CheckResult:
+                               zeta_value: float) -> CheckResult:
     """Empirical scalar steps s_k of the run dominate the certified zeta."""
-    name = "prox-step-domination"
+    name, tol = "prox-step-domination", PROX_STEP_TOL
     if run.min_value is None:
         return CheckResult(name, "skipped", tolerance=tol,
                            detail="run has no stored minimum value")
@@ -213,7 +220,7 @@ def trajectory_checks(run: DescentRun, maj: MajorantSequence,
 
 def check_kl_sampling(d: Desingularizer, obj: ConvexObjective,
                       region, n_samples: int = 10000,
-                      tol: float = 1e-9, seed: int = 0) -> CheckResult:
+                      seed: int = 0) -> CheckResult:
     """min over samples of phi'(f(x) - min f) ||subgradient|| - 1 >= -tol.
 
     The samples are uniform draws from region (an L1Ball or a Ball).
@@ -221,7 +228,7 @@ def check_kl_sampling(d: Desingularizer, obj: ConvexObjective,
     do not count; they are neither evidence for nor against the
     certificate.
     """
-    name = "kl-sampling"
+    name, tol = "kl-sampling", KL_TOL
     rng = np.random.default_rng(seed)
     gaps = kl_gap(d, obj, region.sample(rng, obj.dimension, n_samples))
     counted = gaps[~np.isnan(gaps)]
@@ -242,10 +249,10 @@ _EXACT_DISTANCE_SETS = (Ball, Halfspace, AffineSet, IntersectionSet)
 def check_error_bound_sampling(cert: ErrorBoundCertificate,
                                obj: ConvexObjective, solution_set,
                                region, n_samples: int = 10000,
-                               tol: float = 1e-9, seed: int = 0) -> CheckResult:
+                               seed: int = 0) -> CheckResult:
     """min over samples of residual(f(x) - min f) - dist(x, argmin) >= -tol,
     the samples being uniform draws from region (an L1Ball or a Ball)."""
-    name = "error-bound-sampling"
+    name, tol = "error-bound-sampling", ERROR_BOUND_TOL
     if not isinstance(solution_set, _EXACT_DISTANCE_SETS):
         return CheckResult(name, "inconclusive", tolerance=tol,
                            detail="solution set has no exact distance oracle")

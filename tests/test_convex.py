@@ -231,6 +231,19 @@ def test_intersection_refuses_a_nested_intersection():
         IntersectionSet((inner, _BALL))
 
 
+def test_intersection_contains_what_every_member_contains():
+    # {||x|| <= 1, y <= 0}: a point is inside when both members say so, at
+    # the tolerance given to both
+    inter = IntersectionSet(sets=(Ball(np.zeros(2), 1.0),
+                                  Halfspace(np.array([0.0, 1.0]), 0.0)))
+    pts = np.array([[0.5, -0.5], [0.5, 0.5], [2.0, -0.1], [0.0, 5e-10]])
+    assert inter.contains(pts).tolist() == [True, False, False, True]
+    assert inter.contains(pts, tol=1e-12).tolist() == [
+        True, False, False, False]
+    for x, inside in zip(pts, inter.contains(pts)):
+        assert bool(inter.contains(x)) == inside
+
+
 def test_intersection_projection_ball_halfspace_hand_case():
     # {||x|| <= 1, y <= 0} from (2, 2): activate y = 0, clamp x to 1.
     # KKT at (1, 0): (1, 2) = m1 (1, 0) + m2 (0, 1) with m1, m2 >= 0.

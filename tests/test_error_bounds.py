@@ -328,6 +328,30 @@ def test_inner_ball_check():
     assert not too_big.check_inner_ball()
 
 
+def test_inner_ball_check_is_exact_at_tangency(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check drew samples")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    def holds(*sets):
+        return FeasibilityInstance(sets=sets, xbar=np.zeros(2), R=1.0,
+                                   weights=(0.5, 0.5)).check_inner_ball()
+
+    # both sets touch B(0, 1): the ball at (0.5, 0) from inside, the
+    # halfspace 2 y <= 2 along y = 1
+    ball = Ball(np.array([0.5, 0.0]), 1.5)
+    half = Halfspace(np.array([0.0, 2.0]), 2.0)
+    assert holds(ball, half)
+    # one ulp less room in either set leaves it; 256 samples at a distance
+    # tolerance of 1e-9 did not see that
+    assert not holds(Ball(ball.center, math.nextafter(1.5, 0.0)), half)
+    assert not holds(ball, Halfspace(half.normal, math.nextafter(2.0, 0.0)))
+    # a ball smaller than B(0, 1), and a halfspace that cuts off its center
+    assert not holds(Ball(np.zeros(2), 0.5), half)
+    assert not holds(ball, Halfspace(half.normal, -0.5))
+
+
 def test_feasibility_growth_inequality_on_samples():
     # dist(x, intersection) <= phi(f(x)) over the certified metric ball
     inst = FeasibilityInstance(

@@ -4,6 +4,7 @@ import base64
 import copy
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -44,6 +45,7 @@ from klcert.problems import (
     INSTANCE_FIELDS,
     PAYLOADS,
     generate_instance,
+    generator_parameters,
 )
 from klcert.tracefmt import TRACE_COLUMNS, write_value
 
@@ -95,7 +97,8 @@ def test_config_round_trip(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(instance={})  # neither path nor family
     with pytest.raises(ValueError):
-        ExperimentConfig(instance={"family": "lasso"}, schema_version=2)
+        ExperimentConfig.from_dict({"instance": {"family": "lasso"},
+                                    "schema_version": 2})
 
 
 def test_load_instance_from_path_and_family(tmp_path):
@@ -938,6 +941,122 @@ def test_cli_generate_writes_instance(tmp_path):
     assert doc["family"] == "lasso" and doc["seed"] == 3
 
 
+# edits of a config's top level, and the key each refusal names
+CONFIG_TOP_LEVEL_EDITS = {
+    "typo": ({"metod": {"steps": 3}}, "metod"),
+    "schema-version-bool": ({"schema_version": True}, "schema_version"),
+    "schema-version-2": ({"schema_version": 2}, "schema_version"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "certify"])
+@pytest.mark.parametrize("case", CONFIG_TOP_LEVEL_EDITS)
+def test_config_top_level_is_exact(stored_artifacts, tmp_path, capsys,
+                                   command, case):
+    edits, named = CONFIG_TOP_LEVEL_EDITS[case]
+    if command == "certify":
+        # the config.json stored beside run.json
+        for name in CERTIFY_READS:
+            doc = dict(stored_artifacts[name])
+            if name == "config.json":
+                doc.update(edits)
+            (tmp_path / name).write_text(json.dumps(doc))
+        argv = ["certify", "--run", str(tmp_path / "run.json"),
+                "--certificate", str(tmp_path / "certificate.json"),
+                "--out", str(tmp_path / "out" / "report.json")]
+    else:
+        argv = _run_config(command, **edits)(tmp_path)
+    assert main(argv) == 2
+    _one_error_line(capsys.readouterr().err, named)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_schema_version_may_be_left_out():
+    doc = preset_configs("uniformly-convex")[0].to_dict()
+    assert doc["schema_version"] == 1
+    del doc["schema_version"]
+    config = ExperimentConfig.from_dict(doc)
+    assert config.to_dict() == dict(doc, schema_version=1)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_flag_sets_the_instance_seed(tmp_path, command):
+    # the README's `klcert run --config config.json --out out/ --seed 11`
+    # makes what a config with instance seed 11 makes
+    config = preset_configs("tiny-lasso")[0]
+    assert config.instance["seed"] == 7
+    config.to_json(tmp_path / "seven.json")
+    config.instance["seed"] = 11
+    config.to_json(tmp_path / "eleven.json")
+    for name, source, extra in (("flag", "seven", ["--seed", "11"]),
+                                ("config", "eleven", []),
+                                ("unflagged", "seven", [])):
+        assert main([command, "--config", str(tmp_path / f"{source}.json"),
+                     "--out", str(tmp_path / name), *extra]) == 0
+
+    def files(name):
+        root = tmp_path / name
+        return {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    assert files("flag") == files("config") != files("unflagged")
+
+
+def test_run_from_an_optimal_start_exits_2(tmp_path, capsys):
+    # x0 at the center of w ||x - c||^2: a zero initial gap has nothing to
+    # certify
+    def optimal_start(doc):
+        doc["payload"]["x0"] = doc["payload"]["center"]
+
+    argv = _stored_instance_run(tmp_path, "uniformly-convex", optimal_start,
+                                {"name": "gradient"})
+    assert main(argv) == 2
+    _one_error_line(capsys.readouterr().err, "start is already optimal")
+    assert not (tmp_path / "out").exists()
+
+
+# the instance flags of `klcert generate`, with their types
+GENERATE_FLAGS = {"--n": int, "--m": int, "--mu": float, "--dim": int,
+                  "--num-sets": int, "--geometry": str, "--weight": float}
+
+
+def test_generate_flags_are_the_generators_parameters(capsys):
+    text = _printed_help(["generate", "--help"], capsys)
+    flags = [word for word in text.split("options:")[1].split()
+             if word.startswith("--")]
+    assert flags == ["--help", "--family", "--seed", "--out",
+                     *GENERATE_FLAGS]
+    values = {int: "2", float: "0.5", str: "lens"}
+    argv = ["generate", "--family", "lasso", "--out", "i.json"]
+    for flag, kind in GENERATE_FLAGS.items():
+        argv += [flag, values[kind]]
+    args = klcert.cli._build_parser().parse_args(argv)
+    for flag, kind in GENERATE_FLAGS.items():
+        assert type(getattr(args, flag[2:].replace("-", "_"))) is kind, flag
+    # each flag's help names the families that take it, with defaults
+    for family, parameters in generator_parameters().items():
+        for key, (_, _, default) in parameters.items():
+            assert (key == "seed") is (f"--{key.replace('_', '-')}"
+                                       not in GENERATE_FLAGS)
+            if key != "seed":
+                assert f"{family} (default {default!r})" in text, key
+
+
+def test_generate_instance_reads_no_signature_per_call(monkeypatch):
+    first = generate_instance("feasibility", seed=3, geometry="lens")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signature was read again")
+
+    monkeypatch.setattr(inspect, "signature", refuse)
+    again = generate_instance("feasibility", seed=3, geometry="lens")
+    assert again.payload == first.payload
+    with pytest.raises(ValueError, match="take no m"):
+        generate_instance("feasibility", m=2)
+    with pytest.raises(ValueError, match="geometry must be str, not int"):
+        generate_instance("feasibility", geometry=2)
+
+
 def test_cli_run_preset_and_exit_codes(tmp_path, capsys):
     code = main(["run", "--preset", "tiny-lasso", "--out", str(tmp_path)])
     assert code == 0
@@ -1206,6 +1325,10 @@ MALFORMED_INPUTS = {
     "method-not-an-object": _run_config("run", method=[1]),
     "certificate-not-an-object": _run_config("run", certificate="computed"),
     "checks-not-an-object": _run_config("run", checks=None),
+    # the top level holds exactly instance, method, certificate, checks,
+    # name and schema_version: a misspelled block is not left unread
+    "config-top-level-typo": _run_config("run", metod={"steps": 3}),
+    "config-schema-version-bool": _run_config("run", schema_version=True),
     "instance-not-an-object": _run_config("run", instance=["lasso"]),
     "method-key-typo": _run_config(
         "run", method={"name": "ista", "relative_stpe": 0.5, "steps": 400}),

@@ -125,7 +125,7 @@ def test_quadratic_complexity_frozen():
     with pytest.raises(ValueError):
         cf.distance_bound(0)
     with pytest.raises(ValueError):
-        quadratic_complexity(0.0, PARAMS)
+        quadratic_complexity(0.0, PARAMS, f0=2.0)
 
 
 def test_majorant_distance_bound_formula():

@@ -152,6 +152,27 @@ def test_majorization_respects_region():
     assert report.passed
 
 
+def test_majorization_region_exit_after_the_start():
+    # the region holds the start but not iterate 1, which halves the
+    # distance 2.33 to the center: the bound is checked on the prefix
+    run, d, maj = _quadratic_bundle()
+    near = PowerDesingularizer(scale=d.scale, exponent=2.0,
+                               region=Ball(np.array([2.0, 1.5]), 1.0))
+    c = check_majorization(run, maj, near)
+    assert c.status == "region-violated"
+    assert c.samples == 1 and c.worst_violation <= c.tolerance
+    assert c.detail.startswith("iterate 1 left the certified region")
+    assert CertificationReport(checks=[c]).passed
+
+
+def test_distance_bound_skipped_with_one_iterate():
+    run, _, maj = _quadratic_bundle()
+    start_only = replace(maj, alpha=maj.alpha[:1],
+                         psi_values=maj.psi_values[:1])
+    c = check_distance_bound(run, start_only, xstar=CENTER)
+    assert (c.status, c.detail) == ("skipped", "need at least one step")
+
+
 def test_distance_bound_skipped_without_limit():
     run, _, maj = _quadratic_bundle(steps=3)
     assert not run.converged
