@@ -17,8 +17,9 @@ converted), a stored or config number that is not finite, a feasibility
 set or certificate region of another dimension than its instance, run
 iterates that are not the strict base64 text of finite float64 points in
 the problem's dimension or not the method's steps, a method the instance's
-family does not run, a step budget or cap below one, and a projection that
-does not converge.
+family does not run, a step budget or cap below one, a --seed given to a
+config that reads its instance from a path, and a projection that does
+not converge.
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call: a driver that calls `main` many
@@ -67,14 +68,25 @@ def _load_configs(args) -> list[ExperimentConfig]:
     return preset_configs(args.preset)
 
 
+def _set_seed(configs: list[ExperimentConfig], seed) -> None:
+    """Give every config's generated instance the --seed value; a config
+    that reads its instance from a path has no seed to set."""
+    if seed is None:
+        return
+    for config in configs:
+        if "family" not in config.instance:
+            raise ValueError("--seed sets the seed of a generated instance, "
+                             "and this config reads its instance from a path")
+        config.instance["seed"] = seed
+
+
 def _cmd_run(args) -> int:
     configs = _load_configs(args)
+    _set_seed(configs, args.seed)
     failed = 0
     for i, config in enumerate(configs):
         if args.steps is not None:
             config.method["steps"] = args.steps
-        if args.seed is not None and "family" in config.instance:
-            config.instance["seed"] = args.seed
         name = config.name or f"experiment-{i}"
         out_dir = os.path.join(args.out, name)
         result = run_experiment(config, out_dir=out_dir)
@@ -93,12 +105,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     configs = _load_configs(args)
     config = configs[0]
+    _set_seed([config], args.seed)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("empty sweep grid")
     kwargs = {} if args.steps is None else {"max_steps": args.steps}
-    if args.seed is not None and "family" in config.instance:
-        config.instance["seed"] = args.seed
     rows = sweep_relative_step(config, values, **kwargs)
     path = os.path.join(args.out, "sweep.csv")
     write_sweep(path, rows)

@@ -510,6 +510,11 @@ class ConvexObjective:
     value is stored, not recomputed: tiny instances carry an exact or
     brute-force minimum so that value gaps stay trustworthy at high
     accuracy.
+    gradient_data, when given, is the pair (s, c) of a Python float and a
+    point such that gradient_fn(x) is s * (x - c), one rounded product of
+    one rounded difference in every entry: `quadratic_objective` builds
+    its gradient from it, and `forward_backward` runs its steps one
+    coordinate at a time from it.
     """
 
     dimension: int
@@ -521,6 +526,7 @@ class ConvexObjective:
     lipschitz: Optional[float] = None
     name: str = ""
     shifted_subgradient_fn: Optional[Callable[[Array, Array], Array]] = None
+    gradient_data: Optional[tuple[float, Array]] = None
 
 
 def evaluate(obj: ConvexObjective, x) -> float | Array:
@@ -637,10 +643,12 @@ def quadratic_objective(center, weight: float = 0.5, min_value: float = 0.0) -> 
         d = minus_point(x, c)
         return w * np.vecdot(d, d) + min_value
 
+    # the gradient 2w (x - c), given by its data
+    data = (2.0 * w, c)
     # 2w as a 0-d array: numpy scales an array by one faster than by a
     # Python float, to the same bits, and a batch of points still in one
     # loop over all its entries
-    two_w = np.asarray(2.0 * w)
+    two_w = np.asarray(data[0])
 
     def grad(x):
         # called once per step of the descent loop: no helper call
@@ -652,7 +660,7 @@ def quadratic_objective(center, weight: float = 0.5, min_value: float = 0.0) -> 
     return ConvexObjective(
         dimension=c.shape[0], value_fn=val, min_value=min_value,
         gradient_fn=grad, subgradient_fn=grad, prox_fn=prx,
-        lipschitz=2.0 * w, name="quadratic",
+        lipschitz=2.0 * w, name="quadratic", gradient_data=data,
     )
 
 
@@ -766,6 +774,11 @@ def least_squares(A, y) -> ConvexObjective:
     )
 
 
+def identity_prox(x: Array, step) -> Array:
+    """The zero function's prox: x itself."""
+    return x
+
+
 def zero_objective(dimension: int) -> ConvexObjective:
     """The zero function: smooth with L = 0 and identity prox."""
     return ConvexObjective(
@@ -774,7 +787,7 @@ def zero_objective(dimension: int) -> ConvexObjective:
         min_value=0.0,
         gradient_fn=np.zeros_like,
         subgradient_fn=np.zeros_like,
-        prox_fn=lambda x, step: x,
+        prox_fn=identity_prox,
         lipschitz=0.0,
         name="zero",
         shifted_subgradient_fn=lambda x, v: v,

@@ -29,8 +29,17 @@ per-step norm test makes: its rows are those of the shorter run, and no
 oracle raises on a finite point or takes it to a non-finite one, so the
 steps past the cut change nothing.  The loop keeps each point as the
 bytes its stop test takes, and the (T+1, n) matrix of iterates is built
-once from their join.  A run is stored as its iterates; all else is
-derived.
+once from their join.  A quadratic w ||x - c||^2 with the zero nonsmooth
+part under a constant step takes no array loop: each coordinate runs its
+own scalar recurrence in Python floats, to its own bitwise fixed point,
+and the matrix pads each column with its last value.  That matrix has
+the array loop's bits: numpy rounds each ufunc call once and fuses none,
+as Python float operators do, so the same operations in the same order
+give the same bits; a coordinate that gives back its bits under a
+constant step keeps them, so the array loop stops at the largest of the
+coordinates' stops; and the scalar stop test is the byte test, signed
+zeros and NaN included (`forward_backward` gives the proof).
+A run is stored as its iterates; all else is derived.
 It holds no method name and no step sizes: the config names the method,
 and the schedule gives the sizes.  run.json (schema 3) holds the iterates
 as the strict base64 text of their row-major little-endian float64 bytes,
@@ -54,7 +63,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from klcert.convex import Array, CompositeObjective, as_point, row_norms
+from klcert.convex import (
+    Array,
+    CompositeObjective,
+    as_point,
+    identity_prox,
+    row_norms,
+)
 from klcert.tracefmt import require, require_type, write_json
 
 
@@ -380,22 +395,13 @@ def _per_row(sizes: Array) -> Array:
     return sizes if sizes.ndim == 0 else sizes[:, None]
 
 
-def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
-                     steps: int, min_value: Optional[float] = None
-                     ) -> DescentRun:
-    """Proximal-gradient iteration with exact certificate witnesses; the
-    start and the schedule are validated once, before the loop.  The run
-    ends, converged, before its first step of norm zero: the loop stops at
-    a step that gives back its point's bits, and the record of every step
-    taken, computed in one batch, is cut at its first zero step norm.  The
-    loop keeps the bytes of each point, which its stop test takes anyway,
-    and the (T+1, n) matrix of iterates is built once from their join."""
-    if steps < 1:
-        raise ValueError("need at least one step")
-    params = certificate_params(schedule, composite.lipschitz)
-    x = as_point(x0, composite.dimension)
+def _array_iterates(composite: CompositeObjective, x: Array, sizes: Array,
+                    steps: int) -> Array:
+    """The (T+1, n) iterates of the loop from x, up to its first step that
+    gives back its point's bits or to its budget.  The loop keeps the
+    bytes of each point, which its stop test takes anyway, and the matrix
+    is built once from their join."""
     grad, prox_fn = composite.smooth.gradient_fn, composite.nonsmooth.prox_fn
-    sizes = schedule.sizes(steps)
     # every step's size as a 0-d array: numpy scales an array by a 0-d
     # array faster than by a Python float or an np.float64, to the same bits
     per_step = (repeat(sizes, steps) if sizes.ndim == 0
@@ -413,8 +419,94 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
         x, gx, last = xn, grad(xn), now
 
     # a bytearray's buffer gives a writable, C-contiguous matrix
-    X = np.frombuffer(bytearray().join(chunks))
-    X = X.reshape(-1, composite.dimension)
+    return np.frombuffer(bytearray().join(chunks)).reshape(-1, len(x))
+
+
+def _coordinate_iterates(x: float, c: float, scale: float, lam: float,
+                         steps: int) -> list:
+    """x, then x <- x - lam * (scale * (x - c)) in Python floats, up to
+    the first step that gives back x's bits or to the budget."""
+    out = [x]
+    append = out.append
+    for _ in range(steps):
+        xn = x - lam * (scale * (x - c))
+        # equal numbers have equal bits, but for zeros of unlike signs
+        if xn == x and (xn or math.copysign(1.0, xn) == math.copysign(1.0, x)):
+            return out
+        append(xn)
+        x = xn
+    if x != x:
+        # a NaN, unequal to itself, steps back onto its own bits: the
+        # coordinate stops at its first one
+        del out[next(k for k, v in enumerate(out) if v != v) + 1:]
+    return out
+
+
+def _scalar_iterates(x: Array, data: tuple[float, Array], lam: float,
+                     steps: int) -> Array:
+    """`_array_iterates` of x under the gradient with data (s, c), the
+    identity prox and the constant step lam: each coordinate runs its own
+    recurrence to its end, and its column is padded with its last value
+    to the longest column's length."""
+    scale, center = data
+    columns = [_coordinate_iterates(xi, ci, scale, lam, steps)
+               for xi, ci in zip(x.tolist(), center.tolist())]
+    X = np.empty((max(map(len, columns)), len(columns)))
+    for j, column in enumerate(columns):
+        X[:len(column), j] = column
+        X[len(column):, j] = column[-1]
+    return X
+
+
+def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
+                     steps: int, min_value: Optional[float] = None
+                     ) -> DescentRun:
+    """Proximal-gradient iteration with exact certificate witnesses; the
+    start and the schedule are validated once, before the loop.  The run
+    ends, converged, before its first step of norm zero: the loop stops at
+    a step that gives back its point's bits, and the record of every step
+    taken, computed in one batch, is cut at its first zero step norm.
+
+    Where the smooth part gives gradient data (s, c), the nonsmooth part's
+    prox is `identity_prox` and the schedule is constant, the step is
+    x - lam * (s * (x - c)) in every entry, and each coordinate runs that
+    recurrence alone, in Python floats (`_scalar_iterates`); the matrix of
+    iterates has the bits of the array loop's, for three reasons.
+      - Same bits per step.  numpy computes each ufunc call in correctly
+        rounded binary64 and never fuses two calls; a Python float
+        operator is one C operation on two doubles, correctly rounded too,
+        in the same thread and so the same floating-point environment.
+        The same operations on the same operands in the same order
+        (difference, product by s, product by lam, difference) give the
+        same bits, NaN payloads included: a NaN made from infinities is
+        the hardware's default NaN on either side, and a NaN operand is
+        the only one, or both operands are the same NaN.
+      - Same stop.  Under a constant step a coordinate's next value
+        depends on its own value alone, so a coordinate whose step gives
+        back its bits keeps them at every later step.  The array loop
+        stops at the first step that gives back every coordinate's bits:
+        the largest of the coordinates' own stops, or the budget.  Each
+        column padded with its last value is the array loop's column.
+      - Same stop test.  Two floats other than NaN have the same bits
+        exactly when they compare equal and are nonzero or zeros of one
+        sign.  A NaN compares unequal to itself, but it gives back its
+        bits at every step (above), so a coordinate that turns NaN stops
+        at its first NaN.
+    A schedule with fn is left to the array loop: a coordinate fixed
+    under lam_k may move again under lam_{k+1}.  So is every other
+    composite: a gradient with a matrix product (ISTA's BLAS gemv) sums in
+    an order Python floats cannot follow."""
+    if steps < 1:
+        raise ValueError("need at least one step")
+    params = certificate_params(schedule, composite.lipschitz)
+    x = as_point(x0, composite.dimension)
+    sizes = schedule.sizes(steps)
+    data = composite.smooth.gradient_data
+    if (data is not None and schedule.fn is None
+            and composite.nonsmooth.prox_fn is identity_prox):
+        X = _scalar_iterates(x, data, schedule.lambda_min, steps)
+    else:
+        X = _array_iterates(composite, x, sizes, steps)
     run = DescentRun.from_iterates(
         composite, X, _first(sizes, len(X) - 1), params,
         min_value=min_value, converged=len(X) <= steps)

@@ -454,12 +454,29 @@ def extend_error_bound_globally(gamma: float, p: float, r0: float):
     """Turn a local power bound f >= gamma * dist^p on [f <= r0] into the
     global two-regime residual omega(s) = (s + s^(1/p)) / gamma0.
 
-    Returns (gamma0, certificate) with
-    gamma0 = (1 + r0^((p-1)/p)) * gamma^(1/p).
+    Returns (gamma0, certificate) with gamma0 = 2 gamma for p = 1 and
+    gamma0 = gamma^(1/p) * min(1, r0^((p-1)/p)) for p > 1, the largest
+    gamma0 for which omega bounds dist(x, argmin f) <= omega(f(x) - min f)
+    for every convex f that satisfies the local bound.  Write
+    s = f(x) - min f and g = gamma^(-1/p).
+      - For s <= r0 the local bound gives dist <= g s^(1/p), attained by
+        f = gamma |x|^p.  omega(s) >= g s^(1/p) for all such s means
+        gamma0 <= (1 + s^((p-1)/p)) / g, whose infimum, s -> 0, is 1/g
+        for p > 1 and 2/g for p = 1.
+      - For s > r0, let y be the point at fraction t = r0 / s of the
+        segment from the projection of x onto argmin f to x.  By
+        convexity f(y) - min f <= t s = r0, and dist(y) = t dist(x), so
+        gamma (t dist)^p <= r0 and dist <= g r0^(1/p - 1) s, attained by
+        f = (r0 / rho) |x| with rho = (r0 / gamma)^(1/p).  omega(s) >= g r0^(1/p - 1) s for all
+        such s means gamma0 <= r0^((p-1)/p) (1 + s^((1-p)/p)) / g, whose
+        infimum, s -> inf, is r0^((p-1)/p) / g for p > 1 and 2/g for p = 1.
     """
     if gamma <= 0 or p < 1 or r0 <= 0 or not math.isfinite(r0):
         raise ValueError("need gamma > 0, p >= 1 and finite r0 > 0")
-    gamma0 = (1.0 + r0 ** ((p - 1.0) / p)) * gamma ** (1.0 / p)
+    if p == 1.0:
+        gamma0 = 2.0 * gamma
+    else:
+        gamma0 = gamma ** (1.0 / p) * min(1.0, r0 ** ((p - 1.0) / p))
     cert = ErrorBoundCertificate(form="two-regime", p=p, gamma0=gamma0,
                                  r0=math.inf)
     return gamma0, cert

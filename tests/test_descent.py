@@ -1,6 +1,7 @@
 """Descent runs and their recorded step inequalities."""
 
 import base64
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import klcert.descent
 
 from klcert.convex import (
     Ball,
@@ -397,6 +400,129 @@ def test_constant_schedule_records_the_bits_of_an_equal_valued_fn(rng):
                    for s in (constant, valued)]
         for replay in replays:
             assert _record_bits(replay) == _record_bits(runs[0])
+
+
+def _quadratic(center, weight):
+    """w ||x - c||^2 with the zero nonsmooth part."""
+    return CompositeObjective(smooth=quadratic_objective(center, weight),
+                              nonsmooth=zero_objective(len(center)))
+
+
+def _array_loop(comp):
+    """comp with its smooth part's gradient data stripped: the same
+    function and oracles, which forward_backward runs by its array loop."""
+    return CompositeObjective(
+        smooth=dataclasses.replace(comp.smooth, gradient_data=None),
+        nonsmooth=comp.nonsmooth)
+
+
+def _matches_the_array_loop(center, weight, x0, d, steps):
+    """The run of w ||x - c||^2 from x0 at the constant step d / L, which
+    must have the bits of the array loop's run and of its stored record's
+    replay."""
+    comp = _quadratic(center, weight)
+    sched = StepSchedule.over_lipschitz(d, comp.lipschitz)
+    run = forward_backward(comp, x0, sched, steps)
+    array = forward_backward(_array_loop(comp), x0, sched, steps)
+    assert _record_bits(run) == _record_bits(array)
+    doc = json.loads(json.dumps(run.to_metadata_dict()))
+    back = DescentRun.from_metadata_dict(doc, comp, x0, sched, steps)
+    assert _record_bits(back) == _record_bits(run)
+    return run
+
+
+# zeros of both signs and subnormals among them
+COORDINATES = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def quadratic_runs(draw):
+    n = draw(st.integers(1, 8))
+    center = draw(st.lists(COORDINATES, min_size=n, max_size=n))
+    # some coordinates start at their center
+    x0 = [draw(st.one_of(COORDINATES, st.just(c))) for c in center]
+    return (center, draw(st.floats(1e-3, 1e3)), x0,
+            draw(st.floats(1e-6, 1.999)), draw(st.integers(1, 600)))
+
+
+@given(quadratic_runs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_per_coordinate_path_has_the_array_loops_bits(case):
+    _matches_the_array_loop(*case)
+
+
+def _last_moves(X):
+    """Per column, the last step that changes its bits."""
+    moved = X[1:].view(np.uint64) != X[:-1].view(np.uint64)
+    return [int(np.flatnonzero(column)[-1]) if column.any() else -1
+            for column in moved.T]
+
+
+def test_per_coordinate_path_hand_cases():
+    # the first and third coordinates start at their centers and never move
+    run = _matches_the_array_loop([1.0, -2.0, 0.5], 0.7, [1.0, 7.0, 0.5],
+                                  0.3, 400)
+    assert run.num_steps > 0 and _last_moves(run.iterates)[::2] == [-1, -1]
+    # -0.0 against a +0.0 center: the first step gives +0.0, a zero step
+    # off its bits, and alone it ends the run there with no step
+    run = _matches_the_array_loop([0.0], 0.5, [-0.0], 0.5, 50)
+    assert run.converged and run.num_steps == 0
+    assert math.copysign(1.0, run.iterates[0, 0]) == -1.0
+    run = _matches_the_array_loop([0.0, 1.0], 0.5, [-0.0, 3.0], 0.5, 50)
+    assert math.copysign(1.0, run.iterates[1, 0]) == 1.0
+    assert _last_moves(run.iterates)[0] == 0 and run.num_steps > 1
+    # coordinates that settle at different steps, and an early stop: the
+    # run is as long as its slowest coordinate
+    run = _matches_the_array_loop([1.0, 1.0], 0.5, [1.5, 1e3], 0.5, 600)
+    first, last = _last_moves(run.iterates)
+    assert run.converged and first < last == run.num_steps - 1 < 599
+    # a budget of 1
+    run = _matches_the_array_loop([0.3, -1.7], 2.0, [5.0, 4.0], 1.2, 1)
+    assert run.num_steps == 1 and not run.converged
+
+
+def test_per_coordinate_path_keeps_the_array_loops_bits_past_overflow():
+    # 1e308 - (-1e308) overflows: the coordinate goes to -inf, then to the
+    # NaN of -inf - (-inf), which every later step gives back, so the
+    # loop stops there; the other coordinate starts at its center
+    comp = _quadratic([-1e308, 2.0], 0.5)
+    x0, lam, steps = np.array([1e308, 2.0]), 0.5, 10
+    X = klcert.descent._scalar_iterates(
+        x0, comp.smooth.gradient_data, lam, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = klcert.descent._array_iterates(comp, x0, np.array(lam), steps)
+    assert X.shape == (3, 2) and X.tobytes() == want.tobytes()
+    assert X[1, 0] == -math.inf and np.isnan(X[2, 0])
+    # the record refuses the non-finite points, on either path
+    messages = set()
+    for c in (comp, _array_loop(comp)):
+        with pytest.raises(ValueError) as raised, np.errstate(
+                over="ignore", invalid="ignore"):
+            forward_backward(c, x0, StepSchedule.constant(lam), steps)
+        messages.add(str(raised.value))
+    assert messages == {"point has non-finite entries"}
+
+
+def test_only_a_quadratic_under_a_constant_step_leaves_the_array_loop(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the array loop ran")
+
+    monkeypatch.setattr(klcert.descent, "_array_iterates", refuse)
+    quad = _quadratic([0.5, -1.0], 0.7)
+    x0, constant = np.array([2.0, 3.0]), StepSchedule.constant(0.5)
+    assert forward_backward(quad, x0, constant, 100).num_steps > 0
+    # a schedule with fn, a stripped gradient, a prox that is not the
+    # identity's and a least-squares gradient all take the array loop
+    varying = StepSchedule(0.5, 0.5, fn=lambda k: 0.5)
+    shrunk = CompositeObjective(smooth=quad.smooth,
+                                nonsmooth=scaled_l1(2, 0.1))
+    lasso = CompositeObjective(smooth=least_squares(np.eye(2), x0),
+                               nonsmooth=zero_objective(2))
+    for comp, sched in ((quad, varying), (_array_loop(quad), constant),
+                        (shrunk, constant), (lasso, constant)):
+        with pytest.raises(AssertionError, match="the array loop ran"):
+            forward_backward(comp, x0, sched, 100)
 
 
 def test_forward_backward_refuses_an_escaping_schedule_value():

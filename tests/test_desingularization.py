@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,13 +190,16 @@ def test_from_error_bound_power_scale():
 
 
 def test_two_regime_certificate_frozen_constants():
-    # p = 1: gamma0 = 2 gamma for any radius; p = 2: (1 + sqrt(r0)) sqrt(gamma)
+    # p = 1: gamma0 = 2 gamma for any radius; p = 2: sqrt(gamma) min(1,
+    # sqrt(r0))
     g0, cert = extend_error_bound_globally(gamma=0.7, p=1.0, r0=5.0)
     assert g0 == pytest.approx(1.4, rel=1e-14)
     g0, cert = extend_error_bound_globally(gamma=1.0, p=2.0, r0=1.0)
-    assert g0 == pytest.approx(2.0, rel=1e-14)
+    assert g0 == pytest.approx(1.0, rel=1e-14)
     g0, cert = extend_error_bound_globally(gamma=1.0, p=2.0, r0=4.0)
-    assert g0 == pytest.approx(3.0, rel=1e-14)
+    assert g0 == pytest.approx(1.0, rel=1e-14)
+    g0, cert = extend_error_bound_globally(gamma=4.0, p=2.0, r0=0.25)
+    assert g0 == pytest.approx(1.0, rel=1e-14)
     assert cert.form == "two-regime"
     assert math.isinf(cert.r0)
     assert isinstance(cert.region, WholeSpace)
@@ -205,16 +209,104 @@ def test_two_regime_certificate_builds_tabulated_profile():
     _, cert = extend_error_bound_globally(gamma=1.0, p=2.0, r0=1.0)
     d = from_error_bound(cert)
     assert isinstance(d, TabulatedDesingularizer)
-    # phi(s) = p (s + s^(1/p)) / gamma0 = (s + sqrt(s)) here
-    assert d.phi(4.0) == pytest.approx(6.0, rel=1e-12)
-    assert d.phi_prime(4.0) == pytest.approx(1.25, rel=1e-12)
+    # phi(s) = p (s + s^(1/p)) / gamma0 = 2 (s + sqrt(s)) here
+    assert d.phi(4.0) == pytest.approx(12.0, rel=1e-12)
+    assert d.phi_prime(4.0) == pytest.approx(2.5, rel=1e-12)
     # bisection inverse agrees with phi
-    assert d.psi(6.0) == pytest.approx(4.0, rel=1e-8)
+    assert d.psi(12.0) == pytest.approx(4.0, rel=1e-8)
 
 
 def test_general_residual_is_refused():
     cert = ErrorBoundCertificate(form="general", p=1.0,
                                  residual_fn=lambda s: s ** 0.5)
+    with pytest.raises(NonModerateResidualError):
+        from_error_bound(cert)
+
+
+# the smallest subnormal, tiny, moderate and huge gaps, and zero
+RESIDUAL_GAPS = (0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.0, 2.5, 1e6, 1e300)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_two_regime_residual_matches_mpmath(p):
+    # omega(s) = (s + s^(1/p)) / gamma0 within its roundings: the power,
+    # the sum and the quotient, a few ulps or, on subnormal results, a few
+    # steps of 2^-1074, and the exponent 1/p rounded to a float, which
+    # moves s^(1/p) by |ln s| times its error
+    cert = ErrorBoundCertificate(form="two-regime", p=p, gamma0=0.7)
+    batch = cert.residual(np.array(RESIDUAL_GAPS)).tolist()
+    with mpmath.workdps(30):
+        exponent = mpmath.mpf(1) / mpmath.mpf(p)
+        slip = abs(mpmath.mpf(1.0 / p) - exponent)
+        for s, in_batch in zip(RESIDUAL_GAPS, batch):
+            got = cert.residual(s)
+            assert type(got) is float and got == in_batch
+            S = mpmath.mpf(s)
+            if s == 0.0:
+                assert got == 0.0
+                continue
+            want = (S + S ** exponent) / mpmath.mpf(0.7)
+            slack = mpmath.mpf(2) ** -50 + abs(mpmath.log(S)) * slip
+            assert (abs(mpmath.mpf(got) - want)
+                    <= slack * want + mpmath.mpf(2) ** -1073), (s, got)
+
+
+# fractions of r0 below it, and multiples of r0 past it
+BELOW_R0 = (0.0, 1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9, 1.0 - 2.0 ** -52)
+PAST_R0 = (1.0, 1.5, 10.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("gamma, p, r0", [
+    (0.7, 1.0, 5.0), (1.0, 2.0, 1.0), (1.0, 2.0, 4.0), (4.0, 2.0, 0.25),
+    (0.3, 3.0, 2.0), (2.0, 3.0, 0.1)])
+def test_global_residual_dominates_the_local_bounds(gamma, p, r0):
+    # below r0 the local power residual (s / gamma)^(1/p), which
+    # f = gamma |x|^p attains; past r0 its convex extension
+    # gamma^(-1/p) r0^(1/p - 1) s, which f = (r0 / rho) |x| attains,
+    # rho = (r0 / gamma)^(1/p): compared at 30 digits on the stored
+    # constants, with room for mpmath's own last digit
+    g0, cert = extend_error_bound_globally(gamma=gamma, p=p, r0=r0)
+    with mpmath.workdps(30):
+        e, G0 = 1 / mpmath.mpf(p), mpmath.mpf(g0)
+        G, R0 = mpmath.mpf(gamma), mpmath.mpf(r0)
+        room = 1 - mpmath.mpf(10) ** -25
+
+        def omega(s):
+            S = mpmath.mpf(s)
+            return (S + S ** e) / G0
+
+        for t in BELOW_R0:
+            s = r0 * t
+            assert omega(s) >= room * (mpmath.mpf(s) / G) ** e, s
+        for t in PAST_R0:
+            s = r0 * t
+            assert omega(s) >= room * mpmath.mpf(s) * R0 ** (e - 1) / G ** e, s
+    # and in floats, as the certificates compute them
+    local = ErrorBoundCertificate(form="power", p=p, gamma=gamma, r0=r0)
+    s = r0 * np.array(BELOW_R0)
+    assert (cert.residual(s) >= local.residual(s)).all()
+
+
+def test_two_regime_extension_of_a_square_bounds_its_distance():
+    # f = x^2 meets f >= dist^2 on [f <= r0] for every r0, so the global
+    # residual must bound |x| = sqrt(f) at every x
+    x = np.array([0.0, 1e-9, 0.01, 0.5, 0.99, 1.0, 2.0, 50.0])
+    for r0 in (0.25, 1.0, 4.0):
+        _, cert = extend_error_bound_globally(gamma=1.0, p=2.0, r0=r0)
+        assert (cert.residual(x * x) >= x).all()
+
+
+def test_general_certificate_of_a_globalized_profile_is_its_phi():
+    # to_error_bound keeps a non-power profile as the "general" residual
+    # phi itself, bit for bit, on both sides of the junction (at 1.0)
+    d = globalize(PowerDesingularizer(scale=1.7, exponent=3.0, r0=2.0))
+    cert = to_error_bound(d)
+    assert cert.form == "general" and cert.residual_fn == d.phi
+    assert math.isinf(cert.r0) and cert.region is d.region
+    s = [0.0, 1e-9, 0.5, 1.0, 1.5, 2.0, 10.0, 1e6]
+    assert cert.residual(np.array(s)).tobytes() == d.phi(np.array(s)).tobytes()
+    for v in s:
+        assert cert.residual(v) == d.phi(v)
     with pytest.raises(NonModerateResidualError):
         from_error_bound(cert)
 

@@ -1002,6 +1002,19 @@ def test_seed_flag_sets_the_instance_seed(tmp_path, command):
     assert files("flag") == files("config") != files("unflagged")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_flag_is_refused_for_an_instance_read_from_a_path(
+        tmp_path, capsys, command):
+    # a stored instance has its seed: --seed has nothing to set
+    generate_instance("lasso", seed=7, n=2, m=3).to_json(tmp_path / "i.json")
+    ExperimentConfig(name="stored", instance={
+        "path": str(tmp_path / "i.json")}).to_json(tmp_path / "c.json")
+    assert main([command, "--config", str(tmp_path / "c.json"),
+                 "--out", str(tmp_path / "out"), "--seed", "11"]) == 2
+    _one_error_line(capsys.readouterr().err, "--seed")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_from_an_optimal_start_exits_2(tmp_path, capsys):
     # x0 at the center of w ||x - c||^2: a zero initial gap has nothing to
     # certify
