@@ -21,9 +21,9 @@ from klcert.convex import (
 from klcert.descent import (
     DescentCertificateParams,
     DescentRun,
-    StepSchedule,
     certificate_params,
     forward_backward,
+    step_over_lipschitz,
 )
 from klcert.desingularization import (
     Desingularizer,
@@ -97,7 +97,6 @@ __all__ = [
     "NotConvergedError",
     "PowerDesingularizer",
     "QuadraticComplexity",
-    "StepSchedule",
     "certificate_params",
     "check_error_bound_sampling",
     "check_kl_sampling",
@@ -116,6 +115,7 @@ __all__ = [
     "quadratic_complexity",
     "quadratic_objective",
     "run_experiment",
+    "step_over_lipschitz",
     "steps_to_epsilon",
     "sweep_relative_step",
     "to_error_bound",

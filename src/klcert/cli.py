@@ -18,8 +18,9 @@ set or certificate region of another dimension than its instance, run
 iterates that are not the strict base64 text of finite float64 points in
 the problem's dimension or not the method's steps, a method the instance's
 family does not run, a step budget or cap below one, a --seed given to a
-config that reads its instance from a path, and a projection that does
-not converge.
+config that reads its instance from a path, a run with an iterate that is
+not finite (the error names its step), and a projection that does not
+converge.
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call: a driver that calls `main` many

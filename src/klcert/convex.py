@@ -497,12 +497,11 @@ class ConvexObjective:
     subdifferential is empty.  prox_fn maps a point x and a step to
     argmin_z f(z) + ||z - x||^2 / (2 step): a 1-D point and a 0-d float64
     array step in the descent loop, a float step in `prox`, and a (T, n)
-    batch with a (T, 1) array of steps, or one 0-d step for a constant
-    schedule, when `DescentRun.from_metadata_dict` replays stored
-    iterates, each row with the bits of the single-point call.  Where the
-    map is the identity, prox_fn may return its argument itself: no caller
-    mutates a prox result, and the descent loop and the replay pass fresh
-    temporaries.
+    batch with the same 0-d step when `DescentRun.from_metadata_dict`
+    replays stored iterates, each row with the bits of the single-point
+    call.  Where the map is the identity, prox_fn may return its argument
+    itself: no caller mutates a prox result, and the descent loop and the
+    replay pass fresh temporaries.
     shifted_subgradient_fn, given by the nonsmooth parts of composites, maps
     points x and vectors v of the same shape to the least-norm element of
     v + subdiff f(x), NaN rows where the subdifferential is empty; with

@@ -5,7 +5,7 @@ Every shipped method is a forward-backward step on some composite h + g:
 ISTA, gradient descent, projection-gradient, and averaged and alternating
 projections (unit steps on 0.5 sum_i w_i dist^2(., C_i), or on
 indicator(C_1) + 0.5 dist^2(., C_2)).  Each family's pipeline builds its
-composite, start and step schedule, and `forward_backward` runs them all.
+composite, start and step, and `forward_backward` runs them all.
 
 Every run records, per step, the composite's value (the objective the
 sampling checks test, `CompositeObjective.objective`), the step norm, and
@@ -16,8 +16,8 @@ inequalities can be audited after the fact:
   relative error        ||w_k|| <= b ||x_k - x_{k-1}||,  w_k in subdiff f(x_k)
 
 For the forward-backward step x_+ = prox_{lam g}(x - lam grad h(x)) with
-step sizes in [lam_lo, lam_hi], lam_hi < 2/L, the constants are
-a = 1/lam_hi - L/2 and b = 1/lam_lo + L; the witness comes exactly from the
+one step size lam < 2/L for the whole run, the constants are
+a = 1/lam - L/2 and b = 1/lam + L; the witness comes exactly from the
 prox optimality inclusion, w_+ = (x - x_+)/lam - grad h(x) + grad h(x_+).
 A step of norm exactly zero means stationarity: the run ends before it and
 is marked converged.  The loop tests no norm: it ends when a step gives
@@ -30,26 +30,26 @@ oracle raises on a finite point or takes it to a non-finite one, so the
 steps past the cut change nothing.  The loop keeps each point as the
 bytes its stop test takes, and the (T+1, n) matrix of iterates is built
 once from their join.  A quadratic w ||x - c||^2 with the zero nonsmooth
-part under a constant step takes no array loop: each coordinate runs its
-own scalar recurrence in Python floats, to its own bitwise fixed point,
-and the matrix pads each column with its last value.  That matrix has
-the array loop's bits: numpy rounds each ufunc call once and fuses none,
-as Python float operators do, so the same operations in the same order
-give the same bits; a coordinate that gives back its bits under a
-constant step keeps them, so the array loop stops at the largest of the
+part takes no array loop: each coordinate runs its own scalar recurrence
+in Python floats, to its own bitwise fixed point, and the matrix pads
+each column with its last value.  That matrix has the array loop's bits:
+numpy rounds each ufunc call once and fuses none, as Python float
+operators do, so the same operations in the same order give the same
+bits; every step has the same size, so a coordinate that gives back its
+bits keeps them, and the array loop stops at the largest of the
 coordinates' stops; and the scalar stop test is the byte test, signed
 zeros and NaN included (`forward_backward` gives the proof).
 A run is stored as its iterates; all else is derived.
-It holds no method name and no step sizes: the config names the method,
-and the schedule gives the sizes.  run.json (schema 3) holds the iterates
-as the strict base64 text of their row-major little-endian float64 bytes,
-beside their dimension: the exact bits `certify` replays, read without
-parsing number text.  `decode_canonical_base64` reads that text two
-characters at a time: each pair, as one little-endian uint16, indexes a
-cached table of its two digits' 12 bits, so a block of text is checked
-and decoded by a few array operations, not one step per character, and
-its bytes land in a bytearray that the replay views as its writable
-matrix.  trace.csv is the readable per-step record.
+It holds no method name and no step size: the config names both.
+run.json (schema 3) holds the iterates as the strict base64 text of their
+row-major little-endian float64 bytes, beside their dimension: the exact
+bits `certify` replays, read without parsing number text.
+`decode_canonical_base64` reads that text two characters at a time: each
+pair, as one little-endian uint16, indexes a cached table of its two
+digits' 12 bits, so a block of text is checked and decoded by a few array
+operations, not one step per character, and its bytes land in a bytearray
+that the replay views as its writable matrix.  trace.csv is the readable
+per-step record.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ import base64
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,75 +84,33 @@ class DescentCertificateParams:
             raise ValueError("certificate constants must be positive")
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step sizes lam_k with certified bounds lam_lo <= lam_k <= lam_hi."""
-
-    lambda_min: float
-    lambda_max: float
-    fn: Optional[Callable[[int], float]] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.lambda_min <= self.lambda_max):
-            raise ValueError("need 0 < lambda_min <= lambda_max")
-
-    def step(self, k: int) -> float:
-        """lam_k, refused unless it lies within one ulp of [lambda_min,
-        lambda_max], so that a size computed inside the bounds, such as
-        lo + (hi - lo) * t, is not refused for its last rounding.
-
-        The slack is harmless.  For bounds of at least 2**-1022 (normal
-        floats) one ulp is at most 2**-52 of the bound, so an accepted
-        lam <= lambda_max (1 + 2**-52) has the sufficient-decrease constant
-        1/lam - L/2 >= a - 2**-52 / lambda_max, and an accepted
-        lam >= lambda_min (1 - 2**-52) the relative-error constant
-        1/lam + L <= b + 2**-51 / lambda_min: the certified (a, b)
-        overstate the step's own by at most four ulps of the 1/lambda_max
-        and 1/lambda_min they are computed from, the order of the rounding
-        that computing them carries anyway.  A slack of fixed size is not
-        harmless: 1e-15 let a step of 5e-16 through bounds of 1e-20, for
-        which a = b = 1e20 certify nothing."""
-        lam = self.lambda_min if self.fn is None else float(self.fn(k))
-        if not (0.0 < lam and math.nextafter(self.lambda_min, 0.0) <= lam
-                <= math.nextafter(self.lambda_max, math.inf)):
-            raise ValueError(f"schedule value {lam} escapes its declared bounds")
-        return lam
-
-    def sizes(self, steps: int) -> Array:
-        """lam_0, ..., lam_{steps-1} as one float64 array that broadcasts
-        to (steps,).  A constant schedule gives its one size as a 0-d
-        array: it needs no check, and numpy scales a (steps, n) matrix by
-        it in one loop over all the entries, to the bits of a (steps, 1)
-        column of copies.  A schedule with fn gives the (steps,) array of
-        its sizes, every one checked against the bounds."""
-        if self.fn is None:
-            return np.array(self.lambda_min)
-        return np.array([self.step(k) for k in range(steps)], dtype=float)
-
-    @staticmethod
-    def constant(lam: float) -> "StepSchedule":
-        return StepSchedule(lambda_min=lam, lambda_max=lam)
-
-    @staticmethod
-    def over_lipschitz(d: float, lipschitz: float) -> "StepSchedule":
-        """Constant step d / L for a relative step size d in (0, 2)."""
-        if not (0.0 < d < 2.0):
-            raise ValueError("relative step size must lie in (0, 2)")
-        if lipschitz <= 0:
-            raise ValueError("Lipschitz constant must be positive")
-        return StepSchedule.constant(d / lipschitz)
+def step_over_lipschitz(d: float, lipschitz: float) -> float:
+    """The step d / L for a relative step size d in (0, 2): ValueError
+    unless L > 0 and d / L is a positive, finite float."""
+    if not (0.0 < d < 2.0):
+        raise ValueError("relative step size must lie in (0, 2)")
+    if not lipschitz > 0:
+        raise ValueError("Lipschitz constant must be positive")
+    lam = d / lipschitz
+    if not (0.0 < lam < math.inf):
+        raise ValueError(f"step {d!r} / {lipschitz!r} is not a positive, "
+                         "finite float")
+    return lam
 
 
-def certificate_params(schedule: StepSchedule, lipschitz: float) -> DescentCertificateParams:
-    """(a, b) implied by the schedule bounds and the smooth Lipschitz constant."""
+def certificate_params(lam: float,
+                       lipschitz: float) -> DescentCertificateParams:
+    """(a, b) = (1/lam - L/2, 1/lam + L) of the step lam on a smooth part
+    with Lipschitz constant L: ValueError unless lam is positive and
+    finite and, for L > 0, strictly below 2/L."""
     L = float(lipschitz)
-    if L < 0:
+    if not (0.0 < lam < math.inf):
+        raise ValueError("step must be positive and finite")
+    if not L >= 0:
         raise ValueError("Lipschitz constant must be nonnegative")
-    if L > 0 and schedule.lambda_max >= 2.0 / L:
-        raise ValueError("largest step must stay strictly below 2/L")
-    a = 1.0 / schedule.lambda_max - L / 2.0
-    b = 1.0 / schedule.lambda_min + L
-    return DescentCertificateParams(a=a, b=b)
+    if L > 0 and lam >= 2.0 / L:
+        raise ValueError("step must stay strictly below 2/L")
+    return DescentCertificateParams(a=1.0 / lam - L / 2.0, b=1.0 / lam + L)
 
 
 # every key of a run.json record, and the only keys it may hold
@@ -300,18 +257,17 @@ class DescentRun:
 
     @staticmethod
     def from_iterates(composite: CompositeObjective, iterates: Array,
-                      step_sizes: Array, params: DescentCertificateParams,
+                      lam: Array, params: DescentCertificateParams,
                       min_value: Optional[float] = None,
                       converged: bool = False,
                       gradients: Optional[Array] = None) -> "DescentRun":
-        """The record of the run X = iterates, step k of size step_sizes[k]
-        (a 0-d step_sizes, as a constant schedule's `sizes` gives it, is
-        the size of every step), computed in one batch; gradients, when
-        given, is grad h(X)."""
-        # w_k = (x_{k-1} - x_k) / lam_k - grad h(x_{k-1}) + grad h(x_k); the
+        """The record of the run X = iterates, every step of size lam (a
+        0-d array), computed in one batch; gradients, when given, is
+        grad h(X)."""
+        # w_k = (x_{k-1} - x_k) / lam - grad h(x_{k-1}) + grad h(x_k); the
         # batched gradient has the bits of the calls made in the loop, and
         # row_norms those of np.linalg.norm on each step
-        X, lam = iterates, _per_row(step_sizes)
+        X = iterates
         G = composite.smooth.gradient_fn(X) if gradients is None else gradients
         witnesses = (X[:-1] - X[1:]) / lam - G[:-1] + G[1:]
         return DescentRun(
@@ -334,9 +290,9 @@ class DescentRun:
 
     @staticmethod
     def from_metadata_dict(data: dict, composite: CompositeObjective, x0,
-                           schedule: StepSchedule, steps: int,
+                           step: float, steps: int,
                            min_value: Optional[float] = None) -> "DescentRun":
-        """The run forward_backward(composite, x0, schedule, steps, ...)
+        """The run forward_backward(composite, x0, step, steps, ...)
         records, from the iterates of a run.json record: ValueError unless,
         bit for bit, they begin at the start, each is the method's nonzero
         step from the one before, and a run shorter than its budget stops
@@ -362,54 +318,35 @@ class DescentRun:
                 X[0], as_point(x0, composite.dimension))):
             raise ValueError("run iterates must begin at the start and take "
                              f"at most {steps} steps")
-        sizes = schedule.sizes(min(num_steps + 1, steps))
+        params = certificate_params(step, composite.lipschitz)
         # row k of G has the bits of the loop's gradient call at x_k
-        lam, G = _first(sizes, num_steps), composite.smooth.gradient_fn(X)
-        params = certificate_params(schedule, composite.lipschitz)
+        lam, G = np.array(step), composite.smooth.gradient_fn(X)
         run = DescentRun.from_iterates(
             composite, X, lam, params, min_value=min_value,
             converged=num_steps < steps, gradients=G)
         # every stored step is the loop's, and the loop stores no zero step
-        prox_fn, lam = composite.nonsmooth.prox_fn, _per_row(lam)
+        prox_fn = composite.nonsmooth.prox_fn
         stepped = prox_fn(X[:-1] - lam * G[:-1], lam)
         if not np.array_equal(stepped, X[1:]) or (run.step_norms == 0).any():
             raise ValueError("run iterates are not the method's steps")
         if run.converged:
-            last = sizes if sizes.ndim == 0 else sizes[-1]
-            move = prox_fn(X[-1] - last * G[-1], last) - X[-1]
+            move = prox_fn(X[-1] - lam * G[-1], lam) - X[-1]
             if move.dot(move) != 0.0:
                 raise ValueError("run stops before its budget where the "
                                  "method still moves")
         return run
 
 
-def _first(sizes: Array, count: int) -> Array:
-    """The sizes of the first count steps, of those `StepSchedule.sizes`
-    gives: a 0-d size stands for every step."""
-    return sizes if sizes.ndim == 0 else sizes[:count]
-
-
-def _per_row(sizes: Array) -> Array:
-    """Step sizes as an operand of the (T, n) rows of a record: a 0-d size
-    as it is, a (T,) array as a (T, 1) column."""
-    return sizes if sizes.ndim == 0 else sizes[:, None]
-
-
-def _array_iterates(composite: CompositeObjective, x: Array, sizes: Array,
+def _array_iterates(composite: CompositeObjective, x: Array, lam: Array,
                     steps: int) -> Array:
     """The (T+1, n) iterates of the loop from x, up to its first step that
     gives back its point's bits or to its budget.  The loop keeps the
     bytes of each point, which its stop test takes anyway, and the matrix
     is built once from their join."""
     grad, prox_fn = composite.smooth.gradient_fn, composite.nonsmooth.prox_fn
-    # every step's size as a 0-d array: numpy scales an array by a 0-d
-    # array faster than by a Python float or an np.float64, to the same bits
-    per_step = (repeat(sizes, steps) if sizes.ndim == 0
-                else map(np.asarray, sizes.tolist()))
-
     chunks = [x.tobytes()]
     gx, last = grad(x), chunks[0]
-    for lam in per_step:
+    for _ in range(steps):
         xn = prox_fn(x - lam * gx, lam)
         now = xn.tobytes()
         # a step back onto the same bits is a zero step: the run ends
@@ -458,20 +395,22 @@ def _scalar_iterates(x: Array, data: tuple[float, Array], lam: float,
     return X
 
 
-def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
+def forward_backward(composite: CompositeObjective, x0, step: float,
                      steps: int, min_value: Optional[float] = None
                      ) -> DescentRun:
-    """Proximal-gradient iteration with exact certificate witnesses; the
-    start and the schedule are validated once, before the loop.  The run
-    ends, converged, before its first step of norm zero: the loop stops at
-    a step that gives back its point's bits, and the record of every step
-    taken, computed in one batch, is cut at its first zero step norm.
+    """Proximal-gradient iteration with exact certificate witnesses, every
+    step of size step; the start and the step are validated once, before
+    the loop.  The run ends, converged, before its first step of norm
+    zero: the loop stops at a step that gives back its point's bits, and
+    the record of every step taken, computed in one batch, is cut at its
+    first zero step norm.  ValueError, naming the step, when an iterate
+    is not finite.
 
-    Where the smooth part gives gradient data (s, c), the nonsmooth part's
-    prox is `identity_prox` and the schedule is constant, the step is
-    x - lam * (s * (x - c)) in every entry, and each coordinate runs that
-    recurrence alone, in Python floats (`_scalar_iterates`); the matrix of
-    iterates has the bits of the array loop's, for three reasons.
+    Where the smooth part gives gradient data (s, c) and the nonsmooth
+    part's prox is `identity_prox`, the step is x - lam * (s * (x - c)) in
+    every entry, and each coordinate runs that recurrence alone, in Python
+    floats (`_scalar_iterates`); the matrix of iterates has the bits of the
+    array loop's, for three reasons.
       - Same bits per step.  numpy computes each ufunc call in correctly
         rounded binary64 and never fuses two calls; a Python float
         operator is one C operation on two doubles, correctly rounded too,
@@ -481,35 +420,42 @@ def forward_backward(composite: CompositeObjective, x0, schedule: StepSchedule,
         same bits, NaN payloads included: a NaN made from infinities is
         the hardware's default NaN on either side, and a NaN operand is
         the only one, or both operands are the same NaN.
-      - Same stop.  Under a constant step a coordinate's next value
-        depends on its own value alone, so a coordinate whose step gives
-        back its bits keeps them at every later step.  The array loop
-        stops at the first step that gives back every coordinate's bits:
-        the largest of the coordinates' own stops, or the budget.  Each
-        column padded with its last value is the array loop's column.
+      - Same stop.  Every step has the same size, so a coordinate's next
+        value depends on its own value alone, and a coordinate whose step
+        gives back its bits keeps them at every later step.  The array
+        loop stops at the first step that gives back every coordinate's
+        bits: the largest of the coordinates' own stops, or the budget.
+        Each column padded with its last value is the array loop's column.
       - Same stop test.  Two floats other than NaN have the same bits
         exactly when they compare equal and are nonzero or zeros of one
         sign.  A NaN compares unequal to itself, but it gives back its
         bits at every step (above), so a coordinate that turns NaN stops
         at its first NaN.
-    A schedule with fn is left to the array loop: a coordinate fixed
-    under lam_k may move again under lam_{k+1}.  So is every other
-    composite: a gradient with a matrix product (ISTA's BLAS gemv) sums in
-    an order Python floats cannot follow."""
+    Every other composite takes the array loop: a gradient with a matrix
+    product (ISTA's BLAS gemv) sums in an order Python floats cannot
+    follow."""
     if steps < 1:
         raise ValueError("need at least one step")
-    params = certificate_params(schedule, composite.lipschitz)
+    params = certificate_params(step, composite.lipschitz)
     x = as_point(x0, composite.dimension)
-    sizes = schedule.sizes(steps)
-    data = composite.smooth.gradient_data
-    if (data is not None and schedule.fn is None
-            and composite.nonsmooth.prox_fn is identity_prox):
-        X = _scalar_iterates(x, data, schedule.lambda_min, steps)
+    # numpy scales an array by a 0-d array faster than by a Python float
+    # or an np.float64, to the same bits
+    lam, data = np.array(step), composite.smooth.gradient_data
+    if data is not None and composite.nonsmooth.prox_fn is identity_prox:
+        X = _scalar_iterates(x, data, float(step), steps)
     else:
-        X = _array_iterates(composite, x, sizes, steps)
-    run = DescentRun.from_iterates(
-        composite, X, _first(sizes, len(X) - 1), params,
-        min_value=min_value, converged=len(X) <= steps)
+        X = _array_iterates(composite, x, lam, steps)
+    try:
+        run = DescentRun.from_iterates(
+            composite, X, lam, params,
+            min_value=min_value, converged=len(X) <= steps)
+    except ValueError:
+        # the record refuses a non-finite point; the start is finite
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if not bad.size:
+            raise
+        raise ValueError(f"descent diverged: the iterate of step "
+                         f"{int(bad[0])} has non-finite entries") from None
     # the run ends at its first zero-norm step, also where that step is no
     # bitwise fixed point: a signed zero that flips, or a move whose squares
     # underflow.  Rows of the batched record are those of the shorter run.

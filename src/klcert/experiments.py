@@ -2,10 +2,10 @@
 checks -> artifacts, plus re-certification of stored artifacts, the
 step-size sweep and the shipped presets.
 
-Each family's builder yields its problem (composite, start, step schedule,
-minimum value), then the certificate pieces; `run_experiment` runs every
-family's method through one `forward_backward` call, and its sampling
-checks test the objective derived from that same composite
+Each family's builder yields its problem (composite, start, step, minimum
+value), then the certificate pieces; `run_experiment` runs every family's
+method through one `forward_backward` call, and its sampling checks test
+the objective derived from that same composite
 (`CompositeObjective.objective`), so no family writes its objective twice.
 `run_experiment` and `certify_run` compute the start's gap, the majorant
 and the trajectory-check report through one function, and certificate.json
@@ -47,9 +47,9 @@ from klcert.convex import (
 )
 from klcert.descent import (
     DescentRun,
-    StepSchedule,
     certificate_params,
     forward_backward,
+    step_over_lipschitz,
 )
 from klcert.desingularization import (
     DESINGULARIZERS,
@@ -102,11 +102,11 @@ from klcert.verification import (
 @dataclass
 class Problem:
     """The part of a pipeline that `certify` rebuilds: one forward-backward
-    composite, its start, step schedule and minimum value."""
+    composite, its start, step size and minimum value."""
 
     composite: CompositeObjective
     start: np.ndarray
-    schedule: StepSchedule
+    step: float
     min_value: float
 
 
@@ -147,8 +147,8 @@ def _check_l1_ball(run: DescentRun, R: float) -> None:
     radius R = inst.radius_bound()."""
     worst = float(np.max(row_sums(np.abs(run.iterates))))
     if worst > R + 1e-9:
-        # Guaranteed for any valid step schedule; tripping it means a bug,
-        # not an unlucky instance.
+        # Guaranteed for any step below 2/L; tripping it means a bug, not
+        # an unlucky instance.
         raise RuntimeError(
             f"iterate escaped the l1 ball: {worst!r} > R = {R!r}")
 
@@ -160,7 +160,7 @@ def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
     minimizer = as_point(v["minimizer"], inst.dimension)
     composite = inst.composite
     d_rel = config.setting("method", "relative_step")
-    problem = Problem(composite, inst.x0, StepSchedule.over_lipschitz(
+    problem = Problem(composite, inst.x0, step_over_lipschitz(
         d_rel, composite.lipschitz), v["min_value"])
     yield problem
     consts = _lasso_growth(inst, config)
@@ -204,7 +204,7 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
         composite = CompositeObjective(
             smooth=half_squared_distance(c2, inst.dimension),
             nonsmooth=indicator(c1, inst.dimension))
-    problem = Problem(composite, start, StepSchedule.constant(1.0), 0.0)
+    problem = Problem(composite, start, step=1.0, min_value=0.0)
     yield problem
     desing = feasibility_bound(inst, start, variant)
     cert = to_error_bound(desing)
@@ -227,7 +227,7 @@ def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
     d_rel = config.setting("method", "relative_step")
     problem = Problem(CompositeObjective(
         smooth=obj, nonsmooth=zero_objective(obj.dimension)),
-        x0, StepSchedule.over_lipschitz(d_rel, obj.lipschitz), 0.0)
+        x0, step_over_lipschitz(d_rel, obj.lipschitz), 0.0)
     yield problem
     # Modulus of 2-uniform convexity of w ||x - c||^2 is 2w.
     desing = uniformly_convex_profile(sigma=2.0 * weight, p=2.0, alpha0=1.0)
@@ -253,7 +253,7 @@ def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
     smooth = half_squared_distance(ball, n)
     problem = Problem(CompositeObjective(smooth=smooth,
                                          nonsmooth=zero_objective(n)),
-                      x0, StepSchedule.constant(1.0), 0.0)
+                      x0, step=1.0, min_value=0.0)
     yield problem
     # f = 0.5 dist^2 grows with constant exactly 1; the certificate below
     # has zero slack, which is the whole point of this instance.
@@ -499,7 +499,7 @@ def run_experiment(config: ExperimentConfig,
     # the sampling checks test the function the run descends; a composite
     # without a least-norm subgradient is refused here, before the run
     objective = bundle.composite.objective(bundle.min_value)
-    run = forward_backward(bundle.composite, bundle.start, bundle.schedule,
+    run = forward_backward(bundle.composite, bundle.start, bundle.step,
                            steps, min_value=bundle.min_value)
     bundle.guard(run)
 
@@ -595,7 +595,7 @@ def certify_run(run_path: str, certificate_path: str,
         raise ValueError(f"certificate region center is in dimension "
                          f"{region.dimension}, not the instance's {dimension}")
     run = DescentRun.from_metadata_dict(
-        record, problem.composite, problem.start, problem.schedule, steps,
+        record, problem.composite, problem.start, problem.step, steps,
         min_value=problem.min_value)
     report = _trajectory_report(run, desing, os.path.basename(run_path),
                                 cert_doc["certificate_id"])[1]
@@ -623,8 +623,8 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
     max_steps) steps (max_steps at least one), and it stops at its first
     halved gap: it goes in chunks of 1, 2, 4, ... steps, each started from
     the last iterate of the one before, until a chunk holds a halved gap,
-    ends converged or spends the budget.  The schedule is constant, so each
-    step depends only on the iterate before it and the chunks take the
+    ends converged or spends the budget.  A run has one step size, so
+    each step depends only on the iterate before it and the chunks take the
     steps of one uncut run to the bit.  Every chunk goes through the
     l1-ball guard.  A rescaled growth constant or an overridden rate is
     refused: one q cannot hold across a grid of d.
@@ -645,8 +645,8 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
 
     rows = []
     for d_rel in values:
-        schedule = StepSchedule.over_lipschitz(d_rel, L)
-        params = certificate_params(schedule, L)
+        lam = step_over_lipschitz(d_rel, L)
+        params = certificate_params(lam, L)
         # certificate.gamma is 2 gamma_R, so q has the bits of
         # 1 + 2 a gamma_R / b^2
         q = 1.0 + params.a * bundle.certificate.gamma / params.b ** 2
@@ -654,7 +654,7 @@ def sweep_relative_step(config: ExperimentConfig, values: Sequence[float],
         budget = min(certified, max_steps)
         empirical, done, chunk, x = None, 0, 1, bundle.start
         while done < budget:
-            run = forward_backward(bundle.composite, x, schedule,
+            run = forward_backward(bundle.composite, x, lam,
                                    min(chunk, budget - done),
                                    min_value=bundle.min_value)
             bundle.guard(run)

@@ -27,7 +27,6 @@ from klcert.convex import (
 )
 from klcert.descent import (
     DescentCertificateParams,
-    StepSchedule,
     forward_backward,
 )
 from klcert.desingularization import PowerDesingularizer
@@ -160,13 +159,11 @@ def test_criterion_03_descent_inequality_certification():
     for i in range(100):
         comp, x0 = _random_composite(300 + i)
         L = comp.lipschitz
-        lo, hi = 0.4 / L, 1.7 / L
-        schedule = StepSchedule(lo, hi,
-                                fn=lambda k, lo=lo, hi=hi:
-                                lo + (hi - lo) * ((k % 7) / 6.0))
-        run = forward_backward(comp, x0, schedule, steps=500)
-        assert run.params.a == 1.0 / schedule.lambda_max - L / 2.0
-        assert run.params.b == 1.0 / schedule.lambda_min + L
+        # one step per run, cycling over seven from 0.4/L to 1.7/L
+        lam = float(np.linspace(0.4, 1.7, 7)[i % 7]) / L
+        run = forward_backward(comp, x0, lam, steps=500)
+        assert run.params.a == 1.0 / lam - L / 2.0
+        assert run.params.b == 1.0 / lam + L
         scale = max(1.0, abs(float(run.raw_values[0])))
         worst_h1 = max(worst_h1, run.h1_violation() / scale)
         worst_h2 = max(worst_h2, run.h2_violation() / scale)
@@ -189,7 +186,7 @@ def _pipeline_run(gi, config):
     """The family's problem from build_pipeline, run by the one
     forward_backward call of run_experiment, without the sampling checks."""
     bundle = build_pipeline(gi, config)
-    run = forward_backward(bundle.composite, bundle.start, bundle.schedule,
+    run = forward_backward(bundle.composite, bundle.start, bundle.step,
                            config.method["steps"], min_value=bundle.min_value)
     bundle.guard(run)
     return bundle, run

@@ -29,10 +29,10 @@ from klcert.cli import main
 from klcert.descent import (
     RUN_FIELDS,
     DescentRun,
-    StepSchedule,
     certificate_params,
     decode_canonical_base64,
     forward_backward,
+    step_over_lipschitz,
 )
 from klcert.experiments import (
     ExperimentConfig,
@@ -44,53 +44,50 @@ from klcert.problems import GeneratedInstance, generate_instance
 
 
 # ---------------------------------------------------------------------------
-# schedules and constants
+# steps and constants
 # ---------------------------------------------------------------------------
 
 
 def test_certificate_params_frozen():
     # lam = 1/2, L = 1: a = 2 - 1/2 = 3/2, b = 2 + 1 = 3
-    p = certificate_params(StepSchedule.constant(0.5), 1.0)
+    p = certificate_params(0.5, 1.0)
     assert p.a == pytest.approx(1.5, rel=1e-14)
     assert p.b == pytest.approx(3.0, rel=1e-14)
 
 
 def test_certificate_params_rejects_large_steps():
     with pytest.raises(ValueError, match="2/L"):
-        certificate_params(StepSchedule.constant(2.0), 1.0)
+        certificate_params(2.0, 1.0)
     # L = 0 imposes no ceiling
-    p = certificate_params(StepSchedule.constant(4.0), 0.0)
+    p = certificate_params(4.0, 0.0)
     assert p.a == pytest.approx(0.25) and p.b == pytest.approx(0.25)
 
 
-def test_step_schedule_validation():
-    with pytest.raises(ValueError):
-        StepSchedule(lambda_min=0.0, lambda_max=1.0)
-    with pytest.raises(ValueError):
-        StepSchedule(lambda_min=2.0, lambda_max=1.0)
-    sched = StepSchedule(lambda_min=0.5, lambda_max=1.0, fn=lambda k: 2.0)
-    with pytest.raises(ValueError, match="escapes"):
-        sched.step(0)
-    assert StepSchedule.over_lipschitz(0.5, 4.0).step(3) == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        StepSchedule.over_lipschitz(2.0, 1.0)
-
-
-@pytest.mark.parametrize("scale", [1e-20, 1e3])
-def test_step_schedule_bounds_are_relative_to_their_scale(scale):
-    # one ulp outside either bound is accepted, two are refused, and no
-    # slack of fixed size lets through a step far beyond a small bound
-    lo, hi = scale, 2.0 * scale
-    inside = [lo, math.nextafter(lo, 0.0), hi, math.nextafter(hi, math.inf)]
-    sched = StepSchedule(lo, hi, fn=lambda k: inside[k])
-    assert sched.sizes(4).tolist() == inside
-    for bad in (math.nextafter(math.nextafter(lo, 0.0), 0.0),
-                math.nextafter(math.nextafter(hi, math.inf), math.inf),
-                0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="escapes"):
-            StepSchedule(lo, hi, fn=lambda k, bad=bad: bad).sizes(3)
-    with pytest.raises(ValueError, match="escapes"):
-        StepSchedule(1e-20, 1e-20, fn=lambda k: 5e-16).sizes(3)
+def test_step_validation():
+    # the largest float below 2/L is a step, 2/L is not
+    for L in (1.0, 3.0, 7.0):
+        lam = math.nextafter(2.0 / L, 0.0)
+        p = certificate_params(lam, L)
+        assert (p.a, p.b) == (1.0 / lam - L / 2.0, 1.0 / lam + L)
+        assert p.a > 0.0
+        with pytest.raises(ValueError, match="2/L"):
+            certificate_params(2.0 / L, L)
+    for lam in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            certificate_params(lam, 1.0)
+    with pytest.raises(ValueError, match="Lipschitz"):
+        certificate_params(0.5, math.nan)
+    assert step_over_lipschitz(0.5, 4.0) == 0.125
+    for d in (0.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match="relative step"):
+            step_over_lipschitz(d, 1.0)
+    for L in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="Lipschitz"):
+            step_over_lipschitz(0.5, L)
+    # d / L that is zero (L = inf or an underflow) or overflows to inf
+    for d, L in ((0.5, math.inf), (1e-300, 1e300), (1.0, 1e-320)):
+        with pytest.raises(ValueError, match="positive, finite"):
+            step_over_lipschitz(d, L)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +104,8 @@ def _half_square():
 def test_forward_backward_hand_case():
     # unit step from x0 = 1 lands on the minimizer in one move:
     # f(x1) + a * 1^2 = 0 + 1/2 = f(x0) exactly, and the witness is 0.
-    run = forward_backward(_half_square(), [1.0], StepSchedule.constant(1.0),
-                           steps=5, min_value=0.0)
+    run = forward_backward(_half_square(), [1.0], 1.0, steps=5,
+                           min_value=0.0)
     assert run.converged
     np.testing.assert_allclose(run.settled_point(), [0.0], atol=0.0)
     assert run.params.a == pytest.approx(0.5) and run.params.b == pytest.approx(2.0)
@@ -123,8 +120,8 @@ def test_forward_backward_witness_is_gradient_without_nonsmooth_part(rng):
     A = rng.normal(size=(4, 3))
     h = least_squares(A, rng.normal(size=4))
     comp = CompositeObjective(smooth=h, nonsmooth=zero_objective(3))
-    sched = StepSchedule.over_lipschitz(0.7, h.lipschitz)
-    run = forward_backward(comp, rng.normal(size=3), sched, steps=30)
+    lam = step_over_lipschitz(0.7, h.lipschitz)
+    run = forward_backward(comp, rng.normal(size=3), lam, steps=30)
     for k in range(run.num_steps):
         g = np.linalg.norm(h.gradient_fn(run.iterates[k + 1]))
         assert run.witness_norms[k] == pytest.approx(g, rel=1e-12)
@@ -140,26 +137,26 @@ def test_forward_backward_inequalities_on_random_composites(rng):
         g = scaled_l1(n, float(rng.uniform(0.1, 1.0)))
         comp = CompositeObjective(smooth=h, nonsmooth=g)
         L = max(comp.lipschitz, 1e-3)
-        lo, hi = 0.4 / L, 1.5 / L
-        sched = StepSchedule(lambda_min=lo, lambda_max=hi,
-                             fn=lambda k: lo + (hi - lo) * (k % 7) / 6.0)
-        run = forward_backward(comp, rng.normal(size=n), sched, steps=80)
+        # one step per run, cycling over seven from 0.4/L to 1.5/L
+        lam = float(np.linspace(0.4, 1.5, 7)[trial % 7]) / L
+        run = forward_backward(comp, rng.normal(size=n), lam, steps=80)
+        assert run.params.a == 1.0 / lam - comp.lipschitz / 2.0
+        assert run.params.b == 1.0 / lam + comp.lipschitz
         scale = 1.0 + abs(run.raw_values[0])
         assert run.h1_violation() <= 1e-9 * scale, trial
         assert run.h2_violation() <= 1e-9 * scale, trial
 
 
-def _per_step_record(composite, x0, schedule, steps):
-    """The run record's reference: one checked step size, prox call, value
-    and witness norm per step."""
+def _per_step_record(composite, x0, lam, steps):
+    """The run record's reference: one prox call, value and witness norm
+    per step."""
     x = np.asarray(x0, dtype=float)
     grad = composite.smooth.gradient_fn
     gx = grad(x)
     rows = [x]
     record = {"raw_values": [composite.value(x)],
               "step_norms": [], "witness_norms": [], "converged": False}
-    for k in range(steps):
-        lam = schedule.step(k)
+    for _ in range(steps):
         xn = prox(composite.nonsmooth, x - lam * gx, lam)
         move = float(np.linalg.norm(xn - x))
         if move == 0.0:
@@ -211,20 +208,17 @@ def test_forward_backward_record_matches_per_step_reference(rng):
                   np.array([3.0, 0.5]), None))
     for comp, x0, stop in cases:
         L = max(comp.lipschitz, 1e-3)
-        lo, hi = 0.4 / L, 1.5 / L
-        for sched in (StepSchedule.constant(lo),
-                      StepSchedule(lambda_min=lo, lambda_max=hi,
-                                   fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
-            run = forward_backward(comp, x0, sched, steps=60)
-            assert _run_record(run) == _per_step_record(comp, x0, sched, 60)
+        for lam in (1.5 / L, 0.4 / L):
+            run = forward_backward(comp, x0, lam, steps=60)
+            assert _run_record(run) == _per_step_record(comp, x0, lam, 60)
             # the stored iterates pass certify's replay, early stops too
             back = DescentRun.from_metadata_dict(
                 json.loads(json.dumps(run.to_metadata_dict())), comp, x0,
-                sched, 60)
+                lam, 60)
             assert _run_record(back) == _run_record(run)
             if stop is not None:
                 assert run.converged and run.num_steps == stop
-    # the last run: alternating projections on the varying schedule
+    # the last run: alternating projections at the smaller step
     assert math.isinf(run.raw_values[0])
     prev = run.raw_values[:-1]
     h1 = max(run.raw_values[k + 1] + run.params.a * run.step_norms[k] ** 2
@@ -253,12 +247,12 @@ def _reference_oracles(gi, composite):
     return composite.smooth.gradient_fn, composite.nonsmooth.prox_fn
 
 
-def _reference_iterates(grad, prox_fn, x0, sizes):
-    """The descent loop with Python-float step sizes, cut at its first
+def _reference_iterates(grad, prox_fn, x0, lam, steps):
+    """The descent loop with a Python-float step size, cut at its first
     zero-norm step as forward_backward cuts its record."""
     x = np.asarray(x0, dtype=float)
     iterates, gx, last = [x], grad(x), x.tobytes()
-    for lam in sizes:
+    for _ in range(steps):
         xn = prox_fn(x - lam * gx, lam)
         if xn.tobytes() == last:
             break
@@ -285,26 +279,19 @@ def _reference_iterates(grad, prox_fn, x0, sizes):
         "barycentric", "alternating"])
 def test_forward_backward_iterates_match_the_float_operand_loop(instance,
                                                                 method):
-    # the loop scales by 0-d step arrays and the oracles by arrays, a point
-    # takes A @ x directly: every iterate keeps its bits, on the
-    # pipeline's constant schedule and on a varying one
+    # the loop scales by a 0-d step array and the oracles by arrays, a
+    # point takes A @ x directly: every iterate keeps its bits
     config = ExperimentConfig(name="bits", instance=instance, method=method)
     gi = load_instance(config)
     steps = pipeline_settings(gi.family, config)[1]
     bundle = build_pipeline(gi, config)
     comp = bundle.composite
     grad, prox_fn = _reference_oracles(gi, comp)
-    L = max(comp.lipschitz, 1e-3)
-    lo, hi = 0.4 / L, 1.5 / L
-    for sched in (bundle.schedule, StepSchedule(
-            lambda_min=lo, lambda_max=hi,
-            fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
-        run = forward_backward(comp, bundle.start, sched, steps)
-        want = _reference_iterates(
-            grad, prox_fn, bundle.start,
-            np.broadcast_to(sched.sizes(steps), steps).tolist())
-        assert run.iterates.shape == want.shape
-        assert run.iterates.tobytes() == want.tobytes()
+    run = forward_backward(comp, bundle.start, bundle.step, steps)
+    want = _reference_iterates(grad, prox_fn, bundle.start, bundle.step,
+                               steps)
+    assert run.iterates.shape == want.shape
+    assert run.iterates.tobytes() == want.tobytes()
 
 
 def _gives_back_its_bits(composite, x, lam):
@@ -331,21 +318,20 @@ def _gives_back_its_bits(composite, x, lam):
 ], ids=["signed-zero-flip", "underflowing-move", "bitwise-fixed-point"])
 def test_forward_backward_stops_at_the_first_zero_step(comp, x0, stop, fixed):
     lam = 0.4
-    sched = StepSchedule.constant(lam)
-    whole = forward_backward(comp, x0, sched, steps=60)
-    assert _run_record(whole) == _per_step_record(comp, x0, sched, 60)
+    whole = forward_backward(comp, x0, lam, steps=60)
+    assert _run_record(whole) == _per_step_record(comp, x0, lam, 60)
     assert whole.converged and whole.num_steps == stop
     assert _gives_back_its_bits(comp, whole.iterates[-1], lam) is fixed
     # budgets that end at, before and after the zero step
     for steps in (1, 2, 3):
-        run = forward_backward(comp, x0, sched, steps=steps)
-        assert _run_record(run) == _per_step_record(comp, x0, sched, steps)
+        run = forward_backward(comp, x0, lam, steps=steps)
+        assert _run_record(run) == _per_step_record(comp, x0, lam, steps)
     # the sweep's calls: chunks of 1, 2, 4, ... steps, each started from
     # the last iterate of the one before, until one stops converged
     x, chunk = x0, 1
     while True:
-        run = forward_backward(comp, x, sched, steps=chunk)
-        assert _run_record(run) == _per_step_record(comp, x, sched, chunk)
+        run = forward_backward(comp, x, lam, steps=chunk)
+        assert _run_record(run) == _per_step_record(comp, x, lam, chunk)
         if run.converged:
             break
         x, chunk = run.iterates[-1], 2 * chunk
@@ -357,7 +343,7 @@ def test_zero_prox_run_holds_one_fresh_array_of_iterates():
     x0 = np.array([1.0])
     # the identity prox hands back its argument, not a copy
     assert comp.nonsmooth.prox_fn(x0, 0.5) is x0
-    run = forward_backward(comp, x0, StepSchedule.constant(0.5), steps=4)
+    run = forward_backward(comp, x0, 0.5, steps=4)
     assert run.iterates.shape == (5, 1)
     assert not np.shares_memory(run.iterates, x0)
     assert run.iterates.flags.writeable and run.iterates.flags.c_contiguous
@@ -369,37 +355,6 @@ def _record_bits(run):
     return (run.iterates.tobytes(), run.raw_values.tobytes(),
             run.step_norms.tobytes(), run.witness_norms.tobytes(),
             run.params, run.converged)
-
-
-def test_constant_schedule_records_the_bits_of_an_equal_valued_fn(rng):
-    # a constant schedule's sizes are one 0-d size, which numpy broadcasts
-    # in one loop over all entries; a schedule with fn gives a (T,) array,
-    # taken as a (T, 1) column: the runs and their replays match bit for
-    # bit, early stops included
-    A = rng.normal(size=(4, 3))
-    lasso = CompositeObjective(smooth=least_squares(A, rng.normal(size=4)),
-                               nonsmooth=scaled_l1(3, 0.4))
-    quad = CompositeObjective(
-        smooth=quadratic_objective(rng.normal(size=3), 0.7),
-        nonsmooth=zero_objective(3))
-    ball = CompositeObjective(smooth=half_squared_distance(
-        Ball(np.zeros(3), 1.0), 3), nonsmooth=indicator(
-            Halfspace(np.array([1.0, 0.0, 0.0]), -0.5), 3))
-    for comp, steps in ((lasso, 300), (lasso, 5), (quad, 400), (ball, 50)):
-        lam = 0.9 / max(comp.lipschitz, 1e-3)
-        constant = StepSchedule.constant(lam)
-        valued = StepSchedule(lam, lam, fn=lambda k, lam=lam: lam)
-        assert constant.sizes(steps).ndim == 0
-        assert valued.sizes(steps).shape == (steps,)
-        x0 = rng.normal(size=3) * 3.0
-        runs = [forward_backward(comp, x0, s, steps) for s in
-                (constant, valued)]
-        assert _record_bits(runs[0]) == _record_bits(runs[1])
-        doc = json.loads(json.dumps(runs[0].to_metadata_dict()))
-        replays = [DescentRun.from_metadata_dict(doc, comp, x0, s, steps)
-                   for s in (constant, valued)]
-        for replay in replays:
-            assert _record_bits(replay) == _record_bits(runs[0])
 
 
 def _quadratic(center, weight):
@@ -421,12 +376,12 @@ def _matches_the_array_loop(center, weight, x0, d, steps):
     must have the bits of the array loop's run and of its stored record's
     replay."""
     comp = _quadratic(center, weight)
-    sched = StepSchedule.over_lipschitz(d, comp.lipschitz)
-    run = forward_backward(comp, x0, sched, steps)
-    array = forward_backward(_array_loop(comp), x0, sched, steps)
+    lam = step_over_lipschitz(d, comp.lipschitz)
+    run = forward_backward(comp, x0, lam, steps)
+    array = forward_backward(_array_loop(comp), x0, lam, steps)
     assert _record_bits(run) == _record_bits(array)
     doc = json.loads(json.dumps(run.to_metadata_dict()))
-    back = DescentRun.from_metadata_dict(doc, comp, x0, sched, steps)
+    back = DescentRun.from_metadata_dict(doc, comp, x0, lam, steps)
     assert _record_bits(back) == _record_bits(run)
     return run
 
@@ -493,14 +448,15 @@ def test_per_coordinate_path_keeps_the_array_loops_bits_past_overflow():
         want = klcert.descent._array_iterates(comp, x0, np.array(lam), steps)
     assert X.shape == (3, 2) and X.tobytes() == want.tobytes()
     assert X[1, 0] == -math.inf and np.isnan(X[2, 0])
-    # the record refuses the non-finite points, on either path
+    # the run is refused at its first non-finite iterate, on either path
     messages = set()
     for c in (comp, _array_loop(comp)):
         with pytest.raises(ValueError) as raised, np.errstate(
                 over="ignore", invalid="ignore"):
-            forward_backward(c, x0, StepSchedule.constant(lam), steps)
+            forward_backward(c, x0, lam, steps)
         messages.add(str(raised.value))
-    assert messages == {"point has non-finite entries"}
+    assert messages == {
+        "descent diverged: the iterate of step 1 has non-finite entries"}
 
 
 def test_only_a_quadratic_under_a_constant_step_leaves_the_array_loop(
@@ -510,50 +466,35 @@ def test_only_a_quadratic_under_a_constant_step_leaves_the_array_loop(
 
     monkeypatch.setattr(klcert.descent, "_array_iterates", refuse)
     quad = _quadratic([0.5, -1.0], 0.7)
-    x0, constant = np.array([2.0, 3.0]), StepSchedule.constant(0.5)
-    assert forward_backward(quad, x0, constant, 100).num_steps > 0
-    # a schedule with fn, a stripped gradient, a prox that is not the
-    # identity's and a least-squares gradient all take the array loop
-    varying = StepSchedule(0.5, 0.5, fn=lambda k: 0.5)
+    x0 = np.array([2.0, 3.0])
+    assert forward_backward(quad, x0, 0.5, 100).num_steps > 0
+    # a stripped gradient, a prox that is not the identity's and a
+    # least-squares gradient all take the array loop
     shrunk = CompositeObjective(smooth=quad.smooth,
                                 nonsmooth=scaled_l1(2, 0.1))
     lasso = CompositeObjective(smooth=least_squares(np.eye(2), x0),
                                nonsmooth=zero_objective(2))
-    for comp, sched in ((quad, varying), (_array_loop(quad), constant),
-                        (shrunk, constant), (lasso, constant)):
+    for comp in (_array_loop(quad), shrunk, lasso):
         with pytest.raises(AssertionError, match="the array loop ran"):
-            forward_backward(comp, x0, sched, 100)
-
-
-def test_forward_backward_refuses_an_escaping_schedule_value():
-    comp, x0 = _half_square(), np.array([1.0])
-    sched = StepSchedule(lambda_min=0.5, lambda_max=1.0,
-                         fn=lambda k: 5.0 if k == 3 else 0.5)
-    with pytest.raises(ValueError) as reference:
-        _per_step_record(comp, x0, sched, 10)
-    with pytest.raises(ValueError) as raised:
-        forward_backward(comp, x0, sched, steps=10)
-    assert str(raised.value) == str(reference.value) == (
-        "schedule value 5.0 escapes its declared bounds")
+            forward_backward(comp, x0, 0.5, 100)
 
 
 def test_forward_backward_values_monotone(rng):
     A = rng.normal(size=(5, 4))
     comp = CompositeObjective(smooth=least_squares(A, rng.normal(size=5)),
                               nonsmooth=scaled_l1(4, 0.5))
-    sched = StepSchedule.over_lipschitz(0.9, comp.lipschitz)
-    run = forward_backward(comp, rng.normal(size=4), sched, steps=100)
+    lam = step_over_lipschitz(0.9, comp.lipschitz)
+    run = forward_backward(comp, rng.normal(size=4), lam, steps=100)
     assert np.all(np.diff(run.raw_values) <= 1e-12)
 
 
 def test_forward_backward_rejects_zero_steps():
     with pytest.raises(ValueError):
-        forward_backward(_half_square(), [1.0], StepSchedule.constant(1.0), steps=0)
+        forward_backward(_half_square(), [1.0], 1.0, steps=0)
 
 
 def test_gaps_need_min_value():
-    run = forward_backward(_half_square(), [1.0], StepSchedule.constant(1.0),
-                           steps=2)
+    run = forward_backward(_half_square(), [1.0], 1.0, steps=2)
     with pytest.raises(ValueError):
         run.gaps
 
@@ -572,30 +513,26 @@ def _assert_same_run(back, run):
 
 def test_metadata_round_trip_is_exact(rng, tmp_path):
     # run.json stores the iterates; the rest is recomputed from them and
-    # the problem, to the bit, on a constant and on a varying schedule
+    # the problem, to the bit
     A = rng.normal(size=(3, 2))
     comp = CompositeObjective(smooth=least_squares(A, rng.normal(size=3)),
                               nonsmooth=scaled_l1(2, 0.7))
     x0 = rng.normal(size=2)
-    lo, hi = 0.4 / comp.lipschitz, 1.5 / comp.lipschitz
-    for sched in (StepSchedule.over_lipschitz(0.5, comp.lipschitz),
-                  StepSchedule(lambda_min=lo, lambda_max=hi,
-                               fn=lambda k: lo + (hi - lo) * (k % 5) / 4.0)):
-        run = forward_backward(comp, x0, sched, steps=25, min_value=0.0)
-        doc = run.to_metadata_dict()
-        assert sorted(doc) == sorted(RUN_FIELDS)
-        assert (doc["schema_version"], doc["dimension"]) == (3, 2)
-        blob = json.dumps(doc, sort_keys=True)
-        back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0,
-                                             sched, 25, min_value=0.0)
-        _assert_same_run(back, run)
+    lam = step_over_lipschitz(0.5, comp.lipschitz)
+    run = forward_backward(comp, x0, lam, steps=25, min_value=0.0)
+    doc = run.to_metadata_dict()
+    assert sorted(doc) == sorted(RUN_FIELDS)
+    assert (doc["schema_version"], doc["dimension"]) == (3, 2)
+    blob = json.dumps(doc, sort_keys=True)
+    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, lam, 25,
+                                         min_value=0.0)
+    _assert_same_run(back, run)
 
-        path = tmp_path / "run.json"
-        run.to_metadata_json(path)
-        again = DescentRun.from_metadata_dict(json.loads(path.read_text()),
-                                              comp, x0, sched, 25,
-                                              min_value=0.0)
-        _assert_same_run(again, run)
+    path = tmp_path / "run.json"
+    run.to_metadata_json(path)
+    again = DescentRun.from_metadata_dict(json.loads(path.read_text()),
+                                          comp, x0, lam, 25, min_value=0.0)
+    _assert_same_run(again, run)
 
 
 def _int64_view(X):
@@ -607,13 +544,13 @@ def test_metadata_round_trip_keeps_negative_zero_and_subnormals():
     # come back with their bits, and the replay matches them bit for bit
     comp = CompositeObjective(smooth=least_squares(np.eye(2), np.zeros(2)),
                               nonsmooth=scaled_l1(2, 0.1))
-    x0, sched = np.array([0.5, -1e-310]), StepSchedule.constant(0.5)
-    run = forward_backward(comp, x0, sched, steps=40)
+    x0, lam = np.array([0.5, -1e-310]), 0.5
+    run = forward_backward(comp, x0, lam, steps=40)
     X = run.iterates
     assert np.any((X == 0.0) & np.signbit(X))
     assert np.any((X != 0.0) & (np.abs(X) < np.finfo(float).tiny))
     blob = json.dumps(run.to_metadata_dict())
-    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, sched,
+    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, lam,
                                          40)
     np.testing.assert_array_equal(_int64_view(back.iterates), _int64_view(X))
     _assert_same_run(back, run)
@@ -624,8 +561,7 @@ def test_metadata_iterates_are_little_endian_float64():
     # each as 8 little-endian bytes, whatever the host's byte order
     X = np.array([[1.0, -0.0], [5e-324, -2.5]])
     text = "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAABMA="
-    run = DescentRun(params=certificate_params(StepSchedule.constant(1.0),
-                                               1.0),
+    run = DescentRun(params=certificate_params(1.0, 1.0),
                      iterates=X, raw_values=np.zeros(2),
                      step_norms=np.zeros(1), witness_norms=np.zeros(1))
     assert run.to_metadata_dict() == {"schema_version": 3, "dimension": 2,
@@ -639,9 +575,8 @@ def test_metadata_refuses_iterates_text_with_stray_padding_bits():
     # two points in dimension 1 are 16 bytes, whose text ends in "==": its
     # last digit's low bit is padding, so setting it gives a text that
     # decodes to the same bytes, which only the exact text may encode
-    comp, x0 = _half_square(), np.array([1.0])
-    sched = StepSchedule.constant(0.5)
-    run = forward_backward(comp, x0, sched, steps=1)
+    comp, x0, lam = _half_square(), np.array([1.0]), 0.5
+    run = forward_backward(comp, x0, lam, steps=1)
     doc = run.to_metadata_dict()
     text = doc["iterates"]
     assert text.endswith("==")
@@ -650,10 +585,10 @@ def test_metadata_refuses_iterates_text_with_stray_padding_bits():
     last = alphabet[alphabet.index(text[-3]) ^ 1]
     stray = text[:-3] + last + "=="
     assert base64.b64decode(stray, validate=True) == base64.b64decode(text)
-    DescentRun.from_metadata_dict(doc, comp, x0, sched, 1)
+    DescentRun.from_metadata_dict(doc, comp, x0, lam, 1)
     with pytest.raises(ValueError, match="base64"):
         DescentRun.from_metadata_dict(dict(doc, iterates=stray), comp, x0,
-                                      sched, 1)
+                                      lam, 1)
 
 
 def _reencoding_decode(text):
@@ -729,12 +664,12 @@ def test_stored_iterates_come_back_writable_with_their_bits(dimension, steps,
     comp = CompositeObjective(
         smooth=quadratic_objective(np.ones(dimension), weight=0.5),
         nonsmooth=zero_objective(dimension))
-    x0, sched = np.linspace(-2.0, 3.0, dimension), StepSchedule.constant(1e-3)
-    run = forward_backward(comp, x0, sched, steps=steps)
+    x0, lam = np.linspace(-2.0, 3.0, dimension), 1e-3
+    run = forward_backward(comp, x0, lam, steps=steps)
     doc = run.to_metadata_dict()
     text = doc["iterates"]
     assert len(text) - len(text.rstrip("=")) == pads
-    back = DescentRun.from_metadata_dict(doc, comp, x0, sched, steps)
+    back = DescentRun.from_metadata_dict(doc, comp, x0, lam, steps)
     X = back.iterates
     assert X.shape == (steps + 1, dimension) and X.dtype == np.float64
     assert X.flags.writeable and X.flags.c_contiguous
@@ -749,11 +684,11 @@ def test_infinite_start_value_survives_round_trip():
     c1, c2 = Ball(np.array([-0.5, 0.0]), 1.5), Ball(np.array([0.5, 0.0]), 1.5)
     comp = CompositeObjective(smooth=half_squared_distance(c2, 2),
                               nonsmooth=indicator(c1, 2))
-    x0, sched = np.array([3.0, 0.0]), StepSchedule.constant(1.0)
-    run = forward_backward(comp, x0, sched, steps=10)
+    x0, lam = np.array([3.0, 0.0]), 1.0
+    run = forward_backward(comp, x0, lam, steps=10)
     assert math.isinf(run.raw_values[0])
     blob = json.dumps(run.to_metadata_dict())
-    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, sched,
+    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, lam,
                                          10)
     _assert_same_run(back, run)
 
@@ -769,7 +704,7 @@ def _pipeline_run(gi, method, steps):
     config = ExperimentConfig(instance={"family": gi.family},
                               method={"name": method})
     bundle = build_pipeline(gi, config)
-    run = forward_backward(bundle.composite, bundle.start, bundle.schedule,
+    run = forward_backward(bundle.composite, bundle.start, bundle.step,
                            steps, min_value=bundle.min_value)
     bundle.guard(run)
     return bundle, run
@@ -839,8 +774,7 @@ def test_alternating_projection_two_sets_only(tmp_path, capsys):
 
 
 def test_exact_stationarity_stops_the_run():
-    run = forward_backward(_half_square(), [0.0], StepSchedule.constant(1.0),
-                           steps=7)
+    run = forward_backward(_half_square(), [0.0], 1.0, steps=7)
     assert run.converged
     assert run.num_steps == 0
     assert math.isfinite(run.raw_values[0])

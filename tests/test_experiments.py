@@ -20,9 +20,9 @@ from klcert.cli import main
 from klcert.descent import (
     RUN_FIELDS,
     DescentRun,
-    StepSchedule,
     certificate_params,
     forward_backward,
+    step_over_lipschitz,
 )
 from klcert.desingularization import DESINGULARIZERS, PowerDesingularizer
 from klcert.experiments import (
@@ -108,6 +108,11 @@ def test_load_instance_from_path_and_family(tmp_path):
     gi.to_json(path)
     again = load_instance(ExperimentConfig(instance={"path": str(path)}))
     assert again.payload == gi.payload
+
+
+def test_every_public_name_is_exported():
+    # a stale name in __all__ breaks `from klcert import *`
+    assert [n for n in klcert.__all__ if not hasattr(klcert, n)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +226,7 @@ def test_long_run_json_is_bit_exact_and_compact(tmp_path):
     np.testing.assert_array_equal(_int64_view(_stored_iterates(doc)),
                                   _int64_view(run.iterates))
     back = DescentRun.from_metadata_dict(doc, bundle.composite, bundle.start,
-                                         bundle.schedule, 5000)
+                                         bundle.step, 5000)
     np.testing.assert_array_equal(_int64_view(back.iterates),
                                   _int64_view(run.iterates))
     # base64 takes 4/3 byte per byte of float64, and the keys about 60
@@ -310,8 +315,7 @@ def stored_artifacts(tmp_path_factory):
         "method": "gradient", "a": run.params.a, "b": run.params.b,
         "min_value": run.min_value, "converged": run.converged,
         "num_steps": run.num_steps,
-        "step_sizes": np.broadcast_to(result.bundle.schedule.sizes(
-            run.num_steps), run.num_steps).tolist(),
+        "step_sizes": [result.bundle.step] * run.num_steps,
         "step_norms": run.step_norms.tolist(),
         "witness_norms": run.witness_norms.tolist(),
         "raw_values": np.where(np.isinf(run.raw_values), None,
@@ -851,12 +855,12 @@ def _uncut_sweep_rows(config, values, max_steps):
     f0 = bundle.composite.value(bundle.start) - bundle.min_value
     rows = []
     for d_rel in values:
-        schedule = StepSchedule.over_lipschitz(d_rel, L)
-        params = certificate_params(schedule, L)
+        lam = step_over_lipschitz(d_rel, L)
+        params = certificate_params(lam, L)
         gamma_R = bundle.certificate.gamma / 2.0
         q = 1.0 + 2.0 * params.a * gamma_R / params.b ** 2
         certified = steps_to_epsilon(q, f0, 0.5 * f0)
-        run = forward_backward(bundle.composite, bundle.start, schedule,
+        run = forward_backward(bundle.composite, bundle.start, lam,
                                min(certified, max_steps),
                                min_value=bundle.min_value)
         below = np.nonzero(run.gaps <= 0.5 * f0)[0]
@@ -1394,7 +1398,7 @@ MALFORMED_INPUTS = {
         "sweep", method={"name": "gradient"}),
     "sweep-zero-steps": _run_config(
         "sweep", method={"name": "ista", "steps": 0}),
-    # the sweep's problem has the config's schedule, though it varies it
+    # the sweep's problem has the config's step, though it varies it
     "sweep-relative-step-beyond-2": _run_config(
         "sweep", method={"relative_step": 2.5}),
     # one rescaled growth constant or rate cannot hold across a grid of d

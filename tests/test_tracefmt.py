@@ -24,7 +24,7 @@ from klcert.convex import (
     indicator,
     row_norms,
 )
-from klcert.descent import StepSchedule, forward_backward
+from klcert.descent import forward_backward
 from klcert.experiments import (
     PRESET_NAMES,
     SWEEP_COLUMNS,
@@ -561,8 +561,7 @@ def test_trace_of_a_start_outside_the_domain_leaves_its_gap_empty(tmp_path):
     c2 = Ball(np.array([1.0, 0.0]), 1.0)
     comp = CompositeObjective(smooth=half_squared_distance(c2, 2),
                               nonsmooth=indicator(c1, 2))
-    run = forward_backward(comp, np.array([-3.0, 1.0]),
-                           StepSchedule.constant(1.0), CROSSOVER,
+    run = forward_backward(comp, np.array([-3.0, 1.0]), 1.0, CROSSOVER,
                            min_value=0.0)
     assert math.isinf(run.raw_values[0]) and run.num_steps == CROSSOVER
     maj = SimpleNamespace(psi_values=1.0 / np.arange(1, CROSSOVER + 2),

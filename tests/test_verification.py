@@ -19,7 +19,7 @@ from klcert.convex import (
     value_gap,
     zero_objective,
 )
-from klcert.descent import StepSchedule, forward_backward
+from klcert.descent import forward_backward
 from klcert.desingularization import (
     ErrorBoundCertificate,
     PowerDesingularizer,
@@ -104,8 +104,8 @@ def _quadratic_bundle(steps=60):
     # f = 0.5 ||x - c||^2 is 2-uniformly convex with modulus 1
     comp = CompositeObjective(smooth=quadratic_objective(CENTER, weight=0.5),
                               nonsmooth=zero_objective(2))
-    run = forward_backward(comp, np.array([2.0, 1.5]),
-                           StepSchedule.constant(0.5), steps, min_value=0.0)
+    run = forward_backward(comp, np.array([2.0, 1.5]), 0.5, steps,
+                           min_value=0.0)
     d = uniformly_convex_profile(sigma=1.0, p=2.0, alpha0=1.0)
     maj = worst_case_sequence(d, float(run.gaps[0]), run.params,
                               max(run.num_steps, 1))
@@ -185,8 +185,7 @@ def test_prox_step_domination_inconclusive_at_floor():
     # one exact step to the minimizer: the only transition ends at gap 0
     comp = CompositeObjective(smooth=quadratic_objective([0.0], weight=0.5),
                               nonsmooth=zero_objective(1))
-    run = forward_backward(comp, [1.0], StepSchedule.constant(1.0), steps=5,
-                           min_value=0.0)
+    run = forward_backward(comp, [1.0], 1.0, steps=5, min_value=0.0)
     d = uniformly_convex_profile(sigma=1.0, p=2.0, alpha0=1.0)
     c = check_prox_step_domination(run, d, zeta_value=0.1)
     assert c.status == "inconclusive"
