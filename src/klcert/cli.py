@@ -6,21 +6,24 @@ study on an l1 instance), certify (re-check stored run artifacts).  `run`
 and `certify` exit 1 exactly when some check fails; skipped or
 inconclusive checks never fail a run.  Everything else that stops a command
 exits 2 with one "error:" line on stderr and no traceback: bad arguments, a
-file that cannot be read (certify reads the instance.json and config.json
-beside run.json), a JSON file whose top level is not an object, a record
-that lacks a field, has another schema version or another key (at any
-level: a desingularizer's region and a config's top level among them), or
-another desingularizer form or region or set kind, a config or instance
+file that cannot be read (certify reads the iterates.bin, instance.json and
+config.json beside run.json), a JSON file whose top level is not an object,
+a record that lacks a field, has another schema version or another key (at
+any level: a desingularizer's region and a config's top level among them),
+or another desingularizer form or region or set kind, a config or instance
 key that nothing reads (the sweep reads no rescaled constant or rate), a
 value of another type than its key or stored field takes (never
 converted), a stored or config number that is not finite, a feasibility
-set or certificate region of another dimension than its instance, run
-iterates that are not the strict base64 text of finite float64 points in
-the problem's dimension or not the method's steps, a method the instance's
-family does not run, a step budget or cap below one, a --seed given to a
-config that reads its instance from a path, a run with an iterate that is
-not finite (the error names its step), and a projection that does not
-converge.
+set or certificate region of another dimension than its instance, an
+iterates.bin that holds no whole float64 points in the problem's
+dimension, more than the step budget allows, or points that are not
+finite or not the method's steps, a method the instance's family does not
+run, a step budget or cap below one, a step so small, or a start so far
+from its instance's anchor, that a value its run or checks form is beyond
+the range of a float (the error names the step or the start), a --seed
+given to a config that reads its instance from a path, a run with an
+iterate that is not finite (the error names its step), and a projection
+that does not converge.
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call: a driver that calls `main` many

@@ -41,22 +41,18 @@ coordinates' stops; and the scalar stop test is the byte test, signed
 zeros and NaN included (`forward_backward` gives the proof).
 A run is stored as its iterates; all else is derived.
 It holds no method name and no step size: the config names both.
-run.json (schema 3) holds the iterates as the strict base64 text of their
-row-major little-endian float64 bytes, beside their dimension: the exact
-bits `certify` replays, read without parsing number text.
-`decode_canonical_base64` reads that text two characters at a time: each
-pair, as one little-endian uint16, indexes a cached table of its two
-digits' 12 bits, so a block of text is checked and decoded by a few array
-operations, not one step per character, and its bytes land in a bytearray
-that the replay views as its writable matrix.  trace.csv is the readable
-per-step record.
+iterates.bin holds the iterates' row-major little-endian float64 bytes,
+the exact bits `certify` replays, and run.json (schema 4) their
+dimension, which is all it takes to read them back: the file's size is
+checked against the dimension and the step budget before it is read, into
+a bytearray that the replay views as its writable matrix.  trace.csv is
+the readable per-step record.
 """
 
 from __future__ import annotations
 
-import base64
-import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -69,7 +65,7 @@ from klcert.convex import (
     identity_prox,
     row_norms,
 )
-from klcert.tracefmt import require, require_type, write_json
+from klcert.tracefmt import require, require_type, write_bytes, write_json
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,8 @@ def certificate_params(lam: float,
                        lipschitz: float) -> DescentCertificateParams:
     """(a, b) = (1/lam - L/2, 1/lam + L) of the step lam on a smooth part
     with Lipschitz constant L: ValueError unless lam is positive and
-    finite and, for L > 0, strictly below 2/L."""
+    finite and, for L > 0, strictly below 2/L, and unless b * b, which
+    the rates divide by, is a finite float (then so are a and b)."""
     L = float(lipschitz)
     if not (0.0 < lam < math.inf):
         raise ValueError("step must be positive and finite")
@@ -110,101 +107,18 @@ def certificate_params(lam: float,
         raise ValueError("Lipschitz constant must be nonnegative")
     if L > 0 and lam >= 2.0 / L:
         raise ValueError("step must stay strictly below 2/L")
-    return DescentCertificateParams(a=1.0 / lam - L / 2.0, b=1.0 / lam + L)
+    a, b = 1.0 / lam - L / 2.0, 1.0 / lam + L
+    # 0 < a <= b, and b * b is inf when b is
+    if not b * b < math.inf:
+        raise ValueError(f"step {lam!r} is too small: b * b = (1/step + L)^2 "
+                         "is beyond the range of a float")
+    return DescentCertificateParams(a=a, b=b)
 
 
 # every key of a run.json record, and the only keys it may hold
-RUN_FIELDS = ("schema_version", "dimension", "iterates")
-# the stored iterates' bytes: float64, little-endian on every host
+RUN_FIELDS = ("schema_version", "dimension")
+# iterates.bin's bytes: float64, little-endian on every host
 ITERATE_DTYPE = "<f8"
-
-_BASE64_DIGITS = (b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                  b"0123456789+/")
-# character pairs decoded at once: np.take copies its index to intp, 8
-# bytes a pair and the block's largest temporary, so 8192 pairs (64 KiB)
-# stay below glibc's 128 KiB mmap threshold, as tracefmt's _BLOCK does,
-# where 16384 (128 KiB) would reach it
-_PAIRS = 8192
-
-
-@functools.cache
-def _pair_table() -> np.ndarray:
-    """By the little-endian uint16 of two ASCII characters c0 c1, the 12
-    bits d(c0) << 6 | d(c1) of their base64 digits, or 0xFFFF when either
-    is not a digit; little-endian on every host.  ASCII keeps c1 below
-    128, so 32768 entries (64 KiB) suffice.  Built with intp arithmetic,
-    whose numpy loops other code already keeps resident."""
-    table = np.full((128, 256), 0xFFFF, "<u2")
-    codes = np.frombuffer(_BASE64_DIGITS, np.uint8)
-    digit = np.arange(64)
-    # row c1, column c0
-    table[np.ix_(codes, codes)] = digit * 64 + digit[:, None]
-    return table.ravel()
-
-
-def _decode_quanta(pairs: np.ndarray, out: np.ndarray) -> bool:
-    """Write the bytes of the quanta whose character pairs are pairs, as
-    '<u2', into the rows of the (quanta, 3) uint8 matrix out; False,
-    writing nothing, when a pair is outside the alphabet."""
-    value = np.take(_pair_table(), pairs)
-    if value.max() > 0xFFF:
-        return False
-    # a quantum's pairs a, b as a | b << 16; x then holds a << 12 | b in
-    # its low 24 bits, the quantum's bytes, and the uint8 casts drop the
-    # bits of b that the shift left carries past bit 27.  The sum is the
-    # bitwise or, as no bits overlap, and runs a numpy loop that other
-    # code already keeps resident, where | added 64 KiB of code pages.
-    w = value.view("<u4")
-    x = w << 12
-    x += w >> 16
-    out[:, 2] = x
-    x >>= 8
-    out[:, 1] = x
-    x >>= 8
-    out[:, 0] = x
-    return True
-
-
-def decode_canonical_base64(text: str) -> bytearray:
-    """The bytes whose base64 encoding is text, or an empty bytearray when
-    text is not the one encoding of any bytes.
-
-    That encoding has length 4 * ceil(len / 3); it holds alphabet digits
-    alone, but for one or two "=" that end its last quantum; and the last
-    data digit's bits past the final byte are zero.  Each quantum of four
-    characters is two pairs, and each pair, read as a little-endian
-    uint16, indexes one cached table of its digits' 12 bits, 0xFFFF for
-    a pair outside the alphabet, so a block of _PAIRS pairs is checked
-    and decoded by a few array operations, where binascii takes each
-    character in turn: 0.25 ms against 0.44 ms for a 5000-step run.json's
-    160032 characters (2 CPUs, numpy 2.4.6).  The last quantum's "=" read
-    as "A", whose digit is zero, so its bytes past the ones it keeps are
-    zero exactly when the unused bits are."""
-    try:
-        encoded = text.encode("ascii")
-    except UnicodeEncodeError:
-        return bytearray()
-    if len(encoded) % 4:
-        return bytearray()
-    pads = 2 if encoded.endswith(b"==") else int(encoded.endswith(b"="))
-    quanta = len(encoded) // 4 - (pads > 0)    # those with no "="
-    # and the 3 - pads bytes a padded last quantum keeps
-    raw = bytearray(3 * quanta + (3 - pads) % 3)
-    out = np.frombuffer(raw, np.uint8)
-    pairs = np.frombuffer(encoded, "<u2")
-    for start in range(0, quanta, _PAIRS // 2):
-        stop = min(start + _PAIRS // 2, quanta)
-        if not _decode_quanta(pairs[2 * start:2 * stop],
-                              out[3 * start:3 * stop].reshape(-1, 3)):
-            return bytearray()
-    if pads:
-        last = np.empty((1, 3), np.uint8)
-        final = encoded[-4:len(encoded) - pads] + b"A" * pads
-        if (not _decode_quanta(np.frombuffer(final, "<u2"), last)
-                or last[0, 3 - pads:].any()):
-            return bytearray()
-        out[3 * quanta:] = last[0, :3 - pads]
-    return raw
 
 
 @dataclass
@@ -281,43 +195,56 @@ class DescentRun:
         )
 
     def to_metadata_dict(self) -> dict:
-        raw = self.iterates.astype(ITERATE_DTYPE, copy=False).tobytes()
-        return {"schema_version": 3, "dimension": self.iterates.shape[1],
-                "iterates": base64.b64encode(raw).decode("ascii")}
+        """run.json's record: the dimension of the iterates in iterates.bin."""
+        return {"schema_version": 4, "dimension": self.iterates.shape[1]}
 
-    def to_metadata_json(self, path) -> None:
-        write_json(path, self.to_metadata_dict())
+    def write(self, run_path, iterates_path) -> None:
+        """Store the run: the iterates' row-major ITERATE_DTYPE bytes at
+        iterates_path, and their run.json record at run_path."""
+        write_json(run_path, self.to_metadata_dict())
+        write_bytes(iterates_path,
+                    np.ascontiguousarray(self.iterates, ITERATE_DTYPE))
 
     @staticmethod
-    def from_metadata_dict(data: dict, composite: CompositeObjective, x0,
-                           step: float, steps: int,
-                           min_value: Optional[float] = None) -> "DescentRun":
+    def from_metadata_dict(data: dict, iterates_path,
+                           composite: CompositeObjective, x0, step: float,
+                           steps: int, min_value: Optional[float] = None
+                           ) -> "DescentRun":
         """The run forward_backward(composite, x0, step, steps, ...)
-        records, from the iterates of a run.json record: ValueError unless,
-        bit for bit, they begin at the start, each is the method's nonzero
-        step from the one before, and a run shorter than its budget stops
-        where the loop would."""
-        require(data, RUN_FIELDS, "run", version=3, exact=True)
-        dimension, text = data["dimension"], data["iterates"]
+        records, from a run.json record and the iterates.bin `write` stored
+        with it: ValueError unless the record holds the problem's
+        dimension, the file holds one or more whole finite points, at most
+        steps + 1 of them (told from its size, before it is read), and, bit
+        for bit, they begin at the start, each is the method's nonzero step
+        from the one before, and a run shorter than its budget stops where
+        the loop would."""
+        require(data, RUN_FIELDS, "run", version=4, exact=True)
+        dimension = data["dimension"]
         require_type(dimension, int, "run dimension")
         if dimension != composite.dimension:
             raise ValueError(f"run dimension is {dimension}, not the "
                              f"problem's {composite.dimension}")
-        require_type(text, str, "run iterates")
-        raw = decode_canonical_base64(text)
-        if not raw or len(raw) % (8 * dimension):
-            raise ValueError("run iterates must be the base64 text of one or "
-                             f"more float64 points in dimension {dimension}")
-        # the decoder's bytearray gives a writable matrix, native without
-        # a copy on a little-endian host
+        point = 8 * dimension
+        with open(iterates_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if not size or size % point:
+                raise ValueError(f"{iterates_path} holds {size} bytes, not "
+                                 "one or more float64 points in dimension "
+                                 f"{dimension}")
+            if size > point * (steps + 1):
+                raise ValueError(f"{iterates_path} holds {size // point - 1} "
+                                 f"steps, more than the budget of {steps}")
+            # a bytearray gives a writable matrix, native without a copy
+            # on a little-endian host
+            raw = bytearray(size)
+            if fh.readinto(raw) != size:
+                raise ValueError(f"{iterates_path} shrank while it was read")
         X = np.frombuffer(raw, ITERATE_DTYPE).reshape(-1, dimension)
         if not np.isfinite(X).all():
             raise ValueError("run iterates must be finite")
         X, num_steps = X.astype(float, copy=False), len(X) - 1
-        if not (num_steps <= steps and np.array_equal(
-                X[0], as_point(x0, composite.dimension))):
-            raise ValueError("run iterates must begin at the start and take "
-                             f"at most {steps} steps")
+        if not np.array_equal(X[0], as_point(x0, composite.dimension)):
+            raise ValueError("run iterates must begin at the start")
         params = certificate_params(step, composite.lipschitz)
         # row k of G has the bits of the loop's gradient call at x_k
         lam, G = np.array(step), composite.smooth.gradient_fn(X)

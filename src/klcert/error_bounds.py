@@ -486,6 +486,11 @@ def feasibility_bound(inst: FeasibilityInstance, x0, variant: str = "barycentric
         M = 0.125 * ratio ** (-2)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    # M underflows, and 2 / M overflows, for a start far enough from xbar
+    if not (M > 0 and 2.0 / M < math.inf):
+        raise ValueError(f"start {x0.tolist()} is too far from xbar: it "
+                         f"leaves the growth modulus M = {M!r}, whose "
+                         "2 / M is beyond the range of a float")
     region = Ball(inst.xbar, t)
     # psi(s) = M s^2 / 2  <=>  phi(s) = sqrt(2 s / M)
     return PowerDesingularizer(scale=math.sqrt(2.0 / M), exponent=2.0,

@@ -126,6 +126,21 @@ class PipelineBundle(Problem):
     guard: Callable[[DescentRun], None] = lambda run: None
 
 
+def _refuse_far_start(start, anchor, what: str, reach: float = 1.0,
+                      offset: float = 0.0, weight: float = 1.0) -> None:
+    """Refuse (ValueError naming the start) a start so far from anchor
+    that weight (reach t + offset)^2, t the distance between them, is
+    beyond the range of a float: the family's bound on the values that its
+    run and checks form from the start.  Taken in Python floats, where an
+    overflow is inf with no warning, before numpy takes the start."""
+    t = math.hypot(*[s - a for s, a in zip(start.tolist(), anchor.tolist())])
+    r = reach * t + offset
+    if not weight * r * r < math.inf:
+        raise ValueError(f"start {start.tolist()} is too far from {what} "
+                         f"{anchor.tolist()}: the values its run and checks "
+                         "form are beyond the range of a float")
+
+
 def _lasso_growth(inst, config: ExperimentConfig) -> LassoConstants:
     """Growth constants from the certificate block's source."""
     source = config.setting("certificate", "source")
@@ -159,11 +174,24 @@ def _build_lasso(gi: GeneratedInstance, config: ExperimentConfig,
     inst = LassoInstance(v["A"], v["y"], v["mu"], v["x0"])
     minimizer = as_point(v["minimizer"], inst.dimension)
     composite = inst.composite
+    norm_A, norm_y = math.sqrt(composite.lipschitz), math.hypot(*v["y"])
+    # ||A x - y|| <= ||A|| ||x|| + ||y||
+    _refuse_far_start(inst.x0, np.zeros(inst.dimension), "the origin",
+                      reach=norm_A, offset=norm_y)
     d_rel = config.setting("method", "relative_step")
     problem = Problem(composite, inst.x0, step_over_lipschitz(
         d_rel, composite.lipschitz), v["min_value"])
     yield problem
     consts = _lasso_growth(inst, config)
+    # the values on the l1 ball of radius R are at most
+    # 0.5 (||A|| R + ||y||)^2 + mu R, and the checks divide them by gamma_R
+    top = norm_A * consts.R + norm_y
+    largest = 0.5 * top * top + inst.mu * consts.R
+    if not (consts.gamma_R > 0 and largest / consts.gamma_R < math.inf):
+        raise ValueError(
+            f"start {inst.x0.tolist()} is too far from the origin: its l1 "
+            f"radius R = {consts.R!r} leaves gamma_R = {consts.gamma_R!r}, "
+            "and the values its checks form are beyond the range of a float")
     cert = ErrorBoundCertificate(form="power", p=2.0,
                                  gamma=2.0 * consts.gamma_R,
                                  region=L1Ball(consts.R))
@@ -189,6 +217,8 @@ def _build_feasibility(gi: GeneratedInstance, config: ExperimentConfig,
     v = gi.values()
     inst = FeasibilityInstance(v["sets"], v["xbar"], v["R"], v["weights"])
     start = as_point(v["x0"], inst.dimension)
+    # every set holds xbar, so a distance to a set is at most one to xbar
+    _refuse_far_start(start, inst.xbar, "xbar")
     if variant == "barycentric":
         solution = IntersectionSet(inst.sets)
         composite = CompositeObjective(
@@ -223,6 +253,9 @@ def _build_uniformly_convex(gi: GeneratedInstance, config: ExperimentConfig,
                             method: str) -> Iterator[Problem]:
     v = gi.values()
     center, weight, x0 = v["center"], v["weight"], v["x0"]
+    # the sampling ball about the center has radius 2 t + 1
+    _refuse_far_start(x0, center, "the center", reach=2.0, offset=1.0,
+                      weight=weight)
     obj = quadratic_objective(center, weight=weight)
     d_rel = config.setting("method", "relative_step")
     problem = Problem(CompositeObjective(
@@ -249,6 +282,8 @@ def _build_tight_quadratic(gi: GeneratedInstance, config: ExperimentConfig,
     v = gi.values()
     ball = Ball(v["center"], v["radius"])
     x0 = v["x0"]
+    # the sampling ball about the center has radius 1.2 t
+    _refuse_far_start(x0, ball.center, "the center", reach=1.2)
     n = ball.center.shape[0]
     smooth = half_squared_distance(ball, n)
     problem = Problem(CompositeObjective(smooth=smooth,
@@ -428,8 +463,7 @@ def majorant_from_rate(d: Desingularizer, q: float, f0: float, params,
     if ell is None:
         raise ValueError("profile has no Lipschitz constant for its inverse")
     return MajorantSequence(zeta=zeta(params.a, params.b, ell), alpha=alpha,
-                            psi_values=psi_values, params=params, ell=ell,
-                            closed_form=None)
+                            psi_values=psi_values, params=params, ell=ell)
 
 
 @dataclass
@@ -547,10 +581,10 @@ def write_artifacts(result: ExperimentResult, out_dir: str) -> dict:
         xstar = run.settled_point()
 
     paths = {name: os.path.join(out_dir, name) for name in (
-        "instance.json", "run.json", "trace.csv", "majorant.csv",
-        "certificate.json", "report.json", "config.json")}
+        "instance.json", "run.json", "iterates.bin", "trace.csv",
+        "majorant.csv", "certificate.json", "report.json", "config.json")}
     result.instance.to_json(paths["instance.json"])
-    run.to_metadata_json(paths["run.json"])
+    run.write(paths["run.json"], paths["iterates.bin"])
     # the majorant has one entry per iterate, so majorant.csv writes the
     # cells of trace.csv's majorant columns again rather than format them
     rows = range(len(run.raw_values))
@@ -573,10 +607,11 @@ def certify_run(run_path: str, certificate_path: str,
                 out_path: Optional[str] = None) -> CertificationReport:
     """Re-check stored artifacts without re-running the method.
 
-    The run is recomputed from its stored iterates on the problem rebuilt
-    from the instance.json and config.json beside run.json.  Covers the
-    trajectory checks, the same ones run_experiment makes; the sampling
-    checks need live oracles, so they belong to run_experiment.
+    The run is recomputed from its stored iterates, in the iterates.bin
+    beside run.json, on the problem rebuilt from the instance.json and
+    config.json beside it too.  Covers the trajectory checks, the same
+    ones run_experiment makes; the sampling checks need live oracles, so
+    they belong to run_experiment.
     """
     record = read_json(run_path)
     cert_doc = read_json(certificate_path)
@@ -595,8 +630,8 @@ def certify_run(run_path: str, certificate_path: str,
         raise ValueError(f"certificate region center is in dimension "
                          f"{region.dimension}, not the instance's {dimension}")
     run = DescentRun.from_metadata_dict(
-        record, problem.composite, problem.start, problem.step, steps,
-        min_value=problem.min_value)
+        record, os.path.join(directory, "iterates.bin"), problem.composite,
+        problem.start, problem.step, steps, min_value=problem.min_value)
     report = _trajectory_report(run, desing, os.path.basename(run_path),
                                 cert_doc["certificate_id"])[1]
     if out_path is not None:

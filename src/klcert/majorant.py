@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,7 +139,6 @@ class MajorantSequence:
     psi_values: np.ndarray   # (K+1,), psi_values[0] = initial value gap
     params: DescentCertificateParams
     ell: float
-    closed_form: Optional[QuadraticComplexity] = None
 
     @property
     def num_steps(self) -> int:
@@ -180,8 +179,8 @@ def worst_case_sequence(d: Desingularizer, r0: float,
     ell = _assumption_ell(d, alpha0)
     z = zeta(params.a, params.b, ell)
 
-    quadratic = isinstance(d, PowerDesingularizer) and d.exponent == 2.0
-    if quadratic and not force_bisection:
+    if (isinstance(d, PowerDesingularizer) and d.exponent == 2.0
+            and not force_bisection):
         # alpha_{k+1} = alpha_k * ratio, multiplied in the loop's order
         factors = np.full(steps + 1, 1.0 / (1.0 + ell * z))
         factors[0] = alpha0
@@ -192,10 +191,8 @@ def worst_case_sequence(d: Desingularizer, r0: float,
         for _ in range(steps):
             alphas.append(_prox_point(psi_prime, alphas[-1], z))
         alpha = np.asarray(alphas)
-    psi_values = d.psi(alpha)
-    closed = quadratic_complexity(ell, params, f0=r0) if quadratic else None
-    return MajorantSequence(zeta=z, alpha=alpha, psi_values=psi_values,
-                            params=params, ell=ell, closed_form=closed)
+    return MajorantSequence(zeta=z, alpha=alpha, psi_values=d.psi(alpha),
+                            params=params, ell=ell)
 
 
 def prox_sequence(d: Desingularizer, step_values: Sequence[float],

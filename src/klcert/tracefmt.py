@@ -1,20 +1,21 @@
 """Artifact formats: the one atomic file writer, JSON and CSV on top of it,
 and the one JSON record reader and writer.
 
-Every artifact goes through `_atomic_write`: the bytes land in a
-temporary file with a short random name next to the target, created with
-mode 0o666 less the umask as open() creates a file, and are renamed over
-the target, so a partial file never appears under the target name.  The
-target's directory is created only when opening that file finds it
-missing.  `read_json` reads the file's bytes and decodes them as ASCII.
-JSON is `json.dumps(payload, sort_keys=True, indent=2)`
-plus a newline: ASCII with sorted keys and a two-space indent.  A record
-is read back with `read_json` and checked with `require`, `require_type`
-and `require_number`, so a malformed one raises ValueError instead of
-being patched with defaults or converted.  A record whose keys a table gives,
-instance.json's payload and certificate.json's desingularizer, is read by
-`read_value` with exactly its keys at every level and written by
-`write_value`.
+Every artifact goes through `write_bytes`, iterates.bin's raw float64
+bytes directly and every other file through the JSON and CSV writers
+below: the bytes land in a temporary file with a short random name next
+to the target, created with mode 0o666 less the umask as open() creates a
+file, and are renamed over the target, so a partial file never appears
+under the target name.  The target's directory is created only when
+opening that file finds it missing.  `read_json` reads the file's bytes
+and decodes them as ASCII.  JSON is `json.dumps(payload, sort_keys=True,
+indent=2)` plus a newline: ASCII with sorted keys and a two-space indent.
+A record is read back with `read_json` and checked with `require`,
+`require_type` and `require_number`, so a malformed one raises ValueError
+instead of being patched with defaults or converted.  A record whose keys
+a table gives, instance.json's payload and certificate.json's
+desingularizer, is read by `read_value` with exactly its keys at every
+level and written by `write_value`.
 CSV is RFC 4180 (CRLF, '.' decimal separator) with 17 significant digits,
 so that round-tripping and byte-for-byte reproducibility hold.  A table
 arrives as columns, each as (first row, values) by field name, and goes
@@ -71,7 +72,7 @@ TRACE_COLUMNS = (
 )
 
 
-def _atomic_write(path, *chunks) -> None:
+def write_bytes(path, *chunks) -> None:
     """Write the bytes-like chunks, one after another, to path."""
     directory = os.path.dirname(os.path.abspath(path))
     # a short random name: the target's name plus a suffix can pass
@@ -100,8 +101,8 @@ def _atomic_write(path, *chunks) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    _atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2)
-                         + "\n").encode("ascii"))
+    write_bytes(path, (json.dumps(payload, sort_keys=True, indent=2)
+                       + "\n").encode("ascii"))
 
 
 def read_json(path) -> dict:
@@ -505,6 +506,6 @@ def write_table(path, fieldnames, rows, columns: dict) -> dict:
     table[:] = np.frombuffer(blank, np.uint8)
     for first, cells, start in slots:
         table[first:first + len(cells), start:start + cells.shape[1]] = cells
-    _atomic_write(path, (",".join(fieldnames) + "\r\n").encode("ascii"),
-                  table[table != 0])
+    write_bytes(path, (",".join(fieldnames) + "\r\n").encode("ascii"),
+                table[table != 0])
     return written

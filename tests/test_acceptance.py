@@ -47,6 +47,7 @@ from klcert.experiments import (
 from klcert.majorant import (
     empirical_prox_steps,
     prox_sequence,
+    quadratic_complexity,
     worst_case_sequence,
     zeta,
 )
@@ -209,14 +210,14 @@ def _lasso_records() -> list[dict]:
         params = run.params
         # the certificate's gamma is 2 gamma_R
         q = 1.0 + params.a * bundle.certificate.gamma / params.b ** 2
-        maj = worst_case_sequence(bundle.desingularizer, float(run.gaps[0]),
-                                  params, steps=1)
+        f0 = float(run.gaps[0])
+        maj = worst_case_sequence(bundle.desingularizer, f0, params, steps=1)
         records.append({
             "label": f"lasso(n={n}, seed={400 + i})",
             "run": run,
             "desingularizer": bundle.desingularizer,
             "q": q,
-            "closed_q": maj.closed_form.q,
+            "closed_q": quadratic_complexity(maj.ell, params, f0).q,
             "zeta": maj.zeta,
         })
     _CACHE["lasso"] = records

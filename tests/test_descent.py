@@ -1,9 +1,10 @@
 """Descent runs and their recorded step inequalities."""
 
-import base64
 import dataclasses
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from klcert.descent import (
     RUN_FIELDS,
     DescentRun,
     certificate_params,
-    decode_canonical_base64,
     forward_backward,
     step_over_lipschitz,
 )
@@ -77,6 +77,12 @@ def test_step_validation():
             certificate_params(lam, 1.0)
     with pytest.raises(ValueError, match="Lipschitz"):
         certificate_params(0.5, math.nan)
+    # a step so small that b * b overflows (b too, at 1e-320) is named
+    for lam in (1e-160, 1e-300, 1e-320):
+        with pytest.raises(ValueError, match=f"step {lam!r} is too small"):
+            certificate_params(lam, 1.0)
+    p = certificate_params(1e-154, 1.0)
+    assert p.b * p.b < math.inf
     assert step_over_lipschitz(0.5, 4.0) == 0.125
     for d in (0.0, 2.0, math.nan):
         with pytest.raises(ValueError, match="relative step"):
@@ -169,15 +175,27 @@ def _per_step_record(composite, x0, lam, steps):
         record["witness_norms"].append(
             float(np.linalg.norm((x - xn) / lam - gx + gxn)))
         x, gx = xn, gxn
-    # run.json's iterates: base64 of the rows' little-endian float64 bytes,
-    # so records compare bit for bit (-0.0 is not 0.0)
-    record["iterates"] = base64.b64encode(
-        np.array(rows, dtype="<f8").tobytes()).decode("ascii")
+    # iterates.bin's bytes: the rows' little-endian float64 bytes, so
+    # records compare bit for bit (-0.0 is not 0.0)
+    record["iterates"] = np.array(rows, dtype="<f8").tobytes()
     return record
 
 
+def _stored(run, composite, x0, step, steps, min_value=None):
+    """run as DescentRun.from_metadata_dict reads it back from the files
+    run.write stored."""
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [os.path.join(directory, name)
+                 for name in ("run.json", "iterates.bin")]
+        run.write(*paths)
+        with open(paths[0], "rb") as fh:
+            doc = json.load(fh)
+        return DescentRun.from_metadata_dict(doc, paths[1], composite, x0,
+                                             step, steps, min_value=min_value)
+
+
 def _run_record(run):
-    return {"iterates": run.to_metadata_dict()["iterates"],
+    return {"iterates": run.iterates.astype("<f8").tobytes(),
             "raw_values": run.raw_values.tolist(),
             "step_norms": run.step_norms.tolist(),
             "witness_norms": run.witness_norms.tolist(),
@@ -212,9 +230,7 @@ def test_forward_backward_record_matches_per_step_reference(rng):
             run = forward_backward(comp, x0, lam, steps=60)
             assert _run_record(run) == _per_step_record(comp, x0, lam, 60)
             # the stored iterates pass certify's replay, early stops too
-            back = DescentRun.from_metadata_dict(
-                json.loads(json.dumps(run.to_metadata_dict())), comp, x0,
-                lam, 60)
+            back = _stored(run, comp, x0, lam, 60)
             assert _run_record(back) == _run_record(run)
             if stop is not None:
                 assert run.converged and run.num_steps == stop
@@ -380,8 +396,7 @@ def _matches_the_array_loop(center, weight, x0, d, steps):
     run = forward_backward(comp, x0, lam, steps)
     array = forward_backward(_array_loop(comp), x0, lam, steps)
     assert _record_bits(run) == _record_bits(array)
-    doc = json.loads(json.dumps(run.to_metadata_dict()))
-    back = DescentRun.from_metadata_dict(doc, comp, x0, lam, steps)
+    back = _stored(run, comp, x0, lam, steps)
     assert _record_bits(back) == _record_bits(run)
     return run
 
@@ -512,27 +527,24 @@ def _assert_same_run(back, run):
 
 
 def test_metadata_round_trip_is_exact(rng, tmp_path):
-    # run.json stores the iterates; the rest is recomputed from them and
-    # the problem, to the bit
+    # iterates.bin stores the iterates and run.json their dimension; the
+    # rest is recomputed from them and the problem, to the bit
     A = rng.normal(size=(3, 2))
     comp = CompositeObjective(smooth=least_squares(A, rng.normal(size=3)),
                               nonsmooth=scaled_l1(2, 0.7))
     x0 = rng.normal(size=2)
     lam = step_over_lipschitz(0.5, comp.lipschitz)
     run = forward_backward(comp, x0, lam, steps=25, min_value=0.0)
-    doc = run.to_metadata_dict()
+    path = tmp_path / "iterates.bin"
+    run.write(tmp_path / "run.json", path)
+    doc = json.loads((tmp_path / "run.json").read_text())
     assert sorted(doc) == sorted(RUN_FIELDS)
-    assert (doc["schema_version"], doc["dimension"]) == (3, 2)
-    blob = json.dumps(doc, sort_keys=True)
-    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, lam, 25,
+    assert doc == run.to_metadata_dict() == {"schema_version": 4,
+                                             "dimension": 2}
+    assert path.stat().st_size == 8 * run.iterates.size
+    back = DescentRun.from_metadata_dict(doc, path, comp, x0, lam, 25,
                                          min_value=0.0)
     _assert_same_run(back, run)
-
-    path = tmp_path / "run.json"
-    run.to_metadata_json(path)
-    again = DescentRun.from_metadata_dict(json.loads(path.read_text()),
-                                          comp, x0, lam, 25, min_value=0.0)
-    _assert_same_run(again, run)
 
 
 def _int64_view(X):
@@ -549,127 +561,43 @@ def test_metadata_round_trip_keeps_negative_zero_and_subnormals():
     X = run.iterates
     assert np.any((X == 0.0) & np.signbit(X))
     assert np.any((X != 0.0) & (np.abs(X) < np.finfo(float).tiny))
-    blob = json.dumps(run.to_metadata_dict())
-    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, lam,
-                                         40)
+    back = _stored(run, comp, x0, lam, 40)
     np.testing.assert_array_equal(_int64_view(back.iterates), _int64_view(X))
     _assert_same_run(back, run)
 
 
-def test_metadata_iterates_are_little_endian_float64():
+def test_metadata_iterates_are_little_endian_float64(tmp_path):
     # pinned bytes: 1.0, -0.0, the least subnormal and -2.5, row by row,
     # each as 8 little-endian bytes, whatever the host's byte order
     X = np.array([[1.0, -0.0], [5e-324, -2.5]])
-    text = "AAAAAAAA8D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAABMA="
     run = DescentRun(params=certificate_params(1.0, 1.0),
                      iterates=X, raw_values=np.zeros(2),
                      step_norms=np.zeros(1), witness_norms=np.zeros(1))
-    assert run.to_metadata_dict() == {"schema_version": 3, "dimension": 2,
-                                      "iterates": text}
-    # README's one-line decode
-    back = np.frombuffer(base64.b64decode(text), "<f8").reshape(-1, 2)
+    run.write(tmp_path / "run.json", tmp_path / "iterates.bin")
+    assert (tmp_path / "iterates.bin").read_bytes() == bytes.fromhex(
+        "000000000000f03f" "0000000000000080"
+        "0100000000000000" "00000000000004c0")
+    # README's one-line read
+    d = tmp_path
+    back = np.fromfile(f"{d}/iterates.bin", "<f8").reshape(
+        -1, json.load(open(f"{d}/run.json"))["dimension"])
     np.testing.assert_array_equal(_int64_view(back), _int64_view(X))
 
 
-def test_metadata_refuses_iterates_text_with_stray_padding_bits():
-    # two points in dimension 1 are 16 bytes, whose text ends in "==": its
-    # last digit's low bit is padding, so setting it gives a text that
-    # decodes to the same bytes, which only the exact text may encode
-    comp, x0, lam = _half_square(), np.array([1.0]), 0.5
-    run = forward_backward(comp, x0, lam, steps=1)
-    doc = run.to_metadata_dict()
-    text = doc["iterates"]
-    assert text.endswith("==")
-    alphabet = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                "0123456789+/")
-    last = alphabet[alphabet.index(text[-3]) ^ 1]
-    stray = text[:-3] + last + "=="
-    assert base64.b64decode(stray, validate=True) == base64.b64decode(text)
-    DescentRun.from_metadata_dict(doc, comp, x0, lam, 1)
-    with pytest.raises(ValueError, match="base64"):
-        DescentRun.from_metadata_dict(dict(doc, iterates=stray), comp, x0,
-                                      lam, 1)
-
-
-def _reencoding_decode(text):
-    """The bytes text decodes to when re-encoding them gives text back,
-    else b"": the canonical test by re-encoding the whole text."""
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:
-        return b""
-    return raw if base64.b64encode(raw).decode("ascii") == text else b""
-
-
-def test_canonical_base64_refuses_exactly_what_re_encoding_refuses():
-    alphabet = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                "0123456789+/")
-    texts = ["", "=", "==", "===", "====", " ", "\n", "\u00e9", "AAA\u00e9",
-             "AAAA\u00e9AAA"]
-    accepted = {0: 0, 1: 0, 2: 0}
-    for head in ("", "QUJD", "QUJDREVG"):
-        for digit in alphabet:
-            # the last quantum at 0, 1 and 2 pad characters, each digit as
-            # the last data digit, whose unused low bits it may set
-            for pads, quantum in enumerate(("AAA" + digit, "AA" + digit + "=",
-                                            "A" + digit + "==")):
-                text = head + quantum
-                accepted[pads] += bool(_reencoding_decode(text))
-                # surplus or missing padding, whitespace, a non-ASCII
-                # character, padding inside the text
-                texts += [text, text + "=", text + "==", text[:-1],
-                          text + " ", " " + text, text + "\n",
-                          text[:2] + "\n" + text[2:], text[:-1] + "\u00e9",
-                          text.replace("=", "") + "A=",
-                          text[:1] + "=" + text[1:]]
-    # every digit ends a full quantum; one in 4 carries 2 unused zero bits,
-    # one in 16 carries 4
-    assert accepted == {0: 3 * 64, 1: 3 * 16, 2: 3 * 4}
-    for text in texts:
-        assert decode_canonical_base64(text) == _reencoding_decode(text), text
-
-
-# one edit of a character: a digit, padding, whitespace or beyond ASCII,
-# put in place of the character at a position, before it, or not at all
-EDITS = st.tuples(st.sampled_from(("replace", "insert", "delete")),
-                  st.sampled_from(tuple(
-                      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                      "0123456789+/") + ("=", " ", "\n", "\u00e9")),
-                  st.integers(0, 300))
-
-
-@given(st.binary(max_size=200), EDITS)
-@settings(max_examples=300, derandomize=True)
-def test_edited_base64_decodes_as_re_encoding_decides(data, edit):
-    kind, char, position = edit
-    text = base64.b64encode(data).decode("ascii")
-    assert decode_canonical_base64(text) == data
-    i = position % (len(text) + 1)
-    if kind == "replace":
-        text = text[:i] + char + text[i + 1:]
-    elif kind == "insert":
-        text = text[:i] + char + text[i:]
-    else:
-        text = text[:i] + text[i + 1:]
-    assert decode_canonical_base64(text) == _reencoding_decode(text), text
-
-
-@pytest.mark.parametrize("dimension, steps, pads", [
-    (3, 5000, 0), (1, 1, 2), (1, 3, 1)])
+@pytest.mark.parametrize("dimension, steps", [(3, 5000), (1, 1), (1, 3)])
 def test_stored_iterates_come_back_writable_with_their_bits(dimension, steps,
-                                                            pads):
-    # a 5001 x 3 record has no padding, two and four points in dimension 1
-    # end in "==" and "="; each comes back as a writable, C-contiguous
-    # float64 matrix holding the stored bits
+                                                            tmp_path):
+    # each comes back as a writable, C-contiguous float64 matrix holding
+    # the stored bits
     comp = CompositeObjective(
         smooth=quadratic_objective(np.ones(dimension), weight=0.5),
         nonsmooth=zero_objective(dimension))
     x0, lam = np.linspace(-2.0, 3.0, dimension), 1e-3
     run = forward_backward(comp, x0, lam, steps=steps)
-    doc = run.to_metadata_dict()
-    text = doc["iterates"]
-    assert len(text) - len(text.rstrip("=")) == pads
-    back = DescentRun.from_metadata_dict(doc, comp, x0, lam, steps)
+    path = tmp_path / "iterates.bin"
+    run.write(tmp_path / "run.json", path)
+    back = DescentRun.from_metadata_dict(run.to_metadata_dict(), path, comp,
+                                         x0, lam, steps)
     X = back.iterates
     assert X.shape == (steps + 1, dimension) and X.dtype == np.float64
     assert X.flags.writeable and X.flags.c_contiguous
@@ -687,9 +615,7 @@ def test_infinite_start_value_survives_round_trip():
     x0, lam = np.array([3.0, 0.0]), 1.0
     run = forward_backward(comp, x0, lam, steps=10)
     assert math.isinf(run.raw_values[0])
-    blob = json.dumps(run.to_metadata_dict())
-    back = DescentRun.from_metadata_dict(json.loads(blob), comp, x0, lam,
-                                         10)
+    back = _stored(run, comp, x0, lam, 10)
     _assert_same_run(back, run)
 
 

@@ -39,7 +39,7 @@ from klcert.experiments import (
     sweep_relative_step,
     write_sweep,
 )
-from klcert.majorant import steps_to_epsilon
+from klcert.majorant import quadratic_complexity, steps_to_epsilon
 from klcert.problems import (
     FAMILIES,
     INSTANCE_FIELDS,
@@ -57,14 +57,11 @@ def _failed_names(report):
     return sorted(c.name for c in report.checks if c.status == "fail")
 
 
-def _stored_iterates(doc: dict) -> np.ndarray:
-    """A run.json record's iterates, decoded as README shows."""
-    raw = base64.b64decode(doc["iterates"], validate=True)
-    return np.frombuffer(raw, "<f8").reshape(-1, doc["dimension"])
-
-
-def _encoded(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+def _stored_iterates(d) -> np.ndarray:
+    """The iterates stored in the run directory d, read as README shows."""
+    with open(f"{d}/run.json") as fh:
+        dimension = json.load(fh)["dimension"]
+    return np.fromfile(f"{d}/iterates.bin", "<f8").reshape(-1, dimension)
 
 
 def _read_trace(path):
@@ -162,8 +159,8 @@ def test_rate_override_majorant_shape():
 # ---------------------------------------------------------------------------
 
 
-ARTIFACTS = ("instance.json", "run.json", "trace.csv", "majorant.csv",
-             "certificate.json", "report.json", "config.json")
+ARTIFACTS = ("instance.json", "run.json", "iterates.bin", "trace.csv",
+             "majorant.csv", "certificate.json", "report.json", "config.json")
 
 
 def _hash_dir(path):
@@ -207,9 +204,10 @@ def test_run_json_holds_the_iterates_bit_for_bit(tmp_path, name):
         doc = json.loads((tmp_path / cfg.name / "run.json").read_text())
         assert sorted(doc) == sorted(RUN_FIELDS)
         assert (doc["schema_version"], doc["dimension"]) == (
-            3, run.iterates.shape[1])
-        np.testing.assert_array_equal(_int64_view(_stored_iterates(doc)),
-                                      _int64_view(run.iterates))
+            4, run.iterates.shape[1])
+        np.testing.assert_array_equal(
+            _int64_view(_stored_iterates(tmp_path / cfg.name)),
+            _int64_view(run.iterates))
 
 
 def test_long_run_json_is_bit_exact_and_compact(tmp_path):
@@ -220,18 +218,17 @@ def test_long_run_json_is_bit_exact_and_compact(tmp_path):
         method={"name": "gradient", "relative_step": 0.005, "steps": 5000},
         checks={"samples": 50, "seed": 7})
     result = run_experiment(cfg, out_dir=str(tmp_path))
-    run, bundle, path = result.run, result.bundle, tmp_path / "run.json"
+    run, bundle, path = result.run, result.bundle, tmp_path / "iterates.bin"
     assert run.iterates.shape == (5001, 3)
-    doc = json.loads(path.read_text())
-    np.testing.assert_array_equal(_int64_view(_stored_iterates(doc)),
+    np.testing.assert_array_equal(_int64_view(_stored_iterates(tmp_path)),
                                   _int64_view(run.iterates))
-    back = DescentRun.from_metadata_dict(doc, bundle.composite, bundle.start,
-                                         bundle.step, 5000)
+    doc = json.loads((tmp_path / "run.json").read_text())
+    back = DescentRun.from_metadata_dict(doc, path, bundle.composite,
+                                         bundle.start, bundle.step, 5000)
     np.testing.assert_array_equal(_int64_view(back.iterates),
                                   _int64_view(run.iterates))
-    # base64 takes 4/3 byte per byte of float64, and the keys about 60
-    # bytes; number text needs about 20 bytes per coordinate, not 32/3
-    assert path.stat().st_size < 8 * 3 * 5001 * 4 / 3 + 200
+    # 8 bytes a coordinate, where number text needs about 20
+    assert path.stat().st_size == 8 * 3 * 5001
 
 
 def test_trace_csv_format(tmp_path):
@@ -291,17 +288,25 @@ def test_certify_run_rejects_tampered_certificate(tmp_path):
     assert not report.passed
 
 
-# the files certify reads; run.json, certificate.json and the two beside
-# run.json from which it rebuilds the problem
-CERTIFY_READS = ("run.json", "certificate.json", "instance.json",
-                 "config.json")
+# the files certify reads; run.json, certificate.json, and the three beside
+# run.json: the iterates and the two from which it rebuilds the problem
+CERTIFY_READS = ("run.json", "iterates.bin", "certificate.json",
+                 "instance.json", "config.json")
+
+
+def _write_artifact(path, content) -> None:
+    """Write iterates.bin's bytes as they are, and a JSON record as text."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
 
 
 @pytest.fixture(scope="module")
 def stored_artifacts(tmp_path_factory):
-    """The files certify reads of a passing run, as parsed JSON, and the
-    fields run.json and certificate.json held at schema 1, with the values
-    the run has."""
+    """The files certify reads of a passing run, as parsed JSON (the bytes
+    of iterates.bin), and the fields run.json and certificate.json held at
+    schema 1, with the values the run has."""
     out = tmp_path_factory.mktemp("stored")
     result = run_experiment(preset_configs("uniformly-convex")[0],
                             out_dir=str(out))
@@ -310,7 +315,8 @@ def stored_artifacts(tmp_path_factory):
     assert certify_run(str(out / "run.json"),
                        str(out / "certificate.json")).passed
     docs = {name: json.loads((out / name).read_text())
-            for name in CERTIFY_READS}
+            for name in CERTIFY_READS if name != "iterates.bin"}
+    docs["iterates.bin"] = (out / "iterates.bin").read_bytes()
     docs["legacy"] = {
         "method": "gradient", "a": run.params.a, "b": run.params.b,
         "min_value": run.min_value, "converged": run.converged,
@@ -326,12 +332,13 @@ def stored_artifacts(tmp_path_factory):
                      "gamma0": None, "r0": None, "region": None},
         "constants": {"modulus": cert.gamma, "relative_step": 0.5,
                       "lipschitz": result.bundle.composite.lipschitz},
-        "zeta": maj.zeta, "q": maj.closed_form.q}
+        "zeta": maj.zeta,
+        "q": quadratic_complexity(maj.ell, maj.params, maj.psi_values[0]).q}
     return docs
 
 
 # the fields run.json held at schema 1, all derived from the iterates;
-# their cases write them beside the iterates of a schema-3 record, and
+# their cases write them into a schema-4 record, and
 # certify refuses them as unknown keys instead of leaving stale values
 # unchecked beside the recomputed run
 LEGACY_FIELDS = ("method", "a", "b", "min_value", "converged", "num_steps",
@@ -361,11 +368,12 @@ NAMED_MALFORMED = (
     + [("certificate.json", edit, "center") for edit in ("short", "long")]
     + [("certificate.json", "overflow", "exponent")]
 )
-# run.json records whose refusal names a key: a missing or an extra key,
-# a dimension that is not an int (a string, a null, a bool or 3.0) or not
-# the problem's, and iterates that are not one string of strict base64 of
-# one or more float64 points: null, a list (schema 2's form under schema
-# 3), empty text, text and bytes that ITERATE_TEXT_EDITS break
+# run records whose refusal names a key: a run.json with a missing or an
+# extra key, or a dimension that is not an int (a string, a null, a bool
+# or 3.0) or not the problem's; a run.json that holds its iterates as
+# null or as a list (schema 2's form), refused as an unknown key; and an
+# iterates.bin that is missing ("drop"), holds no whole float64 points
+# (ITERATE_BYTE_EDITS) or one more point than the step budget allows
 RUN_NAMED_MALFORMED = (
     [("run.json", "drop", key) for key in ("dimension", "iterates")]
     + [("run.json", "extra", "bogus")]
@@ -374,14 +382,14 @@ RUN_NAMED_MALFORMED = (
                     "minus-one")]
     + [("run.json", edit, "iterates")
        for edit in ("null", "as-list", "empty", "byte-short", "byte-long",
-                    "short-row", "pad-extra", "pad-inside", "whitespace",
-                    "non-ascii")]
+                    "short-row", "over-budget")]
 )
 MALFORMED = (
     [("run.json", "drop", key) for key in ("schema_version",) + LEGACY_FIELDS]
     + [("run.json", "truncate", key) for key in RUN_ARRAYS]
     + [("run.json", "version", "schema_version"),
-       ("run.json", "schema-2", "schema_version")]
+       ("run.json", "schema-2", "schema_version"),
+       ("run.json", "schema-3", "schema_version")]
     + [("certificate.json", "drop", key)
        for key in CERTIFICATE_FIELDS + LEGACY_CERTIFICATE_FIELDS]
     + [("certificate.json", "version", "schema_version"),
@@ -402,7 +410,7 @@ MALFORMED = (
     + [("run.json", "number", key) for key in ("method", "converged")]
     + [("run.json", "fraction", "num_steps")]
     # the stored arrays as a string or a null: for the iterates, the
-    # list form's JSON text, which is not base64, and null (named)
+    # list form's JSON text in run.json, and null (named)
     + [("run.json", edit, key) for edit in ("string", "null")
        for key in RUN_ARRAYS
        if (edit, key) not in (("null", "raw_values"), ("null", "iterates"))]
@@ -435,24 +443,20 @@ EDITS = {"nan": lambda v: math.nan, "inf": lambda v: math.inf,
          "number": lambda v: 5, "fraction": lambda v: v + 0.7,
          "null": lambda v: None, "float": float,
          "plus-one": lambda v: v + 1, "minus-one": lambda v: v - 1}
-# each edit of run.json's iterates text that makes it other than the one
-# strict base64 text of whole float64 points: no bytes, a byte short or
-# long, one coordinate short of a point, padding where the bytes need
-# none, padding inside the text, MIME line breaks and a non-ASCII digit
-ITERATE_TEXT_EDITS = {
-    "empty": lambda text: "",
-    "byte-short": lambda text: _encoded(base64.b64decode(text)[:-1]),
-    "byte-long": lambda text: _encoded(base64.b64decode(text) + b"\0"),
-    "short-row": lambda text: _encoded(base64.b64decode(text)[:-8]),
-    "pad-extra": lambda text: text + "==",
-    "pad-inside": lambda text: text[:4] + "=" + text[4:],
-    "whitespace": lambda text: base64.encodebytes(
-        base64.b64decode(text)).decode("ascii"),
-    "non-ascii": lambda text: text[:-1] + "\u00e9",
+# each edit of iterates.bin's bytes that leaves them other than whole
+# float64 points: no bytes, a byte short or long, one coordinate short of
+# a point
+ITERATE_BYTE_EDITS = {
+    "empty": lambda raw: b"",
+    "byte-short": lambda raw: raw[:-1],
+    "byte-long": lambda raw: raw + b"\0",
+    "short-row": lambda raw: raw[:-8],
 }
-# edits of the decoded iterates, re-encoded after the edit
+# edits of iterates.bin's rows, written back as float64 bytes after the
+# edit
 ITERATE_ROW_EDITS = ("truncate", "nan", "inf", "-inf", "flip-first",
-                     "flip-middle", "flip-last", "swap", "repeat-last")
+                     "flip-middle", "flip-last", "swap", "repeat-last",
+                     "over-budget")
 
 
 def _flip_last_bit(v: float) -> float:
@@ -470,15 +474,22 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
     doc = docs[artifact]
     if artifact == "run.json" and (key in LEGACY_FIELDS or edit == "legacy"):
         doc.update(legacy)
+    # a run.json case of key "iterates" edits the run's iterates, which
+    # the record keeps in the iterates.bin beside it, or puts them back
+    # into run.json as an older schema held them
+    rows = np.frombuffer(docs["iterates.bin"], "<f8").reshape(
+        -1, docs["run.json"]["dimension"]).tolist()
     rows_edited = artifact == "run.json" and key == "iterates" and (
         edit in ITERATE_ROW_EDITS)
     if rows_edited:
-        doc[key] = _stored_iterates(doc).tolist()
+        doc[key] = rows
     if artifact == "certificate.json" and (
             key in LEGACY_CERTIFICATE_FIELDS or edit == "schema-1"):
         # a schema-1 record, or a schema-2 one with all stale fields but key
         doc.update(legacy_certificate)
-    if edit == "drop":
+    if (edit, key) == ("drop", "iterates"):
+        del docs["iterates.bin"]
+    elif edit == "drop":
         del doc[key]
     elif edit == "missing":
         del docs[artifact]
@@ -496,20 +507,30 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
         doc[key][1], doc[key][2] = doc[key][2], doc[key][1]
     elif edit == "repeat-last":
         doc[key].append(doc[key][-1])
+    elif edit == "over-budget":
+        # one point more than the budget's steps + 1
+        budget = docs["config.json"]["method"]["steps"]
+        doc[key] += [doc[key][-1]] * (budget + 2 - len(doc[key]))
     elif edit == "schema-1":
         doc[key] = 1
     elif edit == "schema-2":
         # the list form run.json held at schema 2
-        docs[artifact] = {"schema_version": 2,
-                          "iterates": _stored_iterates(doc).tolist()}
+        docs[artifact] = {"schema_version": 2, "iterates": rows}
+    elif edit == "schema-3":
+        # the base64 text of the iterates' bytes that run.json held at
+        # schema 3
+        docs[artifact] = dict(doc, schema_version=3, iterates=base64.b64encode(
+            docs["iterates.bin"]).decode("ascii"))
     elif edit == "as-list":
-        doc[key] = _stored_iterates(doc).tolist()
+        doc[key] = rows
     elif edit == "extra":
         doc[key] = 1
-    elif edit in ITERATE_TEXT_EDITS:
-        doc[key] = ITERATE_TEXT_EDITS[edit](doc[key])
+    elif edit in ITERATE_BYTE_EDITS:
+        docs["iterates.bin"] = ITERATE_BYTE_EDITS[edit](docs["iterates.bin"])
     elif (edit, key) == ("string", "iterates"):
-        doc[key] = json.dumps(_stored_iterates(doc).tolist())
+        doc[key] = json.dumps(rows)
+    elif (edit, key) == ("null", "iterates"):
+        doc[key] = None
     elif edit == "stale":
         doc[key] = 2.0
     elif edit == "relative_step":
@@ -565,9 +586,9 @@ def test_certify_rejects_malformed_artifacts(stored_artifacts, tmp_path,
     elif edit == "version":
         doc[key] += 1
     if rows_edited:
-        doc[key] = _encoded(np.array(doc[key], dtype="<f8").tobytes())
+        docs["iterates.bin"] = np.array(doc.pop(key), dtype="<f8").tobytes()
     for name, content in docs.items():
-        (tmp_path / name).write_text(json.dumps(content))
+        _write_artifact(tmp_path / name, content)
     code = main(["certify", "--run", str(tmp_path / "run.json"),
                  "--certificate", str(tmp_path / "certificate.json")])
     assert code == 2
@@ -779,10 +800,12 @@ def _tampered_instance(stored_runs, tmp_path, case) -> str:
     edited; the key the refusal must name."""
     family, edit, named = TAMPERED_INSTANCES[case]
     for name in CERTIFY_READS:
-        doc = json.loads((stored_runs / family / name).read_text())
+        content = (stored_runs / family / name).read_bytes()
         if name == "instance.json":
+            doc = json.loads(content)
             edit(doc)
-        (tmp_path / name).write_text(json.dumps(doc))
+            content = json.dumps(doc).encode("ascii")
+        (tmp_path / name).write_bytes(content)
     return named
 
 
@@ -961,10 +984,10 @@ def test_config_top_level_is_exact(stored_artifacts, tmp_path, capsys,
     if command == "certify":
         # the config.json stored beside run.json
         for name in CERTIFY_READS:
-            doc = dict(stored_artifacts[name])
+            content = stored_artifacts[name]
             if name == "config.json":
-                doc.update(edits)
-            (tmp_path / name).write_text(json.dumps(doc))
+                content = dict(content, **edits)
+            _write_artifact(tmp_path / name, content)
         argv = ["certify", "--run", str(tmp_path / "run.json"),
                 "--certificate", str(tmp_path / "certificate.json"),
                 "--out", str(tmp_path / "out" / "report.json")]
@@ -1166,7 +1189,7 @@ def test_run_without_steps_after_a_step_override(tmp_path):
     def stored(out):
         return (tmp_path / out / "uniformly-convex" / "run.json").read_bytes()
 
-    assert len(_stored_iterates(json.loads(stored("capped")))) == 4
+    assert len(_stored_iterates(tmp_path / "capped" / "uniformly-convex")) == 4
     assert stored("own") == (tmp_path / "direct" / "run.json").read_bytes()
 
 
@@ -1443,6 +1466,76 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "elsewhere").exists()
+
+
+def _opposite_extremes(payload):
+    """The center at -1e308 and the start at 1e308 on the first axis."""
+    rest = [0.0] * (len(payload["x0"]) - 1)
+    payload.update(center=[-1e308, *rest], x0=[1e308, *rest])
+
+
+# per family: its method, and an edit of its stored instance whose start
+# lies so far from the anchor that its values leave the floats (at the
+# parent, feasibility's growth modulus underflowed to 0 and its sqrt(2 / M)
+# raised ZeroDivisionError; the others printed RuntimeWarnings first)
+FAR_STARTS = {
+    "feasibility": ("barycentric", lambda payload: payload.update(
+        x0=[payload["xbar"][0] + 1e160, *payload["xbar"][1:]])),
+    "uniformly-convex": ("gradient", _opposite_extremes),
+    "tight-quadratic": ("projection-gradient", _opposite_extremes),
+    "lasso": ("ista", lambda payload: payload.update(
+        x0=[1e308] + [0.0] * (len(payload["x0"]) - 1))),
+}
+
+
+@pytest.mark.parametrize("family", FAR_STARTS)
+def test_a_start_far_from_its_anchor_exits_2(tmp_path, capsys, family):
+    # a numpy RuntimeWarning fails the test (pyproject.toml), so the start
+    # is refused before any overflow
+    method, edit = FAR_STARTS[family]
+    argv = _stored_instance_run(
+        tmp_path, family, lambda doc: edit(doc["payload"]), {"name": method})
+    assert main(argv) == 2
+    _one_error_line(capsys.readouterr().err, "start [")
+    assert not (tmp_path / "out").exists()
+
+
+def _certify_at_a_tiny_step(tmp_path):
+    assert main(["run", "--preset", "uniformly-convex",
+                 "--out", str(tmp_path / "stored")]) == 0
+    stored = tmp_path / "stored" / "uniformly-convex"
+    config = json.loads((stored / "config.json").read_text())
+    config["method"]["relative_step"] = 1e-160
+    (stored / "config.json").write_text(json.dumps(config))
+    return ["certify", "--run", str(stored / "run.json"),
+            "--certificate", str(stored / "certificate.json"),
+            "--out", str(tmp_path / "out" / "report.json")]
+
+
+# steps so small that b * b = (1/step + L)^2 overflows: at the parent, run
+# raised ZeroDivisionError, and the sweep OverflowError (1e-300) or a NaN
+# error (1e-320)
+TINY_STEPS = {
+    "run": _run_config(
+        "run", instance={"family": "uniformly-convex", "n": 3, "seed": 5},
+        method={"name": "gradient", "relative_step": 1e-160, "steps": 300}),
+    "certify": _certify_at_a_tiny_step,
+    "sweep-1e-300": lambda tmp_path: [
+        "sweep", "--preset", "tiny-lasso", "--values", "1e-300",
+        "--out", str(tmp_path / "out")],
+    "sweep-1e-320": lambda tmp_path: [
+        "sweep", "--preset", "tiny-lasso", "--values", "1e-320",
+        "--out", str(tmp_path / "out")],
+}
+
+
+@pytest.mark.parametrize("case", TINY_STEPS)
+def test_a_tiny_step_exits_2(tmp_path, capsys, case):
+    argv = TINY_STEPS[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    _one_error_line(capsys.readouterr().err, "is too small")
+    assert not (tmp_path / "out").exists()
 
 
 def test_alternating_on_an_affine_first_set_is_refused_before_the_run(

@@ -215,7 +215,7 @@ def test_chunk_that_is_not_bytes_like_leaves_the_target(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes(b"kept")
     with pytest.raises(TypeError):
-        tracefmt._atomic_write(path, b"head\r\n", "a str is not bytes")
+        tracefmt.write_bytes(path, b"head\r\n", "a str is not bytes")
     assert path.read_bytes() == b"kept"
     assert os.listdir(tmp_path) == ["trace.csv"]
 
@@ -234,7 +234,7 @@ def test_large_chunk_survives_short_writes(tmp_path, monkeypatch):
     chunk = np.random.default_rng(0).integers(
         0, 256, 3 * 10 ** 6, dtype=np.uint8)
     path = tmp_path / "big.bin"
-    tracefmt._atomic_write(path, b"", b"head", chunk, bytearray(b"tail"))
+    tracefmt.write_bytes(path, b"", b"head", chunk, bytearray(b"tail"))
     assert path.read_bytes() == b"head" + chunk.tobytes() + b"tail"
     assert len(calls) == 5
     assert os.listdir(tmp_path) == ["big.bin"]
@@ -270,8 +270,8 @@ def test_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert sorted(os.listdir(run)) == sorted(
-        ("instance.json", "run.json", "trace.csv", "majorant.csv",
-         "certificate.json", "report.json", "config.json"))
+        ("instance.json", "run.json", "iterates.bin", "trace.csv",
+         "majorant.csv", "certificate.json", "report.json", "config.json"))
     written = sorted(run.iterdir()) + extra
     assert [oct(stat.S_IMODE(path.stat().st_mode)) for path in written] == [
         oct(mode)] * len(written)
